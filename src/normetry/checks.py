@@ -22,9 +22,8 @@ from .errors import (
     NotPositiveDefinite,
     ShapeValidationFailed,
 )
-from .norms import ComparisonRecord, Verdict, scaled_margin
+from .norms import DEFAULT_TOL, ComparisonRecord, Verdict, scaled_margin
 
-DEFAULT_TOL = 1e-9
 PREDICATE_TOL = 1e-8  # slack for hypothesis predicates on generated inputs
 
 

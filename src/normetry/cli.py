@@ -16,12 +16,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import checks, falsify, serialize
 from .errors import BadSpec, ConvergenceFailure, NormetryError, UnknownCheck
+from .norms import DEFAULT_TOL
 from .rand import GenSpec, KINDS, generate
 
 EXIT_OK = 0
@@ -31,18 +33,29 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
 DEFAULT_TRIALS = 500
-DEFAULT_TOL = 1e-9
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("NORMETRY_SEED", "0"))
+    text = os.environ.get("NORMETRY_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise BadSpec(f"NORMETRY_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_dims(text: str) -> list[int]:
-    dims = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        dims = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise BadSpec(f"invalid dims {text!r}") from None
     if not dims or any(d < 1 for d in dims):
         raise BadSpec(f"invalid dims {text!r}")
     return dims
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadSpec(f"tol must be finite and > 0, got {tol!r}")
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -87,6 +100,7 @@ def _csv_summary(campaigns: list[dict]) -> str:
 def cmd_verify(args) -> int:
     check_ids = _parse_checks(args.checks)
     dims = _parse_dims(args.dims)
+    _check_tol(args.tol)
     config = {
         "command": "verify",
         "checks": check_ids,
@@ -152,6 +166,7 @@ def cmd_falsify(args) -> int:
     if args.check not in checks.CHECK_IDS:
         raise UnknownCheck(args.check)
     dims = _parse_dims(args.dims)
+    _check_tol(args.tol)
     mutation = args.mutate
     if mutation is not None and mutation not in falsify.MUTATIONS:
         raise BadSpec(f"unknown mutation {mutation!r}")
@@ -271,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except BadSpec as exc:  # a malformed NORMETRY_SEED
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ConvergenceFailure as exc:

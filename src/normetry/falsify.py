@@ -18,11 +18,10 @@ import numpy as np
 
 from . import checks, linalg, scalarfn, serialize
 from .errors import BadSpec, UnknownCheck
-from .norms import Verdict
+from .norms import DEFAULT_TOL, Verdict
 from .rand import GenSpec, derive_stream, generate
 
 TOOL_VERSION = "0.1.0"
-DEFAULT_TOL = 1e-9
 
 
 @dataclass
@@ -303,21 +302,27 @@ def run_case(case: Case, tol: float = DEFAULT_TOL) -> Verdict:
         v = checks.identity_6_verdict(m["a"], m["b"], s["m"])
     else:
         raise UnknownCheck(cid)
-    v.fingerprint = serialize.fingerprint(case_to_dict(case))
+    v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
     return v
 
 
-def case_to_dict(case: Case) -> dict:
+def _case_fields(case: Case) -> dict:
+    """Every field of a case except its matrices."""
     return {
         "check_id": case.check_id,
         "n": case.n,
         "seed": case.seed,
-        "matrices": {k: serialize.mat_to_json(v) for k, v in case.matrices.items()},
         "kinds": dict(case.kinds),
         "scalars": dict(case.scalars),
         "fn": case.fn_descriptor,
         "mutation": case.mutation,
     }
+
+
+def case_to_dict(case: Case) -> dict:
+    d = _case_fields(case)
+    d["matrices"] = {k: serialize.mat_to_json(v) for k, v in case.matrices.items()}
+    return d
 
 
 def case_from_dict(d: dict) -> Case:

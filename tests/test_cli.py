@@ -139,3 +139,27 @@ def test_report_determinism(tmp_path):
 
 def test_missing_subcommand_is_usage():
     assert run([]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--checks", "ineq4", "--dims", "a,b"],
+        ["verify", "--checks", "ineq4", "--tol", "nan"],
+        ["verify", "--checks", "ineq4", "--tol", "-1"],
+        ["verify", "--checks", "ineq4", "--tol", "0"],
+        ["verify", "--checks", "ineq4", "--tol", "inf"],
+        ["falsify", "--check", "ineq4", "--dims", "2,x"],
+        ["falsify", "--check", "ineq4", "--tol", "nan"],
+        ["falsify", "--check", "ineq4", "--tol", "-1"],
+    ],
+)
+def test_bad_dims_and_tol_are_usage_errors(argv, capsys):
+    assert run(argv + ["--trials", "1"]) == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("NORMETRY_SEED", "x")
+    assert run(["verify", "--checks", "ineq4", "--trials", "1"]) == cli.EXIT_USAGE
+    assert "NORMETRY_SEED" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normetry import linalg
-from normetry.errors import DimensionMismatch, DomainError
+from normetry.errors import ConvergenceFailure, DimensionMismatch, DomainError
 from normetry.rand import GenSpec, derive_stream, generate
 
 
@@ -177,3 +179,186 @@ def test_predicates_scaled_identity():
 
 def test_predicates_nilpotent_not_normal():
     assert not linalg.is_normal(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+# --- guards: each still fires just past its threshold --------------------
+
+
+def test_hermitize_rejects_drift():
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-9
+    with pytest.raises(DomainError, match="not Hermitian"):
+        linalg.hermitize(m)
+    m[0, 1] = 0.5e-12  # drift 0.5e-12 is inside 1e-12 * max(1, ||M||)
+    linalg.hermitize(m)
+
+
+def test_eigh_rejects_poor_reconstruction(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def sloppy_eigh(a):
+        w, v = real_eigh(a)
+        return w, v + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", sloppy_eigh)
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        linalg.eigh(rand_hermitian(4, 3))
+
+
+def test_is_psd_rejects_just_past_eigenvalue_threshold():
+    tol = 1e-9
+    assert linalg.is_psd(np.diag([1.0, -0.99 * tol]).astype(complex), tol=tol)
+    assert not linalg.is_psd(np.diag([1.0, -1.01 * tol]).astype(complex), tol=tol)
+
+
+def test_is_psd_rejects_just_past_drift_threshold():
+    tol = 1e-9
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = 0.99 * tol  # drift ||M - M*||_op = |m01|, ||M||_op ~ 1
+    assert linalg.is_psd(m, tol=tol)
+    m[0, 1] = 1.01 * tol
+    assert not linalg.is_psd(m, tol=tol)
+
+
+def test_is_normal_rejects_just_past_threshold():
+    # [[1, e], [0, 1]] has commutator diag(e^2, -e^2) and ||M||_op^2 = 1 + O(e)
+    tol = 1e-9
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = np.sqrt(0.99 * tol)
+    assert linalg.is_normal(m, tol=tol)
+    m[0, 1] = np.sqrt(1.02 * tol)
+    assert not linalg.is_normal(m, tol=tol)
+
+
+def test_loewner_leq_rejects_just_past_threshold():
+    tol = 1e-9
+    zero = np.zeros((2, 2), dtype=complex)
+    assert linalg.loewner_leq(zero, np.diag([1.0, -0.99 * tol]), tol=tol)
+    assert not linalg.loewner_leq(zero, np.diag([1.0, -1.01 * tol]), tol=tol)
+
+
+def test_guards_skip_the_svd_on_clean_inputs(monkeypatch):
+    calls = []
+    real_opnorm = linalg.opnorm
+    monkeypatch.setattr(
+        linalg, "opnorm", lambda x: calls.append(1) or real_opnorm(x)
+    )
+    h = rand_hermitian(6, 5)
+    linalg.eigh(h)
+    linalg.is_psd(h @ h)
+    linalg.is_normal(h)
+    linalg.loewner_leq(h, h + np.eye(6))
+    assert calls == []
+
+
+# --- the two-stage decision equals the plain SVD decision ----------------
+
+
+def svd_within(x, s, tol, power=1):
+    """The single-stage reference: ||x||_op <= tol * max(1, ||s||_op**power)."""
+    lhs = linalg.opnorm(x) if isinstance(x, np.ndarray) else x
+    return lhs <= tol * max(1.0, linalg.opnorm(s) ** power)
+
+
+def random_complex(rng, n, rank=None):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if rank == 1:
+        m = np.outer(m[:, 0], m[0].conj())
+    return m
+
+
+# where the scaled input sits relative to the threshold, as a factor
+PLACEMENTS = st.sampled_from(
+    [1e-6, 0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 2.0, 1e6]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    power=st.sampled_from([1, 2]),
+    tol=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 0.3]),
+    s_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    shape=st.sampled_from(["general", "rank1", "scalar"]),
+    s_unitary=st.booleans(),
+    placement=PLACEMENTS,
+)
+def test_two_stage_matches_svd_decision(
+    seed, n, power, tol, s_scale, shape, s_unitary, placement
+):
+    rng = np.random.default_rng(seed)
+    s = s_scale * (
+        generate(GenSpec("unitary", n, seed)) if s_unitary else random_complex(rng, n)
+    )
+    threshold = tol * max(1.0, linalg.opnorm(s) ** power)
+    if shape == "scalar":
+        x = float(placement * threshold * rng.choice([-1.0, 1.0]))
+    else:
+        x0 = random_complex(rng, n, rank=1 if shape == "rank1" else None)
+        x = x0 * (placement * threshold / linalg.opnorm(x0))
+    assert linalg._opnorm_within(x, s, tol, power) == svd_within(x, s, tol, power)
+
+
+def test_outside_inputs_reach_the_exact_stage(monkeypatch):
+    calls = []
+    real_opnorm = linalg.opnorm
+    monkeypatch.setattr(
+        linalg, "opnorm", lambda x: calls.append(1) or real_opnorm(x)
+    )
+    s = np.eye(3, dtype=complex)
+    x = np.zeros((3, 3), dtype=complex)
+    x[0, 0] = 1.01e-9
+    assert not linalg._opnorm_within(x, s, 1e-9)
+    assert len(calls) == 2  # both sides of the SVD comparison
+
+
+# single-stage references: each predicate with its thresholds taken by SVD
+
+
+def svd_is_psd(m, tol):
+    if linalg.opnorm(m - m.conj().T) > tol * max(1.0, linalg.opnorm(m)):
+        return False
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return float(w[0]) >= -tol * max(1.0, linalg.opnorm(m))
+
+
+def svd_is_normal(m, tol):
+    comm = m @ m.conj().T - m.conj().T @ m
+    return linalg.opnorm(comm) <= tol * max(1.0, linalg.opnorm(m) ** 2)
+
+
+def svd_loewner_leq(x, y, tol):
+    d = ((y - x) + (y - x).conj().T) / 2
+    lam_min = float(np.linalg.eigvalsh(d)[0])
+    return lam_min >= -tol * max(1.0, linalg.opnorm(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    placement=PLACEMENTS,
+)
+def test_predicates_match_single_stage_reference(seed, n, placement):
+    tol = 1e-9
+    rng = np.random.default_rng(seed)
+    h = generate(GenSpec("hermitian", n, seed))
+    skew = random_complex(rng, n)
+    skew = skew - skew.conj().T
+    # a Hermitian matrix plus a skew part sized around the drift threshold
+    drift = placement * tol * max(1.0, linalg.opnorm(h))
+    m = h + skew * (drift / max(linalg.opnorm(skew), 1e-300))
+    assert linalg.is_psd(m, tol) == svd_is_psd(m, tol)
+    assert linalg.is_normal(m, tol) == svd_is_normal(m, tol)
+    # I + t E_01 has a commutator of norm about t^2, near tol for this t
+    jordan = np.eye(n, dtype=complex)
+    if n > 1:
+        jordan[0, 1] = np.sqrt(placement * tol)
+    assert linalg.is_normal(jordan, tol) == svd_is_normal(jordan, tol)
+    # shift h so that lambda_min sits around the Loewner threshold
+    w = np.linalg.eigvalsh(h)
+    spread = max(1.0, float(w[-1] - w[0]))
+    y = h - (w[0] + placement * tol * spread) * np.eye(n)
+    zero = np.zeros((n, n), dtype=complex)
+    assert linalg.loewner_leq(zero, y, tol) == svd_loewner_leq(zero, y, tol)
