@@ -1,10 +1,12 @@
 """normetry: verification and falsification of symmetric-norm matrix
 inequalities over dense complex matrices."""
 
-from . import checks, falsify, linalg, norms, rand, scalarfn, serialize
-from .norms import ComparisonRecord, NormSpec, Verdict, dominance_verdict
-
+# Set before the submodules load: falsify stamps it into certificates, and
+# pyproject.toml reads it as the package version.
 __version__ = "0.1.0"
+
+from . import checks, falsify, linalg, norms, rand, scalarfn, serialize  # noqa: E402
+from .norms import ComparisonRecord, NormSpec, Verdict, dominance_verdict  # noqa: E402
 
 __all__ = [
     "checks",

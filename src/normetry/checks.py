@@ -245,9 +245,13 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
 def _require_normal(enforce, **named) -> None:
     if not enforce:
         return
+    checked: list = []
     for name, m in named.items():
+        if any(m is seen for seen in checked):
+            continue  # the same operand twice, as in cor3.3's embedding
         if not linalg.is_normal(m, tol=PREDICATE_TOL):
             raise NotNormal(f"{name} is not normal")
+        checked.append(m)
 
 
 def _block2(a, b, c, d) -> np.ndarray:
@@ -273,14 +277,20 @@ def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     return v
 
 
+def _opnorm(m) -> float:
+    return norms.norm(m, norms.OPERATOR)
+
+
 def _thm_3_2_bound(a, b, c, d) -> float:
-    pa, pb = linalg.matrix_abs(a), linalg.matrix_abs(b)
-    pc, pd_ = linalg.matrix_abs(c), linalg.matrix_abs(d)
+    """Largest operator norm of the row sums |A|+|B|, |C|+|D| and the
+    column sums |A|+|C|, |B|+|D|.  When C is B (cor3.3's embedding) the
+    column sums are the row sums, so |B| and the sums are formed once."""
+    pa, pb, pd_ = linalg.matrix_abs(a), linalg.matrix_abs(b), linalg.matrix_abs(d)
+    if c is b:
+        return max(_opnorm(pa + pb), _opnorm(pb + pd_))
+    pc = linalg.matrix_abs(c)
     return max(
-        linalg.opnorm(pa + pb),
-        linalg.opnorm(pc + pd_),
-        linalg.opnorm(pa + pc),
-        linalg.opnorm(pb + pd_),
+        _opnorm(pa + pb), _opnorm(pc + pd_), _opnorm(pa + pc), _opnorm(pb + pd_)
     )
 
 
@@ -290,7 +300,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     a, b = linalg.as_square(a), linalg.as_square(b)
     c, d = linalg.as_square(c), linalg.as_square(d)
     _require_normal(enforce, A=a, B=b, C=c, D=d)
-    lhs = linalg.opnorm(_block2(a, b, c, d))
+    lhs = _opnorm(_block2(a, b, c, d))
     rhs = _thm_3_2_bound(a, b, c, d)
     rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
     return Verdict(
@@ -313,9 +323,9 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
     block = np.block([[a, x.conj().T], [x, b]])
     px = linalg.matrix_abs(x)
     px_star = linalg.matrix_abs(x.conj().T)
-    lhs = linalg.opnorm(block)
-    rhs = max(linalg.opnorm(linalg.matrix_abs(a) + px),
-              linalg.opnorm(linalg.matrix_abs(b) + px_star))
+    lhs = _opnorm(block)
+    rhs = max(_opnorm(linalg.matrix_abs(a) + px),
+              _opnorm(linalg.matrix_abs(b) + px_star))
     rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
 
     # embedding device: 2n-sized normal blocks feeding the block theorem

@@ -51,3 +51,7 @@ class IndexOutOfRange(NormetryError):
 
 class UnknownCheck(NormetryError):
     """Check id not present in the registry."""
+
+
+class MalformedCertificate(NormetryError):
+    """A replay certificate lacks a field or holds one of the wrong type."""

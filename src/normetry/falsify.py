@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import checks, linalg, scalarfn, serialize
-from .errors import BadSpec, UnknownCheck
+from . import __version__, checks, linalg, scalarfn, serialize
+from .errors import BadSpec, MalformedCertificate, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
 from .rand import GenSpec, derive_stream, generate
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 @dataclass
@@ -350,8 +350,17 @@ def make_certificate(case: Case, verdict: Verdict) -> dict:
 
 
 def replay_certificate(cert: dict) -> Verdict:
-    case = case_from_dict(cert["case"])
-    return run_case(case, tol=float(cert.get("tol", DEFAULT_TOL)))
+    """Rerun a certificate's case.  A certificate that lacks a field, or a
+    matrix or scalar its checker needs, raises MalformedCertificate."""
+    try:
+        case = case_from_dict(cert["case"])
+        tol = float(cert.get("tol", DEFAULT_TOL))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
+    try:
+        return run_case(case, tol=tol)
+    except KeyError as exc:
+        raise MalformedCertificate(f"{case.check_id} case lacks {exc}") from exc
 
 
 @dataclass
@@ -391,6 +400,8 @@ def run_campaign(
     if check_id not in checks.CHECK_IDS:
         raise UnknownCheck(check_id)
     expectation = mutation_expectation(mutation)
+    if mutation is not None and check_id not in MUTATIONS[mutation]["targets"]:
+        raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
     if trials < 1:
         raise BadSpec("trials must be >= 1")
     dims = [int(d) for d in dims]

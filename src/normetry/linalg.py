@@ -32,8 +32,22 @@ def as_square(x) -> np.ndarray:
 
 
 def opnorm(x) -> float:
-    """Operator (spectral) norm, i.e. the largest singular value."""
-    return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
+    """Operator (spectral) norm, i.e. the largest singular value, by SVD.
+
+    This is the reference the guards compare against; reported norms go
+    through ``norms.norm``, which takes the cheaper Hermitian route.
+    """
+    return float(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)[0])
+
+
+def is_exactly_hermitian(m: np.ndarray) -> bool:
+    """M == M* entry for entry: a property of the input, with no tolerance.
+
+    For such M the singular values are |lambda(M)| and |M| = V|Lambda|V*
+    (Bhatia, Matrix Analysis, GTM 169), which eigvalsh/eigh give at about
+    half the cost of the SVD.
+    """
+    return np.array_equal(m, m.conj().T)
 
 
 # Relative slack on the Frobenius stage of _opnorm_within.  It covers the
@@ -167,8 +181,15 @@ def _svd(x):
 
 
 def matrix_abs(x) -> np.ndarray:
-    """|X| = (X*X)^(1/2), computed from the SVD of X."""
-    u, s, vh = _svd(x)
+    """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
+    m = as_square(x)
+    if is_exactly_hermitian(m):
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        return hermitize((v * np.abs(w)) @ v.conj().T, check=False)
+    u, s, vh = _svd(m)
     v = vh.conj().T
     return hermitize((v * s) @ v.conj().T, check=False)
 

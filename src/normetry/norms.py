@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec, ConvergenceFailure, DimensionMismatch
-from .linalg import as_square
+from .linalg import as_square, is_exactly_hermitian
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -54,10 +54,16 @@ TRACE = NormSpec("trace")
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values, descending, with tiny values clamped to 0."""
+    """Singular values, descending, with tiny values clamped to 0.
+
+    An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
+    """
     m = as_square(x)
     try:
-        s = np.linalg.svd(m, compute_uv=False)
+        if is_exactly_hermitian(m):
+            s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+        else:
+            s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     if s.size and s[0] > 0:

@@ -10,6 +10,7 @@ so campaign trials are order-independent.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ def _ggauss(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _rescale(m: np.ndarray, target: float) -> np.ndarray:
-    top = np.linalg.norm(m, 2)
+    top = np.linalg.svd(m, compute_uv=False)[0]
     if top == 0:
         return m
     return m * (target / top)
@@ -70,8 +71,10 @@ def generate(spec: GenSpec) -> np.ndarray:
         raise BadSpec(f"unknown generator kind {spec.kind!r}")
     if spec.n < 1:
         raise BadSpec(f"dimension must be >= 1, got {spec.n}")
-    if spec.scale <= 0:
-        raise BadSpec(f"scale must be > 0, got {spec.scale}")
+    if not (math.isfinite(spec.scale) and spec.scale > 0):
+        raise BadSpec(f"scale must be finite and > 0, got {spec.scale}")
+    if not math.isfinite(spec.min_eig):
+        raise BadSpec(f"min_eig must be finite, got {spec.min_eig}")
     rng = np.random.default_rng(np.uint64(spec.seed & (2**64 - 1)))
     n, scale = spec.n, spec.scale
 
@@ -98,7 +101,7 @@ def generate(spec: GenSpec) -> np.ndarray:
         return _unitary(rng, n)
     if spec.kind == "contraction":
         x = _ggauss(rng, n)
-        top = np.linalg.norm(x, 2)
+        top = np.linalg.svd(x, compute_uv=False)[0]
         u = rng.uniform(0.0, 1.0)
         return x / (max(top, np.finfo(float).tiny) * (1.0 + u))
     if spec.kind == "expansive":

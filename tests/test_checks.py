@@ -319,6 +319,34 @@ def test_cor_3_3_seed27():
     assert lhs <= bound + 1e-9 * max(1, bound)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_cor_3_3_record_labels(n):
+    a = generate(GenSpec("hermitian", n, derive_stream(28, 0)))
+    b = generate(GenSpec("hermitian", n, derive_stream(28, 1)))
+    x = generate(GenSpec("general", n, derive_stream(28, 2)))
+    v = checks.check_cor_3_3(a, b, x)
+    assert [r.label for r in v.records] == ["operator", "embed-operator"]
+    assert v.passed
+
+
+def test_thm_3_2_repeated_operand_matches_distinct_copies():
+    """Passing one array as both B and C takes the shortcut that forms |B|
+    and the row sums once; the record must equal that of two copies."""
+    a = generate(GenSpec("hermitian", 4, 61))
+    x = generate(GenSpec("hermitian", 4, 62))
+    d = generate(GenSpec("hermitian", 4, 63))
+    same = checks.check_thm_3_2(a, x, x, d)
+    copies = checks.check_thm_3_2(a, x, x.copy(), d)
+    assert same.records == copies.records
+
+
+def test_thm_3_2_repeated_operand_still_checked_for_normality():
+    a = np.eye(2, dtype=complex)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NotNormal, match="B is not normal"):
+        checks.check_thm_3_2(a, nilpotent, nilpotent, a)
+
+
 def test_prop_3_4_seed35():
     a = generate(GenSpec("normal", 4, derive_stream(35, 0)))
     b = generate(GenSpec("normal", 4, derive_stream(35, 1)))

@@ -114,6 +114,36 @@ def test_gen_unknown_kind():
     assert run(["gen", "--kind", "wishart", "--dim", "3"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_gen_non_finite_scale_is_usage_error(scale, capsys):
+    argv = ["gen", "--kind", "psd", "--dim", "2", "--scale", scale]
+    assert run(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale" in captured.err
+
+
+def write_drop_vanishing_cert(tmp_path):
+    certs = tmp_path / "certs"
+    run(
+        ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing",
+         "--trials", "3", "--cert-dir", str(certs), "--out",
+         str(tmp_path / "r.json")]
+    )
+    return json.loads(sorted(certs.glob("cert-*.json"))[0].read_text())
+
+
+def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
+    cert = write_drop_vanishing_cert(tmp_path)
+    no_b = json.loads(json.dumps(cert))
+    del no_b["case"]["matrices"]["b"]
+    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2]]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        assert run(["replay", str(path)]) == cli.EXIT_USAGE
+        assert "cannot parse certificate" in capsys.readouterr().err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("NORMETRY_SEED", "777")
     parser = cli.build_parser()

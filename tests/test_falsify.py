@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normetry import falsify
-from normetry.errors import BadSpec, UnknownCheck
+from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
 from normetry.rand import GenSpec, generate
 
 
@@ -126,3 +126,25 @@ def test_search_unitary_certificate_bad_statement():
 def test_campaign_requires_trials():
     with pytest.raises(BadSpec):
         falsify.run_campaign("thm1.1", trials=0)
+
+
+def test_campaign_rejects_mutation_for_other_check():
+    with pytest.raises(BadSpec, match="does not apply to ineq4"):
+        falsify.run_campaign("ineq4", mutation="drop-vanishing", trials=1)
+    # a must-violate campaign checks before reaching its analytic witness
+    with pytest.raises(BadSpec, match="does not apply to thm1.2"):
+        falsify.run_campaign("thm1.2", mutation="swap-function-class", trials=1)
+
+
+def test_replay_rejects_malformed_certificates():
+    case = falsify.sample_case("thm1.2", 2, 3)
+    cert = falsify.make_certificate(case, falsify.run_case(case))
+    assert falsify.replay_certificate(cert).min_margin == cert["margin"]
+    for broken in (
+        {"margin": 0.1},
+        {**cert, "case": {**cert["case"], "matrices": {"a": cert["case"]["matrices"]["a"]}}},
+        {**cert, "case": "thm1.2"},
+        {**cert, "tol": "tight"},
+    ):
+        with pytest.raises(MalformedCertificate):
+            falsify.replay_certificate(broken)

@@ -62,6 +62,14 @@ def test_bad_specs():
         generate(GenSpec("psd", 3, 0, scale=-1.0))
 
 
+@pytest.mark.parametrize("field", ["scale", "min_eig"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_specs(field, value):
+    for kind in ("psd", "pd"):
+        with pytest.raises(BadSpec, match=field):
+            generate(GenSpec(kind, 2, 0, **{field: value}))
+
+
 def test_derive_stream_contract():
     assert derive_stream(5, 0) != derive_stream(5, 1)
     assert derive_stream(5, 3) == derive_stream(5, 3)
