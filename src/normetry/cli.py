@@ -134,15 +134,15 @@ def cmd_verify(args) -> int:
         )
     campaigns = []
     verdict_rows = []
-    for cid in check_ids:
-        report = falsify.run_campaign(
-            cid, mutation=None, trials=args.trials, dims=dims,
-            root_seed=args.seed, tol=args.tol, keep_verdicts=True,
-        )
+    reports = falsify.run_campaigns(
+        check_ids, mutation=None, trials=args.trials, dims=dims,
+        root_seed=args.seed, tol=args.tol, keep_verdicts=True,
+    )
+    for report in reports:
         all_pass &= not report.violations
         campaigns.append(
             {
-                "check": cid,
+                "check": report.check_id,
                 "mutation": None,
                 "trials": report.trials,
                 "min_margin": report.min_margin,

@@ -2,11 +2,13 @@
 
 A campaign draws seeded random instances for one checker and records the
 minimum scaled margin plus any violations (with self-contained replay
-certificates).  Mutations deliberately break one hypothesis: the
-must-violate mutations ship with an analytic witness tried first, while
-drop-normality is exploratory and only records what it sees.  A
-derivative-free hill descent probes how close the true inequalities come
-to equality.
+certificates).  Campaigns run trial-major: every checker's case of trial i
+is sampled, then run, inside one operand pool (see ``pool``), so operands
+the checkers share are generated and decomposed once.  Mutations
+deliberately break one hypothesis: the must-violate mutations ship with an
+analytic witness tried first, while drop-normality is exploratory and only
+records what it sees.  A derivative-free hill descent probes how close the
+true inequalities come to equality.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, checks, linalg, scalarfn, serialize
-from .errors import BadSpec, MalformedCertificate, UnknownCheck
+from . import __version__, checks, linalg, pool, scalarfn, serialize
+from .errors import BadSpec, MalformedCertificate, NormetryError, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
 from .rand import GenSpec, derive_stream, generate
 
@@ -111,8 +113,11 @@ def _dec_tg_descriptor(rng) -> dict:
     return {"kind": "log1p-over-t"}
 
 
-def _gen(kind: str, n: int, seed: int, slot: int, **kw) -> np.ndarray:
-    return generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot), **kw))
+def _gen(kind: str, n: int, seed: int, slot: int) -> np.ndarray:
+    def make():
+        return generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
+
+    return pool.take((kind, n, seed, slot), make)
 
 
 def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -> Case:
@@ -127,8 +132,8 @@ def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -
     scalars: dict = {}
     fn_desc: dict | None = None
 
-    def add(name, kind, slot, **kw):
-        mats[name] = _gen(kind, n, seed, slot, **kw)
+    def add(name, kind, slot):
+        mats[name] = _gen(kind, n, seed, slot)
         kinds[name] = kind
 
     if check_id == "thm1.1":
@@ -250,6 +255,13 @@ def analytic_witness(check_id: str, mutation: str) -> Case:
     raise BadSpec(f"no analytic witness for {check_id} + {mutation}")
 
 
+# checkers that take a scalar function
+FN_CHECKS = frozenset((
+    "thm1.1", "thm1.2", "davis-hansen", "pinching-eq2", "prop2.1", "thm2.4",
+    "eigen-sum",
+))
+
+
 def run_case(case: Case, tol: float = DEFAULT_TOL) -> Verdict:
     """Run a checker on a materialized case and stamp its fingerprint."""
     enforce = case.mutation is None
@@ -357,6 +369,11 @@ def replay_certificate(cert: dict) -> Verdict:
         tol = float(cert.get("tol", DEFAULT_TOL))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
+    fn = case.fn_descriptor
+    if fn is None and case.check_id in FN_CHECKS:
+        raise MalformedCertificate(f"{case.check_id} case lacks its scalar 'fn'")
+    if fn is not None and not isinstance(fn, dict):
+        raise MalformedCertificate(f"'fn' must be an object, got {fn!r}")
     try:
         return run_case(case, tol=tol)
     except KeyError as exc:
@@ -397,40 +414,96 @@ def run_campaign(
     keep_verdicts: bool = False,
 ) -> CampaignReport:
     """Run seeded trials for one checker; collect margins and violations."""
-    if check_id not in checks.CHECK_IDS:
-        raise UnknownCheck(check_id)
+    return run_campaigns(
+        [check_id], mutation, trials, dims, root_seed, tol, keep_verdicts
+    )[0]
+
+
+def _named(exc: NormetryError, cid: str, i: int, n: int, seed) -> NormetryError:
+    """The same error, its message prefixed with the case that raised it."""
+    return type(exc)(f"{cid} trial {i} (n={n}, seed={seed}): {exc}")
+
+
+def run_campaigns(
+    check_ids,
+    mutation: str | None = None,
+    trials: int = 100,
+    dims=(1, 2, 3, 4, 5, 6),
+    root_seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    keep_verdicts: bool = False,
+) -> list[CampaignReport]:
+    """Run seeded trials for several checkers; one report per check id.
+
+    Trial-major: trial i samples every checker's case from the same trial
+    seed, then runs them in CHECK_IDS order inside one operand pool, so the
+    operands they share are generated and decomposed once.  Reports and
+    verdict rows are the same as one checker at a time would give.  A
+    NormetryError raised by a trial is re-raised with the check id, trial
+    index, n and trial seed at the start of its message.
+    """
+    check_ids = list(check_ids)
+    for cid in check_ids:
+        if cid not in checks.CHECK_IDS:
+            raise UnknownCheck(cid)
     expectation = mutation_expectation(mutation)
-    if mutation is not None and check_id not in MUTATIONS[mutation]["targets"]:
-        raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
+    for cid in check_ids:
+        if mutation is not None and cid not in MUTATIONS[mutation]["targets"]:
+            raise BadSpec(f"mutation {mutation!r} does not apply to {cid}")
     if trials < 1:
         raise BadSpec("trials must be >= 1")
     dims = [int(d) for d in dims]
-    start = time.perf_counter()
-    min_margin = float("inf")
-    violations = []
-    rows = []
+    order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
+    wall = dict.fromkeys(order, 0.0)
+    min_margin = dict.fromkeys(order, float("inf"))
+    violations: dict = {cid: [] for cid in order}
+    rows: dict = {cid: [] for cid in order}
+    clock = time.perf_counter
     for i in range(trials):
-        if i == 0 and expectation == "must-violate":
-            case = analytic_witness(check_id, mutation)
-        else:
-            seed = derive_stream(root_seed, i)
-            case = sample_case(check_id, dims[i % len(dims)], seed, mutation)
-        verdict = run_case(case, tol=tol)
-        min_margin = min(min_margin, verdict.min_margin)
-        if not verdict.passed:
-            violations.append(make_certificate(case, verdict))
-        if keep_verdicts:
-            rows.append(verdict_row(verdict))
-    return CampaignReport(
-        check_id=check_id,
-        mutation=mutation,
-        expectation=expectation,
-        trials=trials,
-        violations=violations,
-        min_margin=min_margin,
-        wall_time=time.perf_counter() - start,
-        verdicts=rows,
-    )
+        n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
+        with pool.trial():
+            pending = []
+            for cid in order:
+                start = clock()
+                try:
+                    if i == 0 and expectation == "must-violate":
+                        case = analytic_witness(cid, mutation)
+                    else:
+                        case = sample_case(cid, n, seed, mutation)
+                except NormetryError as exc:
+                    raise _named(exc, cid, i, n, seed) from exc
+                pending.append(case)
+                wall[cid] += clock() - start
+            # popped, so a case and the operands only it holds go once it has run
+            pending.reverse()
+            while pending:
+                case = pending.pop()
+                cid = case.check_id
+                start = clock()
+                try:
+                    verdict = run_case(case, tol=tol)
+                except NormetryError as exc:
+                    raise _named(exc, cid, i, case.n, case.seed) from exc
+                pool.release(case.matrices.values())
+                min_margin[cid] = min(min_margin[cid], verdict.min_margin)
+                if not verdict.passed:
+                    violations[cid].append(make_certificate(case, verdict))
+                if keep_verdicts:
+                    rows[cid].append(verdict_row(verdict))
+                wall[cid] += clock() - start
+    return [
+        CampaignReport(
+            check_id=cid,
+            mutation=mutation,
+            expectation=expectation,
+            trials=trials,
+            violations=violations[cid],
+            min_margin=min_margin[cid],
+            wall_time=wall[cid],
+            verdicts=rows[cid],
+        )
+        for cid in check_ids
+    ]
 
 
 def _project(m: np.ndarray, kind: str) -> np.ndarray:

@@ -4,7 +4,9 @@ Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
 (Loewner order, normality, contraction/expansive) used by the checkers.
 
-All functions are pure; matrices are plain complex ndarrays.
+All functions are pure; matrices are plain complex ndarrays.  During a
+campaign trial, ``eigh``, ``matrix_abs`` and ``is_normal`` memoize their
+results on pooled operands (see ``pool``); those results are read-only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import ConvergenceFailure, DimensionMismatch, DomainError
 
 HERMITIAN_DRIFT_TOL = 1e-12
@@ -120,6 +123,9 @@ class PolarParts:
 
 def eigh(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    memo = pool.memo(h)
+    if memo is not None and "eigh" in memo:
+        return memo["eigh"]
     m = hermitize(h)
     try:
         w, v = np.linalg.eigh(m)
@@ -132,7 +138,11 @@ def eigh(h) -> Spectrum:
         raise ConvergenceFailure(
             f"eigendecomposition residual {opnorm(residual):.3e}"
         )
-    return Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
+    spec = Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
+    if memo is not None:
+        pool.readonly(spec.eigenvalues, spec.frame)
+        memo["eigh"] = spec
+    return spec
 
 
 def eigvalsh_desc(h) -> np.ndarray:
@@ -182,16 +192,24 @@ def _svd(x):
 
 def matrix_abs(x) -> np.ndarray:
     """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
+    memo = pool.memo(x)
+    if memo is not None and "matrix_abs" in memo:
+        return memo["matrix_abs"]
     m = as_square(x)
     if is_exactly_hermitian(m):
         try:
             w, v = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
-        return hermitize((v * np.abs(w)) @ v.conj().T, check=False)
-    u, s, vh = _svd(m)
-    v = vh.conj().T
-    return hermitize((v * s) @ v.conj().T, check=False)
+        out = hermitize((v * np.abs(w)) @ v.conj().T, check=False)
+    else:
+        u, s, vh = _svd(m)
+        v = vh.conj().T
+        out = hermitize((v * s) @ v.conj().T, check=False)
+    if memo is not None:
+        pool.readonly(out)
+        memo["matrix_abs"] = out
+    return out
 
 
 def polar(x) -> PolarParts:
@@ -230,9 +248,16 @@ def is_psd(x, tol: float = 1e-9) -> bool:
 
 
 def is_normal(x, tol: float = 1e-9) -> bool:
+    memo = pool.memo(x)
+    key = ("is_normal", tol)
+    if memo is not None and key in memo:
+        return memo[key]
     m = as_square(x)
     comm = m @ m.conj().T - m.conj().T @ m
-    return _opnorm_within(comm, m, tol, power=2)
+    normal = _opnorm_within(comm, m, tol, power=2)
+    if memo is not None:
+        memo[key] = normal
+    return normal
 
 
 def is_contraction(x, tol: float = 1e-9) -> bool:

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
-from normetry import cli
+from normetry import checks, cli
+from normetry.errors import ConvergenceFailure, DomainError
+from normetry.rand import derive_stream
 
 
 def run(argv):
@@ -193,3 +195,38 @@ def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("NORMETRY_SEED", "x")
     assert run(["verify", "--checks", "ineq4", "--trials", "1"]) == cli.EXIT_USAGE
     assert "NORMETRY_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn", [None, 3, "sqrt", [1, 2]])
+def test_replay_bad_fn_is_usage_error(tmp_path, capsys, fn):
+    # a null fn for a checker that needs a scalar function, or any non-object fn
+    cert = write_drop_vanishing_cert(tmp_path)
+    cert["case"]["fn"] = fn
+    path = tmp_path / "bad-fn.json"
+    path.write_text(json.dumps(cert))
+    assert run(["replay", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cannot parse certificate" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ConvergenceFailure, cli.EXIT_NUMERICAL), (DomainError, cli.EXIT_USAGE)],
+)
+def test_failing_trial_is_named(monkeypatch, capsys, error, code):
+    real = checks.check_prop_3_4
+
+    def flaky(a, b, **kw):
+        if a.shape[0] == 3:
+            raise error("planted failure")
+        return real(a, b, **kw)
+
+    monkeypatch.setattr(checks, "check_prop_3_4", flaky)
+    argv = ["verify", "--checks", "thm1.1,prop3.4", "--trials", "4",
+            "--dims", "2,3", "--seed", "11"]
+    assert run(argv) == code
+    seed = derive_stream(11, 1)
+    assert f"prop3.4 trial 1 (n=3, seed={seed}): planted failure" in (
+        capsys.readouterr().err
+    )
