@@ -5,9 +5,15 @@ Fan-dominance verdict, a Loewner-order comparison, or a direct scalar
 comparison on the norm grid.  Hypotheses are validated up front (shape
 class of the scalar function, contraction/expansive/normal predicates);
 the falsifier can switch validation off to probe broken hypotheses.
+
+``SPECS`` at the end declares each checker once for the falsifier: its
+operand kinds, scalar-function class, extra scalar draws and call.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -409,21 +415,90 @@ def identity_6_verdict(a, b, m, tol: float = 1e-10) -> Verdict:
     )
 
 
-CHECK_IDS = (
-    "thm1.1",
-    "thm1.2",
-    "davis-hansen",
-    "pinching-eq2",
-    "prop2.1",
-    "thm2.4",
-    "eigen-sum",
-    "cs-lemma",
-    "ineq4",
-    "thm3.1",
-    "thm3.2",
-    "cor3.3",
-    "prop3.4",
-    "prop3.5",
-    "ineq5",
-    "identity6",
-)
+def _ops(kind: str, names="ab") -> tuple:
+    return tuple((name, kind) for name in names)
+
+
+def _psd_family(rng, fn) -> list:
+    return [(f"a{i}", "psd") for i in range(2 + int(rng.integers(2)))]
+
+
+def _draw_jk(rng, n: int) -> dict:
+    j = int(rng.integers(n))
+    return {"j": j, "k": int(rng.integers(n - j))}
+
+
+def _draw_z_m(rng, n: int) -> dict:
+    z = rng.standard_normal() + 1j * rng.standard_normal()
+    m = int(rng.integers(1, 6))
+    return {"z_re": float(z.real), "z_im": float(z.imag), "m": m}
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """How the falsifier samples and runs one checker.
+
+    A case draws from its rng, in this order: a function of class
+    ``fn_class`` (None: the checker takes none); the operand list, if
+    ``operands`` is a draw ``(rng, fn_descriptor) -> list`` rather than a
+    list of (name, generator kind) in slot order; then ``scalars(rng, n)``.
+    ``run(f, matrices, scalars, tol=, enforce=)`` calls the checker by its
+    module-global name, so a wrapper set on that name sees the call.
+    """
+
+    check_id: str
+    fn_class: str | None
+    operands: tuple | Callable
+    run: Callable[..., Verdict]
+    scalars: Callable[..., dict] = lambda rng, n: {}
+
+
+SPECS = {spec.check_id: spec for spec in (
+    CheckSpec("thm1.1", scalarfn.CONCAVE_NONNEG, _psd_family,
+              lambda f, m, s, **kw: check_thm_1_1(f, [m[k] for k in sorted(m)], **kw)),
+    CheckSpec("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
+              lambda f, m, s, **kw: check_thm_1_2(f, m["a"], m["b"], **kw)),
+    CheckSpec("davis-hansen", scalarfn.OPERATOR_CONCAVE,
+              (("a", "psd"), ("z", "contraction")),
+              lambda f, m, s, **kw: check_davis_hansen(f, m["a"], m["z"], **kw)),
+    CheckSpec("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"),
+              lambda f, m, s, **kw: check_pinching_eq2(f, m["a"], m["b"], **kw)),
+    CheckSpec("prop2.1", scalarfn.DECREASING_TG_INCREASING,
+              lambda rng, fn: _ops("pd" if fn["kind"] == "inv-sqrt" else "psd"),
+              lambda f, m, s, **kw: check_prop_2_1(f, m["a"], m["b"], **kw)),
+    CheckSpec("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
+              lambda f, m, s, **kw: check_thm_2_4(f, m["a"], m["z"], **kw)),
+    CheckSpec("eigen-sum", scalarfn.CONCAVE_NONNEG,
+              lambda rng, fn: _ops("psd" if int(rng.integers(2)) else "general"),
+              lambda f, m, s, **kw: check_eigen_sum(
+                  f, m["a"], m["b"], s["j"], s["k"], **kw),
+              _draw_jk),
+    CheckSpec("cs-lemma", None,
+              _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")),
+              lambda f, m, s, **kw: check_cs_lemma(
+                  m["a1"], m["a2"], m["b1"], m["b2"], m["c1"], m["c2"], **kw)),
+    CheckSpec("ineq4", None, _ops("general"),
+              lambda f, m, s, tol, **_: check_ineq_4(m["a"], m["b"], tol=tol)),
+    CheckSpec("thm3.1", None, _ops("normal", "abcd"),
+              lambda f, m, s, **kw: check_thm_3_1(*(m[k] for k in "abcd"), **kw)),
+    CheckSpec("thm3.2", None, _ops("normal", "abcd"),
+              lambda f, m, s, **kw: check_thm_3_2(*(m[k] for k in "abcd"), **kw)),
+    CheckSpec("cor3.3", None, _ops("hermitian") + (("x", "general"),),
+              lambda f, m, s, tol, **_: check_cor_3_3(m["a"], m["b"], m["x"], tol=tol)),
+    CheckSpec("prop3.4", None, _ops("normal"),
+              lambda f, m, s, **kw: check_prop_3_4(m["a"], m["b"], **kw)),
+    CheckSpec("prop3.5", None, _ops("hermitian", "st"),
+              lambda f, m, s, tol, **_: check_prop_3_5_eigen(
+                  m["s"], m["t"], s["j"], s["k"], tol=tol),
+              _draw_jk),
+    CheckSpec("ineq5", None, _ops("psd"),
+              lambda f, m, s, tol, **_: check_ineq_5(
+                  m["a"], m["b"], complex(s["z_re"], s["z_im"]), s["m"], tol=tol),
+              _draw_z_m),
+    CheckSpec("identity6", None, _ops("psd"),
+              lambda f, m, s, tol, **_: identity_6_verdict(
+                  m["a"], m["b"], s["m"], tol=tol),
+              lambda rng, n: {"m": int(rng.integers(1, 9))}),
+)}
+
+CHECK_IDS = tuple(SPECS)

@@ -45,14 +45,75 @@ class Case:
         return scalarfn.from_descriptor(self.fn_descriptor)
 
 
+_EYE2 = np.eye(2, dtype=complex)
+
+# Each mutation breaks one hypothesis of its targets: it draws the scalar
+# function from outside its class ("fn"), or generates one operand kind in
+# place of another ("swap": (kind, replacement)).  A must-violate mutation
+# has an analytic witness: (name, kind, matrix) operands and a function.
 MUTATIONS = {
-    "swap-function-class": {"targets": ("thm1.1",), "expectation": "must-violate"},
-    "drop-vanishing": {"targets": ("thm1.2",), "expectation": "must-violate"},
-    "drop-expansive": {"targets": ("thm2.4",), "expectation": "must-violate"},
-    "drop-normality": {
-        "targets": ("thm3.1", "thm3.2", "prop3.4"),
-        "expectation": "exploratory",
+    "swap-function-class": {
+        "targets": ("thm1.1",), "expectation": "must-violate",
+        "fn": lambda rng: {"kind": "power-m", "m": 2},
+        # ||(2I)^2|| = 4 > ||I^2 + I^2|| = 2
+        "witness": ((("a0", "psd", _EYE2), ("a1", "psd", _EYE2)),
+                    {"kind": "power-m", "m": 2}),
     },
+    "drop-vanishing": {
+        "targets": ("thm1.2",), "expectation": "must-violate",
+        "fn": lambda rng: {
+            "kind": "power-m-plus", "m": 2, "c": float(rng.uniform(0.5, 2.0))
+        },
+        # g = t^2 + 1 at A = B = 0: ||g(0) + g(0)|| = 2 > ||g(0)|| = 1
+        "witness": ((("a", "psd", 0 * _EYE2), ("b", "psd", 0 * _EYE2)),
+                    {"kind": "power-m-plus", "m": 2, "c": 1.0}),
+    },
+    "drop-expansive": {
+        "targets": ("thm2.4",), "expectation": "must-violate",
+        "swap": ("expansive", "contraction"),
+        # sqrt with A = I, Z = I/2: ||(Z*Z)^(1/2)|| = 1/2 > ||Z*Z|| = 1/4
+        "witness": ((("a", "psd", _EYE2), ("z", "contraction", 0.5 * _EYE2)),
+                    {"kind": "sqrt"}),
+    },
+    "drop-normality": {
+        "targets": ("thm3.1", "thm3.2", "prop3.4"), "expectation": "exploratory",
+        "swap": ("normal", "general"),
+    },
+}
+
+# Scalar-function draws per class tag: one option is picked uniformly from
+# the case's rng, then draws its own parameters.
+FN_DRAWS = {
+    scalarfn.CONCAVE_NONNEG: (
+        lambda rng: {"kind": "sqrt"},
+        lambda rng: {"kind": "power", "s": float(rng.uniform(0.2, 1.0))},
+        lambda rng: {"kind": "log1p"},
+        lambda rng: {
+            "kind": "affine-plus",
+            "lam": float(rng.uniform(0.0, 2.0)),
+            "c": float(rng.uniform(0.0, 1.0)),
+        },
+    ),
+    scalarfn.CONVEX_VANISHING: (
+        lambda rng: {"kind": "power-m", "m": int(rng.integers(2, 5))},
+        lambda rng: {"kind": "angle", "a": float(rng.uniform(0.2, 2.0))},
+        lambda rng: {
+            "kind": "smoothed",
+            "a": float(rng.uniform(0.2, 2.0)),
+            "r": float(10.0 ** rng.uniform(-6.0, 0.0)),
+        },
+    ),
+    scalarfn.OPERATOR_CONCAVE: (
+        lambda rng: {"kind": "sqrt"},
+        lambda rng: {"kind": "power", "s": float(rng.uniform(0.2, 1.0))},
+        lambda rng: {"kind": "log1p"},
+        lambda rng: {"kind": "ratio-shift", "c": float(rng.uniform(0.1, 3.0))},
+    ),
+    scalarfn.DECREASING_TG_INCREASING: (
+        lambda rng: {"kind": "inv-sqrt"},
+        lambda rng: {"kind": "constant", "c": float(rng.uniform(0.1, 2.0))},
+        lambda rng: {"kind": "log1p-over-t"},
+    ),
 }
 
 
@@ -65,54 +126,6 @@ def mutation_expectation(mutation: str | None) -> str:
         raise BadSpec(f"unknown mutation {mutation!r}") from exc
 
 
-def _concave_descriptor(rng) -> dict:
-    pick = int(rng.integers(4))
-    if pick == 0:
-        return {"kind": "sqrt"}
-    if pick == 1:
-        return {"kind": "power", "s": float(rng.uniform(0.2, 1.0))}
-    if pick == 2:
-        return {"kind": "log1p"}
-    return {
-        "kind": "affine-plus",
-        "lam": float(rng.uniform(0.0, 2.0)),
-        "c": float(rng.uniform(0.0, 1.0)),
-    }
-
-
-def _convex0_descriptor(rng) -> dict:
-    pick = int(rng.integers(3))
-    if pick == 0:
-        return {"kind": "power-m", "m": int(rng.integers(2, 5))}
-    if pick == 1:
-        return {"kind": "angle", "a": float(rng.uniform(0.2, 2.0))}
-    return {
-        "kind": "smoothed",
-        "a": float(rng.uniform(0.2, 2.0)),
-        "r": float(10.0 ** rng.uniform(-6.0, 0.0)),
-    }
-
-
-def _opconcave_descriptor(rng) -> dict:
-    pick = int(rng.integers(4))
-    if pick == 0:
-        return {"kind": "sqrt"}
-    if pick == 1:
-        return {"kind": "power", "s": float(rng.uniform(0.2, 1.0))}
-    if pick == 2:
-        return {"kind": "log1p"}
-    return {"kind": "ratio-shift", "c": float(rng.uniform(0.1, 3.0))}
-
-
-def _dec_tg_descriptor(rng) -> dict:
-    pick = int(rng.integers(3))
-    if pick == 0:
-        return {"kind": "inv-sqrt"}
-    if pick == 1:
-        return {"kind": "constant", "c": float(rng.uniform(0.1, 2.0))}
-    return {"kind": "log1p-over-t"}
-
-
 def _gen(kind: str, n: int, seed: int, slot: int) -> np.ndarray:
     def make():
         return generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
@@ -120,108 +133,41 @@ def _gen(kind: str, n: int, seed: int, slot: int) -> np.ndarray:
     return pool.take((kind, n, seed, slot), make)
 
 
+def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
+    """The spec of ``check_id``; raises if the check or the mutation is
+    unknown, or if the mutation does not apply to the check."""
+    if check_id not in checks.SPECS:
+        raise UnknownCheck(check_id)
+    if mutation_expectation(mutation) != "none":
+        if check_id not in MUTATIONS[mutation]["targets"]:
+            raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
+    return checks.SPECS[check_id]
+
+
 def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -> Case:
     """Draw one seeded random instance for a checker, honoring a mutation."""
-    if check_id not in checks.CHECK_IDS:
-        raise UnknownCheck(check_id)
-    if mutation is not None and check_id not in MUTATIONS[mutation]["targets"]:
-        raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
+    spec = _spec(check_id, mutation)
+    change = MUTATIONS.get(mutation, {})
     rng = np.random.default_rng(np.uint64(seed & (2**64 - 1)))
-    mats: dict = {}
-    kinds: dict = {}
-    scalars: dict = {}
-    fn_desc: dict | None = None
-
-    def add(name, kind, slot):
-        mats[name] = _gen(kind, n, seed, slot)
-        kinds[name] = kind
-
-    if check_id == "thm1.1":
-        fn_desc = (
-            {"kind": "power-m", "m": 2}
-            if mutation == "swap-function-class"
-            else _concave_descriptor(rng)
-        )
-        n_ops = 2 + int(rng.integers(2))
-        for i in range(n_ops):
-            add(f"a{i}", "psd", slot=i)
-    elif check_id == "thm1.2":
-        if mutation == "drop-vanishing":
-            fn_desc = {"kind": "power-m-plus", "m": 2, "c": float(rng.uniform(0.5, 2.0))}
-        else:
-            fn_desc = _convex0_descriptor(rng)
-        add("a", "psd", 0)
-        add("b", "psd", 1)
-    elif check_id == "davis-hansen":
-        fn_desc = _opconcave_descriptor(rng)
-        add("a", "psd", 0)
-        add("z", "contraction", 1)
-    elif check_id == "pinching-eq2":
-        fn_desc = _opconcave_descriptor(rng)
-        add("a", "pd", 0)
-        add("b", "pd", 1)
-    elif check_id == "prop2.1":
-        fn_desc = _dec_tg_descriptor(rng)
-        kind = "pd" if fn_desc["kind"] == "inv-sqrt" else "psd"
-        add("a", kind, 0)
-        add("b", kind, 1)
-    elif check_id == "thm2.4":
-        fn_desc = _concave_descriptor(rng)
-        add("a", "psd", 0)
-        z_kind = "contraction" if mutation == "drop-expansive" else "expansive"
-        add("z", z_kind, 1)
-    elif check_id == "eigen-sum":
-        fn_desc = _concave_descriptor(rng)
-        kind = "psd" if int(rng.integers(2)) else "general"
-        add("a", kind, 0)
-        add("b", kind, 1)
-        j = int(rng.integers(n))
-        scalars["j"] = j
-        scalars["k"] = int(rng.integers(n - j))
-    elif check_id == "cs-lemma":
-        for i, name in enumerate(("a1", "a2", "b1", "b2")):
-            add(name, "psd", i)
-        add("c1", "contraction", 4)
-        add("c2", "contraction", 5)
-    elif check_id == "ineq4":
-        add("a", "general", 0)
-        add("b", "general", 1)
-    elif check_id in ("thm3.1", "thm3.2"):
-        kind = "general" if mutation == "drop-normality" else "normal"
-        for i, name in enumerate(("a", "b", "c", "d")):
-            add(name, kind, i)
-    elif check_id == "cor3.3":
-        add("a", "hermitian", 0)
-        add("b", "hermitian", 1)
-        add("x", "general", 2)
-    elif check_id == "prop3.4":
-        kind = "general" if mutation == "drop-normality" else "normal"
-        add("a", kind, 0)
-        add("b", kind, 1)
-    elif check_id == "prop3.5":
-        add("s", "hermitian", 0)
-        add("t", "hermitian", 1)
-        j = int(rng.integers(n))
-        scalars["j"] = j
-        scalars["k"] = int(rng.integers(n - j))
-    elif check_id == "ineq5":
-        add("a", "psd", 0)
-        add("b", "psd", 1)
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        scalars["z_re"], scalars["z_im"] = float(z.real), float(z.imag)
-        scalars["m"] = int(rng.integers(1, 6))
-    elif check_id == "identity6":
-        add("a", "psd", 0)
-        add("b", "psd", 1)
-        scalars["m"] = int(rng.integers(1, 9))
-
+    fn_desc = None
+    if "fn" in change:
+        fn_desc = change["fn"](rng)
+    elif spec.fn_class is not None:
+        draws = FN_DRAWS[spec.fn_class]
+        fn_desc = draws[int(rng.integers(len(draws)))](rng)
+    operands = spec.operands(rng, fn_desc) if callable(spec.operands) else spec.operands
+    old, new = change.get("swap", (None, None))
+    mats, kinds = {}, {}
+    for slot, (name, kind) in enumerate(operands):
+        kinds[name] = new if kind == old else kind
+        mats[name] = _gen(kinds[name], n, seed, slot)
     return Case(
         check_id=check_id,
         n=n,
         seed=seed,
         matrices=mats,
         kinds=kinds,
-        scalars=scalars,
+        scalars=spec.scalars(rng, n),
         fn_descriptor=fn_desc,
         mutation=mutation,
     )
@@ -229,91 +175,24 @@ def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -
 
 def analytic_witness(check_id: str, mutation: str) -> Case:
     """Known closed-form violation for each must-violate mutation."""
-    eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    if mutation == "swap-function-class" and check_id == "thm1.1":
-        return Case(
-            "thm1.1", 2, None,
-            {"a0": eye, "a1": eye}, {"a0": "psd", "a1": "psd"},
-            fn_descriptor={"kind": "power-m", "m": 2},
-            mutation=mutation,
-        )
-    if mutation == "drop-vanishing" and check_id == "thm1.2":
-        return Case(
-            "thm1.2", 2, None,
-            {"a": zero, "b": zero}, {"a": "psd", "b": "psd"},
-            fn_descriptor={"kind": "power-m-plus", "m": 2, "c": 1.0},
-            mutation=mutation,
-        )
-    if mutation == "drop-expansive" and check_id == "thm2.4":
-        return Case(
-            "thm2.4", 2, None,
-            {"a": eye, "z": 0.5 * eye}, {"a": "psd", "z": "contraction"},
-            fn_descriptor={"kind": "sqrt"},
-            mutation=mutation,
-        )
-    raise BadSpec(f"no analytic witness for {check_id} + {mutation}")
-
-
-# checkers that take a scalar function
-FN_CHECKS = frozenset((
-    "thm1.1", "thm1.2", "davis-hansen", "pinching-eq2", "prop2.1", "thm2.4",
-    "eigen-sum",
-))
+    witness = MUTATIONS.get(mutation, {}).get("witness")
+    if witness is None or check_id not in MUTATIONS[mutation]["targets"]:
+        raise BadSpec(f"no analytic witness for {check_id} + {mutation}")
+    operands, fn = witness
+    return Case(
+        check_id, 2, None,
+        {name: m.copy() for name, _, m in operands},
+        {name: kind for name, kind, _ in operands},
+        fn_descriptor=dict(fn),
+        mutation=mutation,
+    )
 
 
 def run_case(case: Case, tol: float = DEFAULT_TOL) -> Verdict:
     """Run a checker on a materialized case and stamp its fingerprint."""
-    enforce = case.mutation is None
-    m = case.matrices
-    s = case.scalars
-    f = case.fn()
-    cid = case.check_id
-    if cid == "thm1.1":
-        ops = [m[k] for k in sorted(m)]
-        v = checks.check_thm_1_1(f, ops, tol=tol, enforce=enforce)
-    elif cid == "thm1.2":
-        v = checks.check_thm_1_2(f, m["a"], m["b"], tol=tol, enforce=enforce)
-    elif cid == "davis-hansen":
-        v = checks.check_davis_hansen(f, m["a"], m["z"], tol=tol, enforce=enforce)
-    elif cid == "pinching-eq2":
-        v = checks.check_pinching_eq2(f, m["a"], m["b"], tol=tol, enforce=enforce)
-    elif cid == "prop2.1":
-        v = checks.check_prop_2_1(f, m["a"], m["b"], tol=tol, enforce=enforce)
-    elif cid == "thm2.4":
-        v = checks.check_thm_2_4(f, m["a"], m["z"], tol=tol, enforce=enforce)
-    elif cid == "eigen-sum":
-        v = checks.check_eigen_sum(
-            f, m["a"], m["b"], s["j"], s["k"], tol=tol, enforce=enforce
-        )
-    elif cid == "cs-lemma":
-        v = checks.check_cs_lemma(
-            m["a1"], m["a2"], m["b1"], m["b2"], m["c1"], m["c2"],
-            tol=tol, enforce=enforce,
-        )
-    elif cid == "ineq4":
-        v = checks.check_ineq_4(m["a"], m["b"], tol=tol)
-    elif cid == "thm3.1":
-        v = checks.check_thm_3_1(
-            m["a"], m["b"], m["c"], m["d"], tol=tol, enforce=enforce
-        )
-    elif cid == "thm3.2":
-        v = checks.check_thm_3_2(
-            m["a"], m["b"], m["c"], m["d"], tol=tol, enforce=enforce
-        )
-    elif cid == "cor3.3":
-        v = checks.check_cor_3_3(m["a"], m["b"], m["x"], tol=tol)
-    elif cid == "prop3.4":
-        v = checks.check_prop_3_4(m["a"], m["b"], tol=tol, enforce=enforce)
-    elif cid == "prop3.5":
-        v = checks.check_prop_3_5_eigen(m["s"], m["t"], s["j"], s["k"], tol=tol)
-    elif cid == "ineq5":
-        z = complex(s["z_re"], s["z_im"])
-        v = checks.check_ineq_5(m["a"], m["b"], z, s["m"], tol=tol)
-    elif cid == "identity6":
-        v = checks.identity_6_verdict(m["a"], m["b"], s["m"])
-    else:
-        raise UnknownCheck(cid)
+    v = _spec(case.check_id).run(
+        case.fn(), case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
+    )
     v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
     return v
 
@@ -370,7 +249,7 @@ def replay_certificate(cert: dict) -> Verdict:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
     fn = case.fn_descriptor
-    if fn is None and case.check_id in FN_CHECKS:
+    if fn is None and _spec(case.check_id).fn_class is not None:
         raise MalformedCertificate(f"{case.check_id} case lacks its scalar 'fn'")
     if fn is not None and not isinstance(fn, dict):
         raise MalformedCertificate(f"'fn' must be an object, got {fn!r}")
@@ -444,12 +323,8 @@ def run_campaigns(
     """
     check_ids = list(check_ids)
     for cid in check_ids:
-        if cid not in checks.CHECK_IDS:
-            raise UnknownCheck(cid)
+        _spec(cid, mutation)
     expectation = mutation_expectation(mutation)
-    for cid in check_ids:
-        if mutation is not None and cid not in MUTATIONS[mutation]["targets"]:
-            raise BadSpec(f"mutation {mutation!r} does not apply to {cid}")
     if trials < 1:
         raise BadSpec("trials must be >= 1")
     dims = [int(d) for d in dims]

@@ -31,6 +31,11 @@ def test_verify_unknown_check_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_falsify_unknown_check_usage_error(capsys):
+    assert run(["falsify", "--check", "nosuch", "--trials", "1"]) == cli.EXIT_USAGE
+    assert "usage error: nosuch" in capsys.readouterr().err
+
+
 def test_verify_bad_dims_usage_error():
     assert run(["verify", "--checks", "thm1.1", "--dims", "0"]) == cli.EXIT_USAGE
 

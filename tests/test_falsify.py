@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normetry import falsify
+from normetry import checks, falsify, rand, scalarfn, witnesses
 from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
 from normetry.rand import GenSpec, generate
 
@@ -148,3 +148,137 @@ def test_replay_rejects_malformed_certificates():
     ):
         with pytest.raises(MalformedCertificate):
             falsify.replay_certificate(broken)
+
+
+def test_identity6_honours_campaign_tol():
+    for seed in range(20):
+        case = falsify.sample_case("identity6", 4, seed)
+        residual = -falsify.run_case(case).min_margin
+        if residual > 0:
+            break
+    assert residual > 0
+    assert falsify.run_case(case).passed
+    tight = falsify.run_case(case, tol=residual / 2)
+    assert not tight.passed
+    assert tight.tol == residual / 2
+
+
+def test_check_registry_is_consistent():
+    witnessed = {w.check_id for w in witnesses.WITNESSES}
+    for cid, spec in checks.SPECS.items():
+        assert spec.check_id == cid
+        assert cid in witnessed, cid
+        assert spec.fn_class is None or spec.fn_class in falsify.FN_DRAWS, cid
+        for seed in (11, 13):  # both branches of every drawn operand list
+            kinds = falsify.sample_case(cid, 3, seed).kinds
+            assert set(kinds.values()) <= set(rand.KINDS), cid
+    for mutation, info in falsify.MUTATIONS.items():
+        for cid in info["targets"]:
+            assert cid in checks.SPECS, (mutation, cid)
+            plain = falsify.sample_case(cid, 3, 11)
+            mutated = falsify.sample_case(cid, 3, 11, mutation)
+            if "fn" in info:
+                # the drawn function falls outside the checker's class
+                fn_class = checks.SPECS[cid].fn_class
+                assert fn_class is not None, (mutation, cid)
+                assert fn_class not in mutated.fn().tags, (mutation, cid)
+            else:
+                old, new = info["swap"]
+                assert old in plain.kinds.values(), (mutation, cid)
+                assert old not in mutated.kinds.values(), (mutation, cid)
+                assert new in mutated.kinds.values(), (mutation, cid)
+            if info["expectation"] == "must-violate":
+                witness = falsify.analytic_witness(cid, mutation)
+                assert not falsify.run_case(witness).passed, (mutation, cid)
+
+
+# What sample_case(check id, 5, seed, mutation) draws: the operand kinds in
+# slot order, the extra scalars and the function descriptor.  Pinned as
+# literals so that any change to the order of the case's rng draws shows;
+# they depend on numpy's PCG64 stream only, not on LAPACK.
+DRAWS = (
+    ("thm1.1", None, 11, {"a0": "psd", "a1": "psd"}, {}, {"kind": "sqrt"}),
+    ("thm1.1", None, 13, {"a0": "psd", "a1": "psd", "a2": "psd"}, {},
+     {"kind": "affine-plus", "lam": 1.710605029864118, "c": 0.8110233987843422}),
+    ("thm1.1", "swap-function-class", 11, {"a0": "psd", "a1": "psd"}, {},
+     {"kind": "power-m", "m": 2}),
+    ("thm1.1", "swap-function-class", 13, {"a0": "psd", "a1": "psd", "a2": "psd"}, {},
+     {"kind": "power-m", "m": 2}),
+    ("thm1.2", None, 11, {"a": "psd", "b": "psd"}, {}, {"kind": "power-m", "m": 2}),
+    ("thm1.2", None, 13, {"a": "psd", "b": "psd"}, {},
+     {"kind": "smoothed", "a": 1.739544526877706, "r": 0.07347513500118097}),
+    ("thm1.2", "drop-vanishing", 11, {"a": "psd", "b": "psd"}, {},
+     {"kind": "power-m-plus", "m": 2, "c": 0.6928553041537995}),
+    ("thm1.2", "drop-vanishing", 13, {"a": "psd", "b": "psd"}, {},
+     {"kind": "power-m-plus", "m": 2, "c": 1.7971963805248796}),
+    ("davis-hansen", None, 11, {"a": "psd", "z": "contraction"}, {}, {"kind": "sqrt"}),
+    ("davis-hansen", None, 13, {"a": "psd", "z": "contraction"}, {},
+     {"kind": "ratio-shift", "c": 2.580377293302971}),
+    ("pinching-eq2", None, 11, {"a": "pd", "b": "pd"}, {}, {"kind": "sqrt"}),
+    ("pinching-eq2", None, 13, {"a": "pd", "b": "pd"}, {},
+     {"kind": "ratio-shift", "c": 2.580377293302971}),
+    ("prop2.1", None, 11, {"a": "pd", "b": "pd"}, {}, {"kind": "inv-sqrt"}),
+    ("prop2.1", None, 13, {"a": "psd", "b": "psd"}, {}, {"kind": "log1p-over-t"}),
+    ("thm2.4", None, 11, {"a": "psd", "z": "expansive"}, {}, {"kind": "sqrt"}),
+    ("thm2.4", None, 13, {"a": "psd", "z": "expansive"}, {},
+     {"kind": "affine-plus", "lam": 1.710605029864118, "c": 0.8110233987843422}),
+    ("thm2.4", "drop-expansive", 11, {"a": "psd", "z": "contraction"}, {},
+     {"kind": "sqrt"}),
+    ("thm2.4", "drop-expansive", 13, {"a": "psd", "z": "contraction"}, {},
+     {"kind": "affine-plus", "lam": 1.710605029864118, "c": 0.8110233987843422}),
+    ("eigen-sum", None, 11, {"a": "general", "b": "general"}, {"j": 3, "k": 0},
+     {"kind": "sqrt"}),
+    ("eigen-sum", None, 13, {"a": "psd", "b": "psd"}, {"j": 4, "k": 0},
+     {"kind": "affine-plus", "lam": 1.710605029864118, "c": 0.8110233987843422}),
+    ("cs-lemma", None, 11,
+     {"a1": "psd", "a2": "psd", "b1": "psd", "b2": "psd",
+      "c1": "contraction", "c2": "contraction"},
+     {}, None),
+    ("cs-lemma", None, 13,
+     {"a1": "psd", "a2": "psd", "b1": "psd", "b2": "psd",
+      "c1": "contraction", "c2": "contraction"},
+     {}, None),
+    ("ineq4", None, 11, {"a": "general", "b": "general"}, {}, None),
+    ("ineq4", None, 13, {"a": "general", "b": "general"}, {}, None),
+    ("thm3.1", None, 11, {"a": "normal", "b": "normal", "c": "normal", "d": "normal"},
+     {}, None),
+    ("thm3.1", None, 13, {"a": "normal", "b": "normal", "c": "normal", "d": "normal"},
+     {}, None),
+    ("thm3.1", "drop-normality", 11,
+     {"a": "general", "b": "general", "c": "general", "d": "general"}, {}, None),
+    ("thm3.1", "drop-normality", 13,
+     {"a": "general", "b": "general", "c": "general", "d": "general"}, {}, None),
+    ("thm3.2", None, 11, {"a": "normal", "b": "normal", "c": "normal", "d": "normal"},
+     {}, None),
+    ("thm3.2", None, 13, {"a": "normal", "b": "normal", "c": "normal", "d": "normal"},
+     {}, None),
+    ("thm3.2", "drop-normality", 11,
+     {"a": "general", "b": "general", "c": "general", "d": "general"}, {}, None),
+    ("thm3.2", "drop-normality", 13,
+     {"a": "general", "b": "general", "c": "general", "d": "general"}, {}, None),
+    ("cor3.3", None, 11, {"a": "hermitian", "b": "hermitian", "x": "general"}, {},
+     None),
+    ("cor3.3", None, 13, {"a": "hermitian", "b": "hermitian", "x": "general"}, {},
+     None),
+    ("prop3.4", None, 11, {"a": "normal", "b": "normal"}, {}, None),
+    ("prop3.4", None, 13, {"a": "normal", "b": "normal"}, {}, None),
+    ("prop3.4", "drop-normality", 11, {"a": "general", "b": "general"}, {}, None),
+    ("prop3.4", "drop-normality", 13, {"a": "general", "b": "general"}, {}, None),
+    ("prop3.5", None, 11, {"s": "hermitian", "t": "hermitian"}, {"j": 0, "k": 0}, None),
+    ("prop3.5", None, 13, {"s": "hermitian", "t": "hermitian"}, {"j": 4, "k": 0}, None),
+    ("ineq5", None, 11, {"a": "psd", "b": "psd"},
+     {"z_re": 0.03419276725318417, "z_im": 1.3597475403099617, "m": 3}, None),
+    ("ineq5", None, 13, {"a": "psd", "b": "psd"},
+     {"z_re": 1.8267565599574231, "z_im": -3.0783319101980338, "m": 1}, None),
+    ("identity6", None, 11, {"a": "psd", "b": "psd"}, {"m": 2}, None),
+    ("identity6", None, 13, {"a": "psd", "b": "psd"}, {"m": 8}, None),
+)
+
+
+@pytest.mark.parametrize("cid, mutation, seed, kinds, scalars, fn", DRAWS)
+def test_sample_case_draws_are_pinned(cid, mutation, seed, kinds, scalars, fn):
+    case = falsify.sample_case(cid, 5, seed, mutation)
+    assert list(case.kinds.items()) == list(kinds.items())
+    assert list(case.matrices) == list(kinds)
+    assert list(case.scalars.items()) == list(scalars.items())
+    assert case.fn_descriptor == fn
