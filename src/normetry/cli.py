@@ -68,6 +68,8 @@ def _parse_checks(text: str) -> list[str]:
     if text == "all":
         return list(checks.SPECS)
     ids = [part.strip() for part in text.split(",") if part.strip()]
+    if not ids or len(set(ids)) < len(ids):
+        raise BadSpec(f"--checks needs distinct check ids or 'all', got {text!r}")
     for cid in ids:
         if cid not in checks.SPECS:
             raise UnknownCheck(cid)
@@ -82,13 +84,20 @@ def _header(config: dict) -> dict:
     }
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=1)
-    if path:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise BadSpec(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_json(obj: dict, path: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
 
 
 def _csv_summary(campaigns: list[dict]) -> str:
@@ -157,14 +166,9 @@ def cmd_verify(args) -> int:
         "verdicts": verdict_rows,
     }
     if args.format == "csv-summary":
-        text = _csv_summary(campaigns)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_csv_summary(campaigns), args.out)
     else:
-        _write_report(out, args.out)
+        _write_json(out, args.out)
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
@@ -186,11 +190,13 @@ def cmd_falsify(args) -> int:
         root_seed=args.seed, tol=args.tol,
     )
     if args.cert_dir:
-        os.makedirs(args.cert_dir, exist_ok=True)
+        try:
+            os.makedirs(args.cert_dir, exist_ok=True)
+        except OSError as exc:
+            raise BadSpec(f"cannot write {args.cert_dir}: {exc.strerror}") from None
         for i, cert in enumerate(report.violations):
             path = os.path.join(args.cert_dir, f"cert-{args.check}-{i}.json")
-            with open(path, "w") as fh:
-                json.dump(cert, fh, sort_keys=True, indent=1)
+            _write(json.dumps(cert, sort_keys=True, indent=1), path)
     out = {
         "header": _header(config),
         "campaign": {
@@ -203,7 +209,7 @@ def cmd_falsify(args) -> int:
             "wall_time": report.wall_time,
         },
     }
-    _write_report(out, args.out)
+    _write_json(out, args.out)
     if report.expectation == "must-violate":
         return EXIT_OK if report.violations else EXIT_VIOLATION
     if report.expectation == "exploratory":
@@ -240,13 +246,7 @@ def cmd_gen(args) -> int:
     if args.kind not in KINDS:
         raise BadSpec(f"unknown kind {args.kind!r}; choose from {KINDS}")
     m = generate(GenSpec(kind=args.kind, n=args.dim, seed=args.seed, scale=args.scale))
-    payload = serialize.mat_to_json(m)
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_json(serialize.mat_to_json(m), args.out)
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 A campaign draws seeded random instances for one checker and records the
 minimum scaled margin plus any violations (with self-contained replay
-certificates).  Campaigns run trial-major: every checker's case of trial i
-is sampled, then run, inside one operand pool (see ``pool``), so operands
-the checkers share are generated and decomposed once.  Mutations
+certificates).  Campaigns run trial-major: the cases of all checkers of
+trial i are sampled from one per-trial dict of operands, then run, so an
+operand the checkers share is generated once and carries a memo of its
+decompositions (``linalg.share``) that dies with it.  Mutations
 deliberately break one hypothesis: the must-violate mutations ship with an
 analytic witness tried first, while drop-normality is exploratory and only
 records what it sees.  A derivative-free hill descent probes how close the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, checks, linalg, pool, scalarfn, serialize
+from . import __version__, checks, linalg, scalarfn, serialize
 from .errors import BadSpec, MalformedCertificate, NormetryError, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
 from .rand import GenSpec, derive_stream, generate
@@ -126,11 +127,16 @@ def mutation_expectation(mutation: str | None) -> str:
         raise BadSpec(f"unknown mutation {mutation!r}") from exc
 
 
-def _gen(kind: str, n: int, seed: int, slot: int) -> np.ndarray:
-    def make():
-        return generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
-
-    return pool.take((kind, n, seed, slot), make)
+def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None) -> np.ndarray:
+    """Operand ``slot`` of ``kind`` for the trial seeded ``seed``.  With
+    ``shared`` (that trial's operands, keyed by (kind, slot)) it is
+    generated once per trial and shared read-only."""
+    if shared is not None and (kind, slot) in shared:
+        return shared[kind, slot]
+    m = generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
+    if shared is not None:
+        shared[kind, slot] = linalg.share(m)
+    return m
 
 
 def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
@@ -144,8 +150,15 @@ def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
     return checks.SPECS[check_id]
 
 
-def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -> Case:
-    """Draw one seeded random instance for a checker, honoring a mutation."""
+def sample_case(
+    check_id: str, n: int, seed: int, mutation: str | None = None,
+    shared: dict | None = None,
+) -> Case:
+    """Draw one seeded random instance for a checker, honoring a mutation.
+
+    ``shared`` holds the operands already drawn for the same ``n`` and
+    ``seed`` (see ``_gen``); without it every operand is fresh and writable.
+    """
     spec = _spec(check_id, mutation)
     change = MUTATIONS.get(mutation, {})
     rng = np.random.default_rng(np.uint64(seed & (2**64 - 1)))
@@ -160,7 +173,7 @@ def sample_case(check_id: str, n: int, seed: int, mutation: str | None = None) -
     mats, kinds = {}, {}
     for slot, (name, kind) in enumerate(operands):
         kinds[name] = new if kind == old else kind
-        mats[name] = _gen(kinds[name], n, seed, slot)
+        mats[name] = _gen(kinds[name], n, seed, slot, shared)
     return Case(
         check_id=check_id,
         n=n,
@@ -188,10 +201,16 @@ def analytic_witness(check_id: str, mutation: str) -> Case:
     )
 
 
-def run_case(case: Case, tol: float = DEFAULT_TOL) -> Verdict:
-    """Run a checker on a materialized case and stamp its fingerprint."""
+def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None) -> Verdict:
+    """Run a checker on a materialized case and stamp its fingerprint.
+
+    ``fn`` is the case's scalar function when the caller has already built
+    it from ``case.fn_descriptor``.
+    """
+    if fn is None:
+        fn = case.fn()
     v = _spec(case.check_id).run(
-        case.fn(), case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
+        fn, case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
     )
     v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
     return v
@@ -241,20 +260,23 @@ def make_certificate(case: Case, verdict: Verdict) -> dict:
 
 
 def replay_certificate(cert: dict) -> Verdict:
-    """Rerun a certificate's case.  A certificate that lacks a field, or a
-    matrix or scalar its checker needs, raises MalformedCertificate."""
+    """Rerun a certificate's case.  A certificate that lacks a field, holds
+    one of the wrong type or an unknown check, mutation or scalar function,
+    or lacks a matrix or scalar its checker needs, raises
+    MalformedCertificate."""
     try:
         case = case_from_dict(cert["case"])
         tol = float(cert.get("tol", DEFAULT_TOL))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        spec = _spec(case.check_id, case.mutation)
+        if not isinstance(case.fn_descriptor, (dict, type(None))):
+            raise TypeError(f"'fn' must be an object, got {case.fn_descriptor!r}")
+        fn = case.fn()
+    except (KeyError, TypeError, ValueError, AttributeError, NormetryError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
-    fn = case.fn_descriptor
-    if fn is None and _spec(case.check_id).fn_class is not None:
+    if fn is None and spec.fn_class is not None:
         raise MalformedCertificate(f"{case.check_id} case lacks its scalar 'fn'")
-    if fn is not None and not isinstance(fn, dict):
-        raise MalformedCertificate(f"'fn' must be an object, got {fn!r}")
     try:
-        return run_case(case, tol=tol)
+        return run_case(case, tol=tol, fn=fn)
     except KeyError as exc:
         raise MalformedCertificate(f"{case.check_id} case lacks {exc}") from exc
 
@@ -315,8 +337,8 @@ def run_campaigns(
     """Run seeded trials for several checkers; one report per check id.
 
     Trial-major: trial i samples every checker's case from the same trial
-    seed, then runs them in CHECK_IDS order inside one operand pool, so the
-    operands they share are generated and decomposed once.  Reports and
+    seed and one dict of shared operands, then runs them in CHECK_IDS order,
+    so the operands they share are generated and decomposed once.  Reports and
     verdict rows are the same as one checker at a time would give.  A
     NormetryError raised by a trial is re-raised with the check id, trial
     index, n and trial seed at the start of its message.
@@ -336,36 +358,38 @@ def run_campaigns(
     clock = time.perf_counter
     for i in range(trials):
         n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
-        with pool.trial():
-            pending = []
-            for cid in order:
-                start = clock()
-                try:
-                    if i == 0 and expectation == "must-violate":
-                        case = analytic_witness(cid, mutation)
-                    else:
-                        case = sample_case(cid, n, seed, mutation)
-                except NormetryError as exc:
-                    raise _named(exc, cid, i, n, seed) from exc
-                pending.append(case)
-                wall[cid] += clock() - start
-            # popped, so a case and the operands only it holds go once it has run
-            pending.reverse()
-            while pending:
-                case = pending.pop()
-                cid = case.check_id
-                start = clock()
-                try:
-                    verdict = run_case(case, tol=tol)
-                except NormetryError as exc:
-                    raise _named(exc, cid, i, case.n, case.seed) from exc
-                pool.release(case.matrices.values())
-                min_margin[cid] = min(min_margin[cid], verdict.min_margin)
-                if not verdict.passed:
-                    violations[cid].append(make_certificate(case, verdict))
-                if keep_verdicts:
-                    rows[cid].append(verdict_row(verdict))
-                wall[cid] += clock() - start
+        shared: dict = {}
+        pending = []
+        for cid in order:
+            start = clock()
+            try:
+                if i == 0 and expectation == "must-violate":
+                    case = analytic_witness(cid, mutation)
+                else:
+                    case = sample_case(cid, n, seed, mutation, shared)
+            except NormetryError as exc:
+                raise _named(exc, cid, i, n, seed) from exc
+            pending.append(case)
+            wall[cid] += clock() - start
+        # from here on only the cases hold the operands; each case is popped,
+        # so an operand and its memo go once the last case holding it has run
+        del shared
+        pending.reverse()
+        while pending:
+            case = pending.pop()
+            cid = case.check_id
+            start = clock()
+            try:
+                verdict = run_case(case, tol=tol)
+            except NormetryError as exc:
+                raise _named(exc, cid, i, case.n, case.seed) from exc
+            min_margin[cid] = min(min_margin[cid], verdict.min_margin)
+            if not verdict.passed:
+                violations[cid].append(make_certificate(case, verdict))
+            if keep_verdicts:
+                rows[cid].append(verdict_row(verdict))
+            wall[cid] += clock() - start
+        del case
     return [
         CampaignReport(
             check_id=cid,
@@ -457,49 +481,3 @@ def minimize_margin(
                 scale *= 0.9
     return best, best_margin
 
-
-def search_unitary_certificate(
-    statement: str, inputs: dict, budget: int = 1000, root_seed: int = 0,
-    tol: float = 1e-8,
-):
-    """Exploratory search for the unitaries asserted by the congruence
-    statements.  Returns (U, V) on success, None on budget exhaustion;
-    absence is not a refutation.
-    """
-    if statement == "thm2.5":
-        f = inputs["f"]
-        a, b = linalg.as_square(inputs["a"]), linalg.as_square(inputs["b"])
-        target = linalg.spectral_apply(f, a + b)
-        fa, fb = linalg.spectral_apply(f, a), linalg.spectral_apply(f, b)
-        w_s = linalg.eigh(a + b).frame
-        w_a, w_b = linalg.eigh(a).frame, linalg.eigh(b).frame
-        aligned = (w_s @ w_a.conj().T, w_s @ w_b.conj().T)
-    elif statement == "prop3.5":
-        s = linalg.hermitize(inputs["s"])
-        t = linalg.hermitize(inputs["t"])
-        target = linalg.matrix_abs(s + t)
-        mix = linalg.matrix_abs(s) + linalg.matrix_abs(t)
-        fa, fb = mix / 2, mix / 2
-        w_s = linalg.eigh(target).frame
-        w_m = linalg.eigh(mix).frame
-        aligned = (w_s @ w_m.conj().T, w_s @ w_m.conj().T)
-    else:
-        raise BadSpec(f"unknown statement {statement!r}")
-
-    n = target.shape[0]
-    eye = np.eye(n, dtype=complex)
-
-    def works(u, v):
-        rhs = u @ fa @ u.conj().T + v @ fb @ v.conj().T
-        return linalg.loewner_leq(target, rhs, tol=tol)
-
-    candidates = [(eye, eye), aligned]
-    for u, v in candidates:
-        if works(u, v):
-            return u, v
-    for i in range(int(budget)):
-        u = generate(GenSpec("unitary", n, derive_stream(root_seed, 2 * i)))
-        v = generate(GenSpec("unitary", n, derive_stream(root_seed, 2 * i + 1)))
-        if works(u, v):
-            return u, v
-    return None

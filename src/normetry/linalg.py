@@ -4,24 +4,38 @@ Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
 (Loewner order, normality, contraction/expansive) used by the checkers.
 
-All functions are pure; matrices are plain complex ndarrays.  During a
-campaign trial, ``eigh``, ``matrix_abs`` and ``is_normal`` memoize their
-results on pooled operands (see ``pool``); those results are read-only.
+All functions are pure; matrices are plain complex ndarrays.  ``eigh``,
+``matrix_abs`` and ``is_normal`` memoize their results on operands marked
+by ``share`` (a campaign shares the operands of a trial among its
+checkers); those operands and results are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pool
 from .errors import ConvergenceFailure, DimensionMismatch, DomainError
 
 HERMITIAN_DRIFT_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 NEG_EIG_CLAMP = 1e-8
+
+
+# id(operand) -> memo of its decompositions, for operands passed to share.
+# Each memo is dropped when its operand dies, before the id can be reused.
+_MEMOS: dict = {}
+
+
+def share(m: np.ndarray) -> np.ndarray:
+    """Mark ``m`` read-only and give it a memo that dies with it; returns m."""
+    m.flags.writeable = False
+    _MEMOS[id(m)] = {}
+    weakref.finalize(m, _MEMOS.pop, id(m), None)
+    return m
 
 
 def as_square(x) -> np.ndarray:
@@ -123,7 +137,7 @@ class PolarParts:
 
 def eigh(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    memo = pool.memo(h)
+    memo = _MEMOS.get(id(h))
     if memo is not None and "eigh" in memo:
         return memo["eigh"]
     m = hermitize(h)
@@ -140,7 +154,8 @@ def eigh(h) -> Spectrum:
         )
     spec = Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
     if memo is not None:
-        pool.readonly(spec.eigenvalues, spec.frame)
+        spec.eigenvalues.flags.writeable = False
+        spec.frame.flags.writeable = False
         memo["eigh"] = spec
     return spec
 
@@ -192,7 +207,7 @@ def _svd(x):
 
 def matrix_abs(x) -> np.ndarray:
     """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
-    memo = pool.memo(x)
+    memo = _MEMOS.get(id(x))
     if memo is not None and "matrix_abs" in memo:
         return memo["matrix_abs"]
     m = as_square(x)
@@ -207,7 +222,7 @@ def matrix_abs(x) -> np.ndarray:
         v = vh.conj().T
         out = hermitize((v * s) @ v.conj().T, check=False)
     if memo is not None:
-        pool.readonly(out)
+        out.flags.writeable = False
         memo["matrix_abs"] = out
     return out
 
@@ -248,7 +263,7 @@ def is_psd(x, tol: float = 1e-9) -> bool:
 
 
 def is_normal(x, tol: float = 1e-9) -> bool:
-    memo = pool.memo(x)
+    memo = _MEMOS.get(id(x))
     key = ("is_normal", tol)
     if memo is not None and key in memo:
         return memo[key]

@@ -144,7 +144,11 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
     cert = write_drop_vanishing_cert(tmp_path)
     no_b = json.loads(json.dumps(cert))
     del no_b["case"]["matrices"]["b"]
-    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2]]):
+    list_id = json.loads(json.dumps(cert))
+    list_id["case"]["check_id"] = ["x"]
+    no_such_mutation = json.loads(json.dumps(cert))
+    no_such_mutation["case"]["mutation"] = "nosuch"
+    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert run(["replay", str(path)]) == cli.EXIT_USAGE
@@ -189,11 +193,32 @@ def test_missing_subcommand_is_usage():
         ["falsify", "--check", "ineq4", "--dims", "2,x"],
         ["falsify", "--check", "ineq4", "--tol", "nan"],
         ["falsify", "--check", "ineq4", "--tol", "-1"],
+        ["verify", "--checks", ","],
+        ["verify", "--checks", "ineq4,ineq4"],
     ],
 )
 def test_bad_dims_and_tol_are_usage_errors(argv, capsys):
     assert run(argv + ["--trials", "1"]) == cli.EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "2",
+     "--out", "{file}/r.json"],
+    ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "2",
+     "--format", "csv-summary", "--out", "{file}/r.csv"],
+    ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing", "--trials", "2",
+     "--dims", "2", "--cert-dir", "{file}/certs"],
+    ["gen", "--kind", "psd", "--dim", "2", "--out", "{file}/m.json"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = [a.format(file=not_a_dir) for a in argv]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {not_a_dir}/")
+    assert len(err.splitlines()) == 1
 
 
 def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
@@ -202,9 +227,17 @@ def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
     assert "NORMETRY_SEED" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fn", [None, 3, "sqrt", [1, 2]])
+@pytest.mark.parametrize("fn", [
+    None, 3, "sqrt", [1, 2],
+    {"kind": "power", "s": "abc"},
+    {"kind": "power-m", "m": "x"},
+    {"kind": "pwl-concave", "breakpoints": [[0, 0], ["a", 1]]},
+    {"kind": "cone", "weights": 1, "members": []},
+    {"kind": ["sqrt"]},
+])
 def test_replay_bad_fn_is_usage_error(tmp_path, capsys, fn):
-    # a null fn for a checker that needs a scalar function, or any non-object fn
+    # a null fn for a checker that needs a scalar function, a non-object fn,
+    # or a descriptor whose kind or parameters have the wrong type
     cert = write_drop_vanishing_cert(tmp_path)
     cert["case"]["fn"] = fn
     path = tmp_path / "bad-fn.json"

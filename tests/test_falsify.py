@@ -3,7 +3,6 @@ import pytest
 
 from normetry import checks, falsify, rand, scalarfn, witnesses
 from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
-from normetry.rand import GenSpec, generate
 
 
 def test_must_violate_mutations_within_100_trials():
@@ -88,39 +87,6 @@ def test_minimize_margin_respects_equality_floor():
     case = falsify.sample_case("thm1.1", 2, 12)
     _, margin = falsify.minimize_margin(case, steps=80, root_seed=2)
     assert margin >= -1e-9
-
-
-def test_search_unitary_certificate_commuting():
-    # commuting operands: the eigenframe-aligned candidate works immediately
-    d1 = np.diag([2.0, 1.0]).astype(complex)
-    d2 = np.diag([1.0, 3.0]).astype(complex)
-    got = falsify.search_unitary_certificate(
-        "thm2.5", {"f": np.sqrt, "a": d1, "b": d2}
-    )
-    assert got is not None
-
-
-def test_search_unitary_certificate_equal_operands():
-    a = generate(GenSpec("psd", 3, 31))
-    got = falsify.search_unitary_certificate("thm2.5", {"f": np.sqrt, "a": a, "b": a})
-    assert got is not None
-
-
-def test_search_unitary_certificate_prop35():
-    s = generate(GenSpec("hermitian", 3, 61))
-    t = generate(GenSpec("hermitian", 3, 62))
-    got = falsify.search_unitary_certificate(
-        "prop3.5", {"s": s, "t": t}, budget=2000
-    )
-    if got is not None:
-        u, v = got
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(v @ v.conj().T, np.eye(3), atol=1e-9)
-
-
-def test_search_unitary_certificate_bad_statement():
-    with pytest.raises(BadSpec):
-        falsify.search_unitary_certificate("nosuch", {})
 
 
 def test_campaign_requires_trials():

@@ -1,19 +1,20 @@
-"""The per-trial operand pool: shared operands, read-only memos, release."""
+"""A campaign trial's operand pool: one dict of operands shared read-only
+through ``linalg.share``, whose memos die with their operand."""
 
+import gc
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from normetry import falsify, linalg, pool
+from normetry import falsify, linalg
 from normetry.checks import CHECK_IDS
 from normetry.errors import ConvergenceFailure
 from normetry.rand import GenSpec, derive_stream, generate
 
 
 def reference_campaigns(trials, dims, seed):
-    """Check-major campaigns from sample_case/run_case, outside any pool."""
+    """Check-major campaigns from sample_case/run_case, sharing nothing."""
     out = {}
     for cid in CHECK_IDS:
         rows, violations, min_margin = [], [], float("inf")
@@ -73,21 +74,24 @@ def test_cases_run_trial_major_in_registry_order(monkeypatch):
 
 
 def test_pooled_operands_and_memos_are_read_only():
-    with pool.trial():
-        case = falsify.sample_case("thm3.1", 3, 17)
-        for m in case.matrices.values():
-            with pytest.raises(ValueError, match="read-only"):
-                m[0, 0] = 1.0
-        a = case.matrices["a"]
+    m = generate(GenSpec("psd", 3, 5))
+    assert linalg.share(m) is m and not m.flags.writeable
+    assert linalg._MEMOS[id(m)] == {}
+    shared = {}
+    case = falsify.sample_case("thm3.1", 3, 17, shared=shared)
+    for m in case.matrices.values():
         with pytest.raises(ValueError, match="read-only"):
-            linalg.matrix_abs(a)[0, 0] = 1.0
-        psd = falsify.sample_case("thm1.2", 3, 17).matrices["a"]
-        spec = linalg.eigh(psd)
-        assert linalg.eigh(psd) is spec
-        with pytest.raises(ValueError, match="read-only"):
-            spec.frame[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            spec.eigenvalues[0] = 1.0
+            m[0, 0] = 1.0
+    a = case.matrices["a"]
+    with pytest.raises(ValueError, match="read-only"):
+        linalg.matrix_abs(a)[0, 0] = 1.0
+    psd = falsify.sample_case("thm1.2", 3, 17, shared=shared).matrices["a"]
+    spec = linalg.eigh(psd)
+    assert linalg.eigh(psd) is spec
+    with pytest.raises(ValueError, match="read-only"):
+        spec.frame[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.eigenvalues[0] = 1.0
 
 
 def test_campaign_cases_hold_read_only_operands(monkeypatch):
@@ -105,45 +109,55 @@ def test_campaign_cases_hold_read_only_operands(monkeypatch):
 
 def test_nothing_is_pooled_outside_a_campaign():
     case = falsify.sample_case("thm3.1", 3, 17)
-    for m in case.matrices.values():
+    witness = falsify.analytic_witness("thm2.4", "drop-expansive")
+    for m in [*case.matrices.values(), *witness.matrices.values()]:
         assert m.flags.writeable
-        assert pool.memo(m) is None
+        assert id(m) not in linalg._MEMOS
     a = case.matrices["a"]
     a[0, 0] += 0.0  # writable in place
     assert linalg.matrix_abs(a).flags.writeable
     assert linalg.eigh(a @ a.conj().T).frame.flags.writeable
-    assert pool.size() == 0
 
 
 def test_pool_is_empty_after_every_trial(monkeypatch):
-    sizes = []
-    real_trial = pool.trial
+    gc.collect()  # operands of earlier tests that only a cycle still holds
+    at_trial_start, last_case_holds_all = [], []
+    real_sample, real_run = falsify.sample_case, falsify.run_case
 
-    @contextmanager
-    def spy():
-        with real_trial():
-            yield
-            sizes.append(pool.size())
+    def sample_spy(check_id, n, seed, mutation=None, shared=None):
+        if not shared:  # the first case of a trial
+            at_trial_start.append(len(linalg._MEMOS))
+        return real_sample(check_id, n, seed, mutation, shared)
 
-    monkeypatch.setattr(pool, "trial", spy)
+    def run_spy(case, tol=falsify.DEFAULT_TOL):
+        if case.check_id == CHECK_IDS[-1]:  # only this case's operands are left
+            held = {id(m) for m in case.matrices.values()}
+            last_case_holds_all.append(set(linalg._MEMOS) <= held)
+        return real_run(case, tol=tol)
+
+    monkeypatch.setattr(falsify, "sample_case", sample_spy)
+    monkeypatch.setattr(falsify, "run_case", run_spy)
     falsify.run_campaigns(CHECK_IDS, trials=5, dims=(2, 3))
-    assert sizes == [0] * 5
-    assert pool.size() == 0
-
-
-def make_psd(n, seed):
-    return lambda: generate(GenSpec("psd", n, seed))
+    assert at_trial_start == [0] * 5
+    assert last_case_holds_all == [True] * 5
+    assert linalg._MEMOS == {}
 
 
 def test_operand_is_released_after_its_last_holder():
-    with pool.trial():
-        first = pool.take("k", make_psd(3, 5))
-        assert pool.take("k", make_psd(3, 5)) is first
-        pool.release([first])
-        assert pool.memo(first) is not None
-        pool.release([first])
-        assert pool.memo(first) is None and pool.size() == 0
-        assert pool.take("k", make_psd(3, 5)) is not first
+    shared = {}
+    first = falsify.sample_case("thm1.2", 3, 5, shared=shared)
+    second = falsify.sample_case("thm1.2", 3, 5, shared=shared)
+    a = first.matrices["a"]
+    assert second.matrices["a"] is a
+    key = id(a)
+    linalg.eigh(a)
+    del shared, first, a
+    assert "eigh" in linalg._MEMOS[key]  # the second case still holds it
+    del second
+    assert key not in linalg._MEMOS
+    fresh = [np.zeros((3, 3), dtype=complex) for _ in range(200)]
+    assert not any(id(m) in linalg._MEMOS for m in fresh)
+    assert all(linalg.eigh(m).frame.flags.writeable for m in fresh)
 
 
 def test_failed_eigh_caches_nothing(monkeypatch):
@@ -153,28 +167,25 @@ def test_failed_eigh_caches_nothing(monkeypatch):
         w, v = real(m)
         return w + 1.0, v  # fails the residual guard
 
-    with pool.trial():
-        a = pool.take("k", make_psd(4, 9))
-        monkeypatch.setattr(np.linalg, "eigh", broken)
-        with pytest.raises(ConvergenceFailure, match="residual"):
-            linalg.eigh(a)
-        assert "eigh" not in pool.memo(a)
-        monkeypatch.setattr(np.linalg, "eigh", real)
-        spec = linalg.eigh(a)
-        assert pool.memo(a)["eigh"] is spec
+    a = linalg.share(generate(GenSpec("psd", 4, 9)))
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        linalg.eigh(a)
+    assert "eigh" not in linalg._MEMOS[id(a)]
+    monkeypatch.setattr(np.linalg, "eigh", real)
+    spec = linalg.eigh(a)
+    assert linalg._MEMOS[id(a)]["eigh"] is spec
 
 
 def test_is_normal_memo_keeps_each_tolerance_apart():
-    def nearly_normal():
-        m = generate(GenSpec("normal", 3, 21)).copy()
-        m[0, 1] += 1e-6
-        return m
-
-    with pool.trial():
-        a = pool.take("k", nearly_normal)
-        assert linalg.is_normal(a, tol=1e-3)
-        assert not linalg.is_normal(a, tol=1e-12)
-        assert pool.memo(a) == {("is_normal", 1e-3): True, ("is_normal", 1e-12): False}
+    a = generate(GenSpec("normal", 3, 21)).copy()
+    a[0, 1] += 1e-6
+    linalg.share(a)
+    assert linalg.is_normal(a, tol=1e-3)
+    assert not linalg.is_normal(a, tol=1e-12)
+    assert linalg._MEMOS[id(a)] == {
+        ("is_normal", 1e-3): True, ("is_normal", 1e-12): False
+    }
 
 
 def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
@@ -193,8 +204,8 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    calls = Counter()  # (function, pooled operand) -> calls
-    kernels = Counter()  # (function, pooled operand) -> eigh/svd calls
+    calls = Counter()  # (function, shared operand) -> calls
+    kernels = Counter()  # (function, shared operand) -> eigh/svd calls
 
     def per_operand(name, fn):
         def spied(x, *args, **kwargs):
@@ -202,7 +213,7 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
             try:
                 return fn(x, *args, **kwargs)
             finally:
-                if pool.memo(x) is not None:
+                if id(x) in linalg._MEMOS:
                     calls[name, id(x)] += 1
                     kernels[name, id(x)] += kernel_calls["n"] - before
         return spied
