@@ -96,6 +96,16 @@ def _write(text: str, path: str | None) -> None:
         raise BadSpec(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any trial runs when the file ``path`` could not be
+    created: its parent must be a writable directory."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise BadSpec(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _write_json(obj: dict, path: str | None) -> None:
     _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
 
@@ -116,6 +126,7 @@ def cmd_verify(args) -> int:
     check_ids = _parse_checks(args.checks)
     dims = _parse_dims(args.dims)
     _check_tol(args.tol)
+    _check_writable(args.out)
     config = {
         "command": "verify",
         "checks": check_ids,
@@ -176,6 +187,13 @@ def cmd_falsify(args) -> int:
     dims = _parse_dims(args.dims)
     _check_tol(args.tol)
     mutation = args.mutate
+    falsify._spec(args.check, mutation)  # a bad check or mutation creates no file
+    _check_writable(args.out)
+    if args.cert_dir:
+        try:
+            os.makedirs(args.cert_dir, exist_ok=True)
+        except OSError as exc:
+            raise BadSpec(f"cannot write {args.cert_dir}: {exc.strerror}") from None
     config = {
         "command": "falsify",
         "check": args.check,
@@ -190,10 +208,6 @@ def cmd_falsify(args) -> int:
         root_seed=args.seed, tol=args.tol,
     )
     if args.cert_dir:
-        try:
-            os.makedirs(args.cert_dir, exist_ok=True)
-        except OSError as exc:
-            raise BadSpec(f"cannot write {args.cert_dir}: {exc.strerror}") from None
         for i, cert in enumerate(report.violations):
             path = os.path.join(args.cert_dir, f"cert-{args.check}-{i}.json")
             _write(json.dumps(cert, sort_keys=True, indent=1), path)

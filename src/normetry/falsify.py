@@ -262,8 +262,8 @@ def make_certificate(case: Case, verdict: Verdict) -> dict:
 def replay_certificate(cert: dict) -> Verdict:
     """Rerun a certificate's case.  A certificate that lacks a field, holds
     one of the wrong type or an unknown check, mutation or scalar function,
-    or lacks a matrix or scalar its checker needs, raises
-    MalformedCertificate."""
+    holds a matrix whose size is not its case's n >= 1, or lacks a matrix or
+    scalar its checker needs, raises MalformedCertificate."""
     try:
         case = case_from_dict(cert["case"])
         tol = float(cert.get("tol", DEFAULT_TOL))
@@ -271,6 +271,9 @@ def replay_certificate(cert: dict) -> Verdict:
         if not isinstance(case.fn_descriptor, (dict, type(None))):
             raise TypeError(f"'fn' must be an object, got {case.fn_descriptor!r}")
         fn = case.fn()
+        if case.n < 1 or any(m.shape[0] != case.n for m in case.matrices.values()):
+            sizes = {k: m.shape[0] for k, m in case.matrices.items()}
+            raise ValueError(f"matrix sizes {sizes} do not match n={case.n}")
     except (KeyError, TypeError, ValueError, AttributeError, NormetryError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
     if fn is None and spec.fn_class is not None:
@@ -341,7 +344,8 @@ def run_campaigns(
     so the operands they share are generated and decomposed once.  Reports and
     verdict rows are the same as one checker at a time would give.  A
     NormetryError raised by a trial is re-raised with the check id, trial
-    index, n and trial seed at the start of its message.
+    index, n and trial seed at the start of its message.  Each distinct
+    scalar-function descriptor is built once per call.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -355,6 +359,7 @@ def run_campaigns(
     min_margin = dict.fromkeys(order, float("inf"))
     violations: dict = {cid: [] for cid in order}
     rows: dict = {cid: [] for cid in order}
+    fns: dict = {}  # canonical descriptor JSON -> ScalarFn, for this call only
     clock = time.perf_counter
     for i in range(trials):
         n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
@@ -380,7 +385,13 @@ def run_campaigns(
             cid = case.check_id
             start = clock()
             try:
-                verdict = run_case(case, tol=tol)
+                fn = None
+                if case.fn_descriptor is not None:
+                    key = serialize.canonical_dumps(case.fn_descriptor)
+                    if key not in fns:
+                        fns[key] = case.fn()
+                    fn = fns[key]
+                verdict = run_case(case, tol=tol, fn=fn)
             except NormetryError as exc:
                 raise _named(exc, cid, i, case.n, case.seed) from exc
             min_margin[cid] = min(min_margin[cid], verdict.min_margin)

@@ -5,9 +5,10 @@ decomposition, matrix absolute value, and the structural predicates
 (Loewner order, normality, contraction/expansive) used by the checkers.
 
 All functions are pure; matrices are plain complex ndarrays.  ``eigh``,
-``matrix_abs`` and ``is_normal`` memoize their results on operands marked
-by ``share`` (a campaign shares the operands of a trial among its
-checkers); those operands and results are read-only.
+``matrix_abs``, ``is_normal`` and the SVD behind ``matrix_abs`` and
+``polar`` memoize their results on operands marked by ``share`` (a campaign
+shares the operands of a trial among its checkers); those operands and
+results are read-only.
 """
 
 from __future__ import annotations
@@ -84,15 +85,22 @@ def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1) -> bool:
     whenever the Frobenius norm settles it.
 
     ``x`` is a matrix, or a float standing for its own norm.  Since
-    ||X||_op <= ||X||_F and ||S||_F / sqrt(n) <= ||S||_op (Bhatia, Matrix
-    Analysis, IV.2), the Frobenius test accepts only inputs the SVD test
-    accepts; everything else falls through to that SVD test, unchanged.
+    ||X||_F / sqrt(n) <= ||X||_op <= ||X||_F (Bhatia, Matrix Analysis,
+    IV.2), the Frobenius tests accept only inputs the SVD test accepts and
+    reject only inputs it rejects; everything else falls through to that
+    SVD test, unchanged.
     """
-    lhs = _frobenius(x) if isinstance(x, np.ndarray) else x
-    rms_sv = _frobenius(s) / math.sqrt(max(s.shape[0], 1))  # <= ||s||_op
-    bound = tol * max(1.0, rms_sv**power)
-    if lhs <= _FROBENIUS_SLACK * bound < math.inf:
+    fro_s = _frobenius(s)
+    if isinstance(x, np.ndarray):
+        lhs = _frobenius(x)  # >= ||x||_op
+        lhs_low = lhs / math.sqrt(max(x.shape[0], 1))  # <= ||x||_op
+    else:
+        lhs = lhs_low = x
+    rms_sv = fro_s / math.sqrt(max(s.shape[0], 1))  # <= ||s||_op
+    if lhs <= _FROBENIUS_SLACK * tol * max(1.0, rms_sv**power) < math.inf:
         return True
+    if _FROBENIUS_SLACK * lhs_low > tol * max(1.0, fro_s**power):
+        return False
     if isinstance(x, np.ndarray):
         lhs = opnorm(x)
     return lhs <= tol * max(1.0, opnorm(s) ** power)
@@ -105,10 +113,16 @@ def hermitian_part(x) -> np.ndarray:
 
 
 def hermitize(x, check: bool = True) -> np.ndarray:
-    """Symmetrize to (M + M*)/2, optionally rejecting large asymmetry drift."""
+    """Symmetrize to (M + M*)/2, optionally rejecting large asymmetry drift.
+
+    With ``check``, an exactly Hermitian M (M - M* is zero entry for entry)
+    is returned itself, uncopied, so a shared operand keeps its memo.
+    """
     m = as_square(x)
     if check:
         skew = m - m.conj().T
+        if not skew.any():
+            return m
         if not _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL):
             raise DomainError(f"matrix is not Hermitian (drift {opnorm(skew):.3e})")
     return (m + m.conj().T) / 2
@@ -198,11 +212,20 @@ def spectral_apply(f, a, require_positive: bool = False) -> np.ndarray:
 
 
 def _svd(x):
+    """(u, s, vh) of X, memoized read-only on an operand marked by share."""
+    memo = _MEMOS.get(id(x))
+    if memo is not None and "svd" in memo:
+        return memo["svd"]
     m = as_square(x)
     try:
-        return np.linalg.svd(m)
+        usv = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    if memo is not None:
+        for part in usv:
+            part.flags.writeable = False
+        memo["svd"] = usv
+    return usv
 
 
 def matrix_abs(x) -> np.ndarray:
@@ -218,7 +241,7 @@ def matrix_abs(x) -> np.ndarray:
             raise ConvergenceFailure(str(exc)) from exc
         out = hermitize((v * np.abs(w)) @ v.conj().T, check=False)
     else:
-        u, s, vh = _svd(m)
+        u, s, vh = _svd(x)
         v = vh.conj().T
         out = hermitize((v * s) @ v.conj().T, check=False)
     if memo is not None:
@@ -263,13 +286,18 @@ def is_psd(x, tol: float = 1e-9) -> bool:
 
 
 def is_normal(x, tol: float = 1e-9) -> bool:
+    """||XX* - X*X||_op <= tol * max(1, ||X||_op^2); an exactly Hermitian X
+    is normal without forming the commutator."""
     memo = _MEMOS.get(id(x))
     key = ("is_normal", tol)
     if memo is not None and key in memo:
         return memo[key]
     m = as_square(x)
-    comm = m @ m.conj().T - m.conj().T @ m
-    normal = _opnorm_within(comm, m, tol, power=2)
+    if is_exactly_hermitian(m):
+        normal = True
+    else:
+        comm = m @ m.conj().T - m.conj().T @ m
+        normal = _opnorm_within(comm, m, tol, power=2)
     if memo is not None:
         memo[key] = normal
     return normal

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from normetry import checks, cli
+from normetry import checks, cli, falsify
 from normetry.errors import ConvergenceFailure, DomainError
 from normetry.rand import derive_stream
 
@@ -148,7 +148,17 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
     list_id["case"]["check_id"] = ["x"]
     no_such_mutation = json.loads(json.dumps(cert))
     no_such_mutation["case"]["mutation"] = "nosuch"
-    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation]):
+    n = cert["case"]["n"]
+    mixed_sizes = json.loads(json.dumps(cert))
+    mixed_sizes["case"]["matrices"]["b"] = {
+        "n": n + 1, "re": [0.0] * (n + 1) ** 2, "im": [0.0] * (n + 1) ** 2
+    }
+    empty = json.loads(json.dumps(cert))
+    empty["case"]["n"] = 0
+    for name in empty["case"]["matrices"]:
+        empty["case"]["matrices"][name] = {"n": 0, "re": [], "im": []}
+    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation,
+                             mixed_sizes, empty]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert run(["replay", str(path)]) == cli.EXIT_USAGE
@@ -219,6 +229,27 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {not_a_dir}/")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "2",
+     "--out", "{file}/r.json"],
+    ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "2",
+     "--out", "{file}/missing/r.json"],
+    ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing", "--trials", "2",
+     "--dims", "2", "--out", "{file}/r.json"],
+    ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing", "--trials", "2",
+     "--dims", "2", "--cert-dir", "{file}/certs"],
+])
+def test_unwritable_output_fails_before_any_trial(tmp_path, monkeypatch, capsys, argv):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(falsify, "run_campaigns", no_trials)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert run([a.format(file=not_a_dir) for a in argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: cannot write {not_a_dir}/")
 
 
 def test_bad_seed_env_is_usage_error(monkeypatch, capsys):

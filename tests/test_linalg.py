@@ -313,6 +313,19 @@ def test_outside_inputs_reach_the_exact_stage(monkeypatch):
     assert len(calls) == 2  # both sides of the SVD comparison
 
 
+def test_far_outside_inputs_skip_the_svd(monkeypatch):
+    calls = []
+    real_opnorm = linalg.opnorm
+    monkeypatch.setattr(
+        linalg, "opnorm", lambda x: calls.append(1) or real_opnorm(x)
+    )
+    g = generate(GenSpec("general", 5, 4))
+    assert not linalg.is_psd(g)
+    assert not linalg.is_normal(g)
+    assert not linalg._opnorm_within(2e-9 * np.eye(3, dtype=complex), np.eye(3), 1e-9)
+    assert calls == []
+
+
 # single-stage references: each predicate with its thresholds taken by SVD
 
 
@@ -362,3 +375,26 @@ def test_predicates_match_single_stage_reference(seed, n, placement):
     y = h - (w[0] + placement * tol * spread) * np.eye(n)
     zero = np.zeros((n, n), dtype=complex)
     assert linalg.loewner_leq(zero, y, tol) == svd_loewner_leq(zero, y, tol)
+
+
+def test_hermitize_returns_exactly_hermitian_input_itself():
+    h = rand_hermitian(5, 2)
+    assert linalg.hermitize(h) is h
+    assert linalg.hermitize(h, check=False) is not h
+    drifted = h.copy()
+    drifted[0, 1] += 1e-13  # inside the drift tolerance
+    out = linalg.hermitize(drifted)
+    assert out is not drifted and linalg.is_exactly_hermitian(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    log_scale=st.sampled_from([-6.0, 0.0, 6.0]),
+    tol=st.sampled_from([1e-12, 1e-9]),
+)
+def test_is_normal_of_exactly_hermitian_matches_reference(seed, n, log_scale, tol):
+    h = rand_hermitian(n, seed) * 10.0**log_scale
+    assert linalg.is_exactly_hermitian(h)
+    assert linalg.is_normal(h, tol) == svd_is_normal(h, tol)

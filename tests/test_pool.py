@@ -58,9 +58,9 @@ def test_cases_run_trial_major_in_registry_order(monkeypatch):
     ran = []
     real = falsify.run_case
 
-    def spy(case, tol=falsify.DEFAULT_TOL):
+    def spy(case, tol=falsify.DEFAULT_TOL, fn=None):
         ran.append((case.seed, case.check_id))
-        return real(case, tol=tol)
+        return real(case, tol=tol, fn=fn)
 
     monkeypatch.setattr(falsify, "run_case", spy)
     ids = ["prop3.4", "thm1.2", "ineq4"]
@@ -98,9 +98,9 @@ def test_campaign_cases_hold_read_only_operands(monkeypatch):
     seen = []
     real = falsify.run_case
 
-    def spy(case, tol=falsify.DEFAULT_TOL):
+    def spy(case, tol=falsify.DEFAULT_TOL, fn=None):
         seen.extend(m.flags.writeable for m in case.matrices.values())
-        return real(case, tol=tol)
+        return real(case, tol=tol, fn=fn)
 
     monkeypatch.setattr(falsify, "run_case", spy)
     falsify.run_campaigns(CHECK_IDS, trials=2, dims=(3,))
@@ -129,11 +129,11 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
             at_trial_start.append(len(linalg._MEMOS))
         return real_sample(check_id, n, seed, mutation, shared)
 
-    def run_spy(case, tol=falsify.DEFAULT_TOL):
+    def run_spy(case, tol=falsify.DEFAULT_TOL, fn=None):
         if case.check_id == CHECK_IDS[-1]:  # only this case's operands are left
             held = {id(m) for m in case.matrices.values()}
             last_case_holds_all.append(set(linalg._MEMOS) <= held)
-        return real_run(case, tol=tol)
+        return real_run(case, tol=tol, fn=fn)
 
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
     monkeypatch.setattr(falsify, "run_case", run_spy)
@@ -197,11 +197,15 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
         return real_generate(spec)
 
     kernel_calls = {"n": 0}
+    svd_inputs = Counter()  # shared operand -> np.linalg.svd calls on it
 
     def count_kernel(fn):
         def counted(*args, **kwargs):
             kernel_calls["n"] += 1
+            if kernel == "svd" and id(args[0]) in linalg._MEMOS:
+                svd_inputs[id(args[0])] += 1
             return fn(*args, **kwargs)
+        kernel = fn.__name__
         return counted
 
     calls = Counter()  # (function, shared operand) -> calls
@@ -216,14 +220,18 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
                 if id(x) in linalg._MEMOS:
                     calls[name, id(x)] += 1
                     kernels[name, id(x)] += kernel_calls["n"] - before
+                    usv = linalg._MEMOS[id(x)].get("svd", ())
+                    svd_writable.extend(part.flags.writeable for part in usv)
         return spied
+
+    svd_writable = []  # flags of the memoised (u, s, vh) seen after each call
 
     operand_slots = Counter()
     real_run_case = falsify.run_case
 
-    def count_operands(case, tol=falsify.DEFAULT_TOL):
+    def count_operands(case, tol=falsify.DEFAULT_TOL, fn=None):
         operand_slots["n"] += len(case.matrices)
-        return real_run_case(case, tol=tol)
+        return real_run_case(case, tol=tol, fn=fn)
 
     monkeypatch.setattr(falsify, "generate", count_generate)
     monkeypatch.setattr(falsify, "run_case", count_operands)
@@ -233,9 +241,29 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     monkeypatch.setattr(
         linalg, "matrix_abs", per_operand("matrix_abs", linalg.matrix_abs)
     )
+    monkeypatch.setattr(linalg, "polar", per_operand("polar", linalg.polar))
     falsify.run_campaigns(CHECK_IDS, trials=1, dims=(4,))
 
     assert set(generated.values()) == {1}
     assert len(generated) < operand_slots["n"]  # operands are shared
     assert max(calls.values()) > 1  # memo hits happen
     assert max(kernels.values()) == 1
+    assert any(name == "polar" for name, _ in calls)
+    assert svd_inputs and max(svd_inputs.values()) == 1
+    assert svd_writable and not any(svd_writable)
+
+
+def test_matrix_abs_and_polar_share_one_svd(monkeypatch):
+    x = linalg.share(generate(GenSpec("general", 4, 3)))
+    fresh = generate(GenSpec("general", 4, 3))
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k)
+    )
+    parts = linalg.polar(x)
+    np.testing.assert_array_equal(linalg.matrix_abs(x), parts.abs)
+    assert linalg.polar(x).u.tobytes() == parts.u.tobytes()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(linalg.polar(fresh).abs, parts.abs)
+    assert len(calls) == 2  # an unshared operand memoizes nothing
