@@ -251,13 +251,9 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
 def _require_normal(enforce, **named) -> None:
     if not enforce:
         return
-    checked: list = []
     for name, m in named.items():
-        if any(m is seen for seen in checked):
-            continue  # the same operand twice, as in cor3.3's embedding
         if not linalg.is_normal(m, tol=PREDICATE_TOL):
             raise NotNormal(f"{name} is not normal")
-        checked.append(m)
 
 
 def _block2(a, b, c, d) -> np.ndarray:
@@ -327,11 +323,10 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
         raise DimensionMismatch("A, B, X must share a dimension")
     n = a.shape[0]
     block = np.block([[a, x.conj().T], [x, b]])
-    px = linalg.matrix_abs(x)
-    px_star = linalg.matrix_abs(x.conj().T)
+    px = linalg.polar(x)  # |X| and |X*| from one SVD
     lhs = _opnorm(block)
-    rhs = max(_opnorm(linalg.matrix_abs(a) + px),
-              _opnorm(linalg.matrix_abs(b) + px_star))
+    rhs = max(_opnorm(linalg.matrix_abs(a) + px.abs),
+              _opnorm(linalg.matrix_abs(b) + px.abs_star))
     rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
 
     # embedding device: 2n-sized normal blocks feeding the block theorem

@@ -359,7 +359,7 @@ def run_campaigns(
     min_margin = dict.fromkeys(order, float("inf"))
     violations: dict = {cid: [] for cid in order}
     rows: dict = {cid: [] for cid in order}
-    fns: dict = {}  # canonical descriptor JSON -> ScalarFn, for this call only
+    fns: dict = {}  # canonical descriptor JSON -> ScalarFn (or None), this call only
     clock = time.perf_counter
     for i in range(trials):
         n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
@@ -385,13 +385,10 @@ def run_campaigns(
             cid = case.check_id
             start = clock()
             try:
-                fn = None
-                if case.fn_descriptor is not None:
-                    key = serialize.canonical_dumps(case.fn_descriptor)
-                    if key not in fns:
-                        fns[key] = case.fn()
-                    fn = fns[key]
-                verdict = run_case(case, tol=tol, fn=fn)
+                key = serialize.canonical_dumps(case.fn_descriptor)
+                if key not in fns:
+                    fns[key] = case.fn()
+                verdict = run_case(case, tol=tol, fn=fns[key])
             except NormetryError as exc:
                 raise _named(exc, cid, i, case.n, case.seed) from exc
             min_margin[cid] = min(min_margin[cid], verdict.min_margin)

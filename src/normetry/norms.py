@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec, ConvergenceFailure, DimensionMismatch
-from .linalg import as_square, is_exactly_hermitian
+from .linalg import as_square, eigvals_by_summand, is_exactly_hermitian
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -56,12 +56,13 @@ TRACE = NormSpec("trace")
 def singular_values(x) -> np.ndarray:
     """Singular values, descending, with tiny values clamped to 0.
 
-    An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
+    An exactly Hermitian input takes |eigvalsh| of each direct summand
+    (``linalg.eigvals_by_summand``), merged and sorted; any other the SVD.
     """
     m = as_square(x)
     try:
         if is_exactly_hermitian(m):
-            s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+            s = np.sort(np.abs(eigvals_by_summand(m)))[::-1]
         else:
             s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -119,3 +119,96 @@ def test_non_hermitian_inputs_take_the_svd(monkeypatch, kind):
     norms.singular_values(x)
     linalg.matrix_abs(x)
     assert len(calls) == 2
+
+
+# --- direct sums: one LAPACK call per summand at and above SUMMAND_MIN_N ---
+
+
+def direct_sum(seed, sizes, zero_rows):
+    """Sparse, connected Hermitian summands of the given sizes plus zero
+    rows, with the indices randomly permuted."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + zero_rows
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for i, k in enumerate(sizes):
+        block = generate(GenSpec("hermitian", k, seed + i)) * 10.0 ** rng.uniform(-2, 2)
+        band = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= 1  # a path
+        keep = np.triu(rng.random((k, k)) < 0.1)
+        m[start:start + k, start:start + k] = block * (band | keep | keep.T)
+        start += k
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+def count_lapack_calls(monkeypatch):
+    sizes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def spy(m, *a, _real=real, **k):
+            sizes.append(m.shape[0])
+            return _real(m, *a, **k)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=3),
+    zero_rows=st.integers(0, 6),
+    pad=st.integers(0, 16),
+)
+def test_direct_sums_agree_with_one_lapack_call(seed, sizes, zero_rows, pad):
+    short = linalg.SUMMAND_MIN_N - sum(sizes) - zero_rows
+    zero_rows += max(short, 0) + pad  # at or above the gate
+    m = direct_sum(seed, sizes, zero_rows)
+    n = m.shape[0]
+    assert n >= linalg.SUMMAND_MIN_N and linalg.is_exactly_hermitian(m)
+    bound = 1e-13 * max(1.0, linalg.opnorm(m))
+    w, v = np.linalg.eigh(m)
+    s = norms.singular_values(m)
+    np.testing.assert_allclose(s, np.sort(np.abs(w))[::-1], rtol=0, atol=bound)
+    assert np.count_nonzero(s) <= n - zero_rows
+    a = linalg.matrix_abs(m)
+    assert linalg.is_exactly_hermitian(a)
+    assert linalg.opnorm(a - (v * np.abs(w)) @ v.conj().T) <= bound
+
+
+def test_direct_sum_takes_one_call_per_summand(monkeypatch):
+    n = linalg.SUMMAND_MIN_N
+    m = direct_sum(5, [n // 2, n // 4], n - n // 2 - n // 4)
+    calls = count_lapack_calls(monkeypatch)
+    norms.singular_values(m)
+    assert sorted(calls) == [n // 4, n // 2]
+    calls.clear()
+    linalg.matrix_abs(m)
+    assert sorted(calls) == [n // 4, n // 2]
+    calls.clear()
+    diagonal = np.diag(np.arange(n) % 3 - 1.0).astype(complex)  # 1x1 summands
+    np.testing.assert_array_equal(
+        norms.singular_values(diagonal), np.sort(np.abs(np.diag(diagonal).real))[::-1]
+    )
+    np.testing.assert_array_equal(linalg.matrix_abs(diagonal), np.abs(diagonal))
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["below-gate", "one-summand", "row0-dense"])
+def test_below_the_gate_or_connected_takes_one_call(monkeypatch, case):
+    n = linalg.SUMMAND_MIN_N
+    if case == "below-gate":
+        m = direct_sum(3, [n // 2 - 4, n // 4], 2)
+    elif case == "one-summand":  # [[0, X], [X*, 0]]: zeros in row 0, connected
+        x = generate(GenSpec("general", n // 2, 3))
+        z = np.zeros_like(x)
+        m = np.block([[z, x], [x.conj().T, z]])
+    else:
+        m = generate(GenSpec("hermitian", n, 3))
+    assert m.shape[0] >= n or case == "below-gate"
+    assert linalg.direct_summands(m) is None
+    calls = count_lapack_calls(monkeypatch)
+    norms.singular_values(m)
+    linalg.matrix_abs(m)
+    assert calls == [m.shape[0]] * 2
