@@ -54,9 +54,7 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> Verdict:
     scale = max(1.0, max(abs(lam_min), abs(lam_max)))
     margin = lam_min / scale
     rec = ComparisonRecord(label="loewner", lhs=-lam_min, rhs=0.0, margin=margin)
-    return Verdict(
-        check_id=check_id, records=[rec], passed=margin >= -tol, tol=tol
-    )
+    return Verdict(check_id=check_id, records=[rec], tol=tol)
 
 
 def _scalar_grid_verdict(check_id, lhs_mat, rhs_fn, tol) -> Verdict:
@@ -69,8 +67,7 @@ def _scalar_grid_verdict(check_id, lhs_mat, rhs_fn, tol) -> Verdict:
         records.append(
             ComparisonRecord(spec.label(), vl, vr, scaled_margin(vl, vr))
         )
-    passed = min(r.margin for r in records) >= -tol
-    return Verdict(check_id=check_id, records=records, passed=passed, tol=tol)
+    return Verdict(check_id=check_id, records=records, tol=tol)
 
 
 def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -200,9 +197,7 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     lhs = float(_f_eigs_desc(f, s_mat)[j + k])
     rhs = float(_f_eigs_desc(f, a_mat)[j]) + float(_f_eigs_desc(f, b_mat)[k])
     rec = ComparisonRecord(f"lambda-j{j}-k{k}", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(
-        check_id="eigen-sum", records=[rec], passed=rec.margin >= -tol, tol=tol
-    )
+    return Verdict(check_id="eigen-sum", records=[rec], tol=tol)
 
 
 def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -285,12 +280,9 @@ def _opnorm(m) -> float:
 
 def _thm_3_2_bound(a, b, c, d) -> float:
     """Largest operator norm of the row sums |A|+|B|, |C|+|D| and the
-    column sums |A|+|C|, |B|+|D|.  When C is B (cor3.3's embedding) the
-    column sums are the row sums, so |B| and the sums are formed once."""
-    pa, pb, pd_ = linalg.matrix_abs(a), linalg.matrix_abs(b), linalg.matrix_abs(d)
-    if c is b:
-        return max(_opnorm(pa + pb), _opnorm(pb + pd_))
-    pc = linalg.matrix_abs(c)
+    column sums |A|+|C|, |B|+|D|."""
+    pa, pb = linalg.matrix_abs(a), linalg.matrix_abs(b)
+    pc, pd_ = linalg.matrix_abs(c), linalg.matrix_abs(d)
     return max(
         _opnorm(pa + pb), _opnorm(pc + pd_), _opnorm(pa + pc), _opnorm(pb + pd_)
     )
@@ -305,42 +297,31 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     lhs = _opnorm(_block2(a, b, c, d))
     rhs = _thm_3_2_bound(a, b, c, d)
     rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(
-        check_id="thm3.2", records=[rec], passed=rec.margin >= -tol, tol=tol
-    )
+    return Verdict(check_id="thm3.2", records=[rec], tol=tol)
 
 
 def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
-    for Hermitian A, B.  Also replays the 4x4-block embedding device and
-    requires the block theorem to pass on it.
+    for Hermitian A, B.  The paper derives it from Thm 3.2 on a 4n
+    embedding.  That embedding is a permutation of the direct sum of
+    [[A,X*],[X,B]] and [[0,X],[X*,0]], and its row and column sums are
+    diag(|X*|, |A|+|X|) and diag(|B|+|X*|, |X|) (Bhatia, Matrix Analysis,
+    GTM 169, ch. I), so it decides this same comparison; the tests keep it
+    as a reference.
     """
     a = linalg.hermitize(a)
     b = linalg.hermitize(b)
     x = linalg.as_square(x)
     if a.shape != b.shape or a.shape != x.shape:
         raise DimensionMismatch("A, B, X must share a dimension")
-    n = a.shape[0]
     block = np.block([[a, x.conj().T], [x, b]])
     px = linalg.polar(x)  # |X| and |X*| from one SVD
     lhs = _opnorm(block)
     rhs = max(_opnorm(linalg.matrix_abs(a) + px.abs),
               _opnorm(linalg.matrix_abs(b) + px.abs_star))
     rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
-
-    # embedding device: 2n-sized normal blocks feeding the block theorem
-    z = np.zeros((n, n), dtype=complex)
-    big_a = np.block([[z, z], [z, a]])
-    big_d = np.block([[b, z], [z, z]])
-    big_x = np.block([[z, x], [x.conj().T, z]])
-    embedded = check_thm_3_2(big_a, big_x, big_x, big_d, tol=tol)
-    records = [rec] + [
-        ComparisonRecord("embed-" + r.label, r.lhs, r.rhs, r.margin)
-        for r in embedded.records
-    ]
-    passed = rec.margin >= -tol and embedded.passed
-    return Verdict(check_id="cor3.3", records=records, passed=passed, tol=tol)
+    return Verdict(check_id="cor3.3", records=[rec], tol=tol)
 
 
 def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -368,9 +349,7 @@ def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL) -> Verdict:
     lhs = float(w_sum[j + k])
     rhs = 0.5 * (float(w_m[j]) + float(w_m[k]))
     rec = ComparisonRecord(f"lambda-j{j}-k{k}", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(
-        check_id="prop3.5", records=[rec], passed=rec.margin >= -tol, tol=tol
-    )
+    return Verdict(check_id="prop3.5", records=[rec], tol=tol)
 
 
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL) -> Verdict:
@@ -402,12 +381,11 @@ def check_identity_6(a, b, m) -> float:
 
 
 def identity_6_verdict(a, b, m, tol: float = 1e-10) -> Verdict:
-    """Identity residual wrapped as a Verdict (pass iff residual <= tol)."""
+    """Identity residual wrapped as a Verdict; its margin is -residual, so
+    it passes iff residual <= tol."""
     residual = check_identity_6(a, b, m)
     rec = ComparisonRecord("residual", residual, 0.0, -residual)
-    return Verdict(
-        check_id="identity6", records=[rec], passed=residual <= tol, tol=tol
-    )
+    return Verdict(check_id="identity6", records=[rec], tol=tol)
 
 
 def _ops(kind: str, names="ab") -> tuple:

@@ -4,11 +4,12 @@ Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
 (Loewner order, normality, contraction/expansive) used by the checkers.
 
-All functions are pure; matrices are plain complex ndarrays.  ``eigh``,
-``matrix_abs``, ``is_normal`` and the SVD behind ``matrix_abs`` and
-``polar`` memoize their results on operands marked by ``share`` (a campaign
-shares the operands of a trial among its checkers); those operands and
-results are read-only.
+All functions are pure; matrices are plain complex ndarrays.  ``matrix_abs``
+of an exactly Hermitian matrix is V|Lambda|V* from one ``eigh`` call; the
+guards and ``opnorm`` always use the SVD.  ``eigh``, ``matrix_abs``,
+``is_normal`` and the SVD behind ``matrix_abs`` and ``polar`` memoize their
+results on operands marked by ``share`` (a campaign shares the operands of a
+trial among its checkers); those operands and results are read-only.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, DomainError
 HERMITIAN_DRIFT_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 NEG_EIG_CLAMP = 1e-8
-# Exactly Hermitian matrices at least this large are decomposed one direct
-# summand at a time.  It is the measured crossover on cor3.3's embeddings:
-# below it the search for summands costs more than the smaller LAPACK calls
-# save.
-SUMMAND_MIN_N = 64
 
 
 # id(operand) -> memo of its decompositions, for operands passed to share.
@@ -71,74 +67,6 @@ def is_exactly_hermitian(m: np.ndarray) -> bool:
     half the cost of the SVD.
     """
     return np.array_equal(m, m.conj().T)
-
-
-def direct_summands(m: np.ndarray):
-    """The direct summands of an exactly Hermitian ``m``, or None.
-
-    They are the connected components of m's nonzero pattern: up to a
-    permutation, m is the direct sum of its principal submatrices m[p, p],
-    so its spectrum is the union of theirs (Bhatia, Matrix Analysis, GTM
-    169, ch. I).  Returns (singles, blocks): the indices of the 1x1
-    summands, whose eigenvalue is their diagonal entry, and the ascending
-    index arrays of the larger ones.  Returns None, so that one LAPACK call
-    takes all of m, when n < SUMMAND_MIN_N, when row 0 has no zero (m is
-    then connected) or when m is a single summand.
-    """
-    n = m.shape[0]
-    if n < SUMMAND_MIN_N or m[0].all():
-        return None
-    linked = m != 0
-    single = np.count_nonzero(linked, axis=1) == linked.diagonal()
-    blocks = []
-    todo = ~single
-    while todo.any():  # breadth-first search from the first index left
-        reached = np.zeros(n, dtype=bool)
-        reached[todo.argmax()] = True
-        frontier = reached
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~reached
-            reached |= frontier
-        blocks.append(np.flatnonzero(reached))
-        todo &= ~reached
-    if len(blocks) == 1 and blocks[0].size == n:
-        return None
-    return np.flatnonzero(single), blocks
-
-
-def eigvals_by_summand(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues, in no set order, of an exactly Hermitian ``m``: one
-    eigvalsh call per direct summand, none for 1x1 summands."""
-    split = direct_summands(m)
-    try:
-        if split is None:
-            return np.linalg.eigvalsh(m)
-        singles, blocks = split
-        return np.concatenate(
-            [m[singles, singles].real]
-            + [np.linalg.eigvalsh(m[np.ix_(p, p)]) for p in blocks]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-
-def _abs_by_summand(m: np.ndarray) -> np.ndarray:
-    """V|Lambda|V* of an exactly Hermitian ``m``, built one direct summand
-    at a time (not yet symmetrized)."""
-    split = direct_summands(m)
-    try:
-        if split is None:
-            w, v = np.linalg.eigh(m)
-            return (v * np.abs(w)) @ v.conj().T
-        singles, blocks = split
-        out = np.zeros_like(m)
-        out[singles, singles] = np.abs(m[singles, singles].real)
-        for p in blocks:
-            w, v = np.linalg.eigh(m[np.ix_(p, p)])
-            out[np.ix_(p, p)] = (v * np.abs(w)) @ v.conj().T
-        return out
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
 
 
 # Relative slack on the Frobenius stage of _opnorm_within.  It covers the
@@ -302,14 +230,17 @@ def _svd(x):
 
 
 def matrix_abs(x) -> np.ndarray:
-    """|X| = (X*X)^(1/2): from eigh, one direct summand at a time, when X
-    is exactly Hermitian, else from the SVD."""
+    """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
     memo = _MEMOS.get(id(x))
     if memo is not None and "matrix_abs" in memo:
         return memo["matrix_abs"]
     m = as_square(x)
     if is_exactly_hermitian(m):
-        out = hermitize(_abs_by_summand(m), check=False)
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        out = hermitize((v * np.abs(w)) @ v.conj().T, check=False)
     else:
         u, s, vh = _svd(x)
         v = vh.conj().T
@@ -356,18 +287,14 @@ def is_psd(x, tol: float = 1e-9) -> bool:
 
 
 def is_normal(x, tol: float = 1e-9) -> bool:
-    """||XX* - X*X||_op <= tol * max(1, ||X||_op^2); an exactly Hermitian X
-    is normal without forming the commutator."""
+    """||XX* - X*X||_op <= tol * max(1, ||X||_op^2)."""
     memo = _MEMOS.get(id(x))
     key = ("is_normal", tol)
     if memo is not None and key in memo:
         return memo[key]
     m = as_square(x)
-    if is_exactly_hermitian(m):
-        normal = True
-    else:
-        comm = m @ m.conj().T - m.conj().T @ m
-        normal = _opnorm_within(comm, m, tol, power=2)
+    comm = m @ m.conj().T - m.conj().T @ m
+    normal = _opnorm_within(comm, m, tol, power=2)
     if memo is not None:
         memo[key] = normal
     return normal

@@ -9,12 +9,12 @@ evaluated as a redundant cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSpec, ConvergenceFailure, DimensionMismatch
-from .linalg import as_square, eigvals_by_summand, is_exactly_hermitian
+from .linalg import as_square, is_exactly_hermitian
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -56,13 +56,12 @@ TRACE = NormSpec("trace")
 def singular_values(x) -> np.ndarray:
     """Singular values, descending, with tiny values clamped to 0.
 
-    An exactly Hermitian input takes |eigvalsh| of each direct summand
-    (``linalg.eigvals_by_summand``), merged and sorted; any other the SVD.
+    An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
     """
     m = as_square(x)
     try:
         if is_exactly_hermitian(m):
-            s = np.sort(np.abs(eigvals_by_summand(m)))[::-1]
+            s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
         else:
             s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -130,16 +129,18 @@ class ComparisonRecord:
 class Verdict:
     """Outcome of one checker call.
 
-    pass iff the minimum scaled margin over all records is >= -tol.
     The fingerprint identifies the inputs for replay.
     """
 
     check_id: str
     records: list[ComparisonRecord]
-    passed: bool
     tol: float
     fingerprint: str = ""
-    extra: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Every record's scaled margin is >= -tol; a NaN margin fails."""
+        return all(r.margin >= -self.tol for r in self.records)
 
     @property
     def min_margin(self) -> float:
@@ -189,8 +190,7 @@ def dominance_verdict(
                 label=spec.label(), lhs=vl, rhs=vr, margin=scaled_margin(vl, vr)
             )
         )
-    passed = min(r.margin for r in records) >= -tol
-    return Verdict(check_id=check_id, records=records, passed=passed, tol=tol)
+    return Verdict(check_id=check_id, records=records, tol=tol)
 
 
 def norm_grid(n: int) -> list[NormSpec]:

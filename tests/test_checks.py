@@ -1,9 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normetry import checks, linalg, norms
+from normetry import checks, cli, falsify, linalg, norms
 from normetry import scalarfn as sf
 from normetry.errors import (
     BadSpec,
@@ -310,7 +313,6 @@ def test_cor_3_3_seed27():
     x = generate(GenSpec("general", 3, derive_stream(27, 2)))
     v = checks.check_cor_3_3(a, b, x)
     assert v.passed
-    assert any(r.label.startswith("embed-") for r in v.records)
     lhs = np.linalg.norm(np.block([[a, x.conj().T], [x, b]]), 2)
     bound = max(
         np.linalg.norm(linalg.matrix_abs(a) + linalg.matrix_abs(x), 2),
@@ -325,13 +327,44 @@ def test_cor_3_3_record_labels(n):
     b = generate(GenSpec("hermitian", n, derive_stream(28, 1)))
     x = generate(GenSpec("general", n, derive_stream(28, 2)))
     v = checks.check_cor_3_3(a, b, x)
-    assert [r.label for r in v.records] == ["operator", "embed-operator"]
+    assert [r.label for r in v.records] == ["operator"]
     assert v.passed
 
 
+def cor_3_3_embedding(a, b, x):
+    """The paper's route to Cor 3.3: Thm 3.2 on the 4n embedding with
+    blocks diag(0, A), [[0, X], [X*, 0]] (as both B and C) and diag(B, 0)."""
+    z = np.zeros_like(x)
+    big_a = np.block([[z, z], [z, a]])
+    big_d = np.block([[b, z], [z, z]])
+    big_x = np.block([[z, x], [x.conj().T, z]])
+    return checks.check_thm_3_2(big_a, big_x, big_x, big_d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_cor_3_3_agrees_with_its_embedding(tmp_path_factory, n, seed):
+    case = falsify.sample_case("cor3.3", n, seed)
+    m = case.matrices
+    direct = falsify.run_case(case)
+    embedded = cor_3_3_embedding(m["a"], m["b"], m["x"])
+    assert embedded.passed == direct.passed
+    (d,), (e,) = direct.records, embedded.records
+    bound = 64 * n * np.finfo(float).eps * max(1.0, d.rhs)
+    for field in ("lhs", "rhs", "margin"):
+        assert abs(getattr(e, field) - getattr(d, field)) <= bound, field
+    # a certificate written when the embedding row was part of the verdict
+    # stored the smaller of the two margins; it must still replay
+    cert = falsify.make_certificate(case, direct)
+    cert["margin"] = min(d.margin, e.margin)
+    path = tmp_path_factory.getbasetemp() / "cor3.3-cert.json"
+    path.write_text(json.dumps(cert))
+    assert cli.main(["replay", str(path)]) == cli.EXIT_OK
+
+
 def test_thm_3_2_repeated_operand_matches_distinct_copies():
-    """Passing one array as both B and C takes the shortcut that forms |B|
-    and the row sums once; the record must equal that of two copies."""
+    """One array passed as both B and C, as the cor3.3 embedding reference
+    does, gives the record that two equal copies give."""
     a = generate(GenSpec("hermitian", 4, 61))
     x = generate(GenSpec("hermitian", 4, 62))
     d = generate(GenSpec("hermitian", 4, 63))
@@ -355,6 +388,23 @@ def test_prop_3_4_seed35():
     sl = np.linalg.svd(a + b, compute_uv=False)
     sr = np.sort(np.linalg.eigvalsh(linalg.matrix_abs(a) + linalg.matrix_abs(b)))[::-1]
     assert partial_sums_dominated(sl, sr)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("check", ["prop3.4", "cs-lemma"])
+def test_nan_margin_fails_the_verdict(check):
+    """Scaled far up, the Schatten-3 margin overflows to NaN while the
+    others stay finite; a NaN in any record must fail the verdict."""
+    if check == "prop3.4":
+        a, b = (generate(GenSpec("normal", 3, seed)) * 1e110 for seed in (11, 12))
+        v = checks.check_prop_3_4(a, b)
+    else:
+        psds = [generate(GenSpec("psd", 3, seed)) * 1e60 for seed in range(11, 15)]
+        cons = [generate(GenSpec("contraction", 3, seed)) for seed in (15, 16)]
+        v = checks.check_cs_lemma(*psds, *cons)
+    margins = [r.margin for r in v.records]
+    assert np.isnan(margins).any() and not np.isnan(margins[0])
+    assert not v.passed
 
 
 def test_prop_3_5_sweep_seed4():

@@ -115,6 +115,17 @@ def test_dominance_identity_vs_double():
             assert r.margin == pytest.approx(0.5)
 
 
+def test_verdict_passes_iff_every_margin_clears_tol():
+    def verdict(*margins):
+        records = [norms.ComparisonRecord("r", 0.0, 0.0, m) for m in margins]
+        return norms.Verdict(check_id="t", records=records, tol=1e-9)
+
+    assert verdict(0.5, -1e-9).passed
+    assert not verdict(0.5, -2e-9).passed
+    assert not verdict(0.5, math.nan).passed
+    assert not verdict(math.nan, 0.5).passed
+
+
 def test_dominance_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         norms.dominance_verdict(np.eye(2), np.eye(3))

@@ -1,5 +1,6 @@
-"""A campaign trial's operand pool: one dict of operands shared read-only
-through ``linalg.share``, whose memos die with their operand."""
+"""Operand sharing in a campaign: each trial keeps one dict of operands,
+shared read-only through ``linalg.share``, whose memos die with their
+operand."""
 
 import gc
 from collections import Counter
