@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -107,7 +108,9 @@ def _check_writable(path: str | None) -> None:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
+    """Write ``obj`` as one line of JSON with sorted keys.  Without an
+    ``indent``, ``json.dumps`` takes the stdlib's C encoder."""
+    _write(json.dumps(obj, sort_keys=True) + "\n", path)
 
 
 def _csv_summary(campaigns: list[dict]) -> str:
@@ -210,7 +213,7 @@ def cmd_falsify(args) -> int:
     if args.cert_dir:
         for i, cert in enumerate(report.violations):
             path = os.path.join(args.cert_dir, f"cert-{args.check}-{i}.json")
-            _write(json.dumps(cert, sort_keys=True, indent=1), path)
+            _write_json(cert, path)
     out = {
         "header": _header(config),
         "campaign": {
@@ -248,7 +251,8 @@ def cmd_replay(args) -> int:
     except MalformedCertificate as exc:
         return _cannot_parse(exc)
     recomputed = verdict.min_margin
-    ok = abs(recomputed - stored) <= 1e-12 * max(1.0, abs(stored))
+    ok = (math.isnan(stored) and math.isnan(recomputed)) or (
+        abs(recomputed - stored) <= 1e-12 * max(1.0, abs(stored)))
     print(
         f"replay {cert['case']['check_id']}: stored={stored!r} "
         f"recomputed={recomputed!r} {'match' if ok else 'MISMATCH'}"
@@ -306,9 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_for(seed_text: str | None) -> argparse.ArgumentParser:
+    """``build_parser()``'s tree, built once per NORMETRY_SEED text, so
+    repeated in-process calls of ``main`` parse with one tree.  A malformed
+    text raises BadSpec, which the cache does not store."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser_for(os.environ.get("NORMETRY_SEED")).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except BadSpec as exc:  # a malformed NORMETRY_SEED

@@ -14,6 +14,7 @@ true inequalities come to equality.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -150,6 +151,14 @@ def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
     return checks.SPECS[check_id]
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The trial seed's SeedSequence, built once for all of the trial's
+    checkers.  ``Generator(PCG64(ss))`` draws the same stream as
+    ``default_rng(seed)`` without rebuilding ``ss``."""
+    return np.random.SeedSequence(seed & (2**64 - 1))
+
+
 def sample_case(
     check_id: str, n: int, seed: int, mutation: str | None = None,
     shared: dict | None = None,
@@ -161,7 +170,7 @@ def sample_case(
     """
     spec = _spec(check_id, mutation)
     change = MUTATIONS.get(mutation, {})
-    rng = np.random.default_rng(np.uint64(seed & (2**64 - 1)))
+    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
     fn_desc = None
     if "fn" in change:
         fn_desc = change["fn"](rng)
@@ -391,7 +400,9 @@ def run_campaigns(
                 verdict = run_case(case, tol=tol, fn=fns[key])
             except NormetryError as exc:
                 raise _named(exc, cid, i, case.n, case.seed) from exc
-            min_margin[cid] = min(min_margin[cid], verdict.min_margin)
+            margin = verdict.min_margin
+            if margin != margin or margin < min_margin[cid]:  # a NaN sticks
+                min_margin[cid] = margin
             if not verdict.passed:
                 violations[cid].append(make_certificate(case, verdict))
             if keep_verdicts:

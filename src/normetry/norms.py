@@ -144,7 +144,11 @@ class Verdict:
 
     @property
     def min_margin(self) -> float:
-        return min((r.margin for r in self.records), default=0.0)
+        """The least record margin; NaN when any margin is NaN."""
+        margins = [r.margin for r in self.records]
+        if any(m != m for m in margins):
+            return math.nan
+        return min(margins, default=0.0)
 
 
 def scaled_margin(lhs: float, rhs: float) -> float:

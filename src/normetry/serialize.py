@@ -20,8 +20,8 @@ def mat_to_json(m) -> dict:
     n = a.shape[0]
     return {
         "n": n,
-        "re": [float(v) for v in a.real.ravel()],
-        "im": [float(v) for v in a.imag.ravel()],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 

@@ -405,6 +405,7 @@ def test_nan_margin_fails_the_verdict(check):
     margins = [r.margin for r in v.records]
     assert np.isnan(margins).any() and not np.isnan(margins[0])
     assert not v.passed
+    assert np.isnan(v.min_margin)
 
 
 def test_prop_3_5_sweep_seed4():

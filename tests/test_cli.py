@@ -1,11 +1,12 @@
 import json
+import math
 import re
 
 import pytest
 
 from normetry import checks, cli, falsify
 from normetry.errors import ConvergenceFailure, DomainError
-from normetry.rand import derive_stream
+from normetry.rand import GenSpec, derive_stream, generate
 
 
 def run(argv):
@@ -170,6 +171,99 @@ def test_seed_env_override(tmp_path, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["gen", "--kind", "psd", "--dim", "2"])
     assert args.seed == 777
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    built, real = [], cli.build_parser
+
+    def spy():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.delenv("NORMETRY_SEED", raising=False)
+    cli._parser_for.cache_clear()
+    for i in range(5):
+        argv = ["gen", "--kind", "psd", "--dim", "2", "--out", str(tmp_path / f"{i}.json")]
+        assert run(argv) == cli.EXIT_OK
+    assert len(built) == 1
+
+
+def test_seed_env_is_read_on_every_call(tmp_path, monkeypatch):
+    def gen(name, *seed):
+        path = tmp_path / name
+        assert run(["gen", "--kind", "psd", "--dim", "2", *seed, "--out", str(path)]) == 0
+        return path.read_text()
+
+    monkeypatch.delenv("NORMETRY_SEED", raising=False)
+    default = gen("default.json")
+    monkeypatch.setenv("NORMETRY_SEED", "777")
+    from_env = gen("env.json")
+    assert from_env == gen("flag.json", "--seed", "777") != default
+
+
+def test_bad_seed_env_after_a_cached_parser_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NORMETRY_SEED", raising=False)
+    argv = ["gen", "--kind", "psd", "--dim", "2", "--out", str(tmp_path / "m.json")]
+    assert run(argv) == cli.EXIT_OK
+    monkeypatch.setenv("NORMETRY_SEED", "x")
+    for _ in range(2):
+        assert run(argv) == cli.EXIT_USAGE
+        assert "NORMETRY_SEED" in capsys.readouterr().err
+    monkeypatch.delenv("NORMETRY_SEED")
+    assert run(argv) == cli.EXIT_OK
+
+
+def test_json_outputs_are_one_sorted_line(tmp_path, monkeypatch):
+    """Every report, certificate and matrix is one line of sorted-key JSON
+    that parses to what the earlier ``indent=1`` writer's text parses to."""
+    argvs = [
+        ["verify", "--checks", "thm1.1,cor3.3", "--trials", "4", "--dims", "2,3",
+         "--seed", "5", "--out", "{d}/verify.json"],
+        ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing", "--trials", "4",
+         "--dims", "2,3", "--seed", "5", "--out", "{d}/falsify.json",
+         "--cert-dir", "{d}/certs"],
+        ["gen", "--kind", "normal", "--dim", "3", "--seed", "5", "--out", "{d}/gen.json"],
+    ]
+
+    def indented(obj, path):
+        cli._write(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
+
+    def files(d):
+        for argv in argvs:
+            assert run([a.format(d=d) for a in argv]) == cli.EXIT_OK
+        return {p.relative_to(d): json.loads(p.read_text()) for p in d.rglob("*.json")}
+
+    new_dir, old_dir = tmp_path / "new", tmp_path / "old"
+    new_dir.mkdir()
+    old_dir.mkdir()
+    new = files(new_dir)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_write_json", indented)
+        old = files(old_dir)
+    assert len(new) > 4 and new.keys() == old.keys()
+    for name, obj in new.items():
+        text = (new_dir / name).read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(obj, sort_keys=True) + "\n"
+        for o in (obj, old[name]):
+            o.get("header", {}).pop("timestamp", None)
+            o.get("campaign", {}).pop("wall_time", None)
+        assert obj == old[name], name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nan_margin_certificate_replays_match(tmp_path, capsys):
+    """prop3.4 on normal operands scaled by 1e110 overflows its Schatten-3
+    margin to NaN; the certificate stores NaN and replays as a match."""
+    a, b = (generate(GenSpec("normal", 3, seed)) * 1e110 for seed in (11, 12))
+    case = falsify.Case("prop3.4", 3, None, {"a": a, "b": b}, {"a": "normal", "b": "normal"})
+    verdict = falsify.run_case(case)
+    assert not verdict.passed and math.isnan(verdict.min_margin)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(falsify.make_certificate(case, verdict)))
+    assert run(["replay", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.split()[-1] == "match"
 
 
 def strip_timestamp(text: str) -> str:

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normetry import checks, falsify, linalg, rand, scalarfn, witnesses
+from normetry import checks, falsify, linalg, norms, rand, scalarfn, witnesses
 from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
 
 
@@ -281,3 +283,30 @@ def test_sample_case_draws_are_pinned(cid, mutation, seed, kinds, scalars, fn):
     assert list(case.matrices) == list(kinds)
     assert list(case.scalars.items()) == list(scalars.items())
     assert case.fn_descriptor == fn
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63, 2**64 - 1])
+def test_sample_case_draws_the_default_rng_stream_of_its_seed(seed):
+    """Every case of a seed draws the stream of ``default_rng(seed)``, also
+    when cases of another seed come in between."""
+    reference = checks.SPECS["ineq5"].scalars(np.random.default_rng(np.uint64(seed)), 1)
+    for other in (seed, seed ^ 1, seed):
+        falsify.sample_case("identity6", 1, other)
+        assert falsify.sample_case("ineq5", 1, seed).scalars == reference
+
+
+def test_campaign_min_margin_keeps_a_nan(monkeypatch):
+    """Python's min(x, nan) is x: a NaN margin must not be lost to the
+    campaign minimum, neither to the trials before it nor to those after."""
+    real = checks.check_prop_3_4
+
+    def nan_at_n3(a, b, **kw):
+        v = real(a, b, **kw)
+        if a.shape[0] == 3:
+            v.records.append(norms.ComparisonRecord("planted", 0.0, 0.0, math.nan))
+        return v
+
+    monkeypatch.setattr(checks, "check_prop_3_4", nan_at_n3)
+    report = falsify.run_campaign("prop3.4", trials=4, dims=(2, 3, 2, 2), root_seed=5)
+    assert math.isnan(report.min_margin)
+    assert [math.isnan(c["margin"]) for c in report.violations] == [True]

@@ -115,15 +115,23 @@ def test_dominance_identity_vs_double():
             assert r.margin == pytest.approx(0.5)
 
 
-def test_verdict_passes_iff_every_margin_clears_tol():
-    def verdict(*margins):
-        records = [norms.ComparisonRecord("r", 0.0, 0.0, m) for m in margins]
-        return norms.Verdict(check_id="t", records=records, tol=1e-9)
+def verdict(*margins):
+    records = [norms.ComparisonRecord("r", 0.0, 0.0, m) for m in margins]
+    return norms.Verdict(check_id="t", records=records, tol=1e-9)
 
+
+def test_verdict_passes_iff_every_margin_clears_tol():
     assert verdict(0.5, -1e-9).passed
     assert not verdict(0.5, -2e-9).passed
     assert not verdict(0.5, math.nan).passed
     assert not verdict(math.nan, 0.5).passed
+
+
+def test_min_margin_is_nan_when_any_margin_is_nan():
+    assert math.isnan(verdict(0.5, math.nan, -0.25).min_margin)
+    assert math.isnan(verdict(math.nan, 0.5).min_margin)
+    assert verdict(0.5, -0.25).min_margin == -0.25
+    assert verdict().min_margin == 0.0
 
 
 def test_dominance_shape_mismatch():

@@ -23,6 +23,20 @@ def test_mat_roundtrip_bit_exact_on_random_entries():
     assert back.tobytes() == m.tobytes()
 
 
+def test_mat_to_json_matches_per_entry_floats():
+    """``tolist`` gives the same Python floats as converting entry by entry,
+    signed zeros and subnormals included."""
+    tiny = np.nextafter(0.0, 1.0)
+    m = signed_zeros()
+    m[1, 0] = complex(tiny, -5e-324)
+    d = serialize.mat_to_json(m)
+    a = np.asarray(m, dtype=complex)
+    for key, part in (("re", a.real), ("im", a.imag)):
+        reference = [float(v) for v in part.ravel()]
+        assert all(type(v) is float for v in d[key])
+        assert [v.hex() for v in d[key]] == [v.hex() for v in reference]
+
+
 def test_fingerprint_is_16_hex_and_ignores_matrix_order_and_dtype():
     a = np.arange(4.0).reshape(2, 2)
     b = np.eye(2)
