@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveDefinite,
     ShapeValidationFailed,
 )
-from .norms import DEFAULT_TOL, ComparisonRecord, Verdict, scaled_margin
+from .norms import DEFAULT_TOL, ComparisonRecord, Verdict
 
 PREDICATE_TOL = 1e-8  # slack for hypothesis predicates on generated inputs
 
@@ -55,19 +55,6 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> Verdict:
     margin = lam_min / scale
     rec = ComparisonRecord(label="loewner", lhs=-lam_min, rhs=0.0, margin=margin)
     return Verdict(check_id=check_id, records=[rec], tol=tol)
-
-
-def _scalar_grid_verdict(check_id, lhs_mat, rhs_fn, tol) -> Verdict:
-    """Per-norm comparison ||lhs|| <= rhs(spec) over the standard norm grid."""
-    sl = norms.singular_values(lhs_mat)
-    records = []
-    for spec in norms.norm_grid(sl.size):
-        vl = norms.norm_from_sv(sl, spec)
-        vr = rhs_fn(spec)
-        records.append(
-            ComparisonRecord(spec.label(), vl, vr, scaled_margin(vl, vr))
-        )
-    return Verdict(check_id=check_id, records=records, tol=tol)
 
 
 def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -126,9 +113,7 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     w = spec.eigenvalues
     if np.any(w <= 0):
         raise NotPositiveDefinite("A+B is not positive definite")
-    phi_w = f(w) / w
-    v = spec.frame
-    phi = linalg.hermitize((v * phi_w) @ v.conj().T, check=False)
+    phi = linalg.synthesize(spec.frame, f(w) / w)
     ra = linalg.spectral_apply(np.sqrt, a)
     rb = linalg.spectral_apply(np.sqrt, b)
     lhs = ra @ phi @ ra + rb @ phi @ rb
@@ -148,10 +133,9 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     w = np.maximum(spec.eigenvalues, 0.0)
     if g.singular_at_zero and np.any(w <= 0):
         raise NotPositiveDefinite("A+B must be positive definite for singular g")
-    v = spec.frame
     gw = np.asarray(g(w), dtype=float)
-    g_sum = linalg.hermitize((v * gw) @ v.conj().T, check=False)
-    lhs = linalg.hermitize((v * (w * gw)) @ v.conj().T, check=False)
+    g_sum = linalg.synthesize(spec.frame, gw)
+    lhs = linalg.synthesize(spec.frame, w * gw)
     ra = linalg.spectral_apply(np.sqrt, a)
     rb = linalg.spectral_apply(np.sqrt, b)
     rhs = ra @ g_sum @ ra + rb @ g_sum @ rb
@@ -196,8 +180,7 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True) -> Verdict:
         a_mat, b_mat = linalg.matrix_abs(a), linalg.matrix_abs(b)
     lhs = float(_f_eigs_desc(f, s_mat)[j + k])
     rhs = float(_f_eigs_desc(f, a_mat)[j]) + float(_f_eigs_desc(f, b_mat)[k])
-    rec = ComparisonRecord(f"lambda-j{j}-k{k}", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(check_id="eigen-sum", records=[rec], tol=tol)
+    return norms.compare("eigen-sum", [f"lambda-j{j}-k{k}"], [lhs], [rhs], tol)
 
 
 def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -212,16 +195,13 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True) -> Ver
         for name, c in (("C1", c1), ("C2", c2)):
             if not linalg.is_contraction(c, tol=PREDICATE_TOL):
                 raise NotAContraction(f"{name} is not a contraction")
-    lhs_mat = a1 @ c1 @ b1 + a2 @ c2 @ b2
+    sl = norms.singular_values(a1 @ c1 @ b1 + a2 @ c2 @ b2)
     sa = norms.singular_values(a1 @ a1 + a2 @ a2)
     sb = norms.singular_values(b1 @ b1 + b2 @ b2)
-
-    def rhs(spec):
-        return float(
-            np.sqrt(norms.norm_from_sv(sa, spec) * norms.norm_from_sv(sb, spec))
-        )
-
-    return _scalar_grid_verdict("cs-lemma", lhs_mat, rhs, tol)
+    rhs = np.sqrt(norms.fan_grid(sa) * norms.fan_grid(sb))
+    return norms.compare(
+        "cs-lemma", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
+    )
 
 
 def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
@@ -230,17 +210,13 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     pa, pb = linalg.polar(a), linalg.polar(b)
+    sl = norms.singular_values(a + b)
     s_abs = norms.singular_values(pa.abs + pb.abs)
     s_abs_star = norms.singular_values(pa.abs_star + pb.abs_star)
-
-    def rhs(spec):
-        return float(
-            np.sqrt(
-                norms.norm_from_sv(s_abs, spec) * norms.norm_from_sv(s_abs_star, spec)
-            )
-        )
-
-    return _scalar_grid_verdict("ineq4", a + b, rhs, tol)
+    rhs = np.sqrt(norms.fan_grid(s_abs) * norms.fan_grid(s_abs_star))
+    return norms.compare(
+        "ineq4", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
+    )
 
 
 def _require_normal(enforce, **named) -> None:
@@ -296,8 +272,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     lhs = _opnorm(_block2(a, b, c, d))
     rhs = _thm_3_2_bound(a, b, c, d)
-    rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(check_id="thm3.2", records=[rec], tol=tol)
+    return norms.compare("thm3.2", ["operator"], [lhs], [rhs], tol)
 
 
 def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
@@ -320,8 +295,7 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
     lhs = _opnorm(block)
     rhs = max(_opnorm(linalg.matrix_abs(a) + px.abs),
               _opnorm(linalg.matrix_abs(b) + px.abs_star))
-    rec = ComparisonRecord("operator", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(check_id="cor3.3", records=[rec], tol=tol)
+    return norms.compare("cor3.3", ["operator"], [lhs], [rhs], tol)
 
 
 def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
@@ -348,8 +322,7 @@ def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL) -> Verdict:
     w_m = linalg.eigvalsh_desc(m)
     lhs = float(w_sum[j + k])
     rhs = 0.5 * (float(w_m[j]) + float(w_m[k]))
-    rec = ComparisonRecord(f"lambda-j{j}-k{k}", lhs, rhs, scaled_margin(lhs, rhs))
-    return Verdict(check_id="prop3.5", records=[rec], tol=tol)
+    return norms.compare("prop3.5", [f"lambda-j{j}-k{k}"], [lhs], [rhs], tol)
 
 
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL) -> Verdict:

@@ -15,6 +15,7 @@ true inequalities come to equality.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -268,11 +269,16 @@ def make_certificate(case: Case, verdict: Verdict) -> dict:
     }
 
 
+def _types(scalars: dict) -> dict:
+    return {name: type(value).__name__ for name, value in scalars.items()}
+
+
 def replay_certificate(cert: dict) -> Verdict:
     """Rerun a certificate's case.  A certificate that lacks a field, holds
     one of the wrong type or an unknown check, mutation or scalar function,
-    holds a matrix whose size is not its case's n >= 1, or lacks a matrix or
-    scalar its checker needs, raises MalformedCertificate."""
+    holds a matrix whose size is not its case's n >= 1, lacks a matrix its
+    checker needs, or holds scalars whose names and types differ from its
+    checker's own draw, raises MalformedCertificate."""
     try:
         case = case_from_dict(cert["case"])
         tol = float(cert.get("tol", DEFAULT_TOL))
@@ -283,6 +289,9 @@ def replay_certificate(cert: dict) -> Verdict:
         if case.n < 1 or any(m.shape[0] != case.n for m in case.matrices.values()):
             sizes = {k: m.shape[0] for k, m in case.matrices.items()}
             raise ValueError(f"matrix sizes {sizes} do not match n={case.n}")
+        drawn = spec.scalars(np.random.default_rng(0), case.n)
+        if _types(case.scalars) != _types(drawn):
+            raise TypeError(f"scalars {case.scalars} do not match {_types(drawn)}")
     except (KeyError, TypeError, ValueError, AttributeError, NormetryError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
     if fn is None and spec.fn_class is not None:
@@ -360,9 +369,11 @@ def run_campaigns(
     for cid in check_ids:
         _spec(cid, mutation)
     expectation = mutation_expectation(mutation)
-    if trials < 1:
-        raise BadSpec("trials must be >= 1")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise BadSpec(f"trials must be an integer >= 1, got {trials!r}")
     dims = [int(d) for d in dims]
+    if not dims:
+        raise BadSpec("dims must not be empty")
     order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
     wall = dict.fromkeys(order, 0.0)
     min_margin = dict.fromkeys(order, float("inf"))
@@ -433,9 +444,7 @@ def _project(m: np.ndarray, kind: str) -> np.ndarray:
     if kind in ("psd", "pd"):
         spec = linalg.eigh(linalg.hermitian_part(m))
         floor = 0.05 if kind == "pd" else 0.0
-        w = np.maximum(spec.eigenvalues, floor)
-        v = spec.frame
-        return linalg.hermitize((v * w) @ v.conj().T, check=False)
+        return linalg.synthesize(spec.frame, np.maximum(spec.eigenvalues, floor))
     if kind == "unitary":
         return linalg.polar(m).u
     if kind == "contraction":
@@ -445,8 +454,7 @@ def _project(m: np.ndarray, kind: str) -> np.ndarray:
         parts = linalg.polar(m)
         spec = linalg.eigh(parts.abs)
         w = np.maximum(spec.eigenvalues, 1.0)
-        v = spec.frame
-        return parts.u @ linalg.hermitize((v * w) @ v.conj().T, check=False)
+        return parts.u @ linalg.synthesize(spec.frame, w)
     if kind == "normal":
         # polar unitary, eigen-aligned with |M|: keep |M|'s eigenframe and
         # attach the unitary's diagonal phases in that frame

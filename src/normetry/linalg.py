@@ -113,20 +113,24 @@ def hermitian_part(x) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitize(x, check: bool = True) -> np.ndarray:
-    """Symmetrize to (M + M*)/2, optionally rejecting large asymmetry drift.
+def hermitize(x) -> np.ndarray:
+    """Symmetrize to (M + M*)/2, rejecting large asymmetry drift.
 
-    With ``check``, an exactly Hermitian M (M - M* is zero entry for entry)
-    is returned itself, uncopied, so a shared operand keeps its memo.
+    An exactly Hermitian M (M - M* is zero entry for entry) is returned
+    itself, uncopied, so a shared operand keeps its memo.
     """
     m = as_square(x)
-    if check:
-        skew = m - m.conj().T
-        if not skew.any():
-            return m
-        if not _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL):
-            raise DomainError(f"matrix is not Hermitian (drift {opnorm(skew):.3e})")
+    skew = m - m.conj().T
+    if not skew.any():
+        return m
+    if not _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL):
+        raise DomainError(f"matrix is not Hermitian (drift {opnorm(skew):.3e})")
     return (m + m.conj().T) / 2
+
+
+def synthesize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix V diag(w) V*, symmetrized against rounding."""
+    return hermitian_part((v * w) @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,7 @@ def eigvalsh_desc(h) -> np.ndarray:
     return w[::-1]
 
 
-def _clamp_spectrum(w: np.ndarray, require_positive: bool = False) -> np.ndarray:
+def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Clamp roundoff-negative eigenvalues to 0; reject genuinely negative ones."""
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     floor = -NEG_EIG_CLAMP * scale
@@ -193,23 +197,18 @@ def _clamp_spectrum(w: np.ndarray, require_positive: bool = False) -> np.ndarray
         raise DomainError(
             f"eigenvalue {float(np.min(w)):.3e} below the roundoff clamp window"
         )
-    w = np.maximum(w, 0.0)
-    if require_positive and np.any(w == 0.0):
-        raise DomainError("zero eigenvalue for a function singular at 0")
-    return w
+    return np.maximum(w, 0.0)
 
 
-def spectral_apply(f, a, require_positive: bool = False) -> np.ndarray:
+def spectral_apply(f, a) -> np.ndarray:
     """Apply a scalar function on [0, inf) to a PSD-ish Hermitian matrix.
 
     Eigenvalues in [-1e-8*scale, 0) are treated as roundoff and clamped to 0;
     more negative eigenvalues raise DomainError.
     """
     spec = eigh(a)
-    w = _clamp_spectrum(spec.eigenvalues, require_positive=require_positive)
-    fw = np.asarray(f(w), dtype=float)
-    v = spec.frame
-    return hermitize((v * fw) @ v.conj().T, check=False)
+    fw = np.asarray(f(_clamp_spectrum(spec.eigenvalues)), dtype=float)
+    return synthesize(spec.frame, fw)
 
 
 def _svd(x):
@@ -240,11 +239,10 @@ def matrix_abs(x) -> np.ndarray:
             w, v = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
-        out = hermitize((v * np.abs(w)) @ v.conj().T, check=False)
+        out = synthesize(v, np.abs(w))
     else:
         u, s, vh = _svd(x)
-        v = vh.conj().T
-        out = hermitize((v * s) @ v.conj().T, check=False)
+        out = synthesize(vh.conj().T, s)
     if memo is not None:
         out.flags.writeable = False
         memo["matrix_abs"] = out
@@ -258,11 +256,9 @@ def polar(x) -> PolarParts:
     (deterministic) SVD frames, so results are reproducible per input.
     """
     u, s, vh = _svd(x)
-    v = vh.conj().T
-    unitary = u @ vh
-    abs_x = hermitize((v * s) @ v.conj().T, check=False)
-    abs_xstar = hermitize((u * s) @ u.conj().T, check=False)
-    return PolarParts(u=unitary, abs=abs_x, abs_star=abs_xstar)
+    return PolarParts(
+        u=u @ vh, abs=synthesize(vh.conj().T, s), abs_star=synthesize(u, s)
+    )
 
 
 def loewner_leq(x, y, tol: float = 1e-9) -> bool:

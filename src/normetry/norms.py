@@ -8,7 +8,9 @@ evaluated as a redundant cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +40,13 @@ class NormSpec:
 
 
 def ky_fan(k: int) -> NormSpec:
-    if k < 1:
-        raise BadSpec(f"Ky Fan k must be >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise BadSpec(f"Ky Fan k must be an integer >= 1, got {k!r}")
     return NormSpec("kyfan", float(k))
 
 
 def schatten(p: float) -> NormSpec:
-    if p < 1:
+    if not p >= 1:  # a NaN p fails this too
         raise BadSpec(f"Schatten p must be >= 1, got {p}")
     return NormSpec("schatten", float(p))
 
@@ -156,6 +158,27 @@ def scaled_margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, rhs)
 
 
+def compare(check_id: str, labels, lhs, rhs, tol: float) -> Verdict:
+    """Verdict on lhs[i] <= rhs[i] for each labels[i], one record each with
+    its ``scaled_margin``."""
+    lhs = np.asarray(lhs, dtype=float).tolist()
+    rhs = np.asarray(rhs, dtype=float).tolist()
+    records = [
+        ComparisonRecord(label, vl, vr, scaled_margin(vl, vr))
+        for label, vl, vr in zip(labels, lhs, rhs, strict=True)
+    ]
+    return Verdict(check_id=check_id, records=records, tol=tol)
+
+
+def fan_grid(s: np.ndarray) -> np.ndarray:
+    """The norm grid of descending singular values ``s``: the Ky Fan partial
+    sums for k = 1..n, then the Schatten norms of SCHATTEN_GRID, in the
+    order of ``grid_labels(n)``."""
+    return np.concatenate(
+        [np.cumsum(s), [norm_from_sv(s, schatten(p)) for p in SCHATTEN_GRID]]
+    )
+
+
 def dominance_verdict(
     lhs,
     rhs,
@@ -175,28 +198,17 @@ def dominance_verdict(
     sl = singular_values(ml)
     sr = singular_values(mr)
     n = max(sl.size, sr.size)
-    sl, sr = _pad(sl, n), _pad(sr, n)
-    cl, cr = np.cumsum(sl), np.cumsum(sr)
-    records = [
-        ComparisonRecord(
-            label=f"kyfan-{k + 1}",
-            lhs=float(cl[k]),
-            rhs=float(cr[k]),
-            margin=scaled_margin(float(cl[k]), float(cr[k])),
-        )
-        for k in range(n)
-    ]
-    for p in SCHATTEN_GRID:
-        spec = schatten(p)
-        vl, vr = norm_from_sv(sl, spec), norm_from_sv(sr, spec)
-        records.append(
-            ComparisonRecord(
-                label=spec.label(), lhs=vl, rhs=vr, margin=scaled_margin(vl, vr)
-            )
-        )
-    return Verdict(check_id=check_id, records=records, tol=tol)
+    return compare(
+        check_id, grid_labels(n), fan_grid(_pad(sl, n)), fan_grid(_pad(sr, n)), tol
+    )
 
 
 def norm_grid(n: int) -> list[NormSpec]:
     """All Ky Fan k plus the standard Schatten grid for dimension n."""
     return [ky_fan(k) for k in range(1, n + 1)] + [schatten(p) for p in SCHATTEN_GRID]
+
+
+@functools.lru_cache(maxsize=64)
+def grid_labels(n: int) -> tuple[str, ...]:
+    """The labels of ``norm_grid(n)``, which label ``fan_grid``'s entries."""
+    return tuple(spec.label() for spec in norm_grid(n))

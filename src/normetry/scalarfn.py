@@ -102,7 +102,7 @@ def validate_shape(fn, tag: str, grid=None, singular_at_zero: bool = False) -> b
     raise ValueError(f"unknown shape tag {tag!r}")
 
 
-def _make(kind, params, fn, tags, singular_at_zero=False, validate=True) -> ScalarFn:
+def _make(kind, params, fn, tags, singular_at_zero=False) -> ScalarFn:
     sf = ScalarFn(
         kind=kind,
         params=params,
@@ -110,10 +110,9 @@ def _make(kind, params, fn, tags, singular_at_zero=False, validate=True) -> Scal
         tags=frozenset(tags),
         singular_at_zero=singular_at_zero,
     )
-    if validate:
-        for tag in sf.tags:
-            if not validate_shape(sf, tag):
-                raise ShapeValidationFailed(f"{kind}{params} fails {tag}")
+    for tag in sf.tags:
+        if not validate_shape(sf, tag):
+            raise ShapeValidationFailed(f"{kind}{params} fails {tag}")
     return sf
 
 

@@ -158,8 +158,17 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
     empty["case"]["n"] = 0
     for name in empty["case"]["matrices"]:
         empty["case"]["matrices"][name] = {"n": 0, "re": [], "im": []}
+    bad_scalars = []
+    for check_id, name, values in (("eigen-sum", "j", [1.0, "1", None, True]),
+                                   ("ineq5", "m", ["x", 2.5])):
+        case = falsify.sample_case(check_id, 3, 7)
+        good = falsify.make_certificate(case, falsify.run_case(case))
+        for value in values:
+            bad = json.loads(json.dumps(good))
+            bad["case"]["scalars"][name] = value
+            bad_scalars.append(bad)
     for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation,
-                             mixed_sizes, empty]):
+                             mixed_sizes, empty, *bad_scalars]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert run(["replay", str(path)]) == cli.EXIT_USAGE

@@ -129,6 +129,12 @@ def test_campaign_requires_trials():
         falsify.run_campaign("thm1.1", trials=0)
 
 
+@pytest.mark.parametrize("bad", [{"dims": []}, {"trials": 2.5}, {"trials": "3"}])
+def test_campaigns_reject_empty_dims_and_non_integer_trials(bad):
+    with pytest.raises(BadSpec):
+        falsify.run_campaigns(["thm1.1"], **bad)
+
+
 def test_campaign_rejects_mutation_for_other_check():
     with pytest.raises(BadSpec, match="does not apply to ineq4"):
         falsify.run_campaign("ineq4", mutation="drop-vanishing", trials=1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normetry import linalg, norms
 from normetry.errors import BadSpec, DimensionMismatch
@@ -57,6 +59,21 @@ def test_bad_spec():
         schatten(0.5)
     with pytest.raises(BadSpec):
         ky_fan(0)
+
+
+def test_schatten_rejects_nan_p():
+    with pytest.raises(BadSpec):
+        schatten(math.nan)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, math.nan, "2"])
+def test_ky_fan_rejects_non_integer_k(k):
+    with pytest.raises(BadSpec):
+        ky_fan(k)
+
+
+def test_ky_fan_accepts_numpy_integers():
+    assert ky_fan(np.int64(3)).label() == "kyfan-3"
 
 
 def test_unitary_invariance():
@@ -150,3 +167,29 @@ def test_fan_dominance_consistency():
         assert v.passed
         for r in v.records:
             assert r.margin >= -1e-9
+
+
+descending = st.lists(
+    st.floats(min_value=0.0, max_value=1e150), min_size=1, max_size=300
+).map(lambda xs: np.sort(np.array(xs))[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=descending)
+def test_fan_grid_matches_norm_from_sv(s):
+    """fan_grid against the one-norm-at-a-time reference: Schatten entries
+    bit for bit; Ky Fan k by a running sum against numpy's pairwise sum,
+    which agree bit for bit below 8 terms."""
+    n = s.size
+    specs = norms.norm_grid(n)
+    with np.errstate(over="ignore"):  # s**3 overflows in both alike
+        grid = norms.fan_grid(s)
+        refs = [norms.norm_from_sv(s, spec) for spec in specs]
+    assert len(grid) == len(specs) == n + len(norms.SCHATTEN_GRID)
+    assert list(norms.grid_labels(n)) == [spec.label() for spec in specs]
+    for value, spec, ref in zip(grid.tolist(), specs, refs):
+        if spec.kind == "kyfan" and n >= 8:
+            k = int(spec.param)
+            assert abs(value - ref) <= k * np.finfo(float).eps * float(np.sum(s))
+        else:
+            assert value.hex() == ref.hex(), spec.label()
