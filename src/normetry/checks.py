@@ -198,7 +198,7 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True) -> Ver
     sl = norms.singular_values(a1 @ c1 @ b1 + a2 @ c2 @ b2)
     sa = norms.singular_values(a1 @ a1 + a2 @ a2)
     sb = norms.singular_values(b1 @ b1 + b2 @ b2)
-    rhs = np.sqrt(norms.fan_grid(sa) * norms.fan_grid(sb))
+    rhs = norms.sqrt_product(norms.fan_grid(sa), norms.fan_grid(sb))
     return norms.compare(
         "cs-lemma", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
     )
@@ -213,7 +213,7 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
     sl = norms.singular_values(a + b)
     s_abs = norms.singular_values(pa.abs + pb.abs)
     s_abs_star = norms.singular_values(pa.abs_star + pb.abs_star)
-    rhs = np.sqrt(norms.fan_grid(s_abs) * norms.fan_grid(s_abs_star))
+    rhs = norms.sqrt_product(norms.fan_grid(s_abs), norms.fan_grid(s_abs_star))
     return norms.compare(
         "ineq4", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
     )

@@ -362,8 +362,7 @@ def run_campaigns(
     so the operands they share are generated and decomposed once.  Reports and
     verdict rows are the same as one checker at a time would give.  A
     NormetryError raised by a trial is re-raised with the check id, trial
-    index, n and trial seed at the start of its message.  Each distinct
-    scalar-function descriptor is built once per call.
+    index, n and trial seed at the start of its message.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -371,15 +370,18 @@ def run_campaigns(
     expectation = mutation_expectation(mutation)
     if not isinstance(trials, numbers.Integral) or trials < 1:
         raise BadSpec(f"trials must be an integer >= 1, got {trials!r}")
+    dims = list(dims)
+    if not dims or any(
+        isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1
+        for d in dims
+    ):
+        raise BadSpec(f"dims must be a non-empty list of integers >= 1, got {dims!r}")
     dims = [int(d) for d in dims]
-    if not dims:
-        raise BadSpec("dims must not be empty")
     order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
     wall = dict.fromkeys(order, 0.0)
     min_margin = dict.fromkeys(order, float("inf"))
     violations: dict = {cid: [] for cid in order}
     rows: dict = {cid: [] for cid in order}
-    fns: dict = {}  # canonical descriptor JSON -> ScalarFn (or None), this call only
     clock = time.perf_counter
     for i in range(trials):
         n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
@@ -405,10 +407,7 @@ def run_campaigns(
             cid = case.check_id
             start = clock()
             try:
-                key = serialize.canonical_dumps(case.fn_descriptor)
-                if key not in fns:
-                    fns[key] = case.fn()
-                verdict = run_case(case, tol=tol, fn=fns[key])
+                verdict = run_case(case, tol=tol)
             except NormetryError as exc:
                 raise _named(exc, cid, i, case.n, case.seed) from exc
             margin = verdict.min_margin

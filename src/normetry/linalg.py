@@ -45,9 +45,13 @@ def as_square(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix has non-finite entries")
+    _require_finite(m)
     return m
+
+
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
 
 
 def opnorm(x) -> float:
@@ -66,7 +70,7 @@ def is_exactly_hermitian(m: np.ndarray) -> bool:
     (Bhatia, Matrix Analysis, GTM 169), which eigvalsh/eigh give at about
     half the cost of the SVD.
     """
-    return np.array_equal(m, m.conj().T)
+    return bool((m == m.conj().T).all())
 
 
 # Relative slack on the Frobenius stage of _opnorm_within.  It covers the
@@ -129,8 +133,15 @@ def hermitize(x) -> np.ndarray:
 
 
 def synthesize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix V diag(w) V*, symmetrized against rounding."""
-    return hermitian_part((v * w) @ v.conj().T)
+    """The Hermitian matrix V diag(w) V*, symmetrized against rounding.
+
+    Like ``hermitian_part`` of the product, it rejects non-finite entries.
+    """
+    m = (v * w) @ v.conj().T
+    _require_finite(m)
+    h = m + m.conj().T
+    h /= 2
+    return h
 
 
 @dataclass(frozen=True)
@@ -190,13 +201,15 @@ def eigvalsh_desc(h) -> np.ndarray:
 
 
 def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
-    """Clamp roundoff-negative eigenvalues to 0; reject genuinely negative ones."""
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    floor = -NEG_EIG_CLAMP * scale
-    if np.any(w < floor):
-        raise DomainError(
-            f"eigenvalue {float(np.min(w)):.3e} below the roundoff clamp window"
-        )
+    """Clamp roundoff-negative eigenvalues to 0; reject genuinely negative ones.
+
+    ``w`` is descending, so its ends hold its largest magnitude and its least
+    value.
+    """
+    if w.size:
+        top, low = float(w[0]), float(w[-1])
+        if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
+            raise DomainError(f"eigenvalue {low:.3e} below the roundoff clamp window")
     return np.maximum(w, 0.0)
 
 

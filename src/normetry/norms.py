@@ -12,6 +12,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .linalg import as_square, is_exactly_hermitian
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
 SCHATTEN_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,25 @@ def norm_from_sv(s: np.ndarray, spec: NormSpec) -> float:
             raise BadSpec(f"Ky Fan k={k} exceeds dimension {n}")
         return float(np.sum(s[:k]))
     if spec.kind == "schatten":
-        p = spec.param
-        if math.isinf(p):
-            return float(s[0]) if n else 0.0
-        return float(np.sum(s**p) ** (1.0 / p))
+        return _schatten(s, spec.param)
     raise BadSpec(f"unknown norm kind {spec.kind!r}")
+
+
+def _schatten(s: np.ndarray, p: float) -> float:
+    """Schatten p-norm of descending singular values: (sum s**p)**(1/p).
+
+    Where sum s**p leaves the normal float range (it overflows, or
+    underflows while s[0] > 0), the norm is s[0] times that of s/s[0]
+    instead; every other value is the direct one, bit for bit.
+    """
+    if not s.size:
+        return 0.0
+    if p == math.inf:
+        return float(s[0])
+    total = np.add.reduce(s**p)
+    if not _TINY <= total < math.inf and 0.0 < s[0] < math.inf:
+        return float(s[0] * np.add.reduce((s / s[0]) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def norm(x, spec: NormSpec) -> float:
@@ -117,8 +133,7 @@ def weakly_majorized(x, y, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(cx <= cy + slack))
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     """One evaluated comparison: LHS value, RHS value, scaled margin."""
 
     label: str
@@ -174,9 +189,27 @@ def fan_grid(s: np.ndarray) -> np.ndarray:
     """The norm grid of descending singular values ``s``: the Ky Fan partial
     sums for k = 1..n, then the Schatten norms of SCHATTEN_GRID, in the
     order of ``grid_labels(n)``."""
-    return np.concatenate(
-        [np.cumsum(s), [norm_from_sv(s, schatten(p)) for p in SCHATTEN_GRID]]
-    )
+    n = s.size
+    grid = np.empty(n + len(SCHATTEN_GRID))
+    np.add.accumulate(s, out=grid[:n])
+    for i, p in enumerate(SCHATTEN_GRID, n):
+        grid[i] = _schatten(s, p)
+    return grid
+
+
+def sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x * y) entrywise for x, y >= 0.
+
+    Where x * y leaves the normal float range (it overflows or underflows;
+    an exact 0 too, which gives 0 either way), the entry is sqrt(x) *
+    sqrt(y) instead; every other entry is the direct one, bit for bit.
+    """
+    prod = x * y
+    out = np.sqrt(prod)
+    bad = ~((prod >= _TINY) & (prod < math.inf))
+    if bad.any():
+        out[bad] = np.sqrt(x[bad]) * np.sqrt(y[bad])
+    return out
 
 
 def dominance_verdict(
@@ -190,13 +223,13 @@ def dominance_verdict(
 
     Records per-k Ky Fan margins plus a redundant Schatten grid.  With
     pad=False the operands must share a dimension; pad=True zero-pads
-    singular values (used for block-vs-sum comparisons).
+    singular values (used for block-vs-sum comparisons).  Each side is
+    coerced once, by ``singular_values``; a square side has as many
+    singular values as rows, so their counts compare the shapes.
     """
-    ml, mr = as_square(lhs), as_square(rhs)
-    if not pad and ml.shape != mr.shape:
-        raise DimensionMismatch(f"{ml.shape} vs {mr.shape}")
-    sl = singular_values(ml)
-    sr = singular_values(mr)
+    sl, sr = singular_values(lhs), singular_values(rhs)
+    if not pad and sl.size != sr.size:
+        raise DimensionMismatch(f"{(sl.size, sl.size)} vs {(sr.size, sr.size)}")
     n = max(sl.size, sr.size)
     return compare(
         check_id, grid_labels(n), fan_grid(_pad(sl, n)), fan_grid(_pad(sr, n)), tol

@@ -10,12 +10,15 @@ combinations and piecewise-linear concave approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import json
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, MixedClass, ShapeValidationFailed
+from .serialize import canonical_dumps
 
 # class tags
 CONCAVE_NONNEG = "concave-nonneg"
@@ -40,13 +43,21 @@ def canonical_grid(singular_at_zero: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScalarFn:
-    """A scalar function on [0, inf) tagged with its validated shape class."""
+    """A scalar function on [0, inf) tagged with its validated shape class.
+
+    It is immutable: its parameters are kept as canonical JSON, and
+    ``params`` decodes a fresh copy on every access.
+    """
 
     kind: str
-    params: dict
+    params_json: str
     fn: Callable[[np.ndarray], np.ndarray]
     tags: frozenset
     singular_at_zero: bool = False
+
+    @property
+    def params(self) -> dict:
+        return json.loads(self.params_json)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -105,7 +116,7 @@ def validate_shape(fn, tag: str, grid=None, singular_at_zero: bool = False) -> b
 def _make(kind, params, fn, tags, singular_at_zero=False) -> ScalarFn:
     sf = ScalarFn(
         kind=kind,
-        params=params,
+        params_json=canonical_dumps(params),
         fn=fn,
         tags=frozenset(tags),
         singular_at_zero=singular_at_zero,
@@ -343,7 +354,18 @@ _REGISTRY = {
 
 
 def from_descriptor(d: dict) -> ScalarFn:
-    """Rebuild a ScalarFn from its JSON descriptor (for certificate replay)."""
+    """Rebuild a ScalarFn from its JSON descriptor (for certificate replay).
+
+    Functions are validated once per process: a descriptor with the same
+    canonical JSON as one built before returns that same immutable object.
+    A descriptor that fails is not kept, so it raises again on every call.
+    """
+    return _from_canonical(canonical_dumps(d))
+
+
+@functools.lru_cache(maxsize=256)
+def _from_canonical(key: str) -> ScalarFn:
+    d = json.loads(key)
     try:
         ctor = _REGISTRY[d["kind"]]
     except KeyError as exc:

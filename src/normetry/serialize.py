@@ -38,22 +38,26 @@ def mat_from_json(d: dict) -> np.ndarray:
     return m
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def fingerprint(obj, matrices: dict) -> str:
     """Short stable hash of a JSON-serializable object and named matrices.
 
     The object is hashed as canonical JSON.  Each matrix, in name order,
-    adds its name and shape as canonical JSON and then its entries as raw
-    little-endian complex128 bytes, so the hash costs one pass over memory
-    rather than a decimal encoding of every entry.
+    adds its name and shape as canonical JSON (``["a",[2,2]]``) and then its
+    entries as raw little-endian complex128 bytes, so the hash costs one
+    pass over memory rather than a decimal encoding of every entry.
     """
     h = hashlib.sha256(canonical_dumps(obj).encode())
     for name in sorted(matrices):
         m = np.ascontiguousarray(matrices[name], dtype="<c16")
-        h.update(canonical_dumps([name, m.shape]).encode())
-        h.update(m.tobytes())
+        shape = ",".join(map(str, m.shape))
+        h.update(f"[{canonical_dumps(name)},[{shape}]]".encode())
+        h.update(m)
     return h.hexdigest()[:16]

@@ -393,19 +393,44 @@ def test_prop_3_4_seed35():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("check", ["prop3.4", "cs-lemma"])
 def test_nan_margin_fails_the_verdict(check):
-    """Scaled far up, the Schatten-3 margin overflows to NaN while the
-    others stay finite; a NaN in any record must fail the verdict."""
+    """Singular values near the top of the float range: a Ky Fan partial
+    sum overflows on both sides (or its square root product does), so its
+    margin is NaN while the first stays finite; a NaN in any record must
+    fail the verdict."""
+    eye = np.eye(3, dtype=complex)
     if check == "prop3.4":
-        a, b = (generate(GenSpec("normal", 3, seed)) * 1e110 for seed in (11, 12))
-        v = checks.check_prop_3_4(a, b)
+        a = np.diag([0.7e308] * 3).astype(complex)
+        v = checks.check_prop_3_4(a, 0 * eye, enforce=False)
     else:
-        psds = [generate(GenSpec("psd", 3, seed)) * 1e60 for seed in range(11, 15)]
-        cons = [generate(GenSpec("contraction", 3, seed)) for seed in (15, 16)]
-        v = checks.check_cs_lemma(*psds, *cons)
+        a1 = np.diag([1e154, 0.9e154, 1.0]).astype(complex)
+        v = checks.check_cs_lemma(a1, 0 * eye, eye, eye, eye, eye)
     margins = [r.margin for r in v.records]
     assert np.isnan(margins).any() and not np.isnan(margins[0])
     assert not v.passed
     assert np.isnan(v.min_margin)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("check, scale", [("prop3.4", 1e110), ("prop3.4", 1e150),
+                                          ("cs-lemma", 1e60), ("cs-lemma", 1e80)])
+def test_grid_margins_stay_finite_far_up_the_scale(check, scale):
+    """Scaled far up, sum(s**p) and the product of two grids overflow; the
+    scale-safe Schatten norms and square-root products keep every margin
+    finite, equal to the margins of the same operands scaled by 1e10."""
+
+    def verdict(c):
+        if check == "prop3.4":
+            a, b = (generate(GenSpec("normal", 3, seed)) * c for seed in (11, 12))
+            return checks.check_prop_3_4(a, b)
+        psds = [generate(GenSpec("psd", 3, seed)) * c for seed in range(11, 15)]
+        cons = [generate(GenSpec("contraction", 3, seed)) for seed in (15, 16)]
+        return checks.check_cs_lemma(*psds, *cons)
+
+    v, ref = verdict(scale), verdict(1e10)
+    assert v.passed
+    margins = [r.margin for r in v.records]
+    assert np.isfinite(margins).all()
+    np.testing.assert_allclose(margins, [r.margin for r in ref.records], rtol=1e-9)
 
 
 def test_prop_3_5_sweep_seed4():

@@ -135,6 +135,18 @@ def test_campaigns_reject_empty_dims_and_non_integer_trials(bad):
         falsify.run_campaigns(["thm1.1"], **bad)
 
 
+@pytest.mark.parametrize("dims", [[2.7], [2.0], [True], [2, False], [0], [-3], ["2"], [None]])
+def test_campaigns_reject_dims_that_are_not_integers_from_1(dims):
+    with pytest.raises(BadSpec, match="dims"):
+        falsify.run_campaigns(["thm1.1"], trials=1, dims=dims)
+
+
+def test_campaigns_accept_numpy_integer_dims():
+    report = falsify.run_campaigns(["thm1.1"], trials=2, dims=np.array([2, 3]),
+                                   keep_verdicts=True)[0]
+    assert [len(row["records"]) for row in report.verdicts] == [2 + 5, 3 + 5]
+
+
 def test_campaign_rejects_mutation_for_other_check():
     with pytest.raises(BadSpec, match="does not apply to ineq4"):
         falsify.run_campaign("ineq4", mutation="drop-vanishing", trials=1)

@@ -398,3 +398,102 @@ def test_is_normal_of_exactly_hermitian_matches_reference(seed, n, log_scale, to
     h = rand_hermitian(n, seed) * 10.0**log_scale
     assert linalg.is_exactly_hermitian(h)
     assert linalg.is_normal(h, tol) == svd_is_normal(h, tol)
+
+
+def bad_inputs():
+    """Non-finite entries (NaN, +inf, -inf, complex NaN) and non-square shapes."""
+    out = []
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = m[2, 1] = value
+        out.append(pytest.param(m, DomainError, id=f"entry-{value}"))
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        out.append(pytest.param(np.ones(shape), DimensionMismatch, id=f"shape-{shape}"))
+    return out
+
+
+@pytest.mark.parametrize("func", [
+    linalg.as_square, linalg.hermitize, linalg.eigh, linalg.hermitian_part,
+    linalg.matrix_abs, linalg.eigvalsh_desc,
+])
+@pytest.mark.parametrize("bad, error", bad_inputs())
+def test_guards_still_fire_on_bad_input(func, bad, error):
+    with pytest.raises(error):
+        func(bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_synthesize_rejects_a_non_finite_product():
+    """f(w) = 1/w is inf on the zero eigenvalue; the product V diag(f(w)) V*
+    is rejected, as ``hermitian_part`` of it would be."""
+    with pytest.raises(DomainError):
+        linalg.spectral_apply(lambda w: 1.0 / w, np.diag([0.0, 1.0]).astype(complex))
+    v = np.eye(2, dtype=complex)
+    with pytest.raises(DomainError):
+        linalg.synthesize(v, np.array([np.nan, 1.0]))
+    big = np.full(2, 1.5e308)
+    with pytest.raises(DomainError):  # finite weights, overflowing product
+        linalg.synthesize(np.full((2, 2), 1.0, dtype=complex), big)
+
+
+def test_synthesize_equals_hermitian_part_of_the_product():
+    for seed in range(20):
+        spec = linalg.eigh(rand_hermitian(5, seed))
+        w = np.abs(spec.eigenvalues)
+        out = linalg.synthesize(spec.frame, w)
+        ref = linalg.hermitian_part((spec.frame * w) @ spec.frame.conj().T)
+        assert out.tobytes() == ref.tobytes()
+
+
+def clamp_reference(w):
+    """The clamp window decided over every eigenvalue, not just the ends."""
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return not np.any(w < -linalg.NEG_EIG_CLAMP * scale)
+
+
+@pytest.mark.parametrize("top", [0.5, 1.0, 3.0, 1e6])
+@pytest.mark.parametrize("placement", [0.5, 1.0, 2.0])
+def test_clamp_window_decides_as_the_full_scan(top, placement):
+    """Descending spectra whose least eigenvalue sits inside, on or past the
+    window, with the largest magnitude at either end."""
+    clamp = linalg.NEG_EIG_CLAMP
+    for w in (
+        [top, top / 2, 0.0, -placement * clamp * max(1.0, top)],
+        [clamp / 10, -placement * clamp],
+        [1e-3, -0.5, -top],
+    ):
+        w = np.array(w)
+        if clamp_reference(w):
+            assert linalg._clamp_spectrum(w).tolist() == np.maximum(w, 0.0).tolist()
+        else:
+            with pytest.raises(DomainError):
+                linalg._clamp_spectrum(w)
+
+
+def signed_zero_matrix(re, im):
+    m = np.empty(re.shape, dtype=complex)
+    m.real, m.imag = re, im
+    return m
+
+
+finite_or_not = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-310, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    data=st.data(),
+    mode=st.sampled_from(["random", "hermitian", "hermitian-signed-zero"]),
+)
+def test_is_exactly_hermitian_agrees_with_array_equal(n, data, mode):
+    entries = st.lists(finite_or_not, min_size=n * n, max_size=n * n)
+    re = np.array(data.draw(entries)).reshape(n, n)
+    im = np.array(data.draw(entries)).reshape(n, n)
+    if mode != "random":
+        re = np.triu(re) + np.triu(re, 1).T
+        im = np.triu(im, 1) - np.triu(im, 1).T
+    if mode == "hermitian-signed-zero":
+        im = np.where(im == 0, -0.0, im)
+    m = signed_zero_matrix(re, im)
+    expected = np.array_equal(m, m.conj().T)
+    assert linalg.is_exactly_hermitian(m) is expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normetry import linalg, norms
-from normetry.errors import BadSpec, DimensionMismatch
+from normetry.errors import BadSpec, DimensionMismatch, DomainError
 from normetry.norms import OPERATOR, TRACE, ky_fan, schatten
 from normetry.rand import GenSpec, derive_stream, generate
 
@@ -193,3 +193,109 @@ def test_fan_grid_matches_norm_from_sv(s):
             assert abs(value - ref) <= k * np.finfo(float).eps * float(np.sum(s))
         else:
             assert value.hex() == ref.hex(), spec.label()
+
+
+def direct_schatten(s, p):
+    """Schatten-p as computed before any scaling: sum(s**p)**(1/p)."""
+    return float(np.sum(s**p) ** (1.0 / p))
+
+
+in_range = st.lists(
+    st.floats(min_value=1e-60, max_value=1e60), min_size=1, max_size=40
+).map(lambda xs: np.sort(np.array(xs))[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=in_range)
+def test_fan_grid_in_range_is_the_direct_formula_bit_for_bit(s):
+    grid = norms.fan_grid(s)
+    n = s.size
+    assert grid[:n].tobytes() == np.cumsum(s).tobytes()
+    for value, p in zip(grid[n:].tolist(), norms.SCHATTEN_GRID):
+        ref = float(s[0]) if math.isinf(p) else direct_schatten(s, p)
+        assert value.hex() == ref.hex(), p
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e-120, 1e-105, 1e110, 1e200, 1e300])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_schatten_is_scale_safe(scale, p):
+    """Where sum(s**p) over- or underflows, the norm is still homogeneous."""
+    x = generate(GenSpec("general", 5, 61))
+    s = norms.singular_values(x)
+    ref = scale * direct_schatten(s, p)
+    got = norms.norm(x * scale, schatten(p))
+    assert math.isfinite(got) and got > 0
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    grid = norms.fan_grid(norms.singular_values(x * scale))
+    assert grid[s.size + norms.SCHATTEN_GRID.index(p)] == got
+
+
+def test_schatten_of_zero_is_zero():
+    assert norms.norm(np.zeros((3, 3)), schatten(3.0)) == 0.0
+    assert norms.fan_grid(np.zeros(2)).tolist() == [0.0] * 7
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sqrt_product_is_scale_safe_and_exact_in_range():
+    x = np.array([4.0, 1e200, 1e-200, 0.0, 2.0, 1e300, 3e-160])
+    y = np.array([9.0, 1e200, 1e-200, 5.0, 0.0, np.inf, 3e-160])
+    out = norms.sqrt_product(x, y)
+    assert out.tolist() == [6.0, 1e200, 1e-200, 0.0, 0.0, np.inf, 3e-160]
+    rng = np.random.default_rng(4)
+    a, b = rng.random(50) * 1e3, rng.random(50) * 1e3
+    assert norms.sqrt_product(a, b).tobytes() == np.sqrt(a * b).tobytes()
+
+
+@pytest.mark.parametrize("lengths", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (3, 1, 3), (3, 3, 1)])
+def test_compare_rejects_mismatched_lengths(lengths):
+    nl, nx, ny = lengths
+    with pytest.raises(ValueError):
+        norms.compare("t", ["l"] * nl, np.ones(nx), np.ones(ny), 1e-9)
+
+
+def test_compare_margins_are_scaled_margin_record_for_record():
+    lhs = [0.5, 2.0, 3.0, math.nan, 1.0, -0.0, math.inf, 1.0]
+    rhs = [1.0, 1.5, 4.0, 1.0, math.nan, 0.0, math.inf, math.inf]
+    labels = [f"r{i}" for i in range(len(lhs))]
+    v = norms.compare("t", labels, lhs, rhs, 1e-9)
+    assert [r.label for r in v.records] == labels
+    for r, vl, vr in zip(v.records, lhs, rhs):
+        assert (r.lhs.hex(), r.rhs.hex()) == (vl.hex(), vr.hex())
+        assert r.margin.hex() == norms.scaled_margin(vl, vr).hex()
+        assert type(r.margin) is float
+
+
+def test_comparison_record_is_immutable():
+    r = norms.ComparisonRecord("k", 1.0, 2.0, 0.5)
+    with pytest.raises(AttributeError):
+        r.margin = 0.0
+    assert (r.label, r.lhs, r.rhs, r.margin) == ("k", 1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_dominance_verdict_rejects_non_finite_sides(value, side):
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = value
+    args = (bad, np.eye(3)) if side == "lhs" else (np.eye(3), bad)
+    with pytest.raises(DomainError):
+        norms.dominance_verdict(*args)
+    with pytest.raises(DomainError):
+        norms.singular_values(bad)
+
+
+@pytest.mark.parametrize("pad", [False, True])
+def test_dominance_verdict_rejects_non_square_sides(pad):
+    for args in ((np.ones((2, 3)), np.eye(2)), (np.eye(2), np.ones(4))):
+        with pytest.raises(DimensionMismatch):
+            norms.dominance_verdict(*args, pad=pad)
+    with pytest.raises(DimensionMismatch):
+        norms.singular_values(np.ones((2, 3)))
+
+
+def test_dominance_verdict_pads_only_when_asked():
+    v = norms.dominance_verdict(np.eye(2), 2 * np.eye(3), pad=True)
+    assert v.passed and len(v.records) == 3 + len(norms.SCHATTEN_GRID)
+    with pytest.raises(DimensionMismatch, match=r"\(2, 2\) vs \(3, 3\)"):
+        norms.dominance_verdict(np.eye(2), 2 * np.eye(3))

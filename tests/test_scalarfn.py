@@ -161,3 +161,54 @@ def test_descriptor_roundtrip():
         t = np.linspace(0.0, 10.0, 97)
         np.testing.assert_array_equal(g.fn(t), f.fn(t))
         assert g.tags == f.tags
+
+
+def test_repeated_descriptor_returns_the_same_validated_function():
+    d = {"kind": "power", "s": 0.375}
+    f = sf.from_descriptor(d)
+    assert sf.from_descriptor(dict(d)) is f
+    assert sf.from_descriptor({"s": 0.375, "kind": "power"}) is f  # key order
+    assert sf.from_descriptor({"kind": "power", "s": 0.5}) is not f
+    cone = {"kind": "cone", "weights": [1.0, 2.0],
+            "members": [{"kind": "sqrt"}, {"kind": "log1p"}]}
+    assert sf.from_descriptor(cone) is sf.from_descriptor(cone)
+
+
+def test_validation_runs_once_per_descriptor(monkeypatch):
+    calls = []
+    real = sf.validate_shape
+    monkeypatch.setattr(sf, "validate_shape", lambda *a, **k: calls.append(a) or real(*a, **k))
+    d = {"kind": "ratio-shift", "c": 0.123456789}
+    sf.from_descriptor(d)
+    first = len(calls)
+    sf.from_descriptor(d)
+    assert first >= 1 and len(calls) == first
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"kind": "power", "s": 1.5}, ShapeValidationFailed),
+    ({"kind": "angle", "a": -1.0}, ShapeValidationFailed),
+    ({"kind": "no-such-kind"}, DomainError),
+    ({"kind": "power"}, KeyError),
+    ({"kind": "cone", "weights": [1.0, 1.0],
+      "members": [{"kind": "sqrt"}, {"kind": "angle", "a": 1.0}]}, MixedClass),
+])
+def test_bad_descriptor_raises_every_time(bad, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            sf.from_descriptor(bad)
+
+
+def test_cached_function_params_cannot_be_mutated():
+    d = {"kind": "pwl-concave", "breakpoints": [[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]}
+    f = sf.from_descriptor(d)
+    f.params["breakpoints"][1][1] = 99.0
+    f.descriptor()["breakpoints"].append([9.0, 9.0])
+    d["breakpoints"][2][1] = 7.0  # the caller's own dict is not kept either
+    with pytest.raises(AttributeError):
+        f.params = {}
+    g = sf.from_descriptor({"kind": "pwl-concave",
+                            "breakpoints": [[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]})
+    assert g is f
+    assert f.descriptor() == {"kind": "pwl-concave",
+                              "breakpoints": [[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]]}

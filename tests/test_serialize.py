@@ -57,3 +57,35 @@ def test_fingerprint_sees_every_part():
     assert serialize.fingerprint({"k": 2}, {"a": a}) != fp
     assert serialize.fingerprint({"k": 1}, {"b": a}) != fp
     assert serialize.fingerprint({"k": 1}, {"a": a.reshape(1, 4)}) != fp
+
+
+def reference_fingerprint(obj, matrices: dict) -> str:
+    """The fingerprint with every header encoded by ``json.dumps``."""
+    import hashlib
+    import json
+
+    def canonical(x):
+        return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+    h = hashlib.sha256(canonical(obj).encode())
+    for name in sorted(matrices):
+        m = np.ascontiguousarray(matrices[name], dtype="<c16")
+        h.update(canonical([name, m.shape]).encode())
+        h.update(m.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_fingerprint_equals_the_json_header_reference():
+    rng = np.random.default_rng(8)
+    obj = {"check_id": "thm1.1", "n": 3, "seed": 5, "kinds": {"a0": "psd"},
+           "scalars": {"j": 1}, "fn": {"kind": "power", "s": 0.25}, "mutation": None}
+    cases = [
+        {},
+        {"a0": signed_zeros()},
+        {"z": rng.standard_normal((3, 3)), "a1": np.eye(3, dtype=complex)},
+        {"é\"\\\n": np.ones((1, 1)), "b": rng.standard_normal((6, 6)).T},
+        {"v": np.arange(4.0), "t": np.zeros((2, 2, 2))},
+        {"big": rng.standard_normal((40, 40)) + 1j},
+    ]
+    for mats in cases:
+        assert serialize.fingerprint(obj, mats) == reference_fingerprint(obj, mats)
