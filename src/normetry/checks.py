@@ -33,249 +33,330 @@ from .norms import DEFAULT_TOL, ComparisonRecord, Verdict
 PREDICATE_TOL = 1e-8  # slack for hypothesis predicates on generated inputs
 
 
-def _require_tag(f: scalarfn.ScalarFn, tag: str, enforce: bool) -> None:
-    if enforce and tag not in f.tags:
-        raise ShapeValidationFailed(f"{f.kind} lacks required class {tag}")
+def _stack(x) -> np.ndarray:
+    """An operand as a (T, n, n) stack; a single matrix is a stack of one."""
+    m = linalg.as_square(x)
+    return m[None] if m.ndim == 2 else m
 
 
-def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> Verdict:
-    """Verdict for lhs <= rhs in the Loewner order.
+def _split(x: np.ndarray, k: int) -> np.ndarray:
+    """A joined result of k stacks, back as k stacks."""
+    return x.reshape(k, -1, *x.shape[1:])
+
+
+def _spectrum_rows(spec: linalg.Spectrum, rows: slice) -> linalg.Spectrum:
+    return linalg.Spectrum(spec.eigenvalues[rows], spec.frame[rows])
+
+
+def _spectral_apply(f, *stacks) -> np.ndarray:
+    """``spectral_apply`` of f to each Hermitian stack, in one call; a
+    shared stack's eigh is taken once (``linalg.joined``)."""
+    spec = linalg.joined(linalg.eigh, *stacks)
+    return _split(linalg.apply_spectrum(_repeat_fns(f, len(stacks)), spec), len(stacks))
+
+
+def _out(verdicts: list, single: bool):
+    """One verdict for a single case, a list for a stack."""
+    return verdicts[0] if single else verdicts
+
+
+def _fns(f, t: int) -> list:
+    """The scalar function of each of t matrices: ``f`` is one for all of
+    them, or a sequence of one per matrix."""
+    return [f] * t if callable(f) else list(f)
+
+
+def _repeat_fns(f, k: int):
+    """``f`` for k joined stacks."""
+    return f if callable(f) else list(f) * k
+
+
+def _per_row(x, t: int) -> np.ndarray:
+    """A scalar argument (j, k, z, m) as one value per matrix."""
+    x = np.reshape(x, -1)
+    return x if len(x) == t else np.repeat(x, t)
+
+
+def _require_tag(f, tag: str, enforce: bool) -> None:
+    if enforce:
+        for fn in _fns(f, 1):
+            if tag not in fn.tags:
+                raise ShapeValidationFailed(f"{fn.kind} lacks required class {tag}")
+
+
+def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
+    """Verdict for lhs <= rhs in the Loewner order, one per matrix.
 
     Margin is lambda_min(rhs - lhs) scaled by max(1, ||rhs - lhs||_op),
     recorded as a single comparison row.
     """
-    ml, mr = linalg.as_square(lhs), linalg.as_square(rhs)
-    if ml.shape != mr.shape:
-        raise DimensionMismatch(f"{ml.shape} vs {mr.shape}")
-    d = linalg.hermitian_part(mr - ml)
-    w = linalg.eigvalsh_desc(d)
-    lam_min = float(w[-1]) if w.size else 0.0
-    lam_max = float(w[0]) if w.size else 0.0
-    scale = max(1.0, max(abs(lam_min), abs(lam_max)))
-    margin = lam_min / scale
-    rec = ComparisonRecord(label="loewner", lhs=-lam_min, rhs=0.0, margin=margin)
-    return Verdict(check_id=check_id, records=[rec], tol=tol)
+    if lhs.shape != rhs.shape:
+        raise DimensionMismatch(f"{lhs.shape[1:]} vs {rhs.shape[1:]}")
+    w = linalg.eigvalsh_desc(linalg.hermitian_part(rhs - lhs))
+    if not w.shape[-1]:
+        w = np.zeros(w.shape[:-1] + (1,))
+    return [
+        Verdict(check_id=check_id, tol=tol, records=[ComparisonRecord(
+            label="loewner", lhs=-low, rhs=0.0,
+            margin=low / max(1.0, max(abs(low), abs(top))))])
+        for low, top in zip(w[:, -1].tolist(), w[:, 0].tolist())
+    ]
 
 
-def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
     """||f(sum A_i)|| <= ||sum f(A_i)|| for concave f >= 0 and PSD A_i."""
     if len(operands) < 2:
         raise BadSpec("need at least two operands")
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    mats = [linalg.as_square(a) for a in operands]
+    single = np.ndim(operands[0]) == 2
+    mats = [_stack(a) for a in operands]
     total = sum(mats[1:], start=mats[0])
-    lhs = linalg.spectral_apply(f, total)
-    rhs = sum(linalg.spectral_apply(f, a) for a in mats)
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="thm1.1")
+    parts = _spectral_apply(f, total, *mats)
+    v = norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
+    return _out(v, single)
 
 
-def check_thm_1_2(g, a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_thm_1_2(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
     _require_tag(g, scalarfn.CONVEX_VANISHING, enforce)
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    lhs = linalg.spectral_apply(g, a) + linalg.spectral_apply(g, b)
-    rhs = linalg.spectral_apply(g, a + b)
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="thm1.2")
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
+    ga, gb, gs = _spectral_apply(g, a, b, a + b)
+    v = norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
+    return _out(v, single)
 
 
-def check_davis_hansen(f, a, z, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_davis_hansen(f, a, z, tol=DEFAULT_TOL, enforce=True):
     """Z* f(A) Z <= f(Z* A Z) for operator concave f, f(0) >= 0, ||Z|| <= 1.
 
     The compression case (Z an orthogonal projection followed by a subspace
     embedding) is the classical inequality for compressions.
     """
     _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    a, z = linalg.as_square(a), linalg.as_square(z)
-    if enforce and not linalg.is_contraction(z, tol=PREDICATE_TOL):
+    single = np.ndim(a) == 2
+    a, z = _stack(a), _stack(z)
+    if enforce and not linalg.is_contraction(z, tol=PREDICATE_TOL).all():
         raise NotAContraction("Z*Z has an eigenvalue above 1")
-    lhs = z.conj().T @ linalg.spectral_apply(f, a) @ z
-    rhs = linalg.spectral_apply(f, linalg.hermitian_part(z.conj().T @ a @ z))
-    return _loewner_verdict("davis-hansen", lhs, rhs, tol)
+    zh = z.conj().swapaxes(-1, -2)
+    fa, fz = _spectral_apply(f, a, linalg.hermitian_part(zh @ a @ z))
+    return _out(_loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol), single)
 
 
-def _require_pd(m, name: str) -> None:
-    w = linalg.eigvalsh_desc(linalg.hermitian_part(m))
-    if w[-1] <= 1e-12 * max(1.0, float(w[0])):
-        raise NotPositiveDefinite(f"{name} is not positive definite")
+def _require_pd(**named) -> None:
+    """Each named stack is positive definite, matrix by matrix."""
+    stacks = np.concatenate(list(named.values()))
+    w = _split(linalg.eigvalsh_desc(linalg.hermitian_part(stacks)), len(named))
+    for name, wn in zip(named, w):
+        if np.any(wn[:, -1] <= 1e-12 * np.maximum(1.0, wn[:, 0])):
+            raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
     """A^(1/2) phi(A+B) A^(1/2) + B^(1/2) phi(A+B) B^(1/2) <= f(A) + f(B)
 
     with phi(t) = f(t)/t, for operator concave f and A, B > 0.
     """
     _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    a, b = linalg.as_square(a), linalg.as_square(b)
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
     if enforce:
-        _require_pd(a, "A")
-        _require_pd(b, "B")
-    spec = linalg.eigh(a + b)
-    w = spec.eigenvalues
+        _require_pd(A=a, B=b)
+    t = len(a)
+    spec = linalg.joined(linalg.eigh, a + b, a, b)
+    w = spec.eigenvalues[:t]
     if np.any(w <= 0):
         raise NotPositiveDefinite("A+B is not positive definite")
-    phi = linalg.synthesize(spec.frame, f(w) / w)
-    ra = linalg.spectral_apply(np.sqrt, a)
-    rb = linalg.spectral_apply(np.sqrt, b)
+    # f takes each matrix's own eigenvalue row, laid out as eigh returns it:
+    # numpy can round a transcendental function differently by layout
+    phi = linalg.synthesize(spec.frame[:t], linalg._apply_rows(_fns(f, t), w) / w)
+    parts = _spectrum_rows(spec, slice(t, None))
+    ra, rb = _split(linalg.apply_spectrum(np.sqrt, parts), 2)
+    fa, fb = _split(linalg.apply_spectrum(_repeat_fns(f, 2), parts), 2)
     lhs = ra @ phi @ ra + rb @ phi @ rb
-    rhs = linalg.spectral_apply(f, a) + linalg.spectral_apply(f, b)
-    return _loewner_verdict("pinching-eq2", lhs, rhs, tol)
+    return _out(_loewner_verdict("pinching-eq2", lhs, fa + fb, tol), single)
 
 
-def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """||(A+B) g(A+B)|| <= ||A^(1/2) g(A+B) A^(1/2) + B^(1/2) g(A+B) B^(1/2)||
 
     for g decreasing with t*g(t) increasing, A, B >= 0 (A+B > 0 when g is
     singular at 0).
     """
     _require_tag(g, scalarfn.DECREASING_TG_INCREASING, enforce)
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    spec = linalg.eigh(a + b)
-    w = np.maximum(spec.eigenvalues, 0.0)
-    if g.singular_at_zero and np.any(w <= 0):
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
+    t = len(a)
+    spec = linalg.joined(linalg.eigh, a + b, a, b)
+    w = np.maximum(spec.eigenvalues[:t], 0.0)
+    singular = np.array([fn.singular_at_zero for fn in _fns(g, t)])
+    if np.any(singular & np.any(w <= 0, axis=-1)):
         raise NotPositiveDefinite("A+B must be positive definite for singular g")
-    gw = np.asarray(g(w), dtype=float)
-    g_sum = linalg.synthesize(spec.frame, gw)
-    lhs = linalg.synthesize(spec.frame, w * gw)
-    ra = linalg.spectral_apply(np.sqrt, a)
-    rb = linalg.spectral_apply(np.sqrt, b)
+    gw = linalg._apply_rows(g, w)
+    v = spec.frame[:t]
+    g_sum, lhs = _split(
+        linalg.synthesize(np.concatenate((v, v)), np.concatenate((gw, w * gw))), 2)
+    roots = linalg.apply_spectrum(np.sqrt, _spectrum_rows(spec, slice(t, None)))
+    ra, rb = _split(roots, 2)
     rhs = ra @ g_sum @ ra + rb @ g_sum @ rb
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1")
+    return _out(norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1"), single)
 
 
-def check_thm_2_4(f, a, z, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_thm_2_4(f, a, z, tol=DEFAULT_TOL, enforce=True):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    a, z = linalg.as_square(a), linalg.as_square(z)
-    if enforce and not linalg.is_expansive(z, tol=PREDICATE_TOL):
+    single = np.ndim(a) == 2
+    a, z = _stack(a), _stack(z)
+    if enforce and not linalg.is_expansive(z, tol=PREDICATE_TOL).all():
         raise NotExpansive("Z*Z has an eigenvalue below 1")
-    lhs = linalg.spectral_apply(f, linalg.hermitian_part(z.conj().T @ a @ z))
-    rhs = z.conj().T @ linalg.spectral_apply(f, a) @ z
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="thm2.4")
+    zh = z.conj().swapaxes(-1, -2)
+    lhs, fa = _spectral_apply(f, linalg.hermitian_part(zh @ a @ z), a)
+    v = norms.dominance_verdict(lhs, zh @ fa @ z, tol=tol, check_id="thm2.4")
+    return _out(v, single)
 
 
 def _f_eigs_desc(f, m) -> np.ndarray:
     """Descending eigenvalues of f(M) for M PSD-ish and f on [0, inf)."""
     w = np.maximum(linalg.eigvalsh_desc(m), 0.0)
-    return np.sort(np.asarray(f(w), dtype=float))[::-1]
+    return np.sort(linalg._apply_rows(f, w))[..., ::-1]
 
 
-def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def _eigen_indices(j, k, t: int, n: int):
+    """Per-matrix indices j, k with their labels; raises unless j, k >= 0
+    and j + k + 1 <= n."""
+    j, k = _per_row(j, t), _per_row(k, t)
+    bad = (j < 0) | (k < 0) | (j + k + 1 > n)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise IndexOutOfRange(f"need j,k >= 0 and j+k+1 <= n, got {j[i]},{k[i]},{n}")
+    labels = [[f"lambda-j{a}-k{b}"] for a, b in zip(j.tolist(), k.tolist())]
+    return j, k, labels
+
+
+def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
     """lambda_{j+k+1}(f(S)) <= lambda_{j+1}(f(A')) + lambda_{k+1}(f(B')).
 
     For PSD A, B this uses S = A+B, A' = A, B' = B; otherwise the absolute
     values |A+B|, |A|, |B| are used (triangle-inequality form).
     """
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    n = a.shape[0]
-    if j < 0 or k < 0 or j + k + 1 > n:
-        raise IndexOutOfRange(f"need j,k >= 0 and j+k+1 <= n, got {j},{k},{n}")
-    psd_mode = linalg.is_psd(a, tol=PREDICATE_TOL) and linalg.is_psd(
-        b, tol=PREDICATE_TOL
-    )
-    if psd_mode:
-        s_mat, a_mat, b_mat = a + b, a, b
-    else:
-        s_mat = linalg.matrix_abs(a + b)
-        a_mat, b_mat = linalg.matrix_abs(a), linalg.matrix_abs(b)
-    lhs = float(_f_eigs_desc(f, s_mat)[j + k])
-    rhs = float(_f_eigs_desc(f, a_mat)[j]) + float(_f_eigs_desc(f, b_mat)[k])
-    return norms.compare("eigen-sum", [f"lambda-j{j}-k{k}"], [lhs], [rhs], tol)
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
+    t, n = a.shape[:2]
+    j, k, labels = _eigen_indices(j, k, t, n)
+    psd = linalg.is_psd(a, tol=PREDICATE_TOL) & linalg.is_psd(b, tol=PREDICATE_TOL)
+    trio = np.stack((a + b, a, b))
+    rest = ~psd
+    if rest.any():
+        parts = (trio[0], a, b) if rest.all() else (trio[0][rest], a[rest], b[rest])
+        trio[:, rest] = _split(linalg.joined(linalg.matrix_abs, *parts), 3)
+    vals = _split(_f_eigs_desc(_repeat_fns(f, 3), trio.reshape(-1, n, n)), 3)
+    rows = np.arange(t)
+    lhs = vals[0][rows, j + k]
+    rhs = vals[1][rows, j] + vals[2][rows, k]
+    v = norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
+    return _out(v, single)
 
 
-def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def _grid_rhs(s: np.ndarray):
+    """Fan grids of a joined (lhs, x, y) stack of singular values, with the
+    right-hand side sqrt(grid(x) * grid(y)) of cs-lemma and ineq4."""
+    lhs, gx, gy = _split(norms.fan_grid(s), 3)
+    return lhs, norms.sqrt_product(gx, gy)
+
+
+def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
     per symmetric norm, for PSD A_i, B_i and contractions C_i.
     """
-    a1, a2 = linalg.as_square(a1), linalg.as_square(a2)
-    b1, b2 = linalg.as_square(b1), linalg.as_square(b2)
-    c1, c2 = linalg.as_square(c1), linalg.as_square(c2)
+    single = np.ndim(a1) == 2
+    a1, a2, b1, b2 = _stack(a1), _stack(a2), _stack(b1), _stack(b2)
+    c1, c2 = _stack(c1), _stack(c2)
     if enforce:
-        for name, c in (("C1", c1), ("C2", c2)):
-            if not linalg.is_contraction(c, tol=PREDICATE_TOL):
+        c = np.concatenate((c1, c2))
+        ok = _split(linalg.is_contraction(c, tol=PREDICATE_TOL), 2)
+        for name, okc in zip(("C1", "C2"), ok):
+            if not okc.all():
                 raise NotAContraction(f"{name} is not a contraction")
-    sl = norms.singular_values(a1 @ c1 @ b1 + a2 @ c2 @ b2)
-    sa = norms.singular_values(a1 @ a1 + a2 @ a2)
-    sb = norms.singular_values(b1 @ b1 + b2 @ b2)
-    rhs = norms.sqrt_product(norms.fan_grid(sa), norms.fan_grid(sb))
-    return norms.compare(
-        "cs-lemma", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
-    )
+    lhs, rhs = _grid_rhs(norms.singular_values(np.concatenate(
+        (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))))
+    v = norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
+    return _out(v, single)
 
 
-def check_ineq_4(a, b, tol=DEFAULT_TOL) -> Verdict:
+def check_ineq_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
-    a, b = linalg.as_square(a), linalg.as_square(b)
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    pa, pb = linalg.polar(a), linalg.polar(b)
-    sl = norms.singular_values(a + b)
-    s_abs = norms.singular_values(pa.abs + pb.abs)
-    s_abs_star = norms.singular_values(pa.abs_star + pb.abs_star)
-    rhs = norms.sqrt_product(norms.fan_grid(s_abs), norms.fan_grid(s_abs_star))
-    return norms.compare(
-        "ineq4", norms.grid_labels(sl.size), norms.fan_grid(sl), rhs, tol
-    )
+        raise DimensionMismatch(f"{a.shape[1:]} vs {b.shape[1:]}")
+    p = linalg.joined(linalg.polar, a, b)
+    abs_a, abs_b = _split(p.abs, 2)
+    star_a, star_b = _split(p.abs_star, 2)
+    lhs, rhs = _grid_rhs(norms.singular_values(
+        np.concatenate((a + b, abs_a + abs_b, star_a + star_b))))
+    v = norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
+    return _out(v, single)
 
 
 def _require_normal(enforce, **named) -> None:
     if not enforce:
         return
-    for name, m in named.items():
-        if not linalg.is_normal(m, tol=PREDICATE_TOL):
+    ok = _split(linalg.joined(linalg.is_normal, *named.values(), tol=PREDICATE_TOL),
+                len(named))
+    for name, okm in zip(named, ok):
+        if not okm.all():
             raise NotNormal(f"{name} is not normal")
 
 
 def _block2(a, b, c, d) -> np.ndarray:
-    shapes = {m.shape for m in (a, b, c, d)}
+    shapes = {m.shape[1:] for m in (a, b, c, d)}
     if len(shapes) != 1:
         raise DimensionMismatch(f"blocks differ in size: {shapes}")
     return np.block([[a, b], [c, d]])
 
 
-def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def _abs4(a, b, c, d):
+    """|A|, |B|, |C|, |D| from one call."""
+    return _split(linalg.joined(linalg.matrix_abs, a, b, c, d), 4)
+
+
+def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    c, d = linalg.as_square(c), linalg.as_square(d)
+    single = np.ndim(a) == 2
+    a, b, c, d = _stack(a), _stack(b), _stack(c), _stack(d)
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     block = _block2(a, b, c, d)
-    rhs = (
-        linalg.matrix_abs(a)
-        + linalg.matrix_abs(b)
-        + linalg.matrix_abs(c)
-        + linalg.matrix_abs(d)
-    )
-    v = norms.dominance_verdict(block, rhs, tol=tol, check_id="thm3.1", pad=True)
-    return v
+    pa, pb, pc, pd_ = _abs4(a, b, c, d)
+    v = norms.dominance_verdict(
+        block, pa + pb + pc + pd_, tol=tol, check_id="thm3.1", pad=True)
+    return _out(v, single)
 
 
-def _opnorm(m) -> float:
-    return norms.norm(m, norms.OPERATOR)
+def _opnorm(m) -> np.ndarray:
+    """Operator norm of each matrix, through ``norms.singular_values``."""
+    return norms.singular_values(m)[..., 0]
 
 
-def _thm_3_2_bound(a, b, c, d) -> float:
-    """Largest operator norm of the row sums |A|+|B|, |C|+|D| and the
-    column sums |A|+|C|, |B|+|D|."""
-    pa, pb = linalg.matrix_abs(a), linalg.matrix_abs(b)
-    pc, pd_ = linalg.matrix_abs(c), linalg.matrix_abs(d)
-    return max(
-        _opnorm(pa + pb), _opnorm(pc + pd_), _opnorm(pa + pc), _opnorm(pb + pd_)
-    )
+def _max_opnorm(*stacks) -> np.ndarray:
+    """The largest operator norm among same-shape stacks, per matrix."""
+    return np.maximum.reduce(_split(_opnorm(np.concatenate(stacks)), len(stacks)))
 
 
-def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    c, d = linalg.as_square(c), linalg.as_square(d)
+    single = np.ndim(a) == 2
+    a, b, c, d = _stack(a), _stack(b), _stack(c), _stack(d)
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     lhs = _opnorm(_block2(a, b, c, d))
-    rhs = _thm_3_2_bound(a, b, c, d)
-    return norms.compare("thm3.2", ["operator"], [lhs], [rhs], tol)
+    pa, pb, pc, pd_ = _abs4(a, b, c, d)
+    rhs = _max_opnorm(pa + pb, pc + pd_, pa + pc, pb + pd_)
+    v = norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
+    return _out(v, single)
 
 
-def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
+def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
     for Hermitian A, B.  The paper derives it from Thm 3.2 on a 4n
@@ -285,80 +366,103 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL) -> Verdict:
     GTM 169, ch. I), so it decides this same comparison; the tests keep it
     as a reference.
     """
-    a = linalg.hermitize(a)
-    b = linalg.hermitize(b)
-    x = linalg.as_square(x)
+    single = np.ndim(a) == 2
+    a = linalg.hermitize(_stack(a))
+    b = linalg.hermitize(_stack(b))
+    x = _stack(x)
     if a.shape != b.shape or a.shape != x.shape:
         raise DimensionMismatch("A, B, X must share a dimension")
-    block = np.block([[a, x.conj().T], [x, b]])
-    px = linalg.polar(x)  # |X| and |X*| from one SVD
+    block = np.block([[a, x.conj().swapaxes(-1, -2)], [x, b]])
+    px = linalg.joined(linalg.polar, x)  # |X| and |X*| from one SVD
+    abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
     lhs = _opnorm(block)
-    rhs = max(_opnorm(linalg.matrix_abs(a) + px.abs),
-              _opnorm(linalg.matrix_abs(b) + px.abs_star))
-    return norms.compare("cor3.3", ["operator"], [lhs], [rhs], tol)
+    rhs = _max_opnorm(abs_a + px.abs, abs_b + px.abs_star)
+    v = norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
+    return _out(v, single)
 
 
-def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True) -> Verdict:
+def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
-    a, b = linalg.as_square(a), linalg.as_square(b)
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
     _require_normal(enforce, A=a, B=b)
-    rhs = linalg.matrix_abs(a) + linalg.matrix_abs(b)
-    return norms.dominance_verdict(a + b, rhs, tol=tol, check_id="prop3.4")
+    abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
+    v = norms.dominance_verdict(a + b, abs_a + abs_b, tol=tol, check_id="prop3.4")
+    return _out(v, single)
 
 
-def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL) -> Verdict:
+def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(|S+T|) <= (lambda_{j+1}(M) + lambda_{k+1}(M))/2
 
     with M = |S|+|T|, for Hermitian S, T (eigenvalue consequence of the
     unitary-mixture triangle inequality).
     """
-    s = linalg.hermitize(s)
-    t = linalg.hermitize(t)
-    n = s.shape[0]
-    if j < 0 or k < 0 or j + k + 1 > n:
-        raise IndexOutOfRange(f"need j,k >= 0 and j+k+1 <= n, got {j},{k},{n}")
-    w_sum = linalg.eigvalsh_desc(linalg.matrix_abs(s + t))
-    m = linalg.matrix_abs(s) + linalg.matrix_abs(t)
-    w_m = linalg.eigvalsh_desc(m)
-    lhs = float(w_sum[j + k])
-    rhs = 0.5 * (float(w_m[j]) + float(w_m[k]))
-    return norms.compare("prop3.5", [f"lambda-j{j}-k{k}"], [lhs], [rhs], tol)
+    single = np.ndim(s) == 2
+    s = linalg.hermitize(_stack(s))
+    t = linalg.hermitize(_stack(t))
+    rows, n = s.shape[:2]
+    j, k, labels = _eigen_indices(j, k, rows, n)
+    abs_sum, abs_s, abs_t = _split(linalg.joined(linalg.matrix_abs, s + t, s, t), 3)
+    w_sum, w_m = _split(
+        linalg.eigvalsh_desc(np.concatenate((abs_sum, abs_s + abs_t))), 2)
+    r = np.arange(rows)
+    lhs = w_sum[r, j + k]
+    rhs = 0.5 * (w_m[r, j] + w_m[r, k])
+    v = norms.compare("prop3.5", labels, lhs[:, None], rhs[:, None], tol)
+    return _out(v, single)
 
 
-def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL) -> Verdict:
+def _powers(m, t: int) -> list:
+    """The power m of each of t matrices, as ints >= 1."""
+    powers = [int(p) for p in _per_row(m, t).tolist()]
+    if min(powers) < 1:
+        raise BadSpec(f"power m must be >= 1, got {min(powers)}")
+    return powers
+
+
+def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    m = int(m)
-    if m < 1:
-        raise BadSpec(f"power m must be >= 1, got {m}")
-    z = complex(z)
-    lhs = linalg.matrix_power(a + z * b, m)
-    rhs = linalg.matrix_power(a + abs(z) * b, m)
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
+    m = _powers(m, len(a))
+    z = _per_row(np.asarray(z, dtype=complex), len(a))
+    # |z| as Python's abs (a libm hypot); numpy's complex abs can round apart
+    size = np.array([abs(v) for v in z.tolist()])[:, None, None]
+    z = z[:, None, None]
+    lhs, rhs = _split(
+        linalg.matrix_power(np.concatenate((a + z * b, a + size * b)), m + m), 2)
+    return _out(norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5"), single)
 
 
-def check_identity_6(a, b, m) -> float:
+def check_identity_6(a, b, m):
     """Relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
 
     w = exp(2*pi*i/m).  (The root-of-unity average kills every mixed word
-    in the expansion; only the pure A^m and B^m words survive.)
+    in the expansion; only the pure A^m and B^m words survive.)  One
+    residual per matrix of a stack.
     """
-    a, b = linalg.as_square(a), linalg.as_square(b)
-    m = int(m)
-    if m < 1:
-        raise BadSpec(f"power m must be >= 1, got {m}")
-    w = np.exp(2j * np.pi / m)
-    avg = sum(linalg.matrix_power(a + (w**j) * b, m) for j in range(m)) / m
-    target = linalg.matrix_power(a, m) + linalg.matrix_power(b, m)
-    return linalg.opnorm(target - avg) / max(1.0, linalg.opnorm(target))
+    single = np.ndim(a) == 2
+    a, b = _stack(a), _stack(b)
+    m = _powers(m, len(a))
+    residual = np.empty(len(a))
+    for p in sorted(set(m)):
+        rows = [t for t, q in enumerate(m) if q == p]
+        ar, br = a[rows], b[rows]
+        w = np.exp(2j * np.pi / p)
+        avg = sum(linalg.matrix_power(ar + (w**j) * br, p) for j in range(p)) / p
+        target = linalg.matrix_power(ar, p) + linalg.matrix_power(br, p)
+        top = np.fmax(1.0, linalg.opnorm(target))
+        residual[rows] = linalg.opnorm(target - avg) / top
+    return residual[0].item() if single else residual
 
 
-def identity_6_verdict(a, b, m, tol: float = 1e-10) -> Verdict:
+def identity_6_verdict(a, b, m, tol: float = 1e-10):
     """Identity residual wrapped as a Verdict; its margin is -residual, so
     it passes iff residual <= tol."""
-    residual = check_identity_6(a, b, m)
-    rec = ComparisonRecord("residual", residual, 0.0, -residual)
-    return Verdict(check_id="identity6", records=[rec], tol=tol)
+    residual = np.atleast_1d(check_identity_6(a, b, m)).tolist()
+    v = [Verdict(check_id="identity6", tol=tol,
+                 records=[ComparisonRecord("residual", r, 0.0, -r)]) for r in residual]
+    return _out(v, np.ndim(a) == 2)
 
 
 def _ops(kind: str, names="ab") -> tuple:
@@ -372,6 +476,13 @@ def _psd_family(rng, fn) -> list:
 def _draw_jk(rng, n: int) -> dict:
     j = int(rng.integers(n))
     return {"j": j, "k": int(rng.integers(n - j))}
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im, built exactly (one value or one per matrix)."""
+    z = np.array(re, dtype=complex)
+    z.imag = im
+    return z
 
 
 def _draw_z_m(rng, n: int) -> dict:
@@ -439,7 +550,7 @@ SPECS = {spec.check_id: spec for spec in (
               _draw_jk),
     CheckSpec("ineq5", None, _ops("psd"),
               lambda f, m, s, tol, **_: check_ineq_5(
-                  m["a"], m["b"], complex(s["z_re"], s["z_im"]), s["m"], tol=tol),
+                  m["a"], m["b"], _complex(s["z_re"], s["z_im"]), s["m"], tol=tol),
               _draw_z_m),
     CheckSpec("identity6", None, _ops("psd"),
               lambda f, m, s, tol, **_: identity_6_verdict(

@@ -107,10 +107,20 @@ def _check_writable(path: str | None) -> None:
         raise BadSpec(f"cannot write {path}: {parent} is not a writable directory")
 
 
+def _dumps(obj) -> str:
+    """``obj`` as one line of JSON with sorted keys.  Without an ``indent``,
+    ``json.dumps`` takes the stdlib's C encoder."""
+    return json.dumps(obj, sort_keys=True)
+
+
 def _write_json(obj: dict, path: str | None) -> None:
-    """Write ``obj`` as one line of JSON with sorted keys.  Without an
-    ``indent``, ``json.dumps`` takes the stdlib's C encoder."""
-    _write(json.dumps(obj, sort_keys=True) + "\n", path)
+    _write(_dumps(obj) + "\n", path)
+
+
+# Stands in for the campaign's violations while the falsify report is
+# encoded; json.dumps writes the NUL characters as escapes that no other
+# value of the report contains.
+_VIOLATIONS = "\0violations\0"
 
 
 def _csv_summary(campaigns: list[dict]) -> str:
@@ -210,10 +220,11 @@ def cmd_falsify(args) -> int:
         args.check, mutation=mutation, trials=args.trials, dims=dims,
         root_seed=args.seed, tol=args.tol,
     )
+    certs = [_dumps(cert) for cert in report.violations]  # each encoded once
     if args.cert_dir:
-        for i, cert in enumerate(report.violations):
+        for i, text in enumerate(certs):
             path = os.path.join(args.cert_dir, f"cert-{args.check}-{i}.json")
-            _write_json(cert, path)
+            _write(text + "\n", path)
     out = {
         "header": _header(config),
         "campaign": {
@@ -222,11 +233,12 @@ def cmd_falsify(args) -> int:
             "expectation": report.expectation,
             "trials": report.trials,
             "min_margin": report.min_margin,
-            "violations": report.violations,
+            "violations": _VIOLATIONS,
             "wall_time": report.wall_time,
         },
     }
-    _write_json(out, args.out)
+    text = _dumps(out).replace(_dumps(_VIOLATIONS), "[" + ", ".join(certs) + "]", 1)
+    _write(text + "\n", args.out)
     if report.expectation == "must-violate":
         return EXIT_OK if report.violations else EXIT_VIOLATION
     if report.expectation == "exploratory":

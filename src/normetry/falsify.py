@@ -2,10 +2,11 @@
 
 A campaign draws seeded random instances for one checker and records the
 minimum scaled margin plus any violations (with self-contained replay
-certificates).  Campaigns run trial-major: the cases of all checkers of
-trial i are sampled from one per-trial dict of operands, then run, so an
-operand the checkers share is generated once and carries a memo of its
-decompositions (``linalg.share``) that dies with it.  Mutations
+certificates).  Campaigns sample trial-major: the cases of all checkers
+of trial i are drawn from one per-trial dict of operands, so an operand the
+checkers share is generated once.  The sampled cases then run in stacks:
+each checker's cases of one n and one operand list go through the checker
+in one (T, n, n) call.  Mutations
 deliberately break one hypothesis: the must-violate mutations ship with an
 analytic witness tried first, while drop-normality is exploratory and only
 records what it sees.  A derivative-free hill descent probes how close the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,7 +139,8 @@ def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None) -> np.nda
         return shared[kind, slot]
     m = generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
     if shared is not None:
-        shared[kind, slot] = linalg.share(m)
+        m.flags.writeable = False
+        shared[kind, slot] = m
     return m
 
 
@@ -224,6 +227,44 @@ def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None) -> Verdict:
     )
     v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
     return v
+
+
+def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
+              ) -> list[Verdict]:
+    """``run_case`` of each case, in one stacked checker call.
+
+    The cases share a checker, a mutation, n and their operand names; each
+    operand, scalar and scalar function becomes one row per case.  Each
+    operand stack is marked by ``linalg.share`` (one case's operand is
+    stacked as a view).  ``stacks`` keeps the stacks built for other cases,
+    by ``_stack_key``, so checkers that take the same operands take one
+    stack and decompose it once; the caller keeps those matrices alive
+    while it keeps their stacks.
+    """
+    first = cases[0]
+    stacks = {} if stacks is None else stacks
+    mats = {}
+    for name in first.matrices:
+        key = _stack_key(cases, name)
+        if key not in stacks:
+            parts = [case.matrices[name] for case in cases]
+            stacks[key] = linalg.share(parts[0][None] if len(parts) == 1
+                                       else np.stack(parts))
+        mats[name] = stacks[key]
+    verdicts = _spec(first.check_id).run(
+        None if first.fn_descriptor is None else [case.fn() for case in cases],
+        mats,
+        {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
+        tol=tol, enforce=first.mutation is None,
+    )
+    for case, v in zip(cases, verdicts):
+        v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
+    return verdicts
+
+
+def _stack_key(cases: list, name: str) -> tuple:
+    """Which matrices the stack of operand ``name`` of ``cases`` holds."""
+    return tuple(id(case.matrices[name]) for case in cases)
 
 
 def _case_fields(case: Case) -> dict:
@@ -346,6 +387,12 @@ def _named(exc: NormetryError, cid: str, i: int, n: int, seed) -> NormetryError:
     return type(exc)(f"{cid} trial {i} (n={n}, seed={seed}): {exc}")
 
 
+# Operand bytes sampled before the pending cases run: this bounds a
+# campaign's memory at any --trials, and holds many trials per stack at
+# small n.
+STACK_BYTES = 1 << 22
+
+
 def run_campaigns(
     check_ids,
     mutation: str | None = None,
@@ -357,12 +404,15 @@ def run_campaigns(
 ) -> list[CampaignReport]:
     """Run seeded trials for several checkers; one report per check id.
 
-    Trial-major: trial i samples every checker's case from the same trial
-    seed and one dict of shared operands, then runs them in CHECK_IDS order,
-    so the operands they share are generated and decomposed once.  Reports and
-    verdict rows are the same as one checker at a time would give.  A
-    NormetryError raised by a trial is re-raised with the check id, trial
-    index, n and trial seed at the start of its message.
+    Trial i samples every checker's case from the same trial seed and one
+    dict of shared operands, so the operands checkers share are generated
+    once.  Sampled cases wait until their operands reach ``STACK_BYTES``;
+    then each checker's waiting cases of one n and one operand list run as
+    one stack (``run_stack``).  Reports and verdict rows are the same as one
+    checker and one case at a time would give.  A NormetryError raised by a
+    trial is re-raised with the check id, trial index, n and trial seed at
+    the start of its message: the campaign is rerun one case at a time, in
+    trial order, so the error is the one the first failing case raises.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -378,60 +428,102 @@ def run_campaigns(
         raise BadSpec(f"dims must be a non-empty list of integers >= 1, got {dims!r}")
     dims = [int(d) for d in dims]
     order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
-    wall = dict.fromkeys(order, 0.0)
-    min_margin = dict.fromkeys(order, float("inf"))
-    violations: dict = {cid: [] for cid in order}
-    rows: dict = {cid: [] for cid in order}
+    args = (order, mutation, trials, dims, root_seed, tol, keep_verdicts)
+    try:
+        reports = _campaigns(*args, STACK_BYTES)
+    except NormetryError:
+        reports = _campaigns(*args, 0)
+    return [
+        CampaignReport(check_id=cid, mutation=mutation, expectation=expectation,
+                       trials=trials, **reports[cid])
+        for cid in check_ids
+    ]
+
+
+def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
+               stack_bytes: int) -> dict:
+    """The report fields of each checker in ``order``, running the pending
+    cases whenever their operands reach ``stack_bytes``, or would with the
+    next trial; at 0, every case runs alone, in trial order, and a failing
+    case names itself."""
+    fields = {cid: {"violations": [], "min_margin": float("inf"), "wall_time": 0.0,
+                    "verdicts": []} for cid in order}
+    witness = mutation_expectation(mutation) == "must-violate"
     clock = time.perf_counter
+    pending: dict = {}  # (check id, n, operand kinds) -> [(trial, case)]
+    held = 0
+    per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
     for i in range(trials):
         n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
+        if pending and held + per_entry * n * n > stack_bytes:
+            _run_pending(pending, tol, keep_verdicts, fields)
+            pending, held = {}, 0
         shared: dict = {}
-        pending = []
         for cid in order:
             start = clock()
             try:
-                if i == 0 and expectation == "must-violate":
+                if i == 0 and witness:
                     case = analytic_witness(cid, mutation)
                 else:
                     case = sample_case(cid, n, seed, mutation, shared)
             except NormetryError as exc:
                 raise _named(exc, cid, i, n, seed) from exc
-            pending.append(case)
-            wall[cid] += clock() - start
-        # from here on only the cases hold the operands; each case is popped,
-        # so an operand and its memo go once the last case holding it has run
-        del shared
-        pending.reverse()
-        while pending:
-            case = pending.pop()
-            cid = case.check_id
-            start = clock()
-            try:
-                verdict = run_case(case, tol=tol)
-            except NormetryError as exc:
-                raise _named(exc, cid, i, case.n, case.seed) from exc
+            key = (cid, case.n, tuple(case.kinds.items()))
+            pending.setdefault(key, []).append((i, case))
+            fields[cid]["wall_time"] += clock() - start
+        trial_bytes = sum(m.nbytes for m in shared.values())
+        held += trial_bytes
+        per_entry = trial_bytes / (n * n)
+        del case, shared  # only the pending cases hold the operands now
+        if held >= stack_bytes or i == trials - 1:
+            _run_pending(pending, tol, keep_verdicts, fields)
+            pending, held = {}, 0
+    return fields
+
+
+def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict) -> None:
+    """Run each stack of pending cases, then book their verdicts in trial
+    order.  Each stack's cases, and each operand stack once no other
+    pending stack takes it, are dropped as soon as they have run."""
+    clock = time.perf_counter
+    done: dict = {}  # check id -> [(trial, verdict, certificate or None)]
+    stacks: dict = {}  # operand stacks, shared by the checkers that take them
+    keys = {}  # the operand stacks of each group
+    for group, stack in pending.items():
+        cases = [case for _, case in stack]
+        keys[group] = [_stack_key(cases, name) for name in cases[0].matrices]
+    users = Counter(key for group in keys.values() for key in group)
+    while pending:
+        group = next(iter(pending))  # in the order of their first cases
+        stack = pending.pop(group)
+        cid = group[0]
+        start = clock()
+        try:
+            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks)
+        except NormetryError as exc:
+            if len(stack) > 1:  # the campaign reruns one case at a time
+                raise
+            [(i, case)] = stack
+            raise _named(exc, cid, i, case.n, case.seed) from exc
+        for key in keys.pop(group):
+            users[key] -= 1
+            if not users[key]:
+                del stacks[key]
+        done.setdefault(cid, []).extend(
+            (i, v, None if v.passed else make_certificate(case, v))
+            for (i, case), v in zip(stack, verdicts))
+        fields[cid]["wall_time"] += clock() - start
+    for cid, results in done.items():
+        out = fields[cid]
+        results.sort(key=lambda r: r[0])
+        for _, verdict, certificate in results:
             margin = verdict.min_margin
-            if margin != margin or margin < min_margin[cid]:  # a NaN sticks
-                min_margin[cid] = margin
-            if not verdict.passed:
-                violations[cid].append(make_certificate(case, verdict))
+            if margin != margin or margin < out["min_margin"]:  # a NaN sticks
+                out["min_margin"] = margin
+            if certificate is not None:
+                out["violations"].append(certificate)
             if keep_verdicts:
-                rows[cid].append(verdict_row(verdict))
-            wall[cid] += clock() - start
-        del case
-    return [
-        CampaignReport(
-            check_id=cid,
-            mutation=mutation,
-            expectation=expectation,
-            trials=trials,
-            violations=violations[cid],
-            min_margin=min_margin[cid],
-            wall_time=wall[cid],
-            verdicts=rows[cid],
-        )
-        for cid in check_ids
-    ]
+                out["verdicts"].append(verdict_row(verdict))
 
 
 def _project(m: np.ndarray, kind: str) -> np.ndarray:

@@ -4,16 +4,24 @@ Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
 (Loewner order, normality, contraction/expansive) used by the checkers.
 
-All functions are pure; matrices are plain complex ndarrays.  ``matrix_abs``
-of an exactly Hermitian matrix is V|Lambda|V* from one ``eigh`` call; the
-guards and ``opnorm`` always use the SVD.  ``eigh``, ``matrix_abs``,
-``is_normal`` and the SVD behind ``matrix_abs`` and ``polar`` memoize their
-results on operands marked by ``share`` (a campaign shares the operands of a
-trial among its checkers); those operands and results are read-only.
+All functions are pure; matrices are plain complex ndarrays.  Every function
+takes one n x n matrix or a (T, n, n) stack of them, and a 2-D input is the
+T = 1 case of the same code: it gives a matrix where a stack gives a stack,
+and a bool or float where a stack gives one per matrix.  Each guard decides
+per matrix, exactly as for that matrix alone, and a stack raises the error
+of its first failing matrix.  Batched LAPACK and matmul calls give each
+matrix of a stack the bits a single call gives it, so a matrix's results do
+not depend on the stack it came in.  ``matrix_abs`` of an exactly Hermitian
+matrix is V|Lambda|V* from ``eigh``; the guards and ``opnorm`` always use
+the SVD.  ``joined`` applies one of these functions to several stacks in
+one call, and reuses its results on stacks marked by ``share`` (a campaign
+shares the operand stacks that several checkers take); those stacks and
+results are read-only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
@@ -26,9 +34,9 @@ HERMITIAN_DRIFT_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 NEG_EIG_CLAMP = 1e-8
 
-
-# id(operand) -> memo of its decompositions, for operands passed to share.
-# Each memo is dropped when its operand dies, before the id can be reused.
+# id(stack) -> memo of the results ``joined`` computed on it, for stacks passed
+# to share.  Each memo is dropped when its stack dies, before the id can be
+# reused.
 _MEMOS: dict = {}
 
 
@@ -40,10 +48,85 @@ def share(m: np.ndarray) -> np.ndarray:
     return m
 
 
+# Bytes of stacks that ``joined`` takes in one call: joining saves call
+# overhead at small n, while at large n it would only multiply the
+# transient memory of the call.
+JOIN_BYTES = 1 << 18
+
+
+def joined(fn, *stacks, **kwargs):
+    """``fn(np.concatenate(stacks), **kwargs)`` for one of this module's
+    per-matrix functions (``eigh``, ``matrix_abs``, ``polar``,
+    ``is_normal``) and same-shape (T, n, n) stacks, taken in as few calls
+    as ``JOIN_BYTES`` allows.
+
+    A stack marked by ``share`` keeps its rows of the result, read-only,
+    and they are not computed again.
+    """
+    memos = [_MEMOS.get(id(m)) for m in stacks]
+    if memos.count(None) == len(memos) and sum(m.nbytes for m in stacks) <= JOIN_BYTES:
+        return fn(np.concatenate(stacks) if len(stacks) > 1 else stacks[0], **kwargs)
+    key = (fn, *sorted(kwargs.items()))
+    parts = [None if memo is None else memo.get(key) for memo in memos]
+    runs: list = []
+    size = 0
+    for i, part in enumerate(parts):
+        if part is None:
+            if not runs or size + stacks[i].nbytes > JOIN_BYTES:
+                runs.append([])
+                size = 0
+            runs[-1].append(i)
+            size += stacks[i].nbytes
+    for run in runs:
+        result = fn(np.concatenate([stacks[i] for i in run]) if len(run) > 1
+                    else stacks[run[0]], **kwargs)
+        # a kept part is copied out of a result that also holds rows nothing
+        # keeps, so those can go
+        copy = any(memos[i] is None for i in run) and len(run) > 1
+        start = 0
+        for i in run:
+            rows = slice(start, start + len(stacks[i]))
+            start = rows.stop
+            if memos[i] is None:
+                parts[i] = _take(result, rows, False)
+            else:
+                parts[i] = memos[i][key] = _read_only(_take(result, rows, copy))
+    return parts[0] if len(parts) == 1 else _concatenate(parts)
+
+
+def _fields(result) -> list:
+    """The arrays of a per-matrix result: itself, or its dataclass fields."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+
+def _rebuild(like, arrays: list):
+    return arrays[0] if isinstance(like, np.ndarray) else type(like)(*arrays)
+
+
+def _take(result, rows: slice, copy: bool):
+    """The rows of a per-matrix result."""
+    return _rebuild(result, [a[rows].copy() if copy else a[rows]
+                             for a in _fields(result)])
+
+
+def _concatenate(parts: list):
+    """Per-matrix results joined, in order."""
+    return _rebuild(parts[0], [np.concatenate(a) for a in zip(*map(_fields, parts))])
+
+
+def _read_only(result):
+    for a in _fields(result):
+        a.flags.writeable = False
+    return result
+
+
 def as_square(x) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a square complex matrix, or a stack of them, with finite
+    entries."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m)
     return m
@@ -54,23 +137,59 @@ def _require_finite(m: np.ndarray) -> None:
         raise DomainError("matrix has non-finite entries")
 
 
-def opnorm(x) -> float:
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """M* of each matrix (a view)."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """The matrices of ``m`` as a (T, n, n) stack (a view for a 2-D m)."""
+    return m.reshape(-1, *m.shape[-2:])
+
+
+def _per_matrix(ok: np.ndarray):
+    """A per-matrix result: a bool for a 2-D input (0-d ``ok``)."""
+    return ok if ok.ndim else bool(ok)
+
+
+def _all(ok) -> bool:
+    """A per-matrix bool, or a bool array, holds for every matrix."""
+    return ok if isinstance(ok, bool) else bool(ok.all())
+
+
+def _first_failure(ok) -> int:
+    return int(np.flatnonzero(~np.asarray(ok))[0])
+
+
+def _lapack(fn, *args, **kwargs):
+    """Call a numpy.linalg routine; non-convergence is a ConvergenceFailure."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def opnorm(x):
     """Operator (spectral) norm, i.e. the largest singular value, by SVD.
 
     This is the reference the guards compare against; reported norms go
     through ``norms.norm``, which takes the cheaper Hermitian route.
     """
-    return float(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)[0])
+    s = _lapack(np.linalg.svd, np.asarray(x, dtype=complex), compute_uv=False)
+    top = s[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
-def is_exactly_hermitian(m: np.ndarray) -> bool:
+def is_exactly_hermitian(m: np.ndarray):
     """M == M* entry for entry: a property of the input, with no tolerance.
 
     For such M the singular values are |lambda(M)| and |M| = V|Lambda|V*
     (Bhatia, Matrix Analysis, GTM 169), which eigvalsh/eigh give at about
     half the cost of the SVD.
     """
-    return bool((m == m.conj().T).all())
+    if m.ndim == 2:
+        return bool((m == _adjoint(m)).all())
+    return (m == _adjoint(m)).all(axis=(-2, -1))
 
 
 # Relative slack on the Frobenius stage of _opnorm_within.  It covers the
@@ -85,63 +204,88 @@ def _frobenius(m: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(flat, flat).real))
 
 
-def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1) -> bool:
-    """Decide ``||x||_op <= tol * max(1, ||s||_op ** power)`` without an SVD
-    whenever the Frobenius norm settles it.
+def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1):
+    """Decide ``||x||_op <= tol * max(1, ||s||_op ** power)`` per matrix,
+    without an SVD wherever the Frobenius norm settles it.
 
-    ``x`` is a matrix, or a float standing for its own norm.  Since
-    ||X||_F / sqrt(n) <= ||X||_op <= ||X||_F (Bhatia, Matrix Analysis,
-    IV.2), the Frobenius tests accept only inputs the SVD test accepts and
-    reject only inputs it rejects; everything else falls through to that
-    SVD test, unchanged.
+    ``x`` is a matrix (stack) shaped like ``s``, or one float per matrix
+    standing for its norm.  Since ||X||_F / sqrt(n) <= ||X||_op <= ||X||_F
+    (Bhatia, Matrix Analysis, IV.2), the Frobenius tests accept only inputs
+    the SVD test accepts and reject only inputs it rejects (a Frobenius sum
+    that overflows settles nothing); the matrices they leave undecided go
+    to that SVD test, unchanged, in one call.
     """
-    fro_s = _frobenius(s)
-    if isinstance(x, np.ndarray):
-        lhs = _frobenius(x)  # >= ||x||_op
-        lhs_low = lhs / math.sqrt(max(x.shape[0], 1))  # <= ||x||_op
-    else:
-        lhs = lhs_low = x
-    rms_sv = fro_s / math.sqrt(max(s.shape[0], 1))  # <= ||s||_op
-    if lhs <= _FROBENIUS_SLACK * tol * max(1.0, rms_sv**power) < math.inf:
-        return True
-    if _FROBENIUS_SLACK * lhs_low > tol * max(1.0, fro_s**power):
-        return False
-    if isinstance(x, np.ndarray):
-        lhs = opnorm(x)
-    return lhs <= tol * max(1.0, opnorm(s) ** power)
+    s3 = _rows(s)
+    matrix = np.ndim(x) == s.ndim
+    xs = _rows(x) if matrix else np.reshape(x, -1).tolist()
+    root_n = math.sqrt(max(s.shape[-1], 1))
+    ok, undecided = [], []
+    for t, (xt, st) in enumerate(zip(xs, s3)):
+        fro_s = _frobenius(st)
+        lhs = _frobenius(xt) if matrix else xt  # >= ||x||_op
+        lhs_low = lhs / root_n if matrix else xt  # <= ||x||_op
+        rms_sv = fro_s / root_n  # <= ||s||_op
+        if lhs <= _FROBENIUS_SLACK * tol * max(1.0, rms_sv**power) < math.inf:
+            ok.append(True)
+        elif (_FROBENIUS_SLACK * lhs_low > tol * max(1.0, fro_s**power)
+              and lhs < math.inf):
+            ok.append(False)
+        else:
+            ok.append(False)
+            undecided.append(t)
+    if undecided:
+        top = opnorm(xs[undecided]) if matrix else np.take(xs, undecided)
+        within = top <= tol * np.fmax(1.0, opnorm(s3[undecided]) ** power)
+        for t, decision in zip(undecided, within.tolist()):
+            ok[t] = decision
+    return ok[0] if s.ndim == 2 else np.array(ok)
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 of each matrix.  Where M + M* overflows, M/2 + M*/2, with
+    the entries M == M* kept as they are, so a finite M gives a finite
+    result; every other matrix gets the direct value, bit for bit."""
+    mh = _adjoint(m)
+    h = m + mh
+    h /= 2
+    if not np.isfinite(h).all():
+        _require_finite(m)
+        h3, m3, mh3 = _rows(h), _rows(m), _rows(mh)
+        over = ~np.isfinite(h3).all(axis=(-2, -1))
+        mo, mho = m3[over], mh3[over]
+        h3[over] = np.where(mo == mho, mo, mo / 2 + mho / 2)
+    return h
 
 
 def hermitian_part(x) -> np.ndarray:
     """(M + M*)/2."""
-    m = as_square(x)
-    return (m + m.conj().T) / 2
+    return _symmetrize(as_square(x))
 
 
 def hermitize(x) -> np.ndarray:
     """Symmetrize to (M + M*)/2, rejecting large asymmetry drift.
 
-    An exactly Hermitian M (M - M* is zero entry for entry) is returned
-    itself, uncopied, so a shared operand keeps its memo.
+    An input whose matrices are all exactly Hermitian (M - M* is zero entry
+    for entry) is returned itself, uncopied.
     """
     m = as_square(x)
-    skew = m - m.conj().T
+    skew = m - _adjoint(m)
     if not skew.any():
         return m
-    if not _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL):
-        raise DomainError(f"matrix is not Hermitian (drift {opnorm(skew):.3e})")
-    return (m + m.conj().T) / 2
+    ok = _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL)
+    if not _all(ok):
+        drift = opnorm(_rows(skew)[_first_failure(ok)])
+        raise DomainError(f"matrix is not Hermitian (drift {drift:.3e})")
+    return _symmetrize(m)
 
 
 def synthesize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix V diag(w) V*, symmetrized against rounding.
+    """The Hermitian matrix V diag(w) V* of each frame V and weights w,
+    symmetrized against rounding.
 
     Like ``hermitian_part`` of the product, it rejects non-finite entries.
     """
-    m = (v * w) @ v.conj().T
-    _require_finite(m)
-    h = m + m.conj().T
-    h /= 2
-    return h
+    return _symmetrize((v * w[..., None, :]) @ _adjoint(v))
 
 
 @dataclass(frozen=True)
@@ -153,7 +297,7 @@ class Spectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.frame
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
 @dataclass(frozen=True)
@@ -167,99 +311,96 @@ class PolarParts:
 
 def eigh(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    memo = _MEMOS.get(id(h))
-    if memo is not None and "eigh" in memo:
-        return memo["eigh"]
     m = hermitize(h)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    w = w[::-1]
-    v = v[:, ::-1]
-    residual = m - (v * w) @ v.conj().T
-    if not _opnorm_within(residual, m, EIG_RESIDUAL_TOL):
-        raise ConvergenceFailure(
-            f"eigendecomposition residual {opnorm(residual):.3e}"
-        )
-    spec = Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
-    if memo is not None:
-        spec.eigenvalues.flags.writeable = False
-        spec.frame.flags.writeable = False
-        memo["eigh"] = spec
-    return spec
+    w, v = _lapack(np.linalg.eigh, m)
+    w = w[..., ::-1]
+    v = v[..., ::-1]
+    residual = m - (v * w[..., None, :]) @ _adjoint(v)
+    ok = _opnorm_within(residual, m, EIG_RESIDUAL_TOL)
+    if not _all(ok):
+        size = opnorm(_rows(residual)[_first_failure(ok)])
+        raise ConvergenceFailure(f"eigendecomposition residual {size:.3e}")
+    return Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
 
 
 def eigvalsh_desc(h) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix (no frame)."""
-    m = hermitize(h)
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return w[::-1]
+    return _lapack(np.linalg.eigvalsh, hermitize(h))[..., ::-1]
 
 
 def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Clamp roundoff-negative eigenvalues to 0; reject genuinely negative ones.
 
-    ``w`` is descending, so its ends hold its largest magnitude and its least
-    value.
+    Each row of ``w`` is descending, so its ends hold its largest magnitude
+    and its least value.
     """
-    if w.size:
-        top, low = float(w[0]), float(w[-1])
-        if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
-            raise DomainError(f"eigenvalue {low:.3e} below the roundoff clamp window")
+    if w.shape[-1]:
+        rows = w.reshape(-1, w.shape[-1])
+        for top, low in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
+            if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
+                raise DomainError(
+                    f"eigenvalue {low:.3e} below the roundoff clamp window")
     return np.maximum(w, 0.0)
 
 
+def _apply_rows(f, w: np.ndarray) -> np.ndarray:
+    """f(w) as a float array.  ``f`` is one scalar function for every row of
+    ``w``, or a sequence of one function per row."""
+    if callable(f):
+        return np.asarray(f(w), dtype=float)
+    out = np.empty(w.shape)
+    for t, ft in enumerate(f):
+        out[t] = ft(w[t])
+    return out
+
+
 def spectral_apply(f, a) -> np.ndarray:
-    """Apply a scalar function on [0, inf) to a PSD-ish Hermitian matrix.
+    """Apply a scalar function on [0, inf) to a PSD-ish Hermitian matrix
+    (``f`` may give one function per matrix of a stack, see ``_apply_rows``).
 
     Eigenvalues in [-1e-8*scale, 0) are treated as roundoff and clamped to 0;
     more negative eigenvalues raise DomainError.
     """
-    spec = eigh(a)
-    fw = np.asarray(f(_clamp_spectrum(spec.eigenvalues)), dtype=float)
-    return synthesize(spec.frame, fw)
+    return apply_spectrum(f, eigh(a))
+
+
+def apply_spectrum(f, spec: Spectrum) -> np.ndarray:
+    """``spectral_apply`` of f to the matrix (stack) whose ``eigh`` is spec."""
+    return synthesize(spec.frame, _apply_rows(f, _clamp_spectrum(spec.eigenvalues)))
 
 
 def _svd(x):
-    """(u, s, vh) of X, memoized read-only on an operand marked by share."""
-    memo = _MEMOS.get(id(x))
-    if memo is not None and "svd" in memo:
-        return memo["svd"]
-    m = as_square(x)
-    try:
-        usv = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    if memo is not None:
-        for part in usv:
-            part.flags.writeable = False
-        memo["svd"] = usv
-    return usv
+    """(u, s, vh) of X."""
+    return _lapack(np.linalg.svd, as_square(x))
+
+
+def _abs_hermitian(m: np.ndarray) -> np.ndarray:
+    w, v = _lapack(np.linalg.eigh, m)
+    return synthesize(v, np.abs(w))
+
+
+def _abs_svd(m: np.ndarray) -> np.ndarray:
+    u, s, vh = _lapack(np.linalg.svd, m)
+    return synthesize(_adjoint(vh), s)
+
+
+def _by_route(m: np.ndarray, hermitian_route, svd_route) -> np.ndarray:
+    """``hermitian_route`` on the exactly Hermitian matrices of ``m``,
+    ``svd_route`` on the others, each on the matrices it takes."""
+    herm = is_exactly_hermitian(m)
+    flags = [herm] if m.ndim == 2 else herm.tolist()
+    if all(flags) or not any(flags):
+        return hermitian_route(m) if flags[0] else svd_route(m)
+    first = hermitian_route(m[herm])
+    out = np.empty(m.shape[:1] + first.shape[1:], dtype=first.dtype)
+    out[herm] = first
+    out[~herm] = svd_route(m[~herm])
+    return out
 
 
 def matrix_abs(x) -> np.ndarray:
     """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
-    memo = _MEMOS.get(id(x))
-    if memo is not None and "matrix_abs" in memo:
-        return memo["matrix_abs"]
-    m = as_square(x)
-    if is_exactly_hermitian(m):
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        out = synthesize(v, np.abs(w))
-    else:
-        u, s, vh = _svd(x)
-        out = synthesize(vh.conj().T, s)
-    if memo is not None:
-        out.flags.writeable = False
-        memo["matrix_abs"] = out
-    return out
+    return _by_route(as_square(x), _abs_hermitian, _abs_svd)
 
 
 def polar(x) -> PolarParts:
@@ -270,58 +411,74 @@ def polar(x) -> PolarParts:
     """
     u, s, vh = _svd(x)
     return PolarParts(
-        u=u @ vh, abs=synthesize(vh.conj().T, s), abs_star=synthesize(u, s)
-    )
+        u=u @ vh, abs=synthesize(_adjoint(vh), s), abs_star=synthesize(u, s))
 
 
-def loewner_leq(x, y, tol: float = 1e-9) -> bool:
+def _least(w: np.ndarray) -> np.ndarray:
+    """The last (least) entry of each descending row; 0 for empty rows."""
+    return w[..., -1] if w.shape[-1] else np.zeros(w.shape[:-1])
+
+
+def loewner_leq(x, y, tol: float = 1e-9):
     """X <= Y in the Loewner order, up to a scaled tolerance."""
     mx, my = as_square(x), as_square(y)
     if mx.shape != my.shape:
         raise DimensionMismatch(f"{mx.shape} vs {my.shape}")
     d = hermitian_part(my - mx)
-    w = eigvalsh_desc(d)
-    lam_min = float(w[-1]) if w.size else 0.0
-    return _opnorm_within(-lam_min, d, tol)
+    return _opnorm_within(-_least(eigvalsh_desc(d)), d, tol)
 
 
-def is_psd(x, tol: float = 1e-9) -> bool:
+def is_psd(x, tol: float = 1e-9):
     """Hermitian with eigenvalues >= -tol * max(1, ||X||_op)."""
     m = as_square(x)
-    if not _opnorm_within(m - m.conj().T, m, tol):
-        return False
-    w = eigvalsh_desc(hermitian_part(m))
-    lam_min = float(w[-1]) if w.size else 0.0
-    return _opnorm_within(-lam_min, m, tol)
+    m3 = _rows(m)
+    ok = _opnorm_within(m3 - _adjoint(m3), m3, tol)
+    if ok.any():
+        near = m3 if ok.all() else m3[ok]
+        ok[ok] = _opnorm_within(-_least(eigvalsh_desc(hermitian_part(near))), near, tol)
+    return _per_matrix(ok if m.ndim == 3 else ok[0])
 
 
-def is_normal(x, tol: float = 1e-9) -> bool:
-    """||XX* - X*X||_op <= tol * max(1, ||X||_op^2)."""
-    memo = _MEMOS.get(id(x))
-    key = ("is_normal", tol)
-    if memo is not None and key in memo:
-        return memo[key]
+def is_normal(x, tol: float = 1e-9):
+    """||XX* - X*X||_op <= tol * max(1, ||X||_op^2).
+
+    A commutator that leaves the float range raises DomainError.
+    """
     m = as_square(x)
-    comm = m @ m.conj().T - m.conj().T @ m
-    normal = _opnorm_within(comm, m, tol, power=2)
-    if memo is not None:
-        memo[key] = normal
-    return normal
+    mh = _adjoint(m)
+    comm = m @ mh - mh @ m
+    if not np.isfinite(comm).all():
+        raise DomainError("commutator XX* - X*X has non-finite entries")
+    return _opnorm_within(comm, m, tol, power=2)
 
 
-def is_contraction(x, tol: float = 1e-9) -> bool:
+def _gram_eigs(x) -> np.ndarray:
     m = as_square(x)
-    w = eigvalsh_desc(m.conj().T @ m)
-    lam_max = float(w[0]) if w.size else 0.0
-    return lam_max <= 1.0 + tol
+    return eigvalsh_desc(_adjoint(m) @ m)
 
 
-def is_expansive(x, tol: float = 1e-9) -> bool:
-    m = as_square(x)
-    w = eigvalsh_desc(m.conj().T @ m)
-    lam_min = float(w[-1]) if w.size else 0.0
-    return lam_min >= 1.0 - tol
+def is_contraction(x, tol: float = 1e-9):
+    w = _gram_eigs(x)
+    top = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
+    return _per_matrix(top <= 1.0 + tol)
 
 
-def matrix_power(x, m: int) -> np.ndarray:
-    return np.linalg.matrix_power(as_square(x), int(m))
+def is_expansive(x, tol: float = 1e-9):
+    w = _gram_eigs(x)
+    return _per_matrix(_least(w) >= 1.0 - tol)
+
+
+def matrix_power(x, m) -> np.ndarray:
+    """X^m; ``m`` may give one power per matrix of a stack, and the
+    matrices sharing a power are raised together."""
+    a = as_square(x)
+    if np.ndim(m) == 0:
+        return np.linalg.matrix_power(a, int(m))
+    powers = [int(p) for p in m]
+    if len(set(powers)) == 1:
+        return np.linalg.matrix_power(a, powers[0])
+    out = np.empty_like(a)
+    for p in sorted(set(powers)):
+        rows = [t for t, q in enumerate(powers) if q == p]
+        out[rows] = np.linalg.matrix_power(a[rows], p)
+    return out

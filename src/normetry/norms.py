@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadSpec, ConvergenceFailure, DimensionMismatch
-from .linalg import as_square, is_exactly_hermitian
+from .errors import BadSpec, DimensionMismatch
+from .linalg import _lapack, as_square, _by_route
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -57,22 +57,22 @@ OPERATOR = NormSpec("operator")
 TRACE = NormSpec("trace")
 
 
+def _hermitian_sv(m: np.ndarray) -> np.ndarray:
+    return np.sort(np.abs(_lapack(np.linalg.eigvalsh, m)))[..., ::-1]
+
+
+def _svd_sv(m: np.ndarray) -> np.ndarray:
+    return _lapack(np.linalg.svd, m, compute_uv=False)
+
+
 def singular_values(x) -> np.ndarray:
-    """Singular values, descending, with tiny values clamped to 0.
+    """Singular values, descending, with tiny values clamped to 0; one row
+    per matrix of a stack.
 
     An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
     """
-    m = as_square(x)
-    try:
-        if is_exactly_hermitian(m):
-            s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
-        else:
-            s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    if s.size and s[0] > 0:
-        s = np.where(s < SV_CLAMP_REL * s[0], 0.0, s)
-    return s
+    s = _by_route(as_square(x), _hermitian_sv, _svd_sv)
+    return np.where(s < SV_CLAMP_REL * s[..., :1], 0.0, s)
 
 
 def norm_from_sv(s: np.ndarray, spec: NormSpec) -> float:
@@ -87,25 +87,39 @@ def norm_from_sv(s: np.ndarray, spec: NormSpec) -> float:
             raise BadSpec(f"Ky Fan k={k} exceeds dimension {n}")
         return float(np.sum(s[:k]))
     if spec.kind == "schatten":
-        return _schatten(s, spec.param)
+        return _schatten(s, (spec.param,))[0][0]
     raise BadSpec(f"unknown norm kind {spec.kind!r}")
 
 
-def _schatten(s: np.ndarray, p: float) -> float:
-    """Schatten p-norm of descending singular values: (sum s**p)**(1/p).
+def _schatten(s: np.ndarray, ps) -> list:
+    """Schatten p-norms (sum s**p)**(1/p) of descending singular values ``s``
+    (one vector, or one per row of a stack): for each p of ``ps``, the list
+    of the norms of the rows.
 
     Where sum s**p leaves the normal float range (it overflows, or
     underflows while s[0] > 0), the norm is s[0] times that of s/s[0]
-    instead; every other value is the direct one, bit for bit.
+    instead; every other value is the direct one, bit for bit.  s**p is
+    taken on s as laid out and each root as a float power, since numpy's
+    array power can round either differently.
     """
-    if not s.size:
-        return 0.0
-    if p == math.inf:
-        return float(s[0])
-    total = np.add.reduce(s**p)
-    if not _TINY <= total < math.inf and 0.0 < s[0] < math.inf:
-        return float(s[0] * np.add.reduce((s / s[0]) ** p) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+    rows = s.reshape(-1, s.shape[-1])
+    if not rows.shape[1]:
+        return [[0.0] * len(rows) for _ in ps]
+    tops = rows[:, 0].tolist()
+    out = []
+    for p in ps:
+        if p == math.inf:
+            out.append(tops)
+            continue
+        root = 1.0 / p
+        values = np.add.reduce(s**p, axis=-1).ravel().tolist()
+        for t, (total, top) in enumerate(zip(values, tops)):
+            if _TINY <= total < math.inf or not 0.0 < top < math.inf:
+                values[t] = total**root
+            else:
+                values[t] = top * float(np.add.reduce((rows[t] / top) ** p)) ** root
+        out.append(values)
+    return out
 
 
 def norm(x, spec: NormSpec) -> float:
@@ -114,9 +128,10 @@ def norm(x, spec: NormSpec) -> float:
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
-    if s.size >= n:
+    """Zero-pad each row of ``s`` to length n."""
+    if s.shape[-1] >= n:
         return s
-    return np.concatenate([s, np.zeros(n - s.size)])
+    return np.concatenate([s, np.zeros(s.shape[:-1] + (n - s.shape[-1],))], axis=-1)
 
 
 def weakly_majorized(x, y, tol: float = DEFAULT_TOL) -> bool:
@@ -173,11 +188,26 @@ def scaled_margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, rhs)
 
 
-def compare(check_id: str, labels, lhs, rhs, tol: float) -> Verdict:
+def compare(check_id: str, labels, lhs, rhs, tol: float):
     """Verdict on lhs[i] <= rhs[i] for each labels[i], one record each with
-    its ``scaled_margin``."""
+    its ``scaled_margin``.
+
+    For 2-D ``lhs`` and ``rhs`` (one row per matrix of a stack) it gives
+    one verdict per row; ``labels`` then labels every row, or is a list of
+    one label sequence per row.
+    """
     lhs = np.asarray(lhs, dtype=float).tolist()
     rhs = np.asarray(rhs, dtype=float).tolist()
+    if not lhs or not isinstance(lhs[0], list):
+        return _verdict(check_id, labels, lhs, rhs, tol)
+    if isinstance(labels[0], str):
+        labels = [labels] * len(lhs)
+    return [
+        _verdict(check_id, *row, tol) for row in zip(labels, lhs, rhs, strict=True)
+    ]
+
+
+def _verdict(check_id: str, labels, lhs: list, rhs: list, tol: float) -> Verdict:
     records = [
         ComparisonRecord(label, vl, vr, scaled_margin(vl, vr))
         for label, vl, vr in zip(labels, lhs, rhs, strict=True)
@@ -188,12 +218,12 @@ def compare(check_id: str, labels, lhs, rhs, tol: float) -> Verdict:
 def fan_grid(s: np.ndarray) -> np.ndarray:
     """The norm grid of descending singular values ``s``: the Ky Fan partial
     sums for k = 1..n, then the Schatten norms of SCHATTEN_GRID, in the
-    order of ``grid_labels(n)``."""
-    n = s.size
-    grid = np.empty(n + len(SCHATTEN_GRID))
-    np.add.accumulate(s, out=grid[:n])
-    for i, p in enumerate(SCHATTEN_GRID, n):
-        grid[i] = _schatten(s, p)
+    order of ``grid_labels(n)``; one grid per row of a stack."""
+    n = s.shape[-1]
+    grid = np.empty(s.shape[:-1] + (n + len(SCHATTEN_GRID),))
+    np.add.accumulate(s, axis=-1, out=grid[..., :n])
+    schatten = np.transpose(_schatten(s, SCHATTEN_GRID))
+    grid[..., n:] = schatten.reshape(grid[..., n:].shape)
     return grid
 
 
@@ -218,22 +248,24 @@ def dominance_verdict(
     tol: float = DEFAULT_TOL,
     check_id: str = "dominance",
     pad: bool = False,
-) -> Verdict:
-    """Fan-dominance verdict for ||lhs|| <= ||rhs|| over all symmetric norms.
+):
+    """Fan-dominance verdict for ||lhs|| <= ||rhs|| over all symmetric norms;
+    one verdict per matrix of a stack.
 
     Records per-k Ky Fan margins plus a redundant Schatten grid.  With
     pad=False the operands must share a dimension; pad=True zero-pads
     singular values (used for block-vs-sum comparisons).  Each side is
     coerced once, by ``singular_values``; a square side has as many
-    singular values as rows, so their counts compare the shapes.
+    singular values as rows, so their counts compare the shapes.  Both
+    sides' grids come from one ``fan_grid`` call.
     """
     sl, sr = singular_values(lhs), singular_values(rhs)
-    if not pad and sl.size != sr.size:
-        raise DimensionMismatch(f"{(sl.size, sl.size)} vs {(sr.size, sr.size)}")
-    n = max(sl.size, sr.size)
-    return compare(
-        check_id, grid_labels(n), fan_grid(_pad(sl, n)), fan_grid(_pad(sr, n)), tol
-    )
+    nl, nr = sl.shape[-1], sr.shape[-1]
+    if not pad and nl != nr:
+        raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
+    n = max(nl, nr)
+    gl, gr = fan_grid(np.stack((_pad(sl, n), _pad(sr, n))))
+    return compare(check_id, grid_labels(n), gl, gr, tol)
 
 
 def norm_grid(n: int) -> list[NormSpec]:

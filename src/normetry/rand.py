@@ -47,7 +47,14 @@ def derive_stream(root_seed: int, trial_index: int) -> int:
 
 
 def _ggauss(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    """(G + iH)/sqrt(2) for two standard normal n x n draws G then H, with
+    the bits of ``(G + 1j * H) / np.sqrt(2)`` from one draw and no
+    temporaries."""
+    g = rng.standard_normal((2, n, n))
+    m = np.empty((n, n), dtype=complex)
+    m.real, m.imag = g
+    m /= np.sqrt(2)
+    return m
 
 
 def _rescale(m: np.ndarray, target: float) -> np.ndarray:

@@ -392,8 +392,8 @@ def test_replay_bad_fn_is_usage_error(tmp_path, capsys, fn):
 def test_failing_trial_is_named(monkeypatch, capsys, error, code):
     real = checks.check_prop_3_4
 
-    def flaky(a, b, **kw):
-        if a.shape[0] == 3:
+    def flaky(a, b, **kw):  # a is one matrix or a stack of them
+        if a.shape[-1] == 3:
             raise error("planted failure")
         return real(a, b, **kw)
 
@@ -405,3 +405,23 @@ def test_failing_trial_is_named(monkeypatch, capsys, error, code):
     assert f"prop3.4 trial 1 (n=3, seed={seed}): planted failure" in (
         capsys.readouterr().err
     )
+
+
+def test_falsify_report_embeds_each_certificate_file_verbatim(tmp_path):
+    """Each certificate is encoded once: its file's text is the text inside
+    the report, and both are the bytes json.dumps gives the whole objects."""
+    out, certs = tmp_path / "report.json", tmp_path / "certs"
+    argv = ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing",
+            "--trials", "12", "--dims", "1,2,3", "--seed", "5",
+            "--out", str(out), "--cert-dir", str(certs)]
+    assert run(argv) == cli.EXIT_OK
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    files = [certs / f"cert-thm1.2-{i}.json"
+             for i in range(len(report["campaign"]["violations"]))]
+    assert len(files) > 1 and sorted(certs.iterdir()) == sorted(files)
+    for path, cert in zip(files, report["campaign"]["violations"]):
+        cert_text = path.read_text()
+        assert cert_text == json.dumps(cert, sort_keys=True) + "\n"
+        assert cert_text[:-1] in text

@@ -318,10 +318,11 @@ def test_campaign_min_margin_keeps_a_nan(monkeypatch):
     campaign minimum, neither to the trials before it nor to those after."""
     real = checks.check_prop_3_4
 
-    def nan_at_n3(a, b, **kw):
+    def nan_at_n3(a, b, **kw):  # a is one matrix or a stack of them
         v = real(a, b, **kw)
-        if a.shape[0] == 3:
-            v.records.append(norms.ComparisonRecord("planted", 0.0, 0.0, math.nan))
+        if a.shape[-1] == 3:
+            for verdict in v if isinstance(v, list) else [v]:
+                verdict.records.append(norms.ComparisonRecord("planted", 0.0, 0.0, math.nan))
         return v
 
     monkeypatch.setattr(checks, "check_prop_3_4", nan_at_n3)

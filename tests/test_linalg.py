@@ -401,13 +401,14 @@ def test_is_normal_of_exactly_hermitian_matches_reference(seed, n, log_scale, to
 
 
 def bad_inputs():
-    """Non-finite entries (NaN, +inf, -inf, complex NaN) and non-square shapes."""
+    """Non-finite entries (NaN, +inf, -inf, complex NaN) and shapes that are
+    neither a square matrix nor a stack of them."""
     out = []
     for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         m = np.eye(3, dtype=complex)
         m[1, 2] = m[2, 1] = value
         out.append(pytest.param(m, DomainError, id=f"entry-{value}"))
-    for shape in ((2, 3), (4,), (2, 2, 2)):
+    for shape in ((2, 3), (4,), (2, 2, 3), (2, 2, 2, 2)):
         out.append(pytest.param(np.ones(shape), DimensionMismatch, id=f"shape-{shape}"))
     return out
 

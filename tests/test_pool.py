@@ -1,8 +1,9 @@
-"""Operand sharing in a campaign: each trial keeps one dict of operands,
-shared read-only through ``linalg.share``, whose memos die with their
-operand."""
+"""Operand sharing and stacking in a campaign: each trial keeps one dict of
+operands, shared read-only, and each checker's pending cases of one n and
+one operand list run as one (T, n, n) stack."""
 
 import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -55,55 +56,75 @@ def test_run_campaign_is_one_checker_of_run_campaigns():
     assert one.min_margin == many.min_margin
 
 
+def spy_stacks(monkeypatch):
+    """Record each run_stack call as [(check id, trial seed, n), ...]."""
+    seen = []
+    real = falsify.run_stack
+
+    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+        seen.append([(c.check_id, c.seed, c.n) for c in cases])
+        return real(cases, tol=tol, stacks=stacks)
+
+    monkeypatch.setattr(falsify, "run_stack", spy)
+    return seen
+
+
 def test_cases_run_trial_major_in_registry_order(monkeypatch):
-    ran = []
-    real = falsify.run_case
+    """Cases are sampled trial-major in registry order; the stacks then run
+    in the order of their first case, each holding its cases in trial
+    order."""
+    sampled = []
+    real_sample = falsify.sample_case
 
-    def spy(case, tol=falsify.DEFAULT_TOL, fn=None):
-        ran.append((case.seed, case.check_id))
-        return real(case, tol=tol, fn=fn)
+    def sample_spy(check_id, n, seed, mutation=None, shared=None):
+        sampled.append((seed, check_id))
+        return real_sample(check_id, n, seed, mutation, shared)
 
-    monkeypatch.setattr(falsify, "run_case", spy)
+    monkeypatch.setattr(falsify, "sample_case", sample_spy)
+    stacks = spy_stacks(monkeypatch)
     ids = ["prop3.4", "thm1.2", "ineq4"]
-    reports = falsify.run_campaigns(ids, trials=2, dims=(2,), root_seed=8)
+    reports = falsify.run_campaigns(ids, trials=4, dims=(2, 3), root_seed=8)
     assert [r.check_id for r in reports] == ids
-    assert ran == [
-        (derive_stream(8, i), cid)
-        for i in range(2)
-        for cid in ("thm1.2", "ineq4", "prop3.4")
+    order = ("thm1.2", "ineq4", "prop3.4")
+    assert sampled == [(derive_stream(8, i), cid) for i in range(4) for cid in order]
+    assert stacks == [
+        [(cid, derive_stream(8, i), 2 + i % 2) for i in (first, first + 2)]
+        for first in (0, 1) for cid in order
     ]
 
 
 def test_pooled_operands_and_memos_are_read_only():
-    m = generate(GenSpec("psd", 3, 5))
-    assert linalg.share(m) is m and not m.flags.writeable
-    assert linalg._MEMOS[id(m)] == {}
+    """A trial's shared operands are read-only, and so are the operand
+    stacks ``run_stack`` shares among checkers and the results ``joined``
+    keeps on them."""
     shared = {}
     case = falsify.sample_case("thm3.1", 3, 17, shared=shared)
     for m in case.matrices.values():
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 1.0
-    a = case.matrices["a"]
+    stack = linalg.share(np.stack([case.matrices["a"], case.matrices["b"]]))
+    assert not stack.flags.writeable and linalg._MEMOS[id(stack)] == {}
+    absolute = linalg.joined(linalg.matrix_abs, stack)
     with pytest.raises(ValueError, match="read-only"):
-        linalg.matrix_abs(a)[0, 0] = 1.0
-    psd = falsify.sample_case("thm1.2", 3, 17, shared=shared).matrices["a"]
-    spec = linalg.eigh(psd)
-    assert linalg.eigh(psd) is spec
+        absolute[0, 0, 0] = 1.0
+    psd = linalg.share(np.stack([generate(GenSpec("psd", 3, s)) for s in (1, 2)]))
+    spec = linalg.joined(linalg.eigh, psd)
+    assert linalg.joined(linalg.eigh, psd) is spec
     with pytest.raises(ValueError, match="read-only"):
-        spec.frame[0, 0] = 1.0
+        spec.frame[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        spec.eigenvalues[0] = 1.0
+        spec.eigenvalues[0, 0] = 1.0
 
 
 def test_campaign_cases_hold_read_only_operands(monkeypatch):
     seen = []
-    real = falsify.run_case
+    real = falsify.run_stack
 
-    def spy(case, tol=falsify.DEFAULT_TOL, fn=None):
-        seen.extend(m.flags.writeable for m in case.matrices.values())
-        return real(case, tol=tol, fn=fn)
+    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+        seen.extend(m.flags.writeable for c in cases for m in c.matrices.values())
+        return real(cases, tol=tol, stacks=stacks)
 
-    monkeypatch.setattr(falsify, "run_case", spy)
+    monkeypatch.setattr(falsify, "run_stack", spy)
     falsify.run_campaigns(CHECK_IDS, trials=2, dims=(3,))
     assert seen and not any(seen)
 
@@ -118,29 +139,38 @@ def test_nothing_is_pooled_outside_a_campaign():
     a[0, 0] += 0.0  # writable in place
     assert linalg.matrix_abs(a).flags.writeable
     assert linalg.eigh(a @ a.conj().T).frame.flags.writeable
+    stack = np.stack([a @ a.conj().T] * 2)
+    first = linalg.joined(linalg.eigh, stack)
+    assert first.frame.flags.writeable  # an unshared stack keeps nothing
+    assert linalg.joined(linalg.eigh, stack) is not first
 
 
 def test_pool_is_empty_after_every_trial(monkeypatch):
-    gc.collect()  # operands of earlier tests that only a cycle still holds
-    at_trial_start, last_case_holds_all = [], []
-    real_sample, real_run = falsify.sample_case, falsify.run_case
+    """With no byte budget every trial's cases run at once, and once they
+    have run, no operand of the trial is alive: the next trial starts from
+    an empty pool."""
+    monkeypatch.setattr(falsify, "STACK_BYTES", 0)
+    gc.collect()
+    alive = []  # weak references to every operand generated so far
+    real_generate, real_sample = falsify.generate, falsify.sample_case
+    live_at_trial_start = []
+
+    def generate_spy(spec):
+        m = real_generate(spec)
+        alive.append(weakref.ref(m))
+        return m
 
     def sample_spy(check_id, n, seed, mutation=None, shared=None):
         if not shared:  # the first case of a trial
-            at_trial_start.append(len(linalg._MEMOS))
+            live_at_trial_start.append(
+                (sum(r() is not None for r in alive), len(linalg._MEMOS)))
         return real_sample(check_id, n, seed, mutation, shared)
 
-    def run_spy(case, tol=falsify.DEFAULT_TOL, fn=None):
-        if case.check_id == CHECK_IDS[-1]:  # only this case's operands are left
-            held = {id(m) for m in case.matrices.values()}
-            last_case_holds_all.append(set(linalg._MEMOS) <= held)
-        return real_run(case, tol=tol, fn=fn)
-
+    monkeypatch.setattr(falsify, "generate", generate_spy)
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
-    monkeypatch.setattr(falsify, "run_case", run_spy)
     falsify.run_campaigns(CHECK_IDS, trials=5, dims=(2, 3))
-    assert at_trial_start == [0] * 5
-    assert last_case_holds_all == [True] * 5
+    assert live_at_trial_start == [(0, 0)] * 5
+    assert alive and all(r() is None for r in alive)
     assert linalg._MEMOS == {}
 
 
@@ -150,46 +180,61 @@ def test_operand_is_released_after_its_last_holder():
     second = falsify.sample_case("thm1.2", 3, 5, shared=shared)
     a = first.matrices["a"]
     assert second.matrices["a"] is a
-    key = id(a)
-    linalg.eigh(a)
+    ref = weakref.ref(a)
     del shared, first, a
-    assert "eigh" in linalg._MEMOS[key]  # the second case still holds it
+    assert ref() is not None  # the second case still holds it
     del second
+    assert ref() is None
+    stack = linalg.share(np.stack([generate(GenSpec("psd", 3, s)) for s in (1, 2)]))
+    linalg.joined(linalg.eigh, stack)
+    key = id(stack)
+    assert (linalg.eigh,) in linalg._MEMOS[key]
+    del stack  # its memo goes with it
     assert key not in linalg._MEMOS
-    fresh = [np.zeros((3, 3), dtype=complex) for _ in range(200)]
+    fresh = [np.zeros((2, 3, 3), dtype=complex) for _ in range(200)]
     assert not any(id(m) in linalg._MEMOS for m in fresh)
-    assert all(linalg.eigh(m).frame.flags.writeable for m in fresh)
 
 
 def test_failed_eigh_caches_nothing(monkeypatch):
+    """A shared stack whose eigh fails the residual guard raises and keeps
+    nothing; once LAPACK is sound again it decomposes, matrix by matrix as
+    each alone, and keeps that."""
     real = np.linalg.eigh
 
     def broken(m):
         w, v = real(m)
         return w + 1.0, v  # fails the residual guard
 
-    a = linalg.share(generate(GenSpec("psd", 4, 9)))
+    stack = linalg.share(np.stack([generate(GenSpec("psd", 4, s)) for s in (9, 10)]))
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(ConvergenceFailure, match="residual"):
-        linalg.eigh(a)
-    assert "eigh" not in linalg._MEMOS[id(a)]
+        linalg.joined(linalg.eigh, stack)
+    assert linalg._MEMOS[id(stack)] == {}
     monkeypatch.setattr(np.linalg, "eigh", real)
-    spec = linalg.eigh(a)
-    assert linalg._MEMOS[id(a)]["eigh"] is spec
+    spec = linalg.joined(linalg.eigh, stack)
+    assert linalg._MEMOS[id(stack)][(linalg.eigh,)] is spec
+    for t in range(2):
+        alone = linalg.eigh(stack[t])
+        assert spec.eigenvalues[t].tobytes() == alone.eigenvalues.tobytes()
+        assert spec.frame[t].tobytes() == alone.frame.tobytes()
 
 
 def test_is_normal_memo_keeps_each_tolerance_apart():
     a = generate(GenSpec("normal", 3, 21)).copy()
     a[0, 1] += 1e-6
-    linalg.share(a)
-    assert linalg.is_normal(a, tol=1e-3)
-    assert not linalg.is_normal(a, tol=1e-12)
-    assert linalg._MEMOS[id(a)] == {
-        ("is_normal", 1e-3): True, ("is_normal", 1e-12): False
+    stack = linalg.share(np.stack([a, generate(GenSpec("normal", 3, 22))]))
+    loose = linalg.joined(linalg.is_normal, stack, tol=1e-3)
+    strict = linalg.joined(linalg.is_normal, stack, tol=1e-12)
+    assert loose.tolist() == [True, True] and strict.tolist() == [False, True]
+    assert set(linalg._MEMOS[id(stack)]) == {
+        (linalg.is_normal, ("tol", 1e-3)), (linalg.is_normal, ("tol", 1e-12))
     }
 
 
 def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
+    """Each operand is generated once per trial; the checkers that take the
+    same operands take one shared stack of them, and each decomposition of
+    a shared stack is computed once."""
     generated = Counter()
     real_generate = falsify.generate
 
@@ -197,74 +242,55 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
         generated[spec] += 1
         return real_generate(spec)
 
-    kernel_calls = {"n": 0}
-    svd_inputs = Counter()  # shared operand -> np.linalg.svd calls on it
+    kept = []
+    computed = Counter()  # (shared stack, key) -> times computed
+    asked = Counter()  # (shared stack, key) -> times asked for
+    real_joined = linalg.joined
 
-    def count_kernel(fn):
-        def counted(*args, **kwargs):
-            kernel_calls["n"] += 1
-            if kernel == "svd" and id(args[0]) in linalg._MEMOS:
-                svd_inputs[id(args[0])] += 1
-            return fn(*args, **kwargs)
-        kernel = fn.__name__
-        return counted
-
-    calls = Counter()  # (function, shared operand) -> calls
-    kernels = Counter()  # (function, shared operand) -> eigh/svd calls
-
-    def per_operand(name, fn):
-        def spied(x, *args, **kwargs):
-            before = kernel_calls["n"]
-            try:
-                return fn(x, *args, **kwargs)
-            finally:
-                if id(x) in linalg._MEMOS:
-                    calls[name, id(x)] += 1
-                    kernels[name, id(x)] += kernel_calls["n"] - before
-                    usv = linalg._MEMOS[id(x)].get("svd", ())
-                    svd_writable.extend(part.flags.writeable for part in usv)
-        return spied
-
-    svd_writable = []  # flags of the memoised (u, s, vh) seen after each call
+    def count_joined(fn, *stacks, **kwargs):
+        key = (fn, *sorted(kwargs.items()))
+        before = [key in linalg._MEMOS.get(id(m), {}) for m in stacks]
+        out = real_joined(fn, *stacks, **kwargs)
+        for m, had in zip(stacks, before):
+            if id(m) in linalg._MEMOS:
+                kept.append(m)  # alive to the end, so no other stack takes its id
+                asked[id(m), key] += 1
+                computed[id(m), key] += not had
+        return out
 
     operand_slots = Counter()
-    real_run_case = falsify.run_case
+    real_run_stack = falsify.run_stack
 
-    def count_operands(case, tol=falsify.DEFAULT_TOL, fn=None):
-        operand_slots["n"] += len(case.matrices)
-        return real_run_case(case, tol=tol, fn=fn)
+    def count_operands(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+        operand_slots["n"] += sum(len(c.matrices) for c in cases)
+        return real_run_stack(cases, tol=tol, stacks=stacks)
 
     monkeypatch.setattr(falsify, "generate", count_generate)
-    monkeypatch.setattr(falsify, "run_case", count_operands)
-    monkeypatch.setattr(np.linalg, "eigh", count_kernel(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "svd", count_kernel(np.linalg.svd))
-    monkeypatch.setattr(linalg, "eigh", per_operand("eigh", linalg.eigh))
-    monkeypatch.setattr(
-        linalg, "matrix_abs", per_operand("matrix_abs", linalg.matrix_abs)
-    )
-    monkeypatch.setattr(linalg, "polar", per_operand("polar", linalg.polar))
+    monkeypatch.setattr(falsify, "run_stack", count_operands)
+    monkeypatch.setattr(linalg, "joined", count_joined)
     falsify.run_campaigns(CHECK_IDS, trials=1, dims=(4,))
-
     assert set(generated.values()) == {1}
     assert len(generated) < operand_slots["n"]  # operands are shared
-    assert max(calls.values()) > 1  # memo hits happen
-    assert max(kernels.values()) == 1
-    assert any(name == "polar" for name, _ in calls)
-    assert svd_inputs and max(svd_inputs.values()) == 1
-    assert svd_writable and not any(svd_writable)
+    assert set(computed.values()) == {1}
+    assert max(asked.values()) > 1  # memo hits happen
+    assert {key[0] for _, key in computed} == {
+        linalg.eigh, linalg.matrix_abs, linalg.polar, linalg.is_normal
+    }
 
 
 def test_matrix_abs_and_polar_share_one_svd(monkeypatch):
-    x = linalg.share(generate(GenSpec("general", 4, 3)))
-    fresh = generate(GenSpec("general", 4, 3))
+    """|X| from ``polar`` is ``matrix_abs`` of X, bit for bit, and the
+    polar parts of a whole stack come from one SVD call."""
+    x = np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)])
     calls = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k)
     )
     parts = linalg.polar(x)
-    np.testing.assert_array_equal(linalg.matrix_abs(x), parts.abs)
-    assert linalg.polar(x).u.tobytes() == parts.u.tobytes()
     assert len(calls) == 1
-    np.testing.assert_array_equal(linalg.polar(fresh).abs, parts.abs)
-    assert len(calls) == 2  # an unshared operand memoizes nothing
+    assert linalg.matrix_abs(x).tobytes() == parts.abs.tobytes()
+    for t in range(3):
+        alone = linalg.polar(x[t])
+        assert alone.u.tobytes() == parts.u[t].tobytes()
+        assert alone.abs_star.tobytes() == parts.abs_star[t].tobytes()

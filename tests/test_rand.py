@@ -79,3 +79,17 @@ def test_derive_stream_contract():
 def test_derive_stream_no_collisions():
     seeds = {derive_stream(0xDEADBEEF, i) for i in range(10_000)}
     assert len(seeds) == 10_000
+
+
+def test_complex_gaussian_draw_keeps_its_bits():
+    """One (2, n, n) draw filled into a complex array gives the bits of the
+    two-draw expression (G + 1j * H) / sqrt(2)."""
+    from normetry.rand import _ggauss
+
+    for n in (1, 2, 3, 5, 8, 17, 39):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            g, h = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            ref = (g + 1j * h) / np.sqrt(2)
+            got = _ggauss(np.random.default_rng(seed), n)
+            assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
