@@ -12,6 +12,7 @@ operand kinds, scalar-function class, extra scalar draws and call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,9 +40,33 @@ def _stack(x) -> np.ndarray:
     return m[None] if m.ndim == 2 else m
 
 
-def _split(x: np.ndarray, k: int) -> np.ndarray:
-    """A joined result of k stacks, back as k stacks."""
-    return x.reshape(k, -1, *x.shape[1:])
+def _cases(*positions: int):
+    """Checker decorator: the checker's body takes (T, n, n) stacks and
+    returns one result per matrix.  The arguments at ``positions`` are its
+    matrices (or a list of them), each coerced to a stack here; a call on
+    single matrices gets a single result back."""
+    def wrap(body):
+        @functools.wraps(body)
+        def checker(*args, **kwargs):
+            args = list(args)
+            first = args[positions[0]]
+            if isinstance(first, (list, tuple)) and first:
+                first = first[0]
+            single = np.ndim(first) == 2
+            for i in positions:
+                x = args[i]
+                args[i] = ([_stack(m) for m in x] if isinstance(x, (list, tuple))
+                           else _stack(x))
+            out = body(*args, **kwargs)
+            return out[0] if single else out
+        return checker
+    return wrap
+
+
+def _split(x: np.ndarray, k: int) -> list:
+    """A joined result of k stacks, back as k stacks (views)."""
+    t = len(x) // k
+    return [x[i * t:(i + 1) * t] for i in range(k)]
 
 
 def _spectrum_rows(spec: linalg.Spectrum, rows: slice) -> linalg.Spectrum:
@@ -53,11 +78,6 @@ def _spectral_apply(f, *stacks) -> np.ndarray:
     shared stack's eigh is taken once (``linalg.joined``)."""
     spec = linalg.joined(linalg.eigh, *stacks)
     return _split(linalg.apply_spectrum(_repeat_fns(f, len(stacks)), spec), len(stacks))
-
-
-def _out(verdicts: list, single: bool):
-    """One verdict for a single case, a list for a stack."""
-    return verdicts[0] if single else verdicts
 
 
 def _fns(f, t: int) -> list:
@@ -103,29 +123,26 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
     ]
 
 
+@_cases(1)
 def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
     """||f(sum A_i)|| <= ||sum f(A_i)|| for concave f >= 0 and PSD A_i."""
     if len(operands) < 2:
         raise BadSpec("need at least two operands")
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    single = np.ndim(operands[0]) == 2
-    mats = [_stack(a) for a in operands]
-    total = sum(mats[1:], start=mats[0])
-    parts = _spectral_apply(f, total, *mats)
-    v = norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
-    return _out(v, single)
+    total = sum(operands[1:], start=operands[0])
+    parts = _spectral_apply(f, total, *operands)
+    return norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
 
 
+@_cases(1, 2)
 def check_thm_1_2(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
     _require_tag(g, scalarfn.CONVEX_VANISHING, enforce)
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     ga, gb, gs = _spectral_apply(g, a, b, a + b)
-    v = norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
-    return _out(v, single)
+    return norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
 
 
+@_cases(1, 2)
 def check_davis_hansen(f, a, z, tol=DEFAULT_TOL, enforce=True):
     """Z* f(A) Z <= f(Z* A Z) for operator concave f, f(0) >= 0, ||Z|| <= 1.
 
@@ -133,13 +150,11 @@ def check_davis_hansen(f, a, z, tol=DEFAULT_TOL, enforce=True):
     embedding) is the classical inequality for compressions.
     """
     _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    single = np.ndim(a) == 2
-    a, z = _stack(a), _stack(z)
     if enforce and not linalg.is_contraction(z, tol=PREDICATE_TOL).all():
         raise NotAContraction("Z*Z has an eigenvalue above 1")
     zh = z.conj().swapaxes(-1, -2)
     fa, fz = _spectral_apply(f, a, linalg.hermitian_part(zh @ a @ z))
-    return _out(_loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol), single)
+    return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
 
 
 def _require_pd(**named) -> None:
@@ -151,14 +166,13 @@ def _require_pd(**named) -> None:
             raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
+@_cases(1, 2)
 def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
     """A^(1/2) phi(A+B) A^(1/2) + B^(1/2) phi(A+B) B^(1/2) <= f(A) + f(B)
 
     with phi(t) = f(t)/t, for operator concave f and A, B > 0.
     """
     _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     if enforce:
         _require_pd(A=a, B=b)
     t = len(a)
@@ -173,9 +187,10 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
     ra, rb = _split(linalg.apply_spectrum(np.sqrt, parts), 2)
     fa, fb = _split(linalg.apply_spectrum(_repeat_fns(f, 2), parts), 2)
     lhs = ra @ phi @ ra + rb @ phi @ rb
-    return _out(_loewner_verdict("pinching-eq2", lhs, fa + fb, tol), single)
+    return _loewner_verdict("pinching-eq2", lhs, fa + fb, tol)
 
 
+@_cases(1, 2)
 def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """||(A+B) g(A+B)|| <= ||A^(1/2) g(A+B) A^(1/2) + B^(1/2) g(A+B) B^(1/2)||
 
@@ -183,8 +198,6 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     singular at 0).
     """
     _require_tag(g, scalarfn.DECREASING_TG_INCREASING, enforce)
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     t = len(a)
     spec = linalg.joined(linalg.eigh, a + b, a, b)
     w = np.maximum(spec.eigenvalues[:t], 0.0)
@@ -198,20 +211,18 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     roots = linalg.apply_spectrum(np.sqrt, _spectrum_rows(spec, slice(t, None)))
     ra, rb = _split(roots, 2)
     rhs = ra @ g_sum @ ra + rb @ g_sum @ rb
-    return _out(norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1"), single)
+    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1")
 
 
+@_cases(1, 2)
 def check_thm_2_4(f, a, z, tol=DEFAULT_TOL, enforce=True):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    single = np.ndim(a) == 2
-    a, z = _stack(a), _stack(z)
     if enforce and not linalg.is_expansive(z, tol=PREDICATE_TOL).all():
         raise NotExpansive("Z*Z has an eigenvalue below 1")
     zh = z.conj().swapaxes(-1, -2)
     lhs, fa = _spectral_apply(f, linalg.hermitian_part(zh @ a @ z), a)
-    v = norms.dominance_verdict(lhs, zh @ fa @ z, tol=tol, check_id="thm2.4")
-    return _out(v, single)
+    return norms.dominance_verdict(lhs, zh @ fa @ z, tol=tol, check_id="thm2.4")
 
 
 def _f_eigs_desc(f, m) -> np.ndarray:
@@ -232,6 +243,7 @@ def _eigen_indices(j, k, t: int, n: int):
     return j, k, labels
 
 
+@_cases(1, 2)
 def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
     """lambda_{j+k+1}(f(S)) <= lambda_{j+1}(f(A')) + lambda_{k+1}(f(B')).
 
@@ -239,8 +251,6 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
     values |A+B|, |A|, |B| are used (triangle-inequality form).
     """
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     t, n = a.shape[:2]
     j, k, labels = _eigen_indices(j, k, t, n)
     psd = linalg.is_psd(a, tol=PREDICATE_TOL) & linalg.is_psd(b, tol=PREDICATE_TOL)
@@ -253,8 +263,7 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
     rows = np.arange(t)
     lhs = vals[0][rows, j + k]
     rhs = vals[1][rows, j] + vals[2][rows, k]
-    v = norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
-    return _out(v, single)
+    return norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
 
 
 def _grid_rhs(s: np.ndarray):
@@ -264,14 +273,12 @@ def _grid_rhs(s: np.ndarray):
     return lhs, norms.sqrt_product(gx, gy)
 
 
+@_cases(0, 1, 2, 3, 4, 5)
 def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
     per symmetric norm, for PSD A_i, B_i and contractions C_i.
     """
-    single = np.ndim(a1) == 2
-    a1, a2, b1, b2 = _stack(a1), _stack(a2), _stack(b1), _stack(b2)
-    c1, c2 = _stack(c1), _stack(c2)
     if enforce:
         c = np.concatenate((c1, c2))
         ok = _split(linalg.is_contraction(c, tol=PREDICATE_TOL), 2)
@@ -280,14 +287,12 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True):
                 raise NotAContraction(f"{name} is not a contraction")
     lhs, rhs = _grid_rhs(norms.singular_values(np.concatenate(
         (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))))
-    v = norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
-    return _out(v, single)
+    return norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
 
 
+@_cases(0, 1)
 def check_ineq_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape[1:]} vs {b.shape[1:]}")
     p = linalg.joined(linalg.polar, a, b)
@@ -295,8 +300,7 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL):
     star_a, star_b = _split(p.abs_star, 2)
     lhs, rhs = _grid_rhs(norms.singular_values(
         np.concatenate((a + b, abs_a + abs_b, star_a + star_b))))
-    v = norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
-    return _out(v, single)
+    return norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
 
 
 def _require_normal(enforce, **named) -> None:
@@ -321,16 +325,14 @@ def _abs4(a, b, c, d):
     return _split(linalg.joined(linalg.matrix_abs, a, b, c, d), 4)
 
 
+@_cases(0, 1, 2, 3)
 def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
-    single = np.ndim(a) == 2
-    a, b, c, d = _stack(a), _stack(b), _stack(c), _stack(d)
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     block = _block2(a, b, c, d)
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
-    v = norms.dominance_verdict(
+    return norms.dominance_verdict(
         block, pa + pb + pc + pd_, tol=tol, check_id="thm3.1", pad=True)
-    return _out(v, single)
 
 
 def _opnorm(m) -> np.ndarray:
@@ -343,19 +345,18 @@ def _max_opnorm(*stacks) -> np.ndarray:
     return np.maximum.reduce(_split(_opnorm(np.concatenate(stacks)), len(stacks)))
 
 
+@_cases(0, 1, 2, 3)
 def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
-    single = np.ndim(a) == 2
-    a, b, c, d = _stack(a), _stack(b), _stack(c), _stack(d)
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     lhs = _opnorm(_block2(a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     rhs = _max_opnorm(pa + pb, pc + pd_, pa + pc, pb + pd_)
-    v = norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
-    return _out(v, single)
+    return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
+@_cases(0, 1, 2)
 def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
@@ -366,10 +367,7 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     GTM 169, ch. I), so it decides this same comparison; the tests keep it
     as a reference.
     """
-    single = np.ndim(a) == 2
-    a = linalg.hermitize(_stack(a))
-    b = linalg.hermitize(_stack(b))
-    x = _stack(x)
+    a, b = linalg.hermitize(a), linalg.hermitize(b)
     if a.shape != b.shape or a.shape != x.shape:
         raise DimensionMismatch("A, B, X must share a dimension")
     block = np.block([[a, x.conj().swapaxes(-1, -2)], [x, b]])
@@ -377,29 +375,25 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
     lhs = _opnorm(block)
     rhs = _max_opnorm(abs_a + px.abs, abs_b + px.abs_star)
-    v = norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
-    return _out(v, single)
+    return norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
+@_cases(0, 1)
 def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     _require_normal(enforce, A=a, B=b)
     abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
-    v = norms.dominance_verdict(a + b, abs_a + abs_b, tol=tol, check_id="prop3.4")
-    return _out(v, single)
+    return norms.dominance_verdict(a + b, abs_a + abs_b, tol=tol, check_id="prop3.4")
 
 
+@_cases(0, 1)
 def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(|S+T|) <= (lambda_{j+1}(M) + lambda_{k+1}(M))/2
 
     with M = |S|+|T|, for Hermitian S, T (eigenvalue consequence of the
     unitary-mixture triangle inequality).
     """
-    single = np.ndim(s) == 2
-    s = linalg.hermitize(_stack(s))
-    t = linalg.hermitize(_stack(t))
+    s, t = linalg.hermitize(s), linalg.hermitize(t)
     rows, n = s.shape[:2]
     j, k, labels = _eigen_indices(j, k, rows, n)
     abs_sum, abs_s, abs_t = _split(linalg.joined(linalg.matrix_abs, s + t, s, t), 3)
@@ -408,32 +402,37 @@ def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     r = np.arange(rows)
     lhs = w_sum[r, j + k]
     rhs = 0.5 * (w_m[r, j] + w_m[r, k])
-    v = norms.compare("prop3.5", labels, lhs[:, None], rhs[:, None], tol)
-    return _out(v, single)
+    return norms.compare("prop3.5", labels, lhs[:, None], rhs[:, None], tol)
 
 
 def _powers(m, t: int) -> list:
     """The power m of each of t matrices, as ints >= 1."""
-    powers = [int(p) for p in _per_row(m, t).tolist()]
+    if isinstance(m, (int, np.integer)):
+        powers = [int(m)] * t
+    else:
+        powers = [int(p) for p in _per_row(m, t)]
     if min(powers) < 1:
         raise BadSpec(f"power m must be >= 1, got {min(powers)}")
     return powers
 
 
+@_cases(0, 1)
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     m = _powers(m, len(a))
-    z = _per_row(np.asarray(z, dtype=complex), len(a))
     # |z| as Python's abs (a libm hypot); numpy's complex abs can round apart
-    size = np.array([abs(v) for v in z.tolist()])[:, None, None]
-    z = z[:, None, None]
+    z = np.asarray(z, dtype=complex)
+    if z.ndim:  # one z per matrix
+        z = z.reshape(-1, 1, 1)
+        size = np.reshape([abs(v) for v in z.ravel().tolist()], z.shape)
+    else:
+        size = abs(complex(z))
     lhs, rhs = _split(
         linalg.matrix_power(np.concatenate((a + z * b, a + size * b)), m + m), 2)
-    return _out(norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5"), single)
+    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
 
 
+@_cases(0, 1)
 def check_identity_6(a, b, m):
     """Relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
 
@@ -441,28 +440,27 @@ def check_identity_6(a, b, m):
     in the expansion; only the pure A^m and B^m words survive.)  One
     residual per matrix of a stack.
     """
-    single = np.ndim(a) == 2
-    a, b = _stack(a), _stack(b)
     m = _powers(m, len(a))
-    residual = np.empty(len(a))
+    residual = [0.0] * len(a)
     for p in sorted(set(m)):
         rows = [t for t, q in enumerate(m) if q == p]
-        ar, br = a[rows], b[rows]
+        ar, br = (a, b) if len(rows) == len(a) else (a[rows], b[rows])
         w = np.exp(2j * np.pi / p)
         avg = sum(linalg.matrix_power(ar + (w**j) * br, p) for j in range(p)) / p
         target = linalg.matrix_power(ar, p) + linalg.matrix_power(br, p)
-        top = np.fmax(1.0, linalg.opnorm(target))
-        residual[rows] = linalg.opnorm(target - avg) / top
-    return residual[0].item() if single else residual
+        errors = linalg.opnorm(target - avg).tolist()
+        for t, error, top in zip(rows, errors, linalg.opnorm(target).tolist()):
+            residual[t] = error / max(1.0, top)
+    return residual
 
 
+@_cases(0, 1)
 def identity_6_verdict(a, b, m, tol: float = 1e-10):
     """Identity residual wrapped as a Verdict; its margin is -residual, so
     it passes iff residual <= tol."""
-    residual = np.atleast_1d(check_identity_6(a, b, m)).tolist()
-    v = [Verdict(check_id="identity6", tol=tol,
-                 records=[ComparisonRecord("residual", r, 0.0, -r)]) for r in residual]
-    return _out(v, np.ndim(a) == 2)
+    return [Verdict(check_id="identity6", tol=tol,
+                    records=[ComparisonRecord("residual", r, 0.0, -r)])
+            for r in check_identity_6(a, b, m)]
 
 
 def _ops(kind: str, names="ab") -> tuple:

@@ -214,19 +214,23 @@ def analytic_witness(check_id: str, mutation: str) -> Case:
     )
 
 
-def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None) -> Verdict:
+def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None,
+             verdict: Verdict | None = None) -> Verdict:
     """Run a checker on a materialized case and stamp its fingerprint.
 
     ``fn`` is the case's scalar function when the caller has already built
-    it from ``case.fn_descriptor``.
+    it from ``case.fn_descriptor``.  ``verdict`` is the case's verdict when
+    a stacked checker call (``run_stack``) has already run it; it is then
+    only stamped.
     """
-    if fn is None:
-        fn = case.fn()
-    v = _spec(case.check_id).run(
-        fn, case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
-    )
-    v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
-    return v
+    if verdict is None:
+        if fn is None:
+            fn = case.fn()
+        verdict = _spec(case.check_id).run(
+            fn, case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
+        )
+    verdict.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
+    return verdict
 
 
 def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
@@ -257,9 +261,7 @@ def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
         {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
         tol=tol, enforce=first.mutation is None,
     )
-    for case, v in zip(cases, verdicts):
-        v.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
-    return verdicts
+    return [run_case(case, verdict=v) for case, v in zip(cases, verdicts)]
 
 
 def _stack_key(cases: list, name: str) -> tuple:

@@ -16,7 +16,9 @@ matrix is V|Lambda|V* from ``eigh``; the guards and ``opnorm`` always use
 the SVD.  ``joined`` applies one of these functions to several stacks in
 one call, and reuses its results on stacks marked by ``share`` (a campaign
 shares the operand stacks that several checkers take); those stacks and
-results are read-only.
+results are read-only.  ``polar`` and the SVD route of ``matrix_abs`` take
+their SVD through ``joined`` too, so a shared stack is decomposed once for
+both.
 """
 
 from __future__ import annotations
@@ -61,9 +63,12 @@ def joined(fn, *stacks, **kwargs):
     as ``JOIN_BYTES`` allows.
 
     A stack marked by ``share`` keeps its rows of the result, read-only,
-    and they are not computed again.
+    and they are not computed again.  ``polar`` keeps only its SVD, which
+    ``matrix_abs`` reads as well.
     """
-    memos = [_MEMOS.get(id(m)) for m in stacks]
+    if fn is polar:
+        return _polar_parts(joined(_svd, *map(as_square, stacks)))
+    memos = [_MEMOS.get(id(m)) for m in stacks] if _MEMOS else [None] * len(stacks)
     if memos.count(None) == len(memos) and sum(m.nbytes for m in stacks) <= JOIN_BYTES:
         return fn(np.concatenate(stacks) if len(stacks) > 1 else stacks[0], **kwargs)
     key = (fn, *sorted(kwargs.items()))
@@ -78,8 +83,7 @@ def joined(fn, *stacks, **kwargs):
             runs[-1].append(i)
             size += stacks[i].nbytes
     for run in runs:
-        result = fn(np.concatenate([stacks[i] for i in run]) if len(run) > 1
-                    else stacks[run[0]], **kwargs)
+        result = _call(fn, [stacks[i] for i in run], kwargs)
         # a kept part is copied out of a result that also holds rows nothing
         # keeps, so those can go
         copy = any(memos[i] is None for i in run) and len(run) > 1
@@ -92,6 +96,17 @@ def joined(fn, *stacks, **kwargs):
             else:
                 parts[i] = memos[i][key] = _read_only(_take(result, rows, copy))
     return parts[0] if len(parts) == 1 else _concatenate(parts)
+
+
+def _call(fn, stacks: list, kwargs):
+    """fn of the stacks joined.  ``matrix_abs`` of stacks with no exactly
+    Hermitian matrix takes its SVD from ``joined``, where ``polar`` finds
+    it."""
+    if fn is matrix_abs:
+        stacks = [as_square(m) for m in stacks]
+        if not any(is_exactly_hermitian(m).any() for m in stacks):
+            return _abs_from(joined(_svd, *stacks))
+    return fn(np.concatenate(stacks) if len(stacks) > 1 else stacks[0], **kwargs)
 
 
 def _fields(result) -> list:
@@ -144,7 +159,7 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def _rows(m: np.ndarray) -> np.ndarray:
     """The matrices of ``m`` as a (T, n, n) stack (a view for a 2-D m)."""
-    return m.reshape(-1, *m.shape[-2:])
+    return m if m.ndim == 3 else m[None]
 
 
 def _per_matrix(ok: np.ndarray):
@@ -216,23 +231,22 @@ def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1):
     to that SVD test, unchanged, in one call.
     """
     s3 = _rows(s)
-    matrix = np.ndim(x) == s.ndim
+    matrix = isinstance(x, np.ndarray) and x.ndim == s.ndim
     xs = _rows(x) if matrix else np.reshape(x, -1).tolist()
     root_n = math.sqrt(max(s.shape[-1], 1))
     ok, undecided = [], []
-    for t, (xt, st) in enumerate(zip(xs, s3)):
+    for t, st in enumerate(s3):
         fro_s = _frobenius(st)
-        lhs = _frobenius(xt) if matrix else xt  # >= ||x||_op
-        lhs_low = lhs / root_n if matrix else xt  # <= ||x||_op
+        lhs = _frobenius(xs[t]) if matrix else xs[t]  # >= ||x||_op
+        lhs_low = lhs / root_n if matrix else lhs  # <= ||x||_op
         rms_sv = fro_s / root_n  # <= ||s||_op
         if lhs <= _FROBENIUS_SLACK * tol * max(1.0, rms_sv**power) < math.inf:
             ok.append(True)
-        elif (_FROBENIUS_SLACK * lhs_low > tol * max(1.0, fro_s**power)
-              and lhs < math.inf):
-            ok.append(False)
         else:
             ok.append(False)
-            undecided.append(t)
+            if not (_FROBENIUS_SLACK * lhs_low > tol * max(1.0, fro_s**power)
+                    and lhs < math.inf):
+                undecided.append(t)
     if undecided:
         top = opnorm(xs[undecided]) if matrix else np.take(xs, undecided)
         within = top <= tol * np.fmax(1.0, opnorm(s3[undecided]) ** power)
@@ -266,17 +280,23 @@ def hermitize(x) -> np.ndarray:
     """Symmetrize to (M + M*)/2, rejecting large asymmetry drift.
 
     An input whose matrices are all exactly Hermitian (M - M* is zero entry
-    for entry) is returned itself, uncopied.
+    for entry) is returned itself, uncopied; in a stack, such matrices keep
+    their entries, so each matrix gets the bits it gets alone.
     """
     m = as_square(x)
     skew = m - _adjoint(m)
     if not skew.any():
         return m
+    drifted = skew.any(axis=(-2, -1))
     ok = _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL)
     if not _all(ok):
         drift = opnorm(_rows(skew)[_first_failure(ok)])
         raise DomainError(f"matrix is not Hermitian (drift {drift:.3e})")
-    return _symmetrize(m)
+    if drifted.all():
+        return _symmetrize(m)
+    out = m.copy()
+    out[drifted] = _symmetrize(m[drifted])
+    return out
 
 
 def synthesize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -335,8 +355,7 @@ def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
     and its least value.
     """
     if w.shape[-1]:
-        rows = w.reshape(-1, w.shape[-1])
-        for top, low in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
+        for top, low in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist()):
             if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
                 raise DomainError(
                     f"eigenvalue {low:.3e} below the roundoff clamp window")
@@ -369,9 +388,23 @@ def apply_spectrum(f, spec: Spectrum) -> np.ndarray:
     return synthesize(spec.frame, _apply_rows(f, _clamp_spectrum(spec.eigenvalues)))
 
 
-def _svd(x):
-    """(u, s, vh) of X."""
-    return _lapack(np.linalg.svd, as_square(x))
+@dataclass(frozen=True)
+class SVD:
+    """X = u diag(s) vh, singular values descending."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+
+def _svd(m: np.ndarray) -> SVD:
+    """The SVD of a coerced matrix (stack)."""
+    return SVD(*_lapack(np.linalg.svd, m))
+
+
+def _abs_from(d: SVD) -> np.ndarray:
+    """|X| = V diag(s) V* from the SVD of X."""
+    return synthesize(_adjoint(d.vh), d.s)
 
 
 def _abs_hermitian(m: np.ndarray) -> np.ndarray:
@@ -380,8 +413,7 @@ def _abs_hermitian(m: np.ndarray) -> np.ndarray:
 
 
 def _abs_svd(m: np.ndarray) -> np.ndarray:
-    u, s, vh = _lapack(np.linalg.svd, m)
-    return synthesize(_adjoint(vh), s)
+    return _abs_from(_svd(m))
 
 
 def _by_route(m: np.ndarray, hermitian_route, svd_route) -> np.ndarray:
@@ -409,9 +441,11 @@ def polar(x) -> PolarParts:
     For singular X the unitary factor is completed on the kernel from the
     (deterministic) SVD frames, so results are reproducible per input.
     """
-    u, s, vh = _svd(x)
-    return PolarParts(
-        u=u @ vh, abs=synthesize(_adjoint(vh), s), abs_star=synthesize(u, s))
+    return _polar_parts(_svd(as_square(x)))
+
+
+def _polar_parts(d: SVD) -> PolarParts:
+    return PolarParts(u=d.u @ d.vh, abs=_abs_from(d), abs_star=synthesize(d.u, d.s))
 
 
 def _least(w: np.ndarray) -> np.ndarray:
@@ -472,9 +506,10 @@ def matrix_power(x, m) -> np.ndarray:
     """X^m; ``m`` may give one power per matrix of a stack, and the
     matrices sharing a power are raised together."""
     a = as_square(x)
-    if np.ndim(m) == 0:
-        return np.linalg.matrix_power(a, int(m))
-    powers = [int(p) for p in m]
+    if isinstance(m, (list, tuple, np.ndarray)) and np.ndim(m):
+        powers = [int(p) for p in m]
+    else:
+        powers = [int(m)]
     if len(set(powers)) == 1:
         return np.linalg.matrix_power(a, powers[0])
     out = np.empty_like(a)

@@ -256,16 +256,23 @@ def dominance_verdict(
     pad=False the operands must share a dimension; pad=True zero-pads
     singular values (used for block-vs-sum comparisons).  Each side is
     coerced once, by ``singular_values``; a square side has as many
-    singular values as rows, so their counts compare the shapes.  Both
-    sides' grids come from one ``fan_grid`` call.
+    singular values as rows, so their counts compare the shapes.  Sides
+    of one shape take one ``singular_values`` call, and both sides' grids
+    come from one ``fan_grid`` call.
     """
-    sl, sr = singular_values(lhs), singular_values(rhs)
-    nl, nr = sl.shape[-1], sr.shape[-1]
-    if not pad and nl != nr:
-        raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
-    n = max(nl, nr)
-    gl, gr = fan_grid(np.stack((_pad(sl, n), _pad(sr, n))))
-    return compare(check_id, grid_labels(n), gl, gr, tol)
+    ml, mr = np.asarray(lhs), np.asarray(rhs)
+    if ml.shape == mr.shape and ml.ndim in (2, 3) and ml.shape[-1] == ml.shape[-2]:
+        both = np.concatenate((ml[None], mr[None]))
+        s = singular_values(both.reshape(-1, *ml.shape[-2:])).reshape(both.shape[:-1])
+    else:
+        sl, sr = singular_values(ml), singular_values(mr)
+        nl, nr = sl.shape[-1], sr.shape[-1]
+        if not pad and nl != nr:
+            raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
+        n = max(nl, nr)
+        s = np.concatenate((_pad(sl, n)[None], _pad(sr, n)[None]))
+    gl, gr = fan_grid(s)
+    return compare(check_id, grid_labels(s.shape[-1]), gl, gr, tol)
 
 
 def norm_grid(n: int) -> list[NormSpec]:

@@ -233,14 +233,28 @@ def test_is_normal_memo_keeps_each_tolerance_apart():
 
 def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     """Each operand is generated once per trial; the checkers that take the
-    same operands take one shared stack of them, and each decomposition of
-    a shared stack is computed once."""
+    same operands take one shared stack of them, each decomposition of a
+    shared stack is computed once, and each operand goes through one SVD,
+    though eigen-sum takes |A| of it and ineq4 its polar parts."""
     generated = Counter()
+    operands = set()  # bytes of every generated operand
     real_generate = falsify.generate
 
     def count_generate(spec):
         generated[spec] += 1
-        return real_generate(spec)
+        m = real_generate(spec)
+        operands.add(m.tobytes())
+        return m
+
+    svd_inputs = Counter()  # operand bytes -> SVDs with vectors taken of it
+    real_svd = np.linalg.svd
+
+    def count_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            for m in np.reshape(a, (-1, *np.shape(a)[-2:])):
+                if m.tobytes() in operands:
+                    svd_inputs[m.tobytes()] += 1
+        return real_svd(a, *args, **kwargs)
 
     kept = []
     computed = Counter()  # (shared stack, key) -> times computed
@@ -252,7 +266,8 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
         before = [key in linalg._MEMOS.get(id(m), {}) for m in stacks]
         out = real_joined(fn, *stacks, **kwargs)
         for m, had in zip(stacks, before):
-            if id(m) in linalg._MEMOS:
+            memo = linalg._MEMOS.get(id(m))
+            if memo is not None and key in memo:
                 kept.append(m)  # alive to the end, so no other stack takes its id
                 asked[id(m), key] += 1
                 computed[id(m), key] += not had
@@ -265,32 +280,46 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
         operand_slots["n"] += sum(len(c.matrices) for c in cases)
         return real_run_stack(cases, tol=tol, stacks=stacks)
 
+    # root seed 0 draws general operands for eigen-sum, which ineq4 takes too
+    sample = falsify.sample_case("eigen-sum", 4, derive_stream(0, 0))
+    assert set(sample.kinds.values()) == {"general"}
     monkeypatch.setattr(falsify, "generate", count_generate)
     monkeypatch.setattr(falsify, "run_stack", count_operands)
     monkeypatch.setattr(linalg, "joined", count_joined)
-    falsify.run_campaigns(CHECK_IDS, trials=1, dims=(4,))
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    falsify.run_campaigns(CHECK_IDS, trials=1, dims=(4,), root_seed=0)
     assert set(generated.values()) == {1}
     assert len(generated) < operand_slots["n"]  # operands are shared
     assert set(computed.values()) == {1}
     assert max(asked.values()) > 1  # memo hits happen
     assert {key[0] for _, key in computed} == {
-        linalg.eigh, linalg.matrix_abs, linalg.polar, linalg.is_normal
+        linalg.eigh, linalg.matrix_abs, linalg._svd, linalg.is_normal
     }
+    # the SVD that matrix_abs took of eigen-sum's operands serves ineq4's polar
+    assert max(n for (_, key), n in asked.items() if key == (linalg._svd,)) > 1
+    assert svd_inputs and max(svd_inputs.values()) == 1
 
 
 def test_matrix_abs_and_polar_share_one_svd(monkeypatch):
-    """|X| from ``polar`` is ``matrix_abs`` of X, bit for bit, and the
-    polar parts of a whole stack come from one SVD call."""
-    x = np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)])
+    """On a shared stack, polar, matrix_abs and polar again cost one SVD
+    in total; |X| from ``polar`` is ``matrix_abs`` of X, bit for bit, and
+    the polar parts of each matrix are those it gets alone."""
+    x = linalg.share(np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)]))
+    fresh = np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)])
     calls = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k)
     )
-    parts = linalg.polar(x)
+    parts = linalg.joined(linalg.polar, x)
+    assert linalg.joined(linalg.matrix_abs, x).tobytes() == parts.abs.tobytes()
+    assert linalg.joined(linalg.polar, x).u.tobytes() == parts.u.tobytes()
     assert len(calls) == 1
-    assert linalg.matrix_abs(x).tobytes() == parts.abs.tobytes()
+    assert linalg.joined(linalg.polar, fresh).abs.tobytes() == parts.abs.tobytes()
+    assert len(calls) == 2  # an unshared stack keeps nothing
+    assert linalg.matrix_abs(fresh).tobytes() == parts.abs.tobytes()
     for t in range(3):
         alone = linalg.polar(x[t])
         assert alone.u.tobytes() == parts.u[t].tobytes()
+        assert alone.abs.tobytes() == parts.abs[t].tobytes()
         assert alone.abs_star.tobytes() == parts.abs_star[t].tobytes()

@@ -145,6 +145,19 @@ def test_a_row_with_hermitian_drift_fails_the_stack_as_alone():
         assert same_bits(out[t], linalg.hermitize(ok[t]))
 
 
+def test_an_exactly_hermitian_row_keeps_its_signed_zeros_beside_a_drifted_row():
+    """-0.0 == +0.0, so M below is exactly Hermitian and comes back as it
+    is; (M + M*)/2 would turn its -0.0 into +0.0."""
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = complex(-0.0, 0.0)
+    drifted = np.eye(2, dtype=complex)
+    drifted[0, 1] = 1e-14
+    out = linalg.hermitize(np.stack([m, drifted]))
+    assert same_bits(out[0], m) and same_bits(linalg.hermitize(m), m)
+    assert same_bits(out[1], linalg.hermitize(drifted))
+    assert same_bits(linalg.eigh(np.stack([m, drifted])).frame[0], linalg.eigh(m).frame)
+
+
 def test_a_row_with_a_bad_residual_fails_the_stack_as_alone(monkeypatch):
     real = np.linalg.eigh
     stack = psd_stack()
