@@ -253,8 +253,9 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
     t, n = a.shape[:2]
     j, k, labels = _eigen_indices(j, k, t, n)
-    psd = linalg.is_psd(a, tol=PREDICATE_TOL) & linalg.is_psd(b, tol=PREDICATE_TOL)
-    trio = np.stack((a + b, a, b))
+    psd_a, psd_b = _split(linalg.is_psd(np.concatenate((a, b)), tol=PREDICATE_TOL), 2)
+    psd = psd_a & psd_b
+    trio = np.concatenate((a + b, a, b)).reshape(3, t, n, n)
     rest = ~psd
     if rest.any():
         parts = (trio[0], a, b) if rest.all() else (trio[0][rest], a[rest], b[rest])
@@ -440,6 +441,10 @@ def check_identity_6(a, b, m):
     in the expansion; only the pure A^m and B^m words survive.)  One
     residual per matrix of a stack.
     """
+    return _identity_6_residuals(a, b, m)
+
+
+def _identity_6_residuals(a, b, m) -> list:
     m = _powers(m, len(a))
     residual = [0.0] * len(a)
     for p in sorted(set(m)):
@@ -460,7 +465,7 @@ def identity_6_verdict(a, b, m, tol: float = 1e-10):
     it passes iff residual <= tol."""
     return [Verdict(check_id="identity6", tol=tol,
                     records=[ComparisonRecord("residual", r, 0.0, -r)])
-            for r in check_identity_6(a, b, m)]
+            for r in _identity_6_residuals(a, b, m)]
 
 
 def _ops(kind: str, names="ab") -> tuple:

@@ -506,10 +506,9 @@ def matrix_power(x, m) -> np.ndarray:
     """X^m; ``m`` may give one power per matrix of a stack, and the
     matrices sharing a power are raised together."""
     a = as_square(x)
-    if isinstance(m, (list, tuple, np.ndarray)) and np.ndim(m):
-        powers = [int(p) for p in m]
-    else:
-        powers = [int(m)]
+    if isinstance(m, (int, np.integer)):
+        return np.linalg.matrix_power(a, int(m))
+    powers = [int(p) for p in np.ravel(m)]
     if len(set(powers)) == 1:
         return np.linalg.matrix_power(a, powers[0])
     out = np.empty_like(a)
