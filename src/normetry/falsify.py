@@ -4,9 +4,10 @@ A campaign draws seeded random instances for one checker and records the
 minimum scaled margin plus any violations (with self-contained replay
 certificates).  Campaigns sample trial-major: the cases of all checkers
 of trial i are drawn from one per-trial dict of operands, so an operand the
-checkers share is generated once.  The sampled cases then run in stacks:
-each checker's cases of one n and one operand list go through the checker
-in one (T, n, n) call.  Mutations
+checkers share is recorded once.  When the sampled cases run, their
+operands are generated first, one (kind, n) stack at a time; then each
+checker's cases of one n and one operand list go through the checker in
+one (T, n, n) call.  Mutations
 deliberately break one hypothesis: the must-violate mutations ship with an
 analytic witness tried first, while drop-normality is exploratory and only
 records what it sees.  A derivative-free hill descent probes how close the
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, checks, linalg, scalarfn, serialize
 from .errors import BadSpec, MalformedCertificate, NormetryError, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
-from .rand import GenSpec, derive_stream, generate
+from .rand import GenSpec, default_rngs, derive_stream, generate, generate_stack
 
 TOOL_VERSION = __version__
 
@@ -39,6 +40,7 @@ class Case:
     n: int
     seed: int | None
     matrices: dict  # name -> ndarray, insertion order = checker argument order
+    # (a campaign's cases hold GenSpecs until _generate_recorded runs)
     kinds: dict  # name -> generator kind (projection class for the descent)
     scalars: dict = field(default_factory=dict)  # j, k, m, z_re, z_im
     fn_descriptor: dict | None = None
@@ -131,17 +133,17 @@ def mutation_expectation(mutation: str | None) -> str:
         raise BadSpec(f"unknown mutation {mutation!r}") from exc
 
 
-def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None) -> np.ndarray:
+def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None):
     """Operand ``slot`` of ``kind`` for the trial seeded ``seed``.  With
-    ``shared`` (that trial's operands, keyed by (kind, slot)) it is
-    generated once per trial and shared read-only."""
-    if shared is not None and (kind, slot) in shared:
-        return shared[kind, slot]
-    m = generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
-    if shared is not None:
-        m.flags.writeable = False
-        shared[kind, slot] = m
-    return m
+    ``shared`` (that trial's operands, keyed by (kind, slot)) it is not
+    generated but recorded, as its GenSpec, once per trial;
+    ``_generate_recorded`` generates it later."""
+    if shared is None:
+        return generate(GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot)))
+    spec = shared.get((kind, slot))
+    if spec is None:
+        spec = shared[kind, slot] = GenSpec(kind=kind, n=n, seed=derive_stream(seed, slot))
+    return spec
 
 
 def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
@@ -169,8 +171,11 @@ def sample_case(
 ) -> Case:
     """Draw one seeded random instance for a checker, honoring a mutation.
 
-    ``shared`` holds the operands already drawn for the same ``n`` and
-    ``seed`` (see ``_gen``); without it every operand is fresh and writable.
+    ``shared`` holds the operands already recorded for the same ``n`` and
+    ``seed``: with it the case's matrices are GenSpecs until
+    ``_generate_recorded`` puts the generated operands in their place (see
+    ``_gen``); without it every operand is generated at once, fresh and
+    writable.
     """
     spec = _spec(check_id, mutation)
     change = MUTATIONS.get(mutation, {})
@@ -316,6 +321,13 @@ def _types(scalars: dict) -> dict:
     return {name: type(value).__name__ for name, value in scalars.items()}
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_types(check_id: str) -> dict:
+    """The names and types of the scalars ``check_id`` draws, at any n >= 1;
+    drawn once per process (the 16 check ids bound the cache)."""
+    return _types(checks.SPECS[check_id].scalars(np.random.default_rng(0), 1))
+
+
 def replay_certificate(cert: dict) -> Verdict:
     """Rerun a certificate's case.  A certificate that lacks a field, holds
     one of the wrong type or an unknown check, mutation or scalar function,
@@ -332,9 +344,9 @@ def replay_certificate(cert: dict) -> Verdict:
         if case.n < 1 or any(m.shape[0] != case.n for m in case.matrices.values()):
             sizes = {k: m.shape[0] for k, m in case.matrices.items()}
             raise ValueError(f"matrix sizes {sizes} do not match n={case.n}")
-        drawn = spec.scalars(np.random.default_rng(0), case.n)
-        if _types(case.scalars) != _types(drawn):
-            raise TypeError(f"scalars {case.scalars} do not match {_types(drawn)}")
+        expected = _scalar_types(case.check_id)
+        if _types(case.scalars) != expected:
+            raise TypeError(f"scalars {case.scalars} do not match {expected}")
     except (KeyError, TypeError, ValueError, AttributeError, NormetryError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
     if fn is None and spec.fn_class is not None:
@@ -393,6 +405,7 @@ def _named(exc: NormetryError, cid: str, i: int, n: int, seed) -> NormetryError:
 # campaign's memory at any --trials, and holds many trials per stack at
 # small n.
 STACK_BYTES = 1 << 22
+_ITEMSIZE = np.dtype(complex).itemsize
 
 
 def run_campaigns(
@@ -407,14 +420,16 @@ def run_campaigns(
     """Run seeded trials for several checkers; one report per check id.
 
     Trial i samples every checker's case from the same trial seed and one
-    dict of shared operands, so the operands checkers share are generated
-    once.  Sampled cases wait until their operands reach ``STACK_BYTES``;
-    then each checker's waiting cases of one n and one operand list run as
-    one stack (``run_stack``).  Reports and verdict rows are the same as one
-    checker and one case at a time would give.  A NormetryError raised by a
-    trial is re-raised with the check id, trial index, n and trial seed at
-    the start of its message: the campaign is rerun one case at a time, in
-    trial order, so the error is the one the first failing case raises.
+    dict of shared operands, so the operands checkers share are recorded,
+    and later generated, once.  Sampled cases wait until their operands
+    would reach ``STACK_BYTES``; then their operands are generated, one
+    stack per (kind, n), and each checker's waiting cases of one n and one
+    operand list run as one stack (``run_stack``).  Reports and verdict rows
+    are the same as one checker and one case at a time would give.  A
+    NormetryError raised by a trial, in generating or in running it, is
+    re-raised with the check id, trial index, n and trial seed at the start
+    of its message: the campaign is rerun one case at a time, in trial
+    order, so the error is the one the first failing case raises.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -473,21 +488,76 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
             key = (cid, case.n, tuple(case.kinds.items()))
             pending.setdefault(key, []).append((i, case))
             fields[cid]["wall_time"] += clock() - start
-        trial_bytes = sum(m.nbytes for m in shared.values())
+        trial_bytes = len(shared) * n * n * _ITEMSIZE
         held += trial_bytes
         per_entry = trial_bytes / (n * n)
-        del case, shared  # only the pending cases hold the operands now
+        del case, shared  # only the pending cases hold the recorded operands now
         if held >= stack_bytes or i == trials - 1:
             _run_pending(pending, tol, keep_verdicts, fields)
             pending, held = {}, 0
     return fields
 
 
+def _generate(specs: list) -> dict:
+    """Each GenSpec of ``specs`` (default scale and min_eig) generated,
+    read-only: their generators seeded in one pass, then one
+    ``generate_stack`` call per (kind, n) group of at most
+    ``linalg.JOIN_BYTES`` of output, which bounds the transient memory."""
+    groups: dict = {}  # (kind, n) -> [(spec, its generator)]
+    for spec, rng in zip(specs, default_rngs([spec.seed for spec in specs])):
+        groups.setdefault((spec.kind, spec.n), []).append((spec, rng))
+    out = {}
+    for (kind, n), group in groups.items():
+        step = max(1, linalg.JOIN_BYTES // (n * n * _ITEMSIZE))
+        for start in range(0, len(group), step):
+            part, rngs = zip(*group[start:start + step])
+            stack = generate_stack(kind, n, rngs)
+            stack.flags.writeable = False
+            out.update(zip(part, stack))
+    return out
+
+
+def _generate_recorded(sampled: list) -> Counter:
+    """Put the generated operands in place of the GenSpecs that the sampled
+    cases, [(trial, case)], recorded (``_gen``), shared as they were
+    recorded; returns how many operands each check id recorded first.
+
+    A NormetryError names the first operand, in the order they were
+    recorded, that fails when generated alone; for the cases of one trial
+    that is the case whose eager generation would have failed.
+    """
+    recorded = {}  # GenSpec -> the (trial, case) that recorded it first
+    for i, case in sampled:
+        for m in case.matrices.values():
+            if isinstance(m, GenSpec):
+                recorded.setdefault(m, (i, case))
+    try:
+        made = _generate(list(recorded))
+    except NormetryError:
+        for spec, (i, case) in recorded.items():
+            try:
+                _generate([spec])
+            except NormetryError as exc:
+                raise _named(exc, case.check_id, i, case.n, case.seed) from exc
+        raise
+    for _, case in sampled:
+        for name, m in case.matrices.items():
+            if isinstance(m, GenSpec):
+                case.matrices[name] = made[m]
+    return Counter(case.check_id for _, case in recorded.values())
+
+
 def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict) -> None:
-    """Run each stack of pending cases, then book their verdicts in trial
-    order.  Each stack's cases, and each operand stack once no other
-    pending stack takes it, are dropped as soon as they have run."""
+    """Generate the operands of the pending cases, run each stack of them,
+    then book their verdicts in trial order.  Each stack's cases, and each
+    operand stack once no other pending stack takes it, are dropped as soon
+    as they have run."""
     clock = time.perf_counter
+    start = clock()
+    recorders = _generate_recorded([pair for stack in pending.values() for pair in stack])
+    spent = (clock() - start) / max(1, sum(recorders.values()))
+    for cid, count in recorders.items():  # each check's share of generating
+        fields[cid]["wall_time"] += spent * count
     done: dict = {}  # check id -> [(trial, verdict, certificate or None)]
     stacks: dict = {}  # operand stacks, shared by the checkers that take them
     keys = {}  # the operand stacks of each group

@@ -418,11 +418,21 @@ def _abs_svd(m: np.ndarray) -> np.ndarray:
 
 def _by_route(m: np.ndarray, hermitian_route, svd_route) -> np.ndarray:
     """``hermitian_route`` on the exactly Hermitian matrices of ``m``,
-    ``svd_route`` on the others, each on the matrices it takes."""
+    ``svd_route`` on the others, each on the matrices it takes.
+
+    A stack whose two routes each take one run of its matrices, as when a
+    general stack is joined to a Hermitian one (the two sides of a
+    verdict), takes one call per run, on views; any other mix is split by
+    masks.
+    """
     herm = is_exactly_hermitian(m)
     flags = [herm] if m.ndim == 2 else herm.tolist()
     if all(flags) or not any(flags):
         return hermitian_route(m) if flags[0] else svd_route(m)
+    cut = flags.index(not flags[0])
+    if flags[cut:].count(flags[cut]) == len(flags) - cut:
+        head, tail = (hermitian_route, svd_route) if flags[0] else (svd_route, hermitian_route)
+        return np.concatenate((head(m[:cut]), tail(m[cut:])))
     first = hermitian_route(m[herm])
     out = np.empty(m.shape[:1] + first.shape[1:], dtype=first.dtype)
     out[herm] = first

@@ -126,3 +126,26 @@ def test_non_hermitian_inputs_take_the_svd(monkeypatch, kind):
     norms.singular_values(x)
     linalg.matrix_abs(x)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("order, one_run_per_route", [
+    ("GGHH", True), ("HG", True), ("GHG", False), ("HGGH", False),
+])
+def test_a_mixed_stack_gives_each_matrix_its_own_routes_bits(monkeypatch, order,
+                                                             one_run_per_route):
+    """A stack of general (G) and exactly Hermitian (H) matrices gives each
+    matrix the bits it gets alone.  When each route takes one run of the
+    stack, as the two sides of a verdict do, the SVD takes a view of its
+    run rather than a masked copy."""
+    mats = {kind[0].upper(): [generate(GenSpec(kind, 4, seed)) for seed in range(4)]
+            for kind in ("general", "hermitian")}
+    stack = np.stack([mats[c][t] for t, c in enumerate(order)])
+    seen = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(
+        np.shares_memory(a, stack)) or real_svd(a, *args, **kw))
+    sv, absolute = norms.singular_values(stack), linalg.matrix_abs(stack)
+    assert seen == [one_run_per_route] * 2  # singular_values, then matrix_abs
+    for t in range(len(order)):
+        assert sv[t].tobytes() == norms.singular_values(stack[t]).tobytes()
+        assert absolute[t].tobytes() == linalg.matrix_abs(stack[t]).tobytes()

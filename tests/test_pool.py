@@ -1,6 +1,7 @@
 """Operand sharing and stacking in a campaign: each trial keeps one dict of
-operands, shared read-only, and each checker's pending cases of one n and
-one operand list run as one (T, n, n) stack."""
+recorded operands, generated at flush time and shared read-only, and each
+checker's pending cases of one n and one operand list run as one (T, n, n)
+stack."""
 
 import gc
 import weakref
@@ -99,7 +100,10 @@ def test_pooled_operands_and_memos_are_read_only():
     keeps on them."""
     shared = {}
     case = falsify.sample_case("thm3.1", 3, 17, shared=shared)
-    for m in case.matrices.values():
+    assert all(isinstance(m, GenSpec) for m in case.matrices.values())
+    falsify._generate_recorded([(0, case)])
+    for name, m in case.matrices.items():
+        assert m.tobytes() == falsify.sample_case("thm3.1", 3, 17).matrices[name].tobytes()
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 1.0
     stack = linalg.share(np.stack([case.matrices["a"], case.matrices["b"]]))
@@ -151,14 +155,14 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
     an empty pool."""
     monkeypatch.setattr(falsify, "STACK_BYTES", 0)
     gc.collect()
-    alive = []  # weak references to every operand generated so far
-    real_generate, real_sample = falsify.generate, falsify.sample_case
+    alive = []  # weak references to every operand stack generated so far
+    real_generate, real_sample = falsify.generate_stack, falsify.sample_case
     live_at_trial_start = []
 
-    def generate_spy(spec):
-        m = real_generate(spec)
-        alive.append(weakref.ref(m))
-        return m
+    def generate_spy(kind, n, rngs):
+        stack = real_generate(kind, n, rngs)
+        alive.append(weakref.ref(stack))  # alive while any of its operands is
+        return stack
 
     def sample_spy(check_id, n, seed, mutation=None, shared=None):
         if not shared:  # the first case of a trial
@@ -166,7 +170,7 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
                 (sum(r() is not None for r in alive), len(linalg._MEMOS)))
         return real_sample(check_id, n, seed, mutation, shared)
 
-    monkeypatch.setattr(falsify, "generate", generate_spy)
+    monkeypatch.setattr(falsify, "generate_stack", generate_spy)
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
     falsify.run_campaigns(CHECK_IDS, trials=5, dims=(2, 3))
     assert live_at_trial_start == [(0, 0)] * 5
@@ -178,6 +182,7 @@ def test_operand_is_released_after_its_last_holder():
     shared = {}
     first = falsify.sample_case("thm1.2", 3, 5, shared=shared)
     second = falsify.sample_case("thm1.2", 3, 5, shared=shared)
+    falsify._generate_recorded([(0, first), (0, second)])
     a = first.matrices["a"]
     assert second.matrices["a"] is a
     ref = weakref.ref(a)
@@ -236,15 +241,16 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     same operands take one shared stack of them, each decomposition of a
     shared stack is computed once, and each operand goes through one SVD,
     though eigen-sum takes |A| of it and ineq4 its polar parts."""
-    generated = Counter()
+    generated = Counter()  # (kind, n, generator state) -> operands made of it
     operands = set()  # bytes of every generated operand
-    real_generate = falsify.generate
+    real_generate = falsify.generate_stack
 
-    def count_generate(spec):
-        generated[spec] += 1
-        m = real_generate(spec)
-        operands.add(m.tobytes())
-        return m
+    def count_generate(kind, n, rngs):
+        for rng in rngs:
+            generated[kind, n, str(rng.bit_generator.state)] += 1
+        stack = real_generate(kind, n, rngs)
+        operands.update(m.tobytes() for m in stack)
+        return stack
 
     svd_inputs = Counter()  # operand bytes -> SVDs with vectors taken of it
     real_svd = np.linalg.svd
@@ -283,7 +289,7 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     # root seed 0 draws general operands for eigen-sum, which ineq4 takes too
     sample = falsify.sample_case("eigen-sum", 4, derive_stream(0, 0))
     assert set(sample.kinds.values()) == {"general"}
-    monkeypatch.setattr(falsify, "generate", count_generate)
+    monkeypatch.setattr(falsify, "generate_stack", count_generate)
     monkeypatch.setattr(falsify, "run_stack", count_operands)
     monkeypatch.setattr(linalg, "joined", count_joined)
     monkeypatch.setattr(np.linalg, "svd", count_svd)

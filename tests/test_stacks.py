@@ -258,6 +258,42 @@ def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_tr
     assert max(sizes) > 1  # the failure arose in a stack, then was rerun
 
 
+def plant_generator_failure(monkeypatch, kind, seeds):
+    """Make the campaign's stack generator raise DomainError on a stack
+    holding a ``kind`` operand whose generator was seeded with one of
+    ``seeds``; record the size of every stack it is asked for."""
+    marks = {str(np.random.default_rng(np.uint64(s)).bit_generator.state) for s in seeds}
+    real = falsify.generate_stack
+    sizes = []
+
+    def planted(k, n, rngs, *args, **kwargs):
+        sizes.append(len(rngs))
+        if k == kind and any(str(r.bit_generator.state) in marks for r in rngs):
+            raise DomainError("planted failure")
+        return real(k, n, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(falsify, "generate_stack", planted)
+    return sizes
+
+
+@pytest.mark.parametrize("failing_trials", [(5,), (9, 6)])
+def test_a_failing_generation_names_its_first_failing_case(monkeypatch, failing_trials):
+    """A generator that fails on one operand's seed while a flush generates
+    names the check that recorded the operand first (thm3.1's b, which
+    prop3.4 shares), its trial, n and trial seed, as eager generation did."""
+    dims, seed, ids = (2, 3, 4), 31, ["prop3.4", "thm1.2", "thm3.1"]
+    sizes = plant_generator_failure(
+        monkeypatch, "normal", [derive_stream(derive_stream(seed, i), 1) for i in failing_trials])
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
+    first = min(failing_trials)
+    assert str(err.value) == (
+        f"thm3.1 trial {first} (n={dims[first % 3]}, seed={derive_stream(seed, first)}): "
+        "planted failure"
+    )
+    assert max(sizes) > 1  # the failure arose in a stack of operands
+
+
 def test_a_failing_witness_trial_is_named(monkeypatch):
     real = checks.check_thm_1_2
 
