@@ -17,6 +17,7 @@ true inequalities come to equality.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import time
 from collections import Counter
@@ -503,15 +504,17 @@ def _generate(specs: list) -> dict:
     read-only: their generators seeded in one pass, then one
     ``generate_stack`` call per (kind, n) group of at most
     ``linalg.JOIN_BYTES`` of output, which bounds the transient memory."""
-    groups: dict = {}  # (kind, n) -> [(spec, its generator)]
-    for spec, rng in zip(specs, default_rngs([spec.seed for spec in specs])):
-        groups.setdefault((spec.kind, spec.n), []).append((spec, rng))
+    groups: dict = {}
+    for spec in specs:
+        groups.setdefault((spec.kind, spec.n), []).append(spec)
+    ordered = [spec for group in groups.values() for spec in group]
+    rngs = default_rngs([spec.seed for spec in ordered])  # taken in this order
     out = {}
     for (kind, n), group in groups.items():
         step = max(1, linalg.JOIN_BYTES // (n * n * _ITEMSIZE))
         for start in range(0, len(group), step):
-            part, rngs = zip(*group[start:start + step])
-            stack = generate_stack(kind, n, rngs)
+            part = group[start:start + step]
+            stack = generate_stack(kind, n, list(itertools.islice(rngs, len(part))))
             stack.flags.writeable = False
             out.update(zip(part, stack))
     return out

@@ -120,13 +120,13 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def default_rngs(seeds) -> list:
-    """``np.random.default_rng(np.uint64(seed))`` for each 64-bit seed: the
-    generators' states are equal, while the SeedSequence hash of every seed
-    is taken in one vectorized pass."""
+def default_rngs(seeds):
+    """An iterator of ``np.random.default_rng(np.uint64(seed))`` for each
+    64-bit seed, in order, with equal states.  The SeedSequence hashes of
+    all seeds are taken at once, in one vectorized pass; each generator is
+    built when it is taken, so a caller holds only those it uses."""
     seed_words = _seed_words_type()
-    return [np.random.Generator(np.random.PCG64(seed_words(w)))
-            for w in _seed_words(seeds)]
+    return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in _seed_words(seeds))
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:

@@ -185,7 +185,7 @@ def stacked_rows(kind, n, t):
     each, seeded by the seeding pass as a campaign seeds them."""
     rows = []
     for start in range(0, len(STACK_SEEDS), t):
-        rows.extend(generate_stack(kind, n, default_rngs(STACK_SEEDS[start:start + t])))
+        rows.extend(generate_stack(kind, n, list(default_rngs(STACK_SEEDS[start:start + t]))))
     return [m.tobytes() for m in rows]
 
 
