@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec
+from .linalg import _adjoint
 
 KINDS = (
     "psd",
@@ -127,10 +128,6 @@ def default_rngs(seeds):
     built when it is taken, so a caller holds only those it uses."""
     seed_words = _seed_words_type()
     return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in _seed_words(seeds))
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _ggauss(rngs, n: int) -> np.ndarray:
