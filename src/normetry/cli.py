@@ -148,28 +148,14 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    from .witnesses import witnesses_for
+    from . import witnesses
 
-    witness_rows = []
-    all_pass = True
-    for w in witnesses_for(check_ids):
-        verdict = w.run()
-        ok = verdict.passed and (not w.equality or abs(verdict.min_margin) <= args.tol)
-        all_pass &= ok
-        witness_rows.append(
-            {
-                "check": w.check_id,
-                "description": w.description,
-                "equality": w.equality,
-                "min_margin": verdict.min_margin,
-                "pass": ok,
-            }
-        )
+    witness_rows = witnesses.table(check_ids, args.tol)
+    all_pass = all(row["pass"] for row in witness_rows)
     campaigns = []
-    verdict_rows = []
     reports = falsify.run_campaigns(
         check_ids, mutation=None, trials=args.trials, dims=dims,
-        root_seed=args.seed, tol=args.tol, keep_verdicts=True,
+        root_seed=args.seed, tol=args.tol, keep_verdicts=args.verdicts,
     )
     for report in reports:
         all_pass &= not report.violations
@@ -182,13 +168,13 @@ def cmd_verify(args) -> int:
                 "violations": report.violations,
             }
         )
-        verdict_rows.extend(report.verdicts)
     out = {
         "header": _header(config),
         "witnesses": witness_rows,
         "campaigns": campaigns,
-        "verdicts": verdict_rows,
     }
+    if args.verdicts:
+        out["verdicts"] = [row for report in reports for row in report.verdicts]
     if args.format == "csv-summary":
         _write(_csv_summary(campaigns), args.out)
     else:
@@ -295,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
+    p.add_argument("--verdicts", action="store_true",
+                   help="also write one verdict row per trial")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("falsify", help="run a mutation campaign")

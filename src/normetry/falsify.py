@@ -28,7 +28,10 @@ import numpy as np
 from . import __version__, checks, linalg, scalarfn, serialize
 from .errors import BadSpec, MalformedCertificate, NormetryError, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
-from .rand import GenSpec, default_rngs, derive_stream, generate, generate_stack
+from .rand import (
+    GenSpec, _seed_words, default_rngs, derive_stream, generate, generate_stack,
+    rng_from_words,
+)
 
 TOOL_VERSION = __version__
 
@@ -158,17 +161,19 @@ def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
     return checks.SPECS[check_id]
 
 
-@functools.lru_cache(maxsize=1)
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    """The trial seed's SeedSequence, built once for all of the trial's
-    checkers.  ``Generator(PCG64(ss))`` draws the same stream as
-    ``default_rng(seed)`` without rebuilding ``ss``."""
-    return np.random.SeedSequence(seed & (2**64 - 1))
+def case_rng(seed: int, words: np.ndarray | None = None) -> np.random.Generator:
+    """The generator a case of ``seed`` draws from, with the state of
+    ``default_rng(np.uint64(seed))``; ``words`` is the seed's
+    ``_seed_words`` row when the caller has taken it (a campaign takes
+    them for a block of trials in one pass)."""
+    if words is None:
+        words = _seed_words([seed & (2**64 - 1)])[0]
+    return rng_from_words(words)
 
 
 def sample_case(
     check_id: str, n: int, seed: int, mutation: str | None = None,
-    shared: dict | None = None,
+    shared: dict | None = None, words: np.ndarray | None = None,
 ) -> Case:
     """Draw one seeded random instance for a checker, honoring a mutation.
 
@@ -176,11 +181,11 @@ def sample_case(
     ``seed``: with it the case's matrices are GenSpecs until
     ``_generate_recorded`` puts the generated operands in their place (see
     ``_gen``); without it every operand is generated at once, fresh and
-    writable.
+    writable.  ``words`` are the seed's words for ``case_rng``, if taken.
     """
     spec = _spec(check_id, mutation)
     change = MUTATIONS.get(mutation, {})
-    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
+    rng = case_rng(seed, words)
     fn_desc = None
     if "fn" in change:
         fn_desc = change["fn"](rng)
@@ -221,8 +226,9 @@ def analytic_witness(check_id: str, mutation: str) -> Case:
 
 
 def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None,
-             verdict: Verdict | None = None) -> Verdict:
-    """Run a checker on a materialized case and stamp its fingerprint.
+             verdict: Verdict | None = None, stamp: bool = True) -> Verdict:
+    """Run a checker on a materialized case and, with ``stamp``, stamp its
+    fingerprint.
 
     ``fn`` is the case's scalar function when the caller has already built
     it from ``case.fn_descriptor``.  ``verdict`` is the case's verdict when
@@ -235,12 +241,18 @@ def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None,
         verdict = _spec(case.check_id).run(
             fn, case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
         )
-    verdict.fingerprint = serialize.fingerprint(_case_fields(case), case.matrices)
+    if stamp:
+        verdict.fingerprint = fingerprint(case)
     return verdict
 
 
+def fingerprint(case: Case) -> str:
+    """The fingerprint of a case's inputs, as a certificate stores it."""
+    return serialize.fingerprint(_case_fields(case), case.matrices)
+
+
 def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
-              ) -> list[Verdict]:
+              stamp: bool = True) -> list[Verdict]:
     """``run_case`` of each case, in one stacked checker call.
 
     The cases share a checker, a mutation, n and their operand names; each
@@ -267,7 +279,7 @@ def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
         {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
         tol=tol, enforce=first.mutation is None,
     )
-    return [run_case(case, verdict=v) for case, v in zip(cases, verdicts)]
+    return [run_case(case, verdict=v, stamp=stamp) for case, v in zip(cases, verdicts)]
 
 
 def _stack_key(cases: list, name: str) -> tuple:
@@ -308,13 +320,15 @@ def case_from_dict(d: dict) -> Case:
 
 
 def make_certificate(case: Case, verdict: Verdict) -> dict:
+    """The certificate of a case and its verdict; an unstamped verdict's
+    fingerprint is taken from the case here."""
     return {
         "tool_version": TOOL_VERSION,
         "case": case_to_dict(case),
         "margin": verdict.min_margin,
         "passed": verdict.passed,
         "tol": verdict.tol,
-        "fingerprint": verdict.fingerprint,
+        "fingerprint": verdict.fingerprint or fingerprint(case),
     }
 
 
@@ -407,6 +421,8 @@ def _named(exc: NormetryError, cid: str, i: int, n: int, seed) -> NormetryError:
 # small n.
 STACK_BYTES = 1 << 22
 _ITEMSIZE = np.dtype(complex).itemsize
+# Trial seeds whose generator seed words a campaign takes in one pass.
+WORDS_BLOCK = 1024
 
 
 def run_campaigns(
@@ -427,6 +443,8 @@ def run_campaigns(
     stack per (kind, n), and each checker's waiting cases of one n and one
     operand list run as one stack (``run_stack``).  Reports and verdict rows
     are the same as one checker and one case at a time would give.  A
+    case's fingerprint is taken only where it is written: in a violation's
+    certificate, and in its verdict row with ``keep_verdicts``.  A
     NormetryError raised by a trial, in generating or in running it, is
     re-raised with the check id, trial index, n and trial seed at the start
     of its message: the campaign is rerun one case at a time, in trial
@@ -472,7 +490,11 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
     held = 0
     per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
     for i in range(trials):
-        n, seed = dims[i % len(dims)], derive_stream(root_seed, i)
+        if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
+            block = range(i, min(i + WORDS_BLOCK, trials))
+            seeds = [derive_stream(root_seed, j) for j in block]
+            words = _seed_words(seeds)
+        n, seed = dims[i % len(dims)], seeds[i % WORDS_BLOCK]
         if pending and held + per_entry * n * n > stack_bytes:
             _run_pending(pending, tol, keep_verdicts, fields)
             pending, held = {}, 0
@@ -483,7 +505,8 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
                 if i == 0 and witness:
                     case = analytic_witness(cid, mutation)
                 else:
-                    case = sample_case(cid, n, seed, mutation, shared)
+                    case = sample_case(cid, n, seed, mutation, shared,
+                                       words[i % WORDS_BLOCK])
             except NormetryError as exc:
                 raise _named(exc, cid, i, n, seed) from exc
             key = (cid, case.n, tuple(case.kinds.items()))
@@ -574,7 +597,8 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict) -
         cid = group[0]
         start = clock()
         try:
-            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks)
+            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
+                                 stamp=keep_verdicts)
         except NormetryError as exc:
             if len(stack) > 1:  # the campaign reruns one case at a time
                 raise

@@ -121,13 +121,18 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+def rng_from_words(words: np.ndarray) -> np.random.Generator:
+    """The generator of a seed whose ``_seed_words`` row is ``words``: its
+    state equals ``np.random.default_rng(np.uint64(seed))``'s."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
 def default_rngs(seeds):
     """An iterator of ``np.random.default_rng(np.uint64(seed))`` for each
     64-bit seed, in order, with equal states.  The SeedSequence hashes of
     all seeds are taken at once, in one vectorized pass; each generator is
     built when it is taken, so a caller holds only those it uses."""
-    seed_words = _seed_words_type()
-    return (np.random.Generator(np.random.PCG64(seed_words(w))) for w in _seed_words(seeds))
+    return (rng_from_words(w) for w in _seed_words(seeds))
 
 
 def _ggauss(rngs, n: int) -> np.ndarray:

@@ -4,18 +4,19 @@ Each entry is a small fixed instance with a known outcome: either an exact
 equality (|min margin| must be within tolerance) or a strict pass.  The
 verify command runs this table alongside the random campaigns, and the
 equality entries double as a guard against checkers reporting spurious
-slack.
+slack.  An entry is data: its operands, scalar-function descriptor and
+scalars go to its checker through ``checks.SPECS``, and ``table`` runs
+each (check id, n) group of entries as one stacked checker call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checks, scalarfn
-from .norms import Verdict
+from .norms import DEFAULT_TOL, Verdict
 
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -33,170 +34,133 @@ _CONTRACTION = np.diag([0.6, 0.3]).astype(complex)
 class Witness:
     check_id: str
     description: str
-    run: Callable[[], Verdict]
     equality: bool  # min margin must be ~0, not merely >= -tol
+    operands: dict  # name -> matrix, as checks.SPECS names them
+    fn: dict | None = None  # scalar-function descriptor
+    scalars: dict = field(default_factory=dict)
+    tol: float = DEFAULT_TOL
+
+    def run(self) -> Verdict:
+        """The witness's verdict, from one checker call of its own."""
+        fn = None if self.fn is None else scalarfn.from_descriptor(self.fn)
+        return checks.SPECS[self.check_id].run(
+            fn, self.operands, self.scalars, tol=self.tol, enforce=True)
 
 
 def _one_by_one(v: float) -> np.ndarray:
     return np.array([[v]], dtype=complex)
 
 
+_SQRT = {"kind": "sqrt"}
+_IDENTITY = {"kind": "power", "s": 1.0}
+_JK0 = {"j": 0, "k": 0}
+_ONES = {name: _one_by_one(1) for name in "abcd"}
+
 WITNESSES: tuple[Witness, ...] = (
-    Witness(
-        "thm1.1", "sqrt on complementary projections (equality)",
-        lambda: checks.check_thm_1_1(scalarfn.sqrt_fn(), [_D10, _D01]), True,
-    ),
-    Witness(
-        "thm1.1", "sqrt on A=B=I",
-        lambda: checks.check_thm_1_1(scalarfn.sqrt_fn(), [_I2, _I2]), False,
-    ),
-    Witness(
-        "thm1.2", "t^2 on complementary projections (equality)",
-        lambda: checks.check_thm_1_2(scalarfn.power_m_fn(2), _D10, _D01), True,
-    ),
-    Witness(
-        "thm1.2", "t^2 on A=B=I",
-        lambda: checks.check_thm_1_2(scalarfn.power_m_fn(2), _I2, _I2), False,
-    ),
-    Witness(
-        "davis-hansen", "Z=I (equality)",
-        lambda: checks.check_davis_hansen(scalarfn.sqrt_fn(), _PSD_A, _I2), True,
-    ),
-    Witness(
-        "davis-hansen", "f=t with a strict contraction (equality)",
-        lambda: checks.check_davis_hansen(
-            scalarfn.identity_fn(), _PSD_A, _CONTRACTION
-        ), True,
-    ),
-    Witness(
-        "pinching-eq2", "sqrt on A=B=I",
-        lambda: checks.check_pinching_eq2(scalarfn.sqrt_fn(), _I2, _I2), False,
-    ),
-    Witness(
-        "pinching-eq2", "f=t makes both sides A+B (equality)",
-        lambda: checks.check_pinching_eq2(
-            scalarfn.identity_fn(), _PSD_A, _PSD_B + 2 * _I2
-        ), True,
-    ),
-    Witness(
-        "prop2.1", "1/sqrt(t) with A+B=4I (equality)",
-        lambda: checks.check_prop_2_1(
-            scalarfn.inv_sqrt_fn(),
-            np.diag([3.0, 1.0]).astype(complex),
-            np.diag([1.0, 3.0]).astype(complex),
-        ), True,
-    ),
-    Witness(
-        "prop2.1", "constant g makes both sides A+B (equality)",
-        lambda: checks.check_prop_2_1(scalarfn.constant_fn(1.0), _PSD_A, _PSD_B),
-        True,
-    ),
-    Witness(
-        "thm2.4", "Z=sqrt(2) I, A=I, f=sqrt",
-        lambda: checks.check_thm_2_4(
-            scalarfn.sqrt_fn(), _I2, np.sqrt(2.0) * _I2
-        ), False,
-    ),
-    Witness(
-        "thm2.4", "Z=I (equality)",
-        lambda: checks.check_thm_2_4(scalarfn.sqrt_fn(), _PSD_A, _I2), True,
-    ),
-    Witness(
-        "eigen-sum", "f=t, j=k=0 is Weyl subadditivity",
-        lambda: checks.check_eigen_sum(
-            scalarfn.identity_fn(), _PSD_A, _PSD_B, 0, 0
-        ), False,
-    ),
-    Witness(
-        "eigen-sum", "sqrt on disjoint diagonals, j=k=0",
-        lambda: checks.check_eigen_sum(
-            scalarfn.sqrt_fn(), 4 * _D10, 4 * _D01, 0, 0
-        ), False,
-    ),
-    Witness(
-        "cs-lemma", "single identity term (equality)",
-        lambda: checks.check_cs_lemma(_I2, _Z2, _I2, _Z2, _I2, _I2), True,
-    ),
-    Witness(
-        "cs-lemma", "A_i=B_i with identity contractions (equality)",
-        lambda: checks.check_cs_lemma(
-            _PSD_A, _PSD_B, _PSD_A, _PSD_B, _I2, _I2
-        ), True,
-    ),
-    Witness(
-        "ineq4", "A=B=I (equality)",
-        lambda: checks.check_ineq_4(_I2, _I2), True,
-    ),
-    Witness(
-        "ineq4", "B=-A gives zero LHS",
-        lambda: checks.check_ineq_4(_GEN, -_GEN), False,
-    ),
-    Witness(
-        "thm3.1", "scalar all-ones blocks",
-        lambda: checks.check_thm_3_1(
-            _one_by_one(1), _one_by_one(1), _one_by_one(1), _one_by_one(1)
-        ), False,
-    ),
-    Witness(
-        "thm3.1", "B=C=0 reduces to the block-diagonal fact",
-        lambda: checks.check_thm_3_1(_PSD_A, _Z2, _Z2, _PSD_B), False,
-    ),
-    Witness(
-        "thm3.2", "scalar all-ones blocks (equality)",
-        lambda: checks.check_thm_3_2(
-            _one_by_one(1), _one_by_one(1), _one_by_one(1), _one_by_one(1)
-        ), True,
-    ),
-    Witness(
-        "thm3.2", "B=C=D=0 (equality)",
-        lambda: checks.check_thm_3_2(_HERM, _Z2, _Z2, _Z2), True,
-    ),
-    Witness(
-        "cor3.3", "A=B=0 reaches the top singular value (equality)",
-        lambda: checks.check_cor_3_3(_Z2, _Z2, _GEN), True,
-    ),
-    Witness(
-        "cor3.3", "X=0 (equality)",
-        lambda: checks.check_cor_3_3(_HERM, _PSD_A - 2 * _I2, _Z2), True,
-    ),
-    Witness(
-        "prop3.4", "A=I, B=-I gives zero LHS",
-        lambda: checks.check_prop_3_4(_I2, -_I2), False,
-    ),
-    Witness(
-        "prop3.4", "A=B unitary (equality at every Ky Fan k)",
-        lambda: checks.check_prop_3_4(_UNITARY, _UNITARY), True,
-    ),
-    Witness(
-        "prop3.5", "S=T=diag(1,-1), j=k=0 (equality)",
-        lambda: checks.check_prop_3_5_eigen(
-            np.diag([1.0, -1.0]).astype(complex),
-            np.diag([1.0, -1.0]).astype(complex), 0, 0,
-        ), True,
-    ),
-    Witness(
-        "prop3.5", "T=0, j=k=0 (equality)",
-        lambda: checks.check_prop_3_5_eigen(_HERM, _Z2, 0, 0), True,
-    ),
-    Witness(
-        "ineq5", "real positive z (equality)",
-        lambda: checks.check_ineq_5(_PSD_A, _PSD_B, 0.7, 2), True,
-    ),
-    Witness(
-        "ineq5", "z=-1, m=1 on complementary projections (equality)",
-        lambda: checks.check_ineq_5(_D10, _D01, -1.0, 1), True,
-    ),
-    Witness(
-        "identity6", "m=1 is exact",
-        lambda: checks.identity_6_verdict(_PSD_A, _PSD_B, 1, tol=1e-12), True,
-    ),
-    Witness(
-        "identity6", "m=2 expands algebraically",
-        lambda: checks.identity_6_verdict(_PSD_A, _PSD_B, 2, tol=1e-12), True,
-    ),
+    Witness("thm1.1", "sqrt on complementary projections (equality)", True,
+            {"a0": _D10, "a1": _D01}, _SQRT),
+    Witness("thm1.1", "sqrt on A=B=I", False, {"a0": _I2, "a1": _I2}, _SQRT),
+    Witness("thm1.2", "t^2 on complementary projections (equality)", True,
+            {"a": _D10, "b": _D01}, {"kind": "power-m", "m": 2}),
+    Witness("thm1.2", "t^2 on A=B=I", False,
+            {"a": _I2, "b": _I2}, {"kind": "power-m", "m": 2}),
+    Witness("davis-hansen", "Z=I (equality)", True, {"a": _PSD_A, "z": _I2}, _SQRT),
+    Witness("davis-hansen", "f=t with a strict contraction (equality)", True,
+            {"a": _PSD_A, "z": _CONTRACTION}, _IDENTITY),
+    Witness("pinching-eq2", "sqrt on A=B=I", False, {"a": _I2, "b": _I2}, _SQRT),
+    Witness("pinching-eq2", "f=t makes both sides A+B (equality)", True,
+            {"a": _PSD_A, "b": _PSD_B + 2 * _I2}, _IDENTITY),
+    Witness("prop2.1", "1/sqrt(t) with A+B=4I (equality)", True,
+            {"a": np.diag([3.0, 1.0]).astype(complex),
+             "b": np.diag([1.0, 3.0]).astype(complex)}, {"kind": "inv-sqrt"}),
+    Witness("prop2.1", "constant g makes both sides A+B (equality)", True,
+            {"a": _PSD_A, "b": _PSD_B}, {"kind": "constant", "c": 1.0}),
+    Witness("thm2.4", "Z=sqrt(2) I, A=I, f=sqrt", False,
+            {"a": _I2, "z": np.sqrt(2.0) * _I2}, _SQRT),
+    Witness("thm2.4", "Z=I (equality)", True, {"a": _PSD_A, "z": _I2}, _SQRT),
+    Witness("eigen-sum", "f=t, j=k=0 is Weyl subadditivity", False,
+            {"a": _PSD_A, "b": _PSD_B}, _IDENTITY, _JK0),
+    Witness("eigen-sum", "sqrt on disjoint diagonals, j=k=0", False,
+            {"a": 4 * _D10, "b": 4 * _D01}, _SQRT, _JK0),
+    Witness("cs-lemma", "single identity term (equality)", True,
+            {"a1": _I2, "a2": _Z2, "b1": _I2, "b2": _Z2, "c1": _I2, "c2": _I2}),
+    Witness("cs-lemma", "A_i=B_i with identity contractions (equality)", True,
+            {"a1": _PSD_A, "a2": _PSD_B, "b1": _PSD_A, "b2": _PSD_B,
+             "c1": _I2, "c2": _I2}),
+    Witness("ineq4", "A=B=I (equality)", True, {"a": _I2, "b": _I2}),
+    Witness("ineq4", "B=-A gives zero LHS", False, {"a": _GEN, "b": -_GEN}),
+    Witness("thm3.1", "scalar all-ones blocks", False, _ONES),
+    Witness("thm3.1", "B=C=0 reduces to the block-diagonal fact", False,
+            {"a": _PSD_A, "b": _Z2, "c": _Z2, "d": _PSD_B}),
+    Witness("thm3.2", "scalar all-ones blocks (equality)", True, _ONES),
+    Witness("thm3.2", "B=C=D=0 (equality)", True,
+            {"a": _HERM, "b": _Z2, "c": _Z2, "d": _Z2}),
+    Witness("cor3.3", "A=B=0 reaches the top singular value (equality)", True,
+            {"a": _Z2, "b": _Z2, "x": _GEN}),
+    Witness("cor3.3", "X=0 (equality)", True,
+            {"a": _HERM, "b": _PSD_A - 2 * _I2, "x": _Z2}),
+    Witness("prop3.4", "A=I, B=-I gives zero LHS", False, {"a": _I2, "b": -_I2}),
+    Witness("prop3.4", "A=B unitary (equality at every Ky Fan k)", True,
+            {"a": _UNITARY, "b": _UNITARY}),
+    Witness("prop3.5", "S=T=diag(1,-1), j=k=0 (equality)", True,
+            {"s": np.diag([1.0, -1.0]).astype(complex),
+             "t": np.diag([1.0, -1.0]).astype(complex)}, scalars=_JK0),
+    Witness("prop3.5", "T=0, j=k=0 (equality)", True,
+            {"s": _HERM, "t": _Z2}, scalars=_JK0),
+    Witness("ineq5", "real positive z (equality)", True, {"a": _PSD_A, "b": _PSD_B},
+            scalars={"z_re": 0.7, "z_im": 0.0, "m": 2}),
+    Witness("ineq5", "z=-1, m=1 on complementary projections (equality)", True,
+            {"a": _D10, "b": _D01}, scalars={"z_re": -1.0, "z_im": 0.0, "m": 1}),
+    Witness("identity6", "m=1 is exact", True, {"a": _PSD_A, "b": _PSD_B},
+            scalars={"m": 1}, tol=1e-12),
+    Witness("identity6", "m=2 expands algebraically", True, {"a": _PSD_A, "b": _PSD_B},
+            scalars={"m": 2}, tol=1e-12),
 )
 
 
 def witnesses_for(check_ids) -> list[Witness]:
     wanted = set(check_ids)
     return [w for w in WITNESSES if w.check_id in wanted]
+
+
+def run_stacked(witnesses) -> list[Verdict]:
+    """The verdict of each witness, as ``Witness.run`` gives it, from one
+    stacked checker call per group of witnesses that share a check id, n,
+    tolerance, operand names and scalar names."""
+    groups: dict = {}
+    for i, w in enumerate(witnesses):
+        n = next(iter(w.operands.values())).shape[0]
+        key = (w.check_id, n, w.tol, tuple(w.operands), tuple(w.scalars))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(witnesses)
+    for rows in groups.values():
+        group = [witnesses[i] for i in rows]
+        first = group[0]
+        verdicts = checks.SPECS[first.check_id].run(
+            None if first.fn is None else [scalarfn.from_descriptor(w.fn) for w in group],
+            {name: np.stack([w.operands[name] for w in group]) for name in first.operands},
+            {key: np.array([w.scalars[key] for w in group]) for key in first.scalars},
+            tol=first.tol, enforce=True,
+        )
+        for i, verdict in zip(rows, verdicts):
+            out[i] = verdict
+    return out
+
+
+def row(witness: Witness, verdict: Verdict, tol: float) -> dict:
+    """A witness's row of the verify report: it passes when its verdict
+    does and, for an equality, its |min margin| is within ``tol``."""
+    return {
+        "check": witness.check_id,
+        "description": witness.description,
+        "equality": witness.equality,
+        "min_margin": verdict.min_margin,
+        "pass": verdict.passed and (
+            not witness.equality or abs(verdict.min_margin) <= tol),
+    }
+
+
+def table(check_ids, tol: float) -> list[dict]:
+    """The witness rows of the verify report for ``check_ids``."""
+    chosen = witnesses_for(check_ids)
+    return [row(w, v, tol) for w, v in zip(chosen, run_stacked(chosen))]

@@ -205,20 +205,23 @@ def test_criterion_7_linear_algebra_floor(capsys):
 
 
 def test_criterion_8_determinism(tmp_path, capsys):
-    """Two verify runs with the same seed are byte-identical off-timestamp."""
+    """Two verify runs with the same seed are byte-identical off-timestamp,
+    with their verdict rows (and so every fingerprint) and without."""
     texts = []
-    for name in ("r1.json", "r2.json"):
-        out = tmp_path / name
-        code = cli.main(
-            ["verify", "--checks", "all", "--seed", "123", "--trials", "5",
-             "--dims", "1,2,3,4", "--out", str(out)]
-        )
-        assert code == cli.EXIT_OK
-        texts.append(
-            re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', out.read_text())
-        )
-    ok = texts[0] == texts[1]
+    for flags in ([], ["--verdicts"]):
+        for _ in range(2):
+            out = tmp_path / f"r{len(texts)}.json"
+            code = cli.main(
+                ["verify", "--checks", "all", "--seed", "123", "--trials", "5",
+                 "--dims", "1,2,3,4", *flags, "--out", str(out)]
+            )
+            assert code == cli.EXIT_OK
+            texts.append(
+                re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', out.read_text())
+            )
+    ok = texts[0] == texts[1] and texts[2] == texts[3]
     report(
-capsys,
-"criterion-8 determinism", ok, f"{len(texts[0])} bytes compared")
+        capsys,
+        "criterion-8 determinism", ok,
+        f"{len(texts[2])} bytes with rows, {len(texts[0])} without, compared")
     assert ok

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from normetry import checks, cli, falsify
+from normetry import checks, cli, falsify, serialize
 from normetry.errors import ConvergenceFailure, DomainError
 from normetry.rand import derive_stream
 
@@ -18,7 +18,7 @@ def test_verify_small_green(tmp_path):
     out = tmp_path / "report.json"
     code = run(
         ["verify", "--checks", "thm1.1,ineq4", "--trials", "10",
-         "--dims", "2,3", "--seed", "5", "--out", str(out)]
+         "--dims", "2,3", "--seed", "5", "--verdicts", "--out", str(out)]
     )
     assert code == cli.EXIT_OK
     report = json.loads(out.read_text())
@@ -292,6 +292,62 @@ def test_report_determinism(tmp_path):
         assert code == cli.EXIT_OK
     a, b = (strip_timestamp(p.read_text()) for p in paths)
     assert a == b
+
+
+def test_verdict_rows_are_opt_in(tmp_path):
+    """A default report has no ``verdicts`` key at all (not an empty list),
+    and is the ``--verdicts`` report less that key."""
+    argv = ["verify", "--checks", "thm1.1,ineq5,identity6", "--trials", "6",
+            "--dims", "1,3", "--seed", "8"]
+    lean, full = tmp_path / "lean.json", tmp_path / "full.json"
+    assert run(argv + ["--out", str(lean)]) == cli.EXIT_OK
+    assert run(argv + ["--verdicts", "--out", str(full)]) == cli.EXIT_OK
+    report = json.loads(full.read_text())
+    assert len(report.pop("verdicts")) == 3 * 6
+    assert "verdicts" not in json.loads(lean.read_text())
+    assert strip_timestamp(lean.read_text()) == strip_timestamp(
+        json.dumps(report, sort_keys=True) + "\n")
+
+
+def test_falsify_certificates_carry_run_case_fingerprints(tmp_path):
+    """Campaigns fingerprint only the cases they write; a must-violate
+    campaign's certificates, in its report and in its files, carry the
+    fingerprint that ``run_case`` stamps on the same case."""
+    out, certs = tmp_path / "report.json", tmp_path / "certs"
+    code = run(["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
+                "--trials", "12", "--dims", "1,2,3", "--seed", "5",
+                "--out", str(out), "--cert-dir", str(certs)])
+    assert code == cli.EXIT_OK
+    violations = json.loads(out.read_text())["campaign"]["violations"]
+    files = [json.loads(p.read_text()) for p in sorted(certs.glob("*.json"),
+             key=lambda p: int(p.stem.rsplit("-", 1)[1]))]
+    assert len(violations) > 1 and files == violations
+    for cert in violations:
+        case = falsify.case_from_dict(cert["case"])
+        assert cert["fingerprint"] == falsify.run_case(case).fingerprint
+
+
+def test_lean_verify_takes_no_fingerprint(monkeypatch, tmp_path):
+    """An all-pass ``verify`` hashes no case unless it writes verdict rows,
+    and still calls ``run_case`` once per case."""
+    calls = {"fingerprint": 0, "run_case": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(serialize, "fingerprint")
+    counted(falsify, "run_case")
+    argv = ["verify", "--checks", "all", "--trials", "3", "--dims", "1,2",
+            "--out", str(tmp_path / "r.json")]
+    assert run(argv) == cli.EXIT_OK
+    assert calls == {"fingerprint": 0, "run_case": 16 * 3}
+    assert run(argv + ["--verdicts"]) == cli.EXIT_OK
+    assert calls == {"fingerprint": 16 * 3, "run_case": 2 * 16 * 3}
 
 
 def test_missing_subcommand_is_usage():

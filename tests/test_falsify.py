@@ -329,3 +329,14 @@ def test_campaign_min_margin_keeps_a_nan(monkeypatch):
     report = falsify.run_campaign("prop3.4", trials=4, dims=(2, 3, 2, 2), root_seed=5)
     assert math.isnan(report.min_margin)
     assert [math.isnan(c["margin"]) for c in report.violations] == [True]
+
+
+def test_case_generator_has_the_default_rng_state_of_its_seed():
+    """A case's generator, built from the seed's words (taken alone or in a
+    campaign's block), has the state of ``default_rng(np.uint64(seed))``."""
+    drawn = np.random.default_rng(77).integers(0, 2**64, size=100, dtype=np.uint64)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, *drawn.tolist()]
+    for seed, words in zip(seeds, rand._seed_words(seeds)):
+        state = np.random.default_rng(np.uint64(seed)).bit_generator.state
+        assert falsify.case_rng(seed).bit_generator.state == state
+        assert falsify.case_rng(seed, words).bit_generator.state == state

@@ -62,9 +62,9 @@ def spy_stacks(monkeypatch):
     seen = []
     real = falsify.run_stack
 
-    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+    def spy(cases, **kwargs):
         seen.append([(c.check_id, c.seed, c.n) for c in cases])
-        return real(cases, tol=tol, stacks=stacks)
+        return real(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
     return seen
@@ -77,9 +77,9 @@ def test_cases_run_trial_major_in_registry_order(monkeypatch):
     sampled = []
     real_sample = falsify.sample_case
 
-    def sample_spy(check_id, n, seed, mutation=None, shared=None):
+    def sample_spy(check_id, n, seed, mutation=None, shared=None, words=None):
         sampled.append((seed, check_id))
-        return real_sample(check_id, n, seed, mutation, shared)
+        return real_sample(check_id, n, seed, mutation, shared, words)
 
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
     stacks = spy_stacks(monkeypatch)
@@ -124,9 +124,9 @@ def test_campaign_cases_hold_read_only_operands(monkeypatch):
     seen = []
     real = falsify.run_stack
 
-    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+    def spy(cases, **kwargs):
         seen.extend(m.flags.writeable for c in cases for m in c.matrices.values())
-        return real(cases, tol=tol, stacks=stacks)
+        return real(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
     falsify.run_campaigns(CHECK_IDS, trials=2, dims=(3,))
@@ -164,11 +164,11 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
         alive.append(weakref.ref(stack))  # alive while any of its operands is
         return stack
 
-    def sample_spy(check_id, n, seed, mutation=None, shared=None):
+    def sample_spy(check_id, n, seed, mutation=None, shared=None, words=None):
         if not shared:  # the first case of a trial
             live_at_trial_start.append(
                 (sum(r() is not None for r in alive), len(linalg._MEMOS)))
-        return real_sample(check_id, n, seed, mutation, shared)
+        return real_sample(check_id, n, seed, mutation, shared, words)
 
     monkeypatch.setattr(falsify, "generate_stack", generate_spy)
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
@@ -282,9 +282,9 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     operand_slots = Counter()
     real_run_stack = falsify.run_stack
 
-    def count_operands(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+    def count_operands(cases, **kwargs):
         operand_slots["n"] += sum(len(c.matrices) for c in cases)
-        return real_run_stack(cases, tol=tol, stacks=stacks)
+        return real_run_stack(cases, **kwargs)
 
     # root seed 0 draws general operands for eigen-sum, which ineq4 takes too
     sample = falsify.sample_case("eigen-sum", 4, derive_stream(0, 0))

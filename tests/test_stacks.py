@@ -242,9 +242,9 @@ def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_tr
     plant_failure(monkeypatch, "prop3.4", [c.matrices["a"] for c in cases.values()])
     sizes = []
     real_stack = falsify.run_stack
-    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+    def spy(cases, **kwargs):
         sizes.append(len(cases))
-        return real_stack(cases, tol=tol, stacks=stacks)
+        return real_stack(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
     with pytest.raises(DomainError) as err:
@@ -314,9 +314,9 @@ def test_stacks_stay_under_the_byte_budget(monkeypatch):
     reference = falsify.run_campaigns(ids, trials=12, dims=dims, keep_verdicts=True)
     sizes = []
     real_stack = falsify.run_stack
-    def spy(cases, tol=falsify.DEFAULT_TOL, stacks=None):
+    def spy(cases, **kwargs):
         sizes.append(len(cases))
-        return real_stack(cases, tol=tol, stacks=stacks)
+        return real_stack(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
     monkeypatch.setattr(falsify, "STACK_BYTES", 3000)  # about five trials at n <= 3
