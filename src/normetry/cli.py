@@ -65,6 +65,13 @@ def _check_tol(tol: float) -> None:
         raise BadSpec(f"tol must be finite and > 0, got {tol!r}")
 
 
+def _check_seed(seed: int, bound: int) -> None:
+    """A seed outside [0, bound) would alias one inside it."""
+    if not 0 <= seed < bound:
+        raise BadSpec(f"--seed (or NORMETRY_SEED) must be in "
+                      f"[0, 2**{bound.bit_length() - 1}), got {seed}")
+
+
 def _parse_checks(text: str) -> list[str]:
     if text == "all":
         return list(checks.SPECS)
@@ -139,6 +146,7 @@ def cmd_verify(args) -> int:
     check_ids = _parse_checks(args.checks)
     dims = _parse_dims(args.dims)
     _check_tol(args.tol)
+    _check_seed(args.seed, falsify.ROOT_SEEDS)
     _check_writable(args.out)
     config = {
         "command": "verify",
@@ -150,13 +158,14 @@ def cmd_verify(args) -> int:
     }
     from . import witnesses
 
-    witness_rows = witnesses.table(check_ids, args.tol)
+    # only a JSON report holds verdict rows
+    keep_verdicts = args.verdicts and args.format == "json"
+    witness_rows, reports = witnesses.run(
+        check_ids, args.tol, trials=args.trials, dims=dims, root_seed=args.seed,
+        keep_verdicts=keep_verdicts,
+    )
     all_pass = all(row["pass"] for row in witness_rows)
     campaigns = []
-    reports = falsify.run_campaigns(
-        check_ids, mutation=None, trials=args.trials, dims=dims,
-        root_seed=args.seed, tol=args.tol, keep_verdicts=args.verdicts,
-    )
     for report in reports:
         all_pass &= not report.violations
         campaigns.append(
@@ -173,11 +182,11 @@ def cmd_verify(args) -> int:
         "witnesses": witness_rows,
         "campaigns": campaigns,
     }
-    if args.verdicts:
-        out["verdicts"] = [row for report in reports for row in report.verdicts]
     if args.format == "csv-summary":
         _write(_csv_summary(campaigns), args.out)
     else:
+        if keep_verdicts:
+            out["verdicts"] = [row for report in reports for row in report.verdicts]
         _write_json(out, args.out)
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
@@ -187,6 +196,7 @@ def cmd_falsify(args) -> int:
     _check_tol(args.tol)
     mutation = args.mutate
     falsify._spec(args.check, mutation)  # a bad check or mutation creates no file
+    _check_seed(args.seed, falsify.ROOT_SEEDS)
     _check_writable(args.out)
     if args.cert_dir:
         try:
@@ -242,6 +252,7 @@ def cmd_replay(args) -> int:
         with open(args.certificate) as fh:
             cert = json.load(fh)
         stored = float(cert["margin"])
+        stored_fingerprint = cert["fingerprint"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         return _cannot_parse(exc)
     try:
@@ -251,9 +262,15 @@ def cmd_replay(args) -> int:
     recomputed = verdict.min_margin
     ok = (math.isnan(stored) and math.isnan(recomputed)) or (
         abs(recomputed - stored) <= 1e-12 * max(1.0, abs(stored)))
+    # a case whose inputs moved replays another case, whatever its margin
+    note = ""
+    if verdict.fingerprint != stored_fingerprint:
+        ok = False
+        note = (f" fingerprint: stored={stored_fingerprint!r} "
+                f"recomputed={verdict.fingerprint!r}")
     print(
         f"replay {cert['case']['check_id']}: stored={stored!r} "
-        f"recomputed={recomputed!r} {'match' if ok else 'MISMATCH'}"
+        f"recomputed={recomputed!r}{note} {'match' if ok else 'MISMATCH'}"
     )
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -261,6 +278,7 @@ def cmd_replay(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind not in KINDS:
         raise BadSpec(f"unknown kind {args.kind!r}; choose from {KINDS}")
+    _check_seed(args.seed, 2**64)  # generate's seeds are 64-bit
     m = generate(GenSpec(kind=args.kind, n=args.dim, seed=args.seed, scale=args.scale))
     _write_json(serialize.mat_to_json(m), args.out)
     return EXIT_OK

@@ -22,6 +22,7 @@ import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,7 +253,7 @@ def fingerprint(case: Case) -> str:
 
 
 def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
-              stamp: bool = True) -> list[Verdict]:
+              stamp: bool = True, extra=()) -> list[Verdict]:
     """``run_case`` of each case, in one stacked checker call.
 
     The cases share a checker, a mutation, n and their operand names; each
@@ -262,24 +263,32 @@ def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
     by ``_stack_key``, so checkers that take the same operands take one
     stack and decompose it once; the caller keeps those matrices alive
     while it keeps their stacks.
+
+    ``extra`` cases (a flush's fixed cases) share all of that too and join
+    the call after ``cases``, which may then be empty.  Their verdicts
+    follow those of ``cases``, unstamped, and make no ``run_case`` call, so
+    the benchmark's tracer, which counts trials by those calls, counts
+    only the trials.
     """
-    first = cases[0]
+    rows = [*cases, *extra]
+    first = rows[0]
     stacks = {} if stacks is None else stacks
     mats = {}
     for name in first.matrices:
-        key = _stack_key(cases, name)
+        key = _stack_key(rows, name)
         if key not in stacks:
-            parts = [case.matrices[name] for case in cases]
+            parts = [case.matrices[name] for case in rows]
             stacks[key] = linalg.share(parts[0][None] if len(parts) == 1
                                        else np.stack(parts))
         mats[name] = stacks[key]
     verdicts = _spec(first.check_id).run(
-        None if first.fn_descriptor is None else [case.fn() for case in cases],
+        None if first.fn_descriptor is None else [case.fn() for case in rows],
         mats,
-        {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
+        {key: np.array([c.scalars[key] for c in rows]) for key in first.scalars},
         tol=tol, enforce=first.mutation is None,
     )
-    return [run_case(case, verdict=v, stamp=stamp) for case, v in zip(cases, verdicts)]
+    return [run_case(case, verdict=v, stamp=stamp)
+            for case, v in zip(cases, verdicts)] + verdicts[len(cases):]
 
 
 def _stack_key(cases: list, name: str) -> tuple:
@@ -411,9 +420,13 @@ def run_campaign(
     )[0]
 
 
-def _named(exc: NormetryError, cid: str, i: int, n: int, seed) -> NormetryError:
+def _trial_label(cid: str, i: int, n: int, seed) -> str:
+    return f"{cid} trial {i} (n={n}, seed={seed})"
+
+
+def _named(exc: NormetryError, label: str) -> NormetryError:
     """The same error, its message prefixed with the case that raised it."""
-    return type(exc)(f"{cid} trial {i} (n={n}, seed={seed}): {exc}")
+    return type(exc)(f"{label}: {exc}")
 
 
 # Operand bytes sampled before the pending cases run: this bounds a
@@ -423,6 +436,19 @@ STACK_BYTES = 1 << 22
 _ITEMSIZE = np.dtype(complex).itemsize
 # Trial seeds whose generator seed words a campaign takes in one pass.
 WORDS_BLOCK = 1024
+# Root seeds are the integers in [0, ROOT_SEEDS): ``derive_stream`` packs
+# one as a signed 64-bit integer and keeps its low 63 bits.
+ROOT_SEEDS = 2**63
+
+
+class FixedCase(NamedTuple):
+    """A case of fixed operands, such as a witness, that runs in a
+    campaign's first flush: ``label`` names it in an error, and its verdict
+    takes ``tol``."""
+
+    label: str
+    case: Case
+    tol: float
 
 
 def run_campaigns(
@@ -441,54 +467,104 @@ def run_campaigns(
     and later generated, once.  Sampled cases wait until their operands
     would reach ``STACK_BYTES``; then their operands are generated, one
     stack per (kind, n), and each checker's waiting cases of one n and one
-    operand list run as one stack (``run_stack``).  Reports and verdict rows
-    are the same as one checker and one case at a time would give.  A
-    case's fingerprint is taken only where it is written: in a violation's
-    certificate, and in its verdict row with ``keep_verdicts``.  A
-    NormetryError raised by a trial, in generating or in running it, is
-    re-raised with the check id, trial index, n and trial seed at the start
-    of its message: the campaign is rerun one case at a time, in trial
-    order, so the error is the one the first failing case raises.
+    list of operand names run as one stack (``run_stack``), whatever kinds
+    the operands were drawn from.  Reports and verdict rows are the same as
+    one checker and one case at a time would give.  A case's fingerprint is
+    taken only where it is written: in a violation's certificate, and in
+    its verdict row with ``keep_verdicts``.  A NormetryError raised by a
+    trial, in generating or in running it, is re-raised with the check id,
+    trial index, n and trial seed at the start of its message: the campaign
+    is rerun one case at a time, in trial order, so the error is the one
+    the first failing case raises.  ``root_seed`` must be in [0, 2**63):
+    trial seeds keep only its low 63 bits.
+    """
+    return run_with_fixed((), check_ids, mutation, trials, dims, root_seed, tol,
+                          keep_verdicts)[0]
+
+
+def run_with_fixed(
+    fixed,
+    check_ids=(),
+    mutation: str | None = None,
+    trials: int = 100,
+    dims=(1, 2, 3, 4, 5, 6),
+    root_seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    keep_verdicts: bool = False,
+) -> tuple[list[CampaignReport], list[Verdict]]:
+    """``run_campaigns`` of ``check_ids`` (none: no campaign), with the
+    ``fixed`` cases (FixedCase) run in its first flush; returns the reports
+    and each fixed case's verdict.
+
+    A fixed case joins the stack of the campaign cases of its group
+    (``_group``), or else a stack of its group's fixed cases alone.  A
+    checker's ``tol`` only labels its verdicts, so a fixed case's verdict,
+    given its own tol, has the bits of its own call.  It is booked to no
+    campaign and makes no ``run_case`` call.  After a failing flush the
+    fixed cases rerun one at a time before any trial, so the first failing
+    one raises, with its label at the start of its message.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
         _spec(cid, mutation)
     expectation = mutation_expectation(mutation)
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if check_ids and (not isinstance(trials, numbers.Integral) or trials < 1):
         raise BadSpec(f"trials must be an integer >= 1, got {trials!r}")
     dims = list(dims)
-    if not dims or any(
+    if check_ids and (not dims or any(
         isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1
         for d in dims
-    ):
+    )):
         raise BadSpec(f"dims must be a non-empty list of integers >= 1, got {dims!r}")
+    if not isinstance(root_seed, numbers.Integral) or not 0 <= root_seed < ROOT_SEEDS:
+        raise BadSpec(f"root seed must be an integer in [0, 2**63), got {root_seed!r}")
     dims = [int(d) for d in dims]
     order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
-    args = (order, mutation, trials, dims, root_seed, tol, keep_verdicts)
+    args = (order, mutation, trials if order else 0, dims, root_seed, tol, keep_verdicts,
+            list(fixed))
     try:
-        reports = _campaigns(*args, STACK_BYTES)
+        reports, verdicts = _campaigns(*args, STACK_BYTES)
     except NormetryError:
-        reports = _campaigns(*args, 0)
+        reports, verdicts = _campaigns(*args, 0)
     return [
         CampaignReport(check_id=cid, mutation=mutation, expectation=expectation,
                        trials=trials, **reports[cid])
         for cid in check_ids
-    ]
+    ], verdicts
 
 
-def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
-               stack_bytes: int) -> dict:
-    """The report fields of each checker in ``order``, running the pending
-    cases whenever their operands reach ``stack_bytes``, or would with the
-    next trial; at 0, every case runs alone, in trial order, and a failing
+def _group(case: Case) -> tuple:
+    """The key of the stack a case joins."""
+    return case.check_id, case.n, tuple(case.matrices), case.mutation
+
+
+def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts, fixed,
+               stack_bytes: int) -> tuple[dict, list]:
+    """The report fields of each checker in ``order`` and the verdicts of
+    the ``fixed`` cases, running the pending cases whenever their operands
+    reach ``stack_bytes``, or would with the next trial; the fixed cases
+    run in the first flush.  At 0, every case runs alone, the fixed ones
+    before any trial is sampled, then the trials in order, and a failing
     case names itself."""
     fields = {cid: {"violations": [], "min_margin": float("inf"), "wall_time": 0.0,
                     "verdicts": []} for cid in order}
+    fixed_verdicts = [None] * len(fixed)
     witness = mutation_expectation(mutation) == "must-violate"
     clock = time.perf_counter
-    pending: dict = {}  # (check id, n, operand kinds) -> [(trial, case)]
+    pending: dict = {}  # (check id, n, operand names, mutation) -> [(trial, case)]
+    waiting: dict = {}  # the same keys -> [(index, fixed case)]
+    for j, row in enumerate(fixed):
+        waiting.setdefault(_group(row.case) if stack_bytes else j, []).append((j, row))
     held = 0
     per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
+
+    def flush():
+        nonlocal pending, waiting, held
+        _run_pending(pending, tol, keep_verdicts, fields, waiting, fixed_verdicts)
+        pending, waiting, held = {}, {}, 0
+
+    if waiting and not stack_bytes:
+        flush()
     for i in range(trials):
         if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
             block = range(i, min(i + WORDS_BLOCK, trials))
@@ -496,8 +572,7 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
             words = _seed_words(seeds)
         n, seed = dims[i % len(dims)], seeds[i % WORDS_BLOCK]
         if pending and held + per_entry * n * n > stack_bytes:
-            _run_pending(pending, tol, keep_verdicts, fields)
-            pending, held = {}, 0
+            flush()
         shared: dict = {}
         for cid in order:
             start = clock()
@@ -508,18 +583,18 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
                     case = sample_case(cid, n, seed, mutation, shared,
                                        words[i % WORDS_BLOCK])
             except NormetryError as exc:
-                raise _named(exc, cid, i, n, seed) from exc
-            key = (cid, case.n, tuple(case.kinds.items()))
-            pending.setdefault(key, []).append((i, case))
+                raise _named(exc, _trial_label(cid, i, n, seed)) from exc
+            pending.setdefault(_group(case), []).append((i, case))
             fields[cid]["wall_time"] += clock() - start
         trial_bytes = len(shared) * n * n * _ITEMSIZE
         held += trial_bytes
         per_entry = trial_bytes / (n * n)
         del case, shared  # only the pending cases hold the recorded operands now
-        if held >= stack_bytes or i == trials - 1:
-            _run_pending(pending, tol, keep_verdicts, fields)
-            pending, held = {}, 0
-    return fields
+        if held >= stack_bytes:
+            flush()
+    if pending or waiting:
+        flush()
+    return fields, fixed_verdicts
 
 
 def _generate(specs: list) -> dict:
@@ -564,7 +639,7 @@ def _generate_recorded(sampled: list) -> Counter:
             try:
                 _generate([spec])
             except NormetryError as exc:
-                raise _named(exc, case.check_id, i, case.n, case.seed) from exc
+                raise _named(exc, _trial_label(case.check_id, i, case.n, case.seed)) from exc
         raise
     for _, case in sampled:
         for name, m in case.matrices.items():
@@ -573,37 +648,58 @@ def _generate_recorded(sampled: list) -> Counter:
     return Counter(case.check_id for _, case in recorded.values())
 
 
-def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict) -> None:
-    """Generate the operands of the pending cases, run each stack of them,
-    then book their verdicts in trial order.  Each stack's cases, and each
-    operand stack once no other pending stack takes it, are dropped as soon
-    as they have run."""
+def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
+                 waiting: dict, fixed_verdicts: list) -> None:
+    """Generate the operands of the pending cases, run each stack of them
+    with the fixed cases waiting in its group, then book the campaign
+    verdicts in trial order, and each fixed case's verdict at its index of
+    ``fixed_verdicts``.  A group of fixed cases alone runs first, before
+    anything is generated.  Each stack's cases, and each operand stack once
+    no other pending stack takes it, are dropped as soon as they have
+    run."""
     clock = time.perf_counter
+    stacks: dict = {}  # operand stacks, shared by the checkers that take them
+
+    def run(group, stack: list) -> list:
+        """The verdicts of the group's pending [(trial, case)]; its fixed
+        cases' verdicts are booked here."""
+        rows = waiting.get(group, ())
+        try:
+            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
+                                 stamp=keep_verdicts, extra=[row.case for _, row in rows])
+        except NormetryError as exc:
+            if len(stack) + len(rows) > 1:  # the campaign reruns one case at a time
+                raise
+            if rows:
+                raise _named(exc, rows[0][1].label) from exc
+            [(i, case)] = stack
+            raise _named(exc, _trial_label(case.check_id, i, case.n, case.seed)) from exc
+        for (j, row), verdict in zip(rows, verdicts[len(stack):]):
+            verdict.tol = row.tol
+            fixed_verdicts[j] = verdict
+        return verdicts[:len(stack)]
+
+    for group in [g for g in waiting if g not in pending]:
+        run(group, [])
+    if not pending:
+        return
     start = clock()
     recorders = _generate_recorded([pair for stack in pending.values() for pair in stack])
     spent = (clock() - start) / max(1, sum(recorders.values()))
     for cid, count in recorders.items():  # each check's share of generating
         fields[cid]["wall_time"] += spent * count
     done: dict = {}  # check id -> [(trial, verdict, certificate or None)]
-    stacks: dict = {}  # operand stacks, shared by the checkers that take them
     keys = {}  # the operand stacks of each group
     for group, stack in pending.items():
-        cases = [case for _, case in stack]
-        keys[group] = [_stack_key(cases, name) for name in cases[0].matrices]
+        rows = [case for _, case in stack] + [row.case for _, row in waiting.get(group, ())]
+        keys[group] = [_stack_key(rows, name) for name in rows[0].matrices]
     users = Counter(key for group in keys.values() for key in group)
     while pending:
         group = next(iter(pending))  # in the order of their first cases
         stack = pending.pop(group)
         cid = group[0]
         start = clock()
-        try:
-            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
-                                 stamp=keep_verdicts)
-        except NormetryError as exc:
-            if len(stack) > 1:  # the campaign reruns one case at a time
-                raise
-            [(i, case)] = stack
-            raise _named(exc, cid, i, case.n, case.seed) from exc
+        verdicts = run(group, stack)
         for key in keys.pop(group):
             users[key] -= 1
             if not users[key]:

@@ -23,10 +23,9 @@ both.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,11 +108,9 @@ def _call(fn, stacks: list, kwargs):
     return fn(np.concatenate(stacks) if len(stacks) > 1 else stacks[0], **kwargs)
 
 
-def _fields(result) -> list:
-    """The arrays of a per-matrix result: itself, or its dataclass fields."""
-    if isinstance(result, np.ndarray):
-        return [result]
-    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+def _fields(result):
+    """The arrays of a per-matrix result: itself, or its named-tuple fields."""
+    return (result,) if isinstance(result, np.ndarray) else result
 
 
 def _rebuild(like, arrays: list):
@@ -308,8 +305,7 @@ def synthesize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _symmetrize((v * w[..., None, :]) @ _adjoint(v))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Descending eigenvalues and the matching orthonormal eigenvector frame."""
 
     eigenvalues: np.ndarray  # real, descending
@@ -320,8 +316,7 @@ class Spectrum:
         return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
 
 
-@dataclass(frozen=True)
-class PolarParts:
+class PolarParts(NamedTuple):
     """X = u @ abs with abs = |X| and abs_star = |X*| = u abs u* (X invertible)."""
 
     u: np.ndarray
@@ -364,11 +359,24 @@ def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
 
 def _apply_rows(f, w: np.ndarray) -> np.ndarray:
     """f(w) as a float array.  ``f`` is one scalar function for every row of
-    ``w``, or a sequence of one function per row."""
+    ``w``, or a sequence of one function per row.
+
+    A ScalarFn checks its domain, [0, inf) or (0, inf) when it is singular
+    at 0, on every call.  A sequence's domains are checked for the whole
+    stack at once: when every entry lies in them, each row goes to its
+    function's raw ``fn``, as the ScalarFn would pass it on; otherwise to
+    the ScalarFn itself, so the first failing row raises its own
+    DomainError.
+    """
     if callable(f):
         return np.asarray(f(w), dtype=float)
+    calls = list(f)
+    low = float(w.min()) if w.size else math.nan
+    if low > 0 or low == 0 and not any(
+            getattr(ft, "singular_at_zero", False) for ft in calls):
+        calls = [getattr(ft, "fn", ft) for ft in calls]
     out = np.empty(w.shape)
-    for t, ft in enumerate(f):
+    for t, ft in enumerate(calls):
         out[t] = ft(w[t])
     return out
 
@@ -388,8 +396,7 @@ def apply_spectrum(f, spec: Spectrum) -> np.ndarray:
     return synthesize(spec.frame, _apply_rows(f, _clamp_spectrum(spec.eigenvalues)))
 
 
-@dataclass(frozen=True)
-class SVD:
+class SVD(NamedTuple):
     """X = u diag(s) vh, singular values descending."""
 
     u: np.ndarray

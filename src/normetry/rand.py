@@ -19,7 +19,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     kind: str
     n: int
     seed: int

@@ -5,8 +5,11 @@ equality (|min margin| must be within tolerance) or a strict pass.  The
 verify command runs this table alongside the random campaigns, and the
 equality entries double as a guard against checkers reporting spurious
 slack.  An entry is data: its operands, scalar-function descriptor and
-scalars go to its checker through ``checks.SPECS``, and ``table`` runs
-each (check id, n) group of entries as one stacked checker call.
+scalars go to its checker through ``checks.SPECS``.  ``run`` hands the
+entries to the campaign flush as fixed cases (``falsify.run_with_fixed``):
+each joins the stacked checker call of the campaign cases of its check id,
+n and operand names, or, where it finds none, the call of its group's
+entries alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checks, scalarfn
+from . import checks, falsify, scalarfn
 from .norms import DEFAULT_TOL, Verdict
 
 _I2 = np.eye(2, dtype=complex)
@@ -45,6 +48,14 @@ class Witness:
         fn = None if self.fn is None else scalarfn.from_descriptor(self.fn)
         return checks.SPECS[self.check_id].run(
             fn, self.operands, self.scalars, tol=self.tol, enforce=True)
+
+    def fixed(self) -> falsify.FixedCase:
+        """The witness as a fixed case of a campaign flush."""
+        n = next(iter(self.operands.values())).shape[0]
+        case = falsify.Case(self.check_id, n, None, dict(self.operands), {},
+                            dict(self.scalars), self.fn)
+        return falsify.FixedCase(
+            f"witness {self.check_id} ({self.description})", case, self.tol)
 
 
 def _one_by_one(v: float) -> np.ndarray:
@@ -123,30 +134,6 @@ def witnesses_for(check_ids) -> list[Witness]:
     return [w for w in WITNESSES if w.check_id in wanted]
 
 
-def run_stacked(witnesses) -> list[Verdict]:
-    """The verdict of each witness, as ``Witness.run`` gives it, from one
-    stacked checker call per group of witnesses that share a check id, n,
-    tolerance, operand names and scalar names."""
-    groups: dict = {}
-    for i, w in enumerate(witnesses):
-        n = next(iter(w.operands.values())).shape[0]
-        key = (w.check_id, n, w.tol, tuple(w.operands), tuple(w.scalars))
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(witnesses)
-    for rows in groups.values():
-        group = [witnesses[i] for i in rows]
-        first = group[0]
-        verdicts = checks.SPECS[first.check_id].run(
-            None if first.fn is None else [scalarfn.from_descriptor(w.fn) for w in group],
-            {name: np.stack([w.operands[name] for w in group]) for name in first.operands},
-            {key: np.array([w.scalars[key] for w in group]) for key in first.scalars},
-            tol=first.tol, enforce=True,
-        )
-        for i, verdict in zip(rows, verdicts):
-            out[i] = verdict
-    return out
-
-
 def row(witness: Witness, verdict: Verdict, tol: float) -> dict:
     """A witness's row of the verify report: it passes when its verdict
     does and, for an equality, its |min margin| is within ``tol``."""
@@ -160,7 +147,18 @@ def row(witness: Witness, verdict: Verdict, tol: float) -> dict:
     }
 
 
+def run(check_ids, tol: float, **campaigns) -> tuple[list[dict], list]:
+    """The witness rows of the verify report for ``check_ids``, and, given
+    ``campaigns``, the other keyword arguments of ``falsify.run_campaigns``
+    (``trials``, ``dims``, ...), the campaign reports of ``check_ids`` at
+    ``tol``, from the same flushes."""
+    chosen = witnesses_for(check_ids)
+    reports, verdicts = falsify.run_with_fixed(
+        [w.fixed() for w in chosen], check_ids if campaigns else (), tol=tol,
+        **campaigns)
+    return [row(w, v, tol) for w, v in zip(chosen, verdicts)], reports
+
+
 def table(check_ids, tol: float) -> list[dict]:
     """The witness rows of the verify report for ``check_ids``."""
-    chosen = witnesses_for(check_ids)
-    return [row(w, v, tol) for w, v in zip(chosen, run_stacked(chosen))]
+    return run(check_ids, tol)[0]

@@ -481,3 +481,75 @@ def test_falsify_report_embeds_each_certificate_file_verbatim(tmp_path):
         cert_text = path.read_text()
         assert cert_text == json.dumps(cert, sort_keys=True) + "\n"
         assert cert_text[:-1] in text
+
+
+def test_csv_summary_keeps_no_verdict_rows(monkeypatch, tmp_path):
+    """``--verdicts`` adds rows only to a JSON report: with ``--format
+    csv-summary`` no case is fingerprinted, and the CSV is the one written
+    without ``--verdicts``."""
+    calls = []
+    real = serialize.fingerprint
+    monkeypatch.setattr(serialize, "fingerprint",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    argv = ["verify", "--checks", "all", "--trials", "4", "--dims", "1,2,3",
+            "--seed", "3", "--format", "csv-summary"]
+    lean, full = tmp_path / "lean.csv", tmp_path / "full.csv"
+    assert run(argv + ["--out", str(lean)]) == cli.EXIT_OK
+    assert run(argv + ["--verdicts", "--out", str(full)]) == cli.EXIT_OK
+    assert calls == []
+    assert full.read_bytes() == lean.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--checks", "thm1.1", "--trials", "2", "--dims", "2"],
+    ["falsify", "--check", "thm1.1", "--trials", "2", "--dims", "2"],
+])
+@pytest.mark.parametrize("seed, ok", [(2**63 + 1, False), (-1, False), (0, True),
+                                      (2**63 - 1, True)])
+def test_root_seeds_outside_their_range_are_usage_errors(
+        tmp_path, monkeypatch, capsys, command, seed, ok):
+    """A root seed keeps 63 bits, so 2**63 + 1 would run the campaigns of
+    seed 1 and -1 those of 2**63 - 1; from --seed or NORMETRY_SEED, such a
+    seed is a usage error that names the range."""
+    monkeypatch.delenv("NORMETRY_SEED", raising=False)
+    out = ["--out", str(tmp_path / "r.json")]
+    from_flag = run(command + ["--seed", str(seed)] + out)
+    monkeypatch.setenv("NORMETRY_SEED", str(seed))
+    from_env = run(command + out)
+    err = capsys.readouterr().err
+    if ok:
+        assert from_flag == from_env == cli.EXIT_OK
+    else:
+        assert from_flag == from_env == cli.EXIT_USAGE
+        assert err.count("--seed (or NORMETRY_SEED) must be in [0, 2**63)") == 2
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed, ok", [(2**64, False), (-1, False), (0, True),
+                                      (2**64 - 1, True)])
+def test_gen_seeds_outside_their_range_are_usage_errors(tmp_path, capsys, seed, ok):
+    code = run(["gen", "--kind", "psd", "--dim", "2", "--seed", str(seed),
+                "--out", str(tmp_path / "m.json")])
+    assert code == (cli.EXIT_OK if ok else cli.EXIT_USAGE)
+    assert ok or "--seed (or NORMETRY_SEED) must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_replay_detects_an_operand_moved_by_one_ulp(tmp_path, capsys):
+    """The drop-expansive witness (A = I, Z = I/2) keeps its margin of -0.5
+    when an entry of A moves by one ulp; the fingerprint tells the moved
+    case from the stored one."""
+    certs = tmp_path / "certs"
+    assert run(["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
+                "--trials", "5", "--seed", "5", "--cert-dir", str(certs),
+                "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    path = certs / "cert-thm2.4-0.json"
+    assert run(["replay", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.split()[-1] == "match"
+    cert = json.loads(path.read_text())
+    entries = cert["case"]["matrices"]["a"]["re"]
+    entries[0] = math.nextafter(entries[0], math.inf)
+    path.write_text(json.dumps(cert))
+    assert run(["replay", str(path)]) == cli.EXIT_VIOLATION
+    line = capsys.readouterr().out
+    assert "stored=-0.5 recomputed=-0.5 fingerprint: stored=" in line
+    assert line.split()[-1] == "MISMATCH"

@@ -340,3 +340,11 @@ def test_case_generator_has_the_default_rng_state_of_its_seed():
         state = np.random.default_rng(np.uint64(seed)).bit_generator.state
         assert falsify.case_rng(seed).bit_generator.state == state
         assert falsify.case_rng(seed, words).bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 1, -1, 1.0])
+def test_root_seeds_outside_their_range_are_bad_specs(seed):
+    """Trial seeds keep 63 bits of the root seed: a root seed outside
+    [0, 2**63) would run the campaigns of another seed."""
+    with pytest.raises(BadSpec, match=r"\[0, 2\*\*63\)"):
+        falsify.run_campaigns(["thm1.1"], trials=1, dims=[1], root_seed=seed)
