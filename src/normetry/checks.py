@@ -434,17 +434,12 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
 
 
 @_cases(0, 1)
-def check_identity_6(a, b, m):
-    """Relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
-
-    w = exp(2*pi*i/m).  (The root-of-unity average kills every mixed word
-    in the expansion; only the pure A^m and B^m words survive.)  One
-    residual per matrix of a stack.
-    """
-    return _identity_6_residuals(a, b, m)
-
-
-def _identity_6_residuals(a, b, m) -> list:
+def identity_6_verdict(a, b, m, tol: float = 1e-10):
+    """The relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
+    w = exp(2*pi*i/m), as a Verdict with one record: the residual as LHS
+    and -residual as margin, so it passes iff residual <= tol.  (The
+    root-of-unity average kills every mixed word in the expansion; only
+    the pure A^m and B^m words survive.)"""
     m = _powers(m, len(a))
     residual = [0.0] * len(a)
     for p in sorted(set(m)):
@@ -456,16 +451,9 @@ def _identity_6_residuals(a, b, m) -> list:
         errors = linalg.opnorm(target - avg).tolist()
         for t, error, top in zip(rows, errors, linalg.opnorm(target).tolist()):
             residual[t] = error / max(1.0, top)
-    return residual
-
-
-@_cases(0, 1)
-def identity_6_verdict(a, b, m, tol: float = 1e-10):
-    """Identity residual wrapped as a Verdict; its margin is -residual, so
-    it passes iff residual <= tol."""
     return [Verdict(check_id="identity6", tol=tol,
                     records=[ComparisonRecord("residual", r, 0.0, -r)])
-            for r in _identity_6_residuals(a, b, m)]
+            for r in residual]
 
 
 def _ops(kind: str, names="ab") -> tuple:

@@ -1,4 +1,4 @@
-"""Random campaigns, hypothesis mutations, and tightness probes.
+"""Random campaigns and hypothesis mutations.
 
 A campaign draws seeded random instances for one checker and records the
 minimum scaled margin plus any violations (with self-contained replay
@@ -10,8 +10,7 @@ checker's cases of one n and one operand list go through the checker in
 one (T, n, n) call.  Mutations
 deliberately break one hypothesis: the must-violate mutations ship with an
 analytic witness tried first, while drop-normality is exploratory and only
-records what it sees.  A derivative-free hill descent probes how close the
-true inequalities come to equality.
+records what it sees.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import itertools
 import numbers
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +45,7 @@ class Case:
     seed: int | None
     matrices: dict  # name -> ndarray, insertion order = checker argument order
     # (a campaign's cases hold GenSpecs until _generate_recorded runs)
-    kinds: dict  # name -> generator kind (projection class for the descent)
+    kinds: dict  # name -> generator kind
     scalars: dict = field(default_factory=dict)  # j, k, m, z_re, z_im
     fn_descriptor: dict | None = None
     mutation: str | None = None
@@ -472,11 +471,12 @@ def run_campaigns(
     one checker and one case at a time would give.  A case's fingerprint is
     taken only where it is written: in a violation's certificate, and in
     its verdict row with ``keep_verdicts``.  A NormetryError raised by a
-    trial, in generating or in running it, is re-raised with the check id,
-    trial index, n and trial seed at the start of its message: the campaign
-    is rerun one case at a time, in trial order, so the error is the one
-    the first failing case raises.  ``root_seed`` must be in [0, 2**63):
-    trial seeds keep only its low 63 bits.
+    trial, in sampling, generating or running it, is re-raised with the
+    check id, trial index, n and trial seed of the campaign's first failing
+    case at the start of its message; a flush that raises finds that case
+    among the cases it has not yet passed (``_raise_first_failure``).
+    ``root_seed`` must be in [0, 2**63): trial seeds keep only its low 63
+    bits.
     """
     return run_with_fixed((), check_ids, mutation, trials, dims, root_seed, tol,
                           keep_verdicts)[0]
@@ -500,9 +500,9 @@ def run_with_fixed(
     (``_group``), or else a stack of its group's fixed cases alone.  A
     checker's ``tol`` only labels its verdicts, so a fixed case's verdict,
     given its own tol, has the bits of its own call.  It is booked to no
-    campaign and makes no ``run_case`` call.  After a failing flush the
-    fixed cases rerun one at a time before any trial, so the first failing
-    one raises, with its label at the start of its message.
+    campaign and makes no ``run_case`` call.  A failing fixed case comes
+    before any failing trial: the first one in ``fixed`` that fails raises,
+    with its label at the start of its message.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -520,12 +520,8 @@ def run_with_fixed(
         raise BadSpec(f"root seed must be an integer in [0, 2**63), got {root_seed!r}")
     dims = [int(d) for d in dims]
     order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
-    args = (order, mutation, trials if order else 0, dims, root_seed, tol, keep_verdicts,
-            list(fixed))
-    try:
-        reports, verdicts = _campaigns(*args, STACK_BYTES)
-    except NormetryError:
-        reports, verdicts = _campaigns(*args, 0)
+    reports, verdicts = _campaigns(order, mutation, trials if order else 0, dims,
+                                   root_seed, tol, keep_verdicts, list(fixed))
     return [
         CampaignReport(check_id=cid, mutation=mutation, expectation=expectation,
                        trials=trials, **reports[cid])
@@ -538,14 +534,13 @@ def _group(case: Case) -> tuple:
     return case.check_id, case.n, tuple(case.matrices), case.mutation
 
 
-def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts, fixed,
-               stack_bytes: int) -> tuple[dict, list]:
+def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
+               fixed) -> tuple[dict, list]:
     """The report fields of each checker in ``order`` and the verdicts of
     the ``fixed`` cases, running the pending cases whenever their operands
-    reach ``stack_bytes``, or would with the next trial; the fixed cases
-    run in the first flush.  At 0, every case runs alone, the fixed ones
-    before any trial is sampled, then the trials in order, and a failing
-    case names itself."""
+    reach ``STACK_BYTES``, or would with the next trial; the fixed cases
+    run in the first flush.  A case that fails to sample raises once the
+    trials before it have run."""
     fields = {cid: {"violations": [], "min_margin": float("inf"), "wall_time": 0.0,
                     "verdicts": []} for cid in order}
     fixed_verdicts = [None] * len(fixed)
@@ -554,43 +549,43 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts, fix
     pending: dict = {}  # (check id, n, operand names, mutation) -> [(trial, case)]
     waiting: dict = {}  # the same keys -> [(index, fixed case)]
     for j, row in enumerate(fixed):
-        waiting.setdefault(_group(row.case) if stack_bytes else j, []).append((j, row))
+        waiting.setdefault(_group(row.case), []).append((j, row))
     held = 0
     per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
 
-    def flush():
-        nonlocal pending, waiting, held
+    def flush():  # it empties pending and waiting
+        nonlocal held
         _run_pending(pending, tol, keep_verdicts, fields, waiting, fixed_verdicts)
-        pending, waiting, held = {}, {}, 0
+        held = 0
 
-    if waiting and not stack_bytes:
-        flush()
     for i in range(trials):
         if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
             block = range(i, min(i + WORDS_BLOCK, trials))
             seeds = [derive_stream(root_seed, j) for j in block]
             words = _seed_words(seeds)
         n, seed = dims[i % len(dims)], seeds[i % WORDS_BLOCK]
-        if pending and held + per_entry * n * n > stack_bytes:
+        if pending and held + per_entry * n * n > STACK_BYTES:
             flush()
-        shared: dict = {}
+        shared, trial = {}, []
         for cid in order:
             start = clock()
             try:
                 if i == 0 and witness:
-                    case = analytic_witness(cid, mutation)
+                    trial.append(analytic_witness(cid, mutation))
                 else:
-                    case = sample_case(cid, n, seed, mutation, shared,
-                                       words[i % WORDS_BLOCK])
+                    trial.append(sample_case(cid, n, seed, mutation, shared,
+                                             words[i % WORDS_BLOCK]))
             except NormetryError as exc:
+                flush()  # a failing case of an earlier trial raises first
                 raise _named(exc, _trial_label(cid, i, n, seed)) from exc
-            pending.setdefault(_group(case), []).append((i, case))
             fields[cid]["wall_time"] += clock() - start
+        for case in trial:
+            pending.setdefault(_group(case), []).append((i, case))
         trial_bytes = len(shared) * n * n * _ITEMSIZE
         held += trial_bytes
         per_entry = trial_bytes / (n * n)
-        del case, shared  # only the pending cases hold the recorded operands now
-        if held >= stack_bytes:
+        del case, trial, shared  # only the pending cases hold the recorded operands now
+        if held >= STACK_BYTES:
             flush()
     if pending or waiting:
         flush()
@@ -620,32 +615,19 @@ def _generate(specs: list) -> dict:
 
 def _generate_recorded(sampled: list) -> Counter:
     """Put the generated operands in place of the GenSpecs that the sampled
-    cases, [(trial, case)], recorded (``_gen``), shared as they were
-    recorded; returns how many operands each check id recorded first.
-
-    A NormetryError names the first operand, in the order they were
-    recorded, that fails when generated alone; for the cases of one trial
-    that is the case whose eager generation would have failed.
-    """
-    recorded = {}  # GenSpec -> the (trial, case) that recorded it first
-    for i, case in sampled:
+    cases recorded (``_gen``), shared as they were recorded; returns how
+    many operands each check id recorded first."""
+    recorded = {}  # GenSpec -> the case that recorded it first
+    for case in sampled:
         for m in case.matrices.values():
             if isinstance(m, GenSpec):
-                recorded.setdefault(m, (i, case))
-    try:
-        made = _generate(list(recorded))
-    except NormetryError:
-        for spec, (i, case) in recorded.items():
-            try:
-                _generate([spec])
-            except NormetryError as exc:
-                raise _named(exc, _trial_label(case.check_id, i, case.n, case.seed)) from exc
-        raise
-    for _, case in sampled:
+                recorded.setdefault(m, case)
+    made = _generate(list(recorded))
+    for case in sampled:
         for name, m in case.matrices.items():
             if isinstance(m, GenSpec):
                 case.matrices[name] = made[m]
-    return Counter(case.check_id for _, case in recorded.values())
+    return Counter(case.check_id for case in recorded.values())
 
 
 def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
@@ -654,9 +636,10 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
     with the fixed cases waiting in its group, then book the campaign
     verdicts in trial order, and each fixed case's verdict at its index of
     ``fixed_verdicts``.  A group of fixed cases alone runs first, before
-    anything is generated.  Each stack's cases, and each operand stack once
-    no other pending stack takes it, are dropped as soon as they have
-    run."""
+    anything is generated.  Each stack leaves ``pending`` and ``waiting``
+    as soon as it has run, and each operand stack is dropped once no other
+    pending stack takes it; a NormetryError names its case from the cases
+    left (``_raise_first_failure``)."""
     clock = time.perf_counter
     stacks: dict = {}  # operand stacks, shared by the checkers that take them
 
@@ -664,50 +647,48 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
         """The verdicts of the group's pending [(trial, case)]; its fixed
         cases' verdicts are booked here."""
         rows = waiting.get(group, ())
-        try:
-            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
-                                 stamp=keep_verdicts, extra=[row.case for _, row in rows])
-        except NormetryError as exc:
-            if len(stack) + len(rows) > 1:  # the campaign reruns one case at a time
-                raise
-            if rows:
-                raise _named(exc, rows[0][1].label) from exc
-            [(i, case)] = stack
-            raise _named(exc, _trial_label(case.check_id, i, case.n, case.seed)) from exc
+        verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
+                             stamp=keep_verdicts, extra=[row.case for _, row in rows])
+        waiting.pop(group, None)
         for (j, row), verdict in zip(rows, verdicts[len(stack):]):
             verdict.tol = row.tol
             fixed_verdicts[j] = verdict
         return verdicts[:len(stack)]
 
-    for group in [g for g in waiting if g not in pending]:
-        run(group, [])
-    if not pending:
-        return
-    start = clock()
-    recorders = _generate_recorded([pair for stack in pending.values() for pair in stack])
-    spent = (clock() - start) / max(1, sum(recorders.values()))
-    for cid, count in recorders.items():  # each check's share of generating
-        fields[cid]["wall_time"] += spent * count
     done: dict = {}  # check id -> [(trial, verdict, certificate or None)]
-    keys = {}  # the operand stacks of each group
-    for group, stack in pending.items():
-        rows = [case for _, case in stack] + [row.case for _, row in waiting.get(group, ())]
-        keys[group] = [_stack_key(rows, name) for name in rows[0].matrices]
-    users = Counter(key for group in keys.values() for key in group)
-    while pending:
-        group = next(iter(pending))  # in the order of their first cases
-        stack = pending.pop(group)
-        cid = group[0]
+    try:
+        for group in [g for g in waiting if g not in pending]:
+            run(group, [])
+        if not pending:
+            return
         start = clock()
-        verdicts = run(group, stack)
-        for key in keys.pop(group):
-            users[key] -= 1
-            if not users[key]:
-                del stacks[key]
-        done.setdefault(cid, []).extend(
-            (i, v, None if v.passed else make_certificate(case, v))
-            for (i, case), v in zip(stack, verdicts))
-        fields[cid]["wall_time"] += clock() - start
+        recorders = _generate_recorded([case for stack in pending.values() for _, case in stack])
+        spent = (clock() - start) / max(1, sum(recorders.values()))
+        for cid, count in recorders.items():  # each check's share of generating
+            fields[cid]["wall_time"] += spent * count
+        keys = {}  # the operand stacks of each group
+        for group, stack in pending.items():
+            rows = [case for _, case in stack] + [row.case for _, row in waiting.get(group, ())]
+            keys[group] = [_stack_key(rows, name) for name in rows[0].matrices]
+        users = Counter(key for group in keys.values() for key in group)
+        while pending:
+            group = next(iter(pending))  # in the order of their first cases
+            stack = pending[group]
+            cid = group[0]
+            start = clock()
+            verdicts = run(group, stack)
+            del pending[group]
+            for key in keys.pop(group):
+                users[key] -= 1
+                if not users[key]:
+                    del stacks[key]
+            done.setdefault(cid, []).extend(
+                (i, v, None if v.passed else make_certificate(case, v))
+                for (i, case), v in zip(stack, verdicts))
+            fields[cid]["wall_time"] += clock() - start
+    except NormetryError:
+        _raise_first_failure(waiting, pending, tol)
+        raise
     for cid, results in done.items():
         out = fields[cid]
         results.sort(key=lambda r: r[0])
@@ -721,76 +702,34 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
                 out["verdicts"].append(verdict_row(verdict))
 
 
-def _project(m: np.ndarray, kind: str) -> np.ndarray:
-    """Project a perturbed matrix back onto its hypothesis class."""
-    if kind == "general":
-        return m
-    if kind == "hermitian":
-        return linalg.hermitian_part(m)
-    if kind in ("psd", "pd"):
-        spec = linalg.eigh(linalg.hermitian_part(m))
-        floor = 0.05 if kind == "pd" else 0.0
-        return linalg.synthesize(spec.frame, np.maximum(spec.eigenvalues, floor))
-    if kind == "unitary":
-        return linalg.polar(m).u
-    if kind == "contraction":
-        top = linalg.opnorm(m)
-        return m / top if top > 1.0 else m
-    if kind == "expansive":
-        parts = linalg.polar(m)
-        spec = linalg.eigh(parts.abs)
-        w = np.maximum(spec.eigenvalues, 1.0)
-        return parts.u @ linalg.synthesize(spec.frame, w)
-    if kind == "normal":
-        # polar unitary, eigen-aligned with |M|: keep |M|'s eigenframe and
-        # attach the unitary's diagonal phases in that frame
-        parts = linalg.polar(m)
-        spec = linalg.eigh(parts.abs)
-        v = spec.frame
-        diag = np.diag(v.conj().T @ parts.u @ v)
-        phases = diag / np.where(np.abs(diag) == 0, 1.0, np.abs(diag))
-        phases = np.where(np.abs(diag) == 0, 1.0, phases)
-        return (v * (phases * spec.eigenvalues)) @ v.conj().T
-    raise BadSpec(f"no projection for kind {kind!r}")
-
-
-def minimize_margin(
-    case: Case,
-    steps: int = 200,
-    step_scale: float = 0.1,
-    root_seed: int = 0,
-    tol: float = DEFAULT_TOL,
-):
-    """Derivative-free hill descent on the scaled margin.
-
-    Each step perturbs one operand and projects back onto its hypothesis
-    class, so the search never leaves the theorem's domain.  Monotone by
-    construction; the step anneals x0.9 after every 50 non-improving steps.
-    Returns (best_case, best_margin).
-    """
-    rng = np.random.default_rng(np.uint64(root_seed & (2**64 - 1)))
-    best = replace(case, matrices=dict(case.matrices))
-    best_margin = run_case(best, tol=tol).min_margin
-    names = list(best.matrices)
-    scale = step_scale
-    stale = 0
-    for _ in range(int(steps)):
-        name = names[int(rng.integers(len(names)))]
-        m = best.matrices[name]
-        amp = scale * max(1.0, linalg.opnorm(m))
-        delta = amp * (
-            rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
-        )
-        candidate = dict(best.matrices)
-        candidate[name] = _project(m + delta, best.kinds[name])
-        trial = replace(best, matrices=candidate)
-        margin = run_case(trial, tol=tol).min_margin
-        if margin < best_margin:
-            best, best_margin = trial, margin
-            stale = 0
-        else:
-            stale += 1
-            if stale % 50 == 0:
-                scale *= 0.9
-    return best, best_margin
-
+def _raise_first_failure(waiting: dict, pending: dict, tol: float) -> None:
+    """Rerun one at a time the cases a flush that raised has not passed,
+    the fixed ones still ``waiting`` and the sampled ones still
+    ``pending``, and raise the error of the first that fails, with its
+    label at the start of its message: the fixed cases in their order,
+    then each trial in order, which generates its recorded operands alone
+    in record order and then runs its cases alone in check order.  Guards
+    decide each matrix as alone, so that is the campaign's first failing
+    case.  Returns if none fails alone."""
+    sampled = sorted((pair for stack in pending.values() for pair in stack),
+                     key=lambda pair: (pair[0], checks.CHECK_IDS.index(pair[1].check_id)))
+    try:
+        for _, row in sorted((pair for rows in waiting.values() for pair in rows),
+                             key=lambda pair: pair[0]):
+            label = row.label
+            run_stack([row.case], tol=tol, stamp=False)
+        for i, trial in itertools.groupby(sampled, key=lambda pair: pair[0]):
+            cases = [case for _, case in trial]
+            made = {}  # GenSpec -> its operand, generated alone
+            for case in cases:
+                label = _trial_label(case.check_id, i, case.n, case.seed)
+                for name, m in case.matrices.items():
+                    if isinstance(m, GenSpec):
+                        if m not in made:
+                            made[m] = _generate([m])[m]
+                        case.matrices[name] = made[m]
+            for case in cases:
+                label = _trial_label(case.check_id, i, case.n, case.seed)
+                run_stack([case], tol=tol, stamp=False)
+    except NormetryError as exc:
+        raise _named(exc, label) from exc

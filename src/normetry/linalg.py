@@ -2,7 +2,7 @@
 
 Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
-(Loewner order, normality, contraction/expansive) used by the checkers.
+(psd, normality, contraction/expansive) used by the checkers.
 
 All functions are pure; matrices are plain complex ndarrays.  Every function
 takes one n x n matrix or a (T, n, n) stack of them, and a 2-D input is the
@@ -468,15 +468,6 @@ def _polar_parts(d: SVD) -> PolarParts:
 def _least(w: np.ndarray) -> np.ndarray:
     """The last (least) entry of each descending row; 0 for empty rows."""
     return w[..., -1] if w.shape[-1] else np.zeros(w.shape[:-1])
-
-
-def loewner_leq(x, y, tol: float = 1e-9):
-    """X <= Y in the Loewner order, up to a scaled tolerance."""
-    mx, my = as_square(x), as_square(y)
-    if mx.shape != my.shape:
-        raise DimensionMismatch(f"{mx.shape} vs {my.shape}")
-    d = hermitian_part(my - mx)
-    return _opnorm_within(-_least(eigvalsh_desc(d)), d, tol)
 
 
 def is_psd(x, tol: float = 1e-9):

@@ -134,20 +134,6 @@ def _pad(s: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([s, np.zeros(s.shape[:-1] + (n - s.shape[-1],))], axis=-1)
 
 
-def weakly_majorized(x, y, tol: float = DEFAULT_TOL) -> bool:
-    """x prec_w y: every leading partial sum of x is at most that of y.
-
-    Shorter vectors are zero-padded; both are sorted descending first.
-    """
-    xs = np.sort(np.asarray(x, dtype=float))[::-1]
-    ys = np.sort(np.asarray(y, dtype=float))[::-1]
-    n = max(xs.size, ys.size)
-    cx = np.cumsum(_pad(xs, n))
-    cy = np.cumsum(_pad(ys, n))
-    slack = tol * max(1.0, float(cy[-1]) if n else 0.0)
-    return bool(np.all(cx <= cy + slack))
-
-
 class ComparisonRecord(NamedTuple):
     """One evaluated comparison: LHS value, RHS value, scaled margin."""
 

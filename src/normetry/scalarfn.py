@@ -140,10 +140,6 @@ def power_fn(s: float) -> ScalarFn:
     )
 
 
-def identity_fn() -> ScalarFn:
-    return power_fn(1.0)
-
-
 def log1p_fn() -> ScalarFn:
     return _make("log1p", {}, np.log1p, {CONCAVE_NONNEG, OPERATOR_CONCAVE})
 

@@ -64,7 +64,7 @@ def test_criterion_2_equality_witnesses(capsys):
     # identity (6) at m=2 must be tighter: residual <= 1e-12
     a = generate(GenSpec("psd", 3, 2026))
     b = generate(GenSpec("psd", 3, 2027))
-    if checks.check_identity_6(a, b, 2) > 1e-12:
+    if checks.identity_6_verdict(a, b, 2).records[0].lhs > 1e-12:
         failures.append(("identity6", "m=2 residual", "too large"))
     report(
         capsys,
@@ -92,7 +92,7 @@ def test_criterion_3_corrected_identity(capsys):
             n = 2 + i % 5
             a = generate(GenSpec("psd", n, derive_stream(4000 + m, 2 * i)))
             b = generate(GenSpec("psd", n, derive_stream(4000 + m, 2 * i + 1)))
-            worst = max(worst, checks.check_identity_6(a, b, m))
+            worst = max(worst, checks.identity_6_verdict(a, b, m).records[0].lhs)
     ok = worst <= 1e-10
     report(capsys, "criterion-3 corrected identity", ok, f"worst residual {worst:.2e}")
     assert ok, worst

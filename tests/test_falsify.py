@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from normetry import checks, falsify, linalg, norms, rand, scalarfn, witnesses
+from normetry import checks, falsify, norms, rand, witnesses
 from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
 
 
@@ -74,54 +72,6 @@ def test_sample_case_rejects_unknown():
         falsify.sample_case("thm1.1", 3, 0, mutation="drop-vanishing")
     with pytest.raises(BadSpec):
         falsify.mutation_expectation("nosuch")
-
-
-def test_minimize_margin_monotone_and_in_domain():
-    case = falsify.sample_case("thm1.2", 3, 55)
-    start = falsify.run_case(case).min_margin
-    best_case, best_margin = falsify.minimize_margin(case, steps=60, root_seed=1)
-    assert best_margin <= start
-    # the descent must not leave the hypothesis class: still a pass
-    assert best_margin >= -1e-9
-    assert falsify.run_case(best_case).min_margin == best_margin
-
-
-def test_minimize_margin_respects_equality_floor():
-    # start at an equality witness (A = B diagonal, f = identity-like power)
-    case = falsify.sample_case("thm1.1", 2, 12)
-    _, margin = falsify.minimize_margin(case, steps=80, root_seed=2)
-    assert margin >= -1e-9
-
-
-EPS = np.finfo(float).eps
-
-IN_CLASS = {
-    "psd": lambda p: linalg.is_psd(p),
-    # the clamped spectrum is rebuilt as V diag(w) V*, which rounds
-    "pd": lambda p: np.linalg.eigvalsh(p)[0]
-    >= 0.05 - 64 * p.shape[0] * EPS * max(1.0, linalg.opnorm(p)),
-    "hermitian": lambda p: np.array_equal(p, p.conj().T),
-    "unitary": lambda p: linalg.opnorm(p.conj().T @ p - np.eye(p.shape[0])) <= 1e-9,
-    "contraction": lambda p: linalg.is_contraction(p),
-    "expansive": lambda p: linalg.is_expansive(p),
-    "normal": lambda p: linalg.is_normal(p),
-    "general": lambda p: np.all(np.isfinite(p)),
-}
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    kind=st.sampled_from(rand.KINDS),
-    n=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-    log_scale=st.floats(-3.0, 3.0),
-)
-def test_project_lands_in_its_kind(kind, n, seed, log_scale):
-    """A perturbed operand, as minimize_margin makes, at scales 1e-3..1e3."""
-    rng = np.random.default_rng(seed)
-    step = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = 10.0**log_scale * (rand.generate(rand.GenSpec(kind, n, seed)) + step)
-    assert IN_CLASS[kind](falsify._project(m, kind))
 
 
 def test_campaign_requires_trials():

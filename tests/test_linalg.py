@@ -140,29 +140,6 @@ def test_polar_reconstructs():
         ) <= 1e-9 * max(1, linalg.opnorm(x))
 
 
-def test_loewner_basic():
-    eye = np.eye(3, dtype=complex)
-    assert linalg.loewner_leq(eye, 2 * eye)
-    assert not linalg.loewner_leq(2 * eye, eye)
-    h = rand_hermitian(3, 17)
-    assert linalg.loewner_leq(h, h)
-
-
-def test_loewner_partial_order_on_samples():
-    # antisymmetry and transitivity within tolerance on constructed chains
-    a = generate(GenSpec("psd", 4, 21))
-    b = a + generate(GenSpec("psd", 4, 22))
-    c = b + generate(GenSpec("psd", 4, 23))
-    assert linalg.loewner_leq(a, b) and linalg.loewner_leq(b, c)
-    assert linalg.loewner_leq(a, c)
-    assert not (linalg.loewner_leq(b, a) and linalg.opnorm(b - a) > 1e-6)
-
-
-def test_loewner_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.loewner_leq(np.eye(2), np.eye(3))
-
-
 def test_predicates_unitary():
     u = generate(GenSpec("unitary", 3, 2))
     assert linalg.is_normal(u)
@@ -230,13 +207,6 @@ def test_is_normal_rejects_just_past_threshold():
     assert not linalg.is_normal(m, tol=tol)
 
 
-def test_loewner_leq_rejects_just_past_threshold():
-    tol = 1e-9
-    zero = np.zeros((2, 2), dtype=complex)
-    assert linalg.loewner_leq(zero, np.diag([1.0, -0.99 * tol]), tol=tol)
-    assert not linalg.loewner_leq(zero, np.diag([1.0, -1.01 * tol]), tol=tol)
-
-
 def test_guards_skip_the_svd_on_clean_inputs(monkeypatch):
     calls = []
     real_opnorm = linalg.opnorm
@@ -247,7 +217,6 @@ def test_guards_skip_the_svd_on_clean_inputs(monkeypatch):
     linalg.eigh(h)
     linalg.is_psd(h @ h)
     linalg.is_normal(h)
-    linalg.loewner_leq(h, h + np.eye(6))
     assert calls == []
 
 
@@ -341,12 +310,6 @@ def svd_is_normal(m, tol):
     return linalg.opnorm(comm) <= tol * max(1.0, linalg.opnorm(m) ** 2)
 
 
-def svd_loewner_leq(x, y, tol):
-    d = ((y - x) + (y - x).conj().T) / 2
-    lam_min = float(np.linalg.eigvalsh(d)[0])
-    return lam_min >= -tol * max(1.0, linalg.opnorm(d))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -369,12 +332,11 @@ def test_predicates_match_single_stage_reference(seed, n, placement):
     if n > 1:
         jordan[0, 1] = np.sqrt(placement * tol)
     assert linalg.is_normal(jordan, tol) == svd_is_normal(jordan, tol)
-    # shift h so that lambda_min sits around the Loewner threshold
+    # shift h so that lambda_min sits around the eigenvalue threshold
     w = np.linalg.eigvalsh(h)
     spread = max(1.0, float(w[-1] - w[0]))
     y = h - (w[0] + placement * tol * spread) * np.eye(n)
-    zero = np.zeros((n, n), dtype=complex)
-    assert linalg.loewner_leq(zero, y, tol) == svd_loewner_leq(zero, y, tol)
+    assert linalg.is_psd(y, tol) == svd_is_psd(y, tol)
 
 
 def test_hermitize_returns_exactly_hermitian_input_itself():

@@ -104,19 +104,6 @@ def test_ky_fan_monotone_schatten_antitone():
     assert all(sp[i + 1] <= sp[i] + 1e-12 for i in range(4))
 
 
-def test_weak_majorization_examples():
-    assert norms.weakly_majorized([1, 1], [2, 0])
-    assert not norms.weakly_majorized([2, 0], [1, 1])
-    x = norms.singular_values(generate(GenSpec("general", 4, 61)))
-    assert norms.weakly_majorized(x, x)
-
-
-def test_weak_majorization_zero_pads():
-    assert norms.weakly_majorized([1.0], [1.0, 0.5])
-    assert norms.weakly_majorized([0.7, 0.3], [1.0])
-    assert not norms.weakly_majorized([1.0, 0.5], [1.2])
-
-
 def test_dominance_equal_operands():
     x = generate(GenSpec("general", 4, 71))
     v = norms.dominance_verdict(x, x)

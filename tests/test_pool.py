@@ -101,7 +101,7 @@ def test_pooled_operands_and_memos_are_read_only():
     shared = {}
     case = falsify.sample_case("thm3.1", 3, 17, shared=shared)
     assert all(isinstance(m, GenSpec) for m in case.matrices.values())
-    falsify._generate_recorded([(0, case)])
+    falsify._generate_recorded([case])
     for name, m in case.matrices.items():
         assert m.tobytes() == falsify.sample_case("thm3.1", 3, 17).matrices[name].tobytes()
         with pytest.raises(ValueError, match="read-only"):
@@ -182,7 +182,7 @@ def test_operand_is_released_after_its_last_holder():
     shared = {}
     first = falsify.sample_case("thm1.2", 3, 5, shared=shared)
     second = falsify.sample_case("thm1.2", 3, 5, shared=shared)
-    falsify._generate_recorded([(0, first), (0, second)])
+    falsify._generate_recorded([first, second])
     a = first.matrices["a"]
     assert second.matrices["a"] is a
     ref = weakref.ref(a)

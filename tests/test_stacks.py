@@ -8,6 +8,7 @@ batch differently, so the kernels are checked here first.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,8 +96,8 @@ def test_a_stacked_checker_takes_one_matrix_as_a_stack_of_one():
     single = checks.check_prop_3_4(a, b)
     [row] = checks.check_prop_3_4(a[None], b[None])
     assert single.records == row.records
-    assert checks.check_identity_6(a, b, 3) == checks.check_identity_6(
-        a[None], b[None], [3])[0]
+    assert checks.identity_6_verdict(a, b, 3).records[0].lhs == checks.identity_6_verdict(
+        a[None], b[None], [3])[0].records[0].lhs
 
 
 # --- guards decide per matrix ---------------------------------------------
@@ -305,6 +306,139 @@ def test_a_failing_witness_trial_is_named(monkeypatch):
     monkeypatch.setattr(checks, "check_thm_1_2", fails_on_zero)
     with pytest.raises(ConvergenceFailure, match=r"^thm1.2 trial 0 \(n=2, seed=None\)"):
         falsify.run_campaign("thm1.2", "drop-vanishing", trials=6, dims=(2,))
+
+
+def spy_flushes(monkeypatch) -> list:
+    """Record the trials of each flush."""
+    flushes = []
+    real = falsify._run_pending
+
+    def spy(pending, *args):
+        flushes.append({i for stack in pending.values() for i, _ in stack})
+        return real(pending, *args)
+
+    monkeypatch.setattr(falsify, "_run_pending", spy)
+    return flushes
+
+
+def spy_runs(monkeypatch) -> tuple:
+    """Count the runs of each case, by (check id, trial seed), and record
+    (check id, stack size) of each stacked call that raised."""
+    runs, raised = Counter(), []
+    real = falsify.run_stack
+
+    def spy(cases, **kwargs):
+        runs.update((c.check_id, c.seed) for c in cases)
+        try:
+            return real(cases, **kwargs)
+        except NormetryError:
+            raised.append((cases[0].check_id, len(cases)))
+            raise
+
+    monkeypatch.setattr(falsify, "run_stack", spy)
+    return runs, raised
+
+
+def trial_case(cid, i, dims=(2, 3, 4), seed=31):
+    return falsify.sample_case(cid, dims[i % len(dims)], derive_stream(seed, i))
+
+
+def failure_message(cid, i, dims=(2, 3, 4), seed=31):
+    return (f"{cid} trial {i} (n={dims[i % len(dims)]}, seed={derive_stream(seed, i)}): "
+            "planted failure")
+
+
+def test_a_failure_in_the_last_flush_reruns_no_earlier_flush(monkeypatch):
+    """Naming a failing case reruns only cases of the flush that raised:
+    every case of an earlier flush has passed and runs once."""
+    dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
+    plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 11).matrices["a"]])
+    monkeypatch.setattr(falsify, "STACK_BYTES", 2000)  # three trials or so a flush
+    flushes = spy_flushes(monkeypatch)
+    runs, raised = spy_runs(monkeypatch)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
+    assert str(err.value) == failure_message("prop3.4", 11)
+    last = next(k for k, trials in enumerate(flushes) if 11 in trials)
+    earlier = set().union(*flushes[:last])
+    assert last >= 2 and earlier
+    assert all(runs[cid, derive_stream(seed, i)] == 1 for i in earlier for cid in ids)
+    assert len(flushes[last]) > 1 and raised[0][0] == "prop3.4"
+
+
+def test_an_earlier_trial_of_a_later_stack_is_named_first(monkeypatch):
+    """thm1.2's stack runs first and fails at trial 9; prop3.4's fails at
+    trial 7, which is the campaign's first failing case."""
+    plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 9).matrices["a"]])
+    plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 7).matrices["a"]])
+    flushes = spy_flushes(monkeypatch)
+    _, raised = spy_runs(monkeypatch)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
+                              root_seed=31)
+    assert len(flushes) == 1
+    assert raised[0] == ("thm1.2", 4)
+    assert str(err.value) == failure_message("prop3.4", 7)
+
+
+def test_an_earlier_failing_run_comes_before_a_later_failing_generation(monkeypatch):
+    """The flush fails to generate trial 9's operands before any stack runs;
+    trial 6's thm1.2 case, which fails when run, is named."""
+    seed = 31
+    plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 6).matrices["a"]])
+    sizes = plant_generator_failure(
+        monkeypatch, "normal", [derive_stream(derive_stream(seed, 9), 1)])
+    runs, raised = spy_runs(monkeypatch)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(["prop3.4", "thm1.2", "thm3.1"], trials=12,
+                              dims=(2, 3, 4), root_seed=seed)
+    assert str(err.value) == failure_message("thm1.2", 6)
+    assert max(sizes) > 1  # the flush generated its operands as stacks
+    assert raised == [("thm1.2", 1)]  # no stack of the flush ran
+    assert set(runs.values()) == {1}
+
+
+def test_a_stack_error_no_case_raises_alone_is_raised_unchanged(monkeypatch):
+    """Guards decide each matrix as alone, so a stack that fails has a case
+    that fails alone; where none does, the stack's own error is raised
+    as it was, not swallowed."""
+    real = checks.check_prop_3_4
+
+    def fails_in_stacks(a, b, **kw):
+        if np.ndim(a) == 3 and len(a) > 1:
+            raise ConvergenceFailure("stacked failure")
+        return real(a, b, **kw)
+
+    monkeypatch.setattr(checks, "check_prop_3_4", fails_in_stacks)
+    _, raised = spy_runs(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="^stacked failure$"):
+        falsify.run_campaigns(["prop3.4"], trials=6, dims=(2, 3), root_seed=31)
+    assert raised == [("prop3.4", 3)]
+
+
+@pytest.mark.parametrize("run_failure", [5, None])
+def test_a_sampling_error_comes_after_the_trials_before_it(monkeypatch, run_failure):
+    """A case that fails to sample raises with its label once the trials
+    before it have run, so a failing case of an earlier trial comes
+    first."""
+    if run_failure is not None:
+        plant_failure(monkeypatch, "prop3.4",
+                      [trial_case("prop3.4", run_failure).matrices["a"]])
+    bad_seed = derive_stream(31, 8)
+    real = falsify.sample_case
+
+    def fails_at_trial_8(check_id, n, seed, *args, **kwargs):
+        if check_id == "prop3.4" and seed == bad_seed:
+            raise DomainError("planted failure")
+        return real(check_id, n, seed, *args, **kwargs)
+
+    monkeypatch.setattr(falsify, "sample_case", fails_at_trial_8)
+    runs, _ = spy_runs(monkeypatch)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
+                              root_seed=31)
+    assert str(err.value) == failure_message("prop3.4", run_failure or 8)
+    assert ("thm1.2", bad_seed) not in runs  # trial 8 never ran
 
 
 def test_stacks_stay_under_the_byte_budget(monkeypatch):
