@@ -38,8 +38,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
-DEFAULT_TRIALS = 500
+VERIFY_TRIALS = 500
 
 
 def _default_seed() -> int:
@@ -293,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run checkers over seeded random trials")
     p.add_argument("--checks", default="all")
-    p.add_argument("--dims", default=",".join(map(str, DEFAULT_DIMS)))
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--dims", default=",".join(map(str, falsify.DEFAULT_DIMS)))
+    p.add_argument("--trials", type=int, default=VERIFY_TRIALS)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
@@ -306,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("falsify", help="run a mutation campaign")
     p.add_argument("--check", required=True)
     p.add_argument("--mutate", default=None)
-    p.add_argument("--dims", default=",".join(map(str, DEFAULT_DIMS)))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--dims", default=",".join(map(str, falsify.DEFAULT_DIMS)))
+    p.add_argument("--trials", type=int, default=falsify.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)

@@ -251,9 +251,9 @@ def fingerprint(case: Case) -> str:
     return serialize.fingerprint(_case_fields(case), case.matrices)
 
 
-def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
-              stamp: bool = True, extra=()) -> list[Verdict]:
-    """``run_case`` of each case, in one stacked checker call.
+def run_stack(cases: list, tol: float = DEFAULT_TOL,
+              stacks: dict | None = None) -> list[Verdict]:
+    """The verdicts of ``cases``, unstamped, from one stacked checker call.
 
     The cases share a checker, a mutation, n and their operand names; each
     operand, scalar and scalar function becomes one row per case.  Each
@@ -262,32 +262,23 @@ def run_stack(cases: list, tol: float = DEFAULT_TOL, stacks: dict | None = None,
     by ``_stack_key``, so checkers that take the same operands take one
     stack and decompose it once; the caller keeps those matrices alive
     while it keeps their stacks.
-
-    ``extra`` cases (a flush's fixed cases) share all of that too and join
-    the call after ``cases``, which may then be empty.  Their verdicts
-    follow those of ``cases``, unstamped, and make no ``run_case`` call, so
-    the benchmark's tracer, which counts trials by those calls, counts
-    only the trials.
     """
-    rows = [*cases, *extra]
-    first = rows[0]
+    first = cases[0]
     stacks = {} if stacks is None else stacks
     mats = {}
     for name in first.matrices:
-        key = _stack_key(rows, name)
+        key = _stack_key(cases, name)
         if key not in stacks:
-            parts = [case.matrices[name] for case in rows]
+            parts = [case.matrices[name] for case in cases]
             stacks[key] = linalg.share(parts[0][None] if len(parts) == 1
                                        else np.stack(parts))
         mats[name] = stacks[key]
-    verdicts = _spec(first.check_id).run(
-        None if first.fn_descriptor is None else [case.fn() for case in rows],
+    return _spec(first.check_id).run(
+        None if first.fn_descriptor is None else [case.fn() for case in cases],
         mats,
-        {key: np.array([c.scalars[key] for c in rows]) for key in first.scalars},
+        {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
         tol=tol, enforce=first.mutation is None,
     )
-    return [run_case(case, verdict=v, stamp=stamp)
-            for case, v in zip(cases, verdicts)] + verdicts[len(cases):]
 
 
 def _stack_key(cases: list, name: str) -> tuple:
@@ -404,11 +395,16 @@ def verdict_row(verdict: Verdict) -> dict:
     }
 
 
+# A campaign's trials and dims when none are given; the CLI reads them too.
+DEFAULT_TRIALS = 100
+DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
+
+
 def run_campaign(
     check_id: str,
     mutation: str | None = None,
-    trials: int = 100,
-    dims=(1, 2, 3, 4, 5, 6),
+    trials: int = DEFAULT_TRIALS,
+    dims=DEFAULT_DIMS,
     root_seed: int = 0,
     tol: float = DEFAULT_TOL,
     keep_verdicts: bool = False,
@@ -453,8 +449,8 @@ class FixedCase(NamedTuple):
 def run_campaigns(
     check_ids,
     mutation: str | None = None,
-    trials: int = 100,
-    dims=(1, 2, 3, 4, 5, 6),
+    trials: int = DEFAULT_TRIALS,
+    dims=DEFAULT_DIMS,
     root_seed: int = 0,
     tol: float = DEFAULT_TOL,
     keep_verdicts: bool = False,
@@ -486,8 +482,8 @@ def run_with_fixed(
     fixed,
     check_ids=(),
     mutation: str | None = None,
-    trials: int = 100,
-    dims=(1, 2, 3, 4, 5, 6),
+    trials: int = DEFAULT_TRIALS,
+    dims=DEFAULT_DIMS,
     root_seed: int = 0,
     tol: float = DEFAULT_TOL,
     keep_verdicts: bool = False,
@@ -496,13 +492,14 @@ def run_with_fixed(
     ``fixed`` cases (FixedCase) run in its first flush; returns the reports
     and each fixed case's verdict.
 
-    A fixed case joins the stack of the campaign cases of its group
-    (``_group``), or else a stack of its group's fixed cases alone.  A
-    checker's ``tol`` only labels its verdicts, so a fixed case's verdict,
-    given its own tol, has the bits of its own call.  It is booked to no
-    campaign and makes no ``run_case`` call.  A failing fixed case comes
-    before any failing trial: the first one in ``fixed`` that fails raises,
-    with its label at the start of its message.
+    A fixed case waits in the first flush's queue like a trial's case,
+    ahead of every trial, and joins the stack of its group (``_group``),
+    with or without campaign cases.  A checker's ``tol`` only labels its
+    verdicts, so a fixed case's verdict, given its own tol, has the bits of
+    its own call.  It is booked to no campaign and makes no ``run_case``
+    call.  A failing fixed case comes before any failing trial: the first
+    one in ``fixed`` that fails raises, with its label at the start of its
+    message.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -519,14 +516,11 @@ def run_with_fixed(
     if not isinstance(root_seed, numbers.Integral) or not 0 <= root_seed < ROOT_SEEDS:
         raise BadSpec(f"root seed must be an integer in [0, 2**63), got {root_seed!r}")
     dims = [int(d) for d in dims]
-    order = sorted(set(check_ids), key=checks.CHECK_IDS.index)
-    reports, verdicts = _campaigns(order, mutation, trials if order else 0, dims,
-                                   root_seed, tol, keep_verdicts, list(fixed))
-    return [
-        CampaignReport(check_id=cid, mutation=mutation, expectation=expectation,
-                       trials=trials, **reports[cid])
-        for cid in check_ids
-    ], verdicts
+    reports = {cid: CampaignReport(cid, mutation, expectation, trials, [], float("inf"), 0.0)
+               for cid in sorted(set(check_ids), key=checks.CHECK_IDS.index)}
+    verdicts = _campaigns(reports, mutation, trials if reports else 0, dims, root_seed,
+                          tol, keep_verdicts, list(fixed))
+    return [reports[cid] for cid in check_ids], verdicts
 
 
 def _group(case: Case) -> tuple:
@@ -534,28 +528,27 @@ def _group(case: Case) -> tuple:
     return case.check_id, case.n, tuple(case.matrices), case.mutation
 
 
-def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
-               fixed) -> tuple[dict, list]:
-    """The report fields of each checker in ``order`` and the verdicts of
-    the ``fixed`` cases, running the pending cases whenever their operands
-    reach ``STACK_BYTES``, or would with the next trial; the fixed cases
-    run in the first flush.  A case that fails to sample raises once the
-    trials before it have run."""
-    fields = {cid: {"violations": [], "min_margin": float("inf"), "wall_time": 0.0,
-                    "verdicts": []} for cid in order}
+def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
+               fixed) -> list:
+    """Run the trials of each checker of ``reports`` (check id -> its
+    report, in check order) and book them there; return the verdicts of
+    the ``fixed`` cases.  The pending cases run whenever their operands
+    reach ``STACK_BYTES``, or would with the next trial.  Fixed case j
+    waits as index j - len(fixed), so it sorts before every trial and runs
+    in the first flush.  A case that fails to sample raises once the cases
+    before it have run."""
     fixed_verdicts = [None] * len(fixed)
     witness = mutation_expectation(mutation) == "must-violate"
     clock = time.perf_counter
-    pending: dict = {}  # (check id, n, operand names, mutation) -> [(trial, case)]
-    waiting: dict = {}  # the same keys -> [(index, fixed case)]
+    pending: dict = {}  # (check id, n, operand names, mutation) -> [(index, case)]
     for j, row in enumerate(fixed):
-        waiting.setdefault(_group(row.case), []).append((j, row))
+        pending.setdefault(_group(row.case), []).append((j - len(fixed), row.case))
     held = 0
     per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
 
-    def flush():  # it empties pending and waiting
+    def flush():  # it empties pending
         nonlocal held
-        _run_pending(pending, tol, keep_verdicts, fields, waiting, fixed_verdicts)
+        _run_pending(pending, tol, keep_verdicts, reports, fixed, fixed_verdicts)
         held = 0
 
     for i in range(trials):
@@ -567,7 +560,7 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
         if pending and held + per_entry * n * n > STACK_BYTES:
             flush()
         shared, trial = {}, []
-        for cid in order:
+        for cid, report in reports.items():
             start = clock()
             try:
                 if i == 0 and witness:
@@ -578,7 +571,7 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
             except NormetryError as exc:
                 flush()  # a failing case of an earlier trial raises first
                 raise _named(exc, _trial_label(cid, i, n, seed)) from exc
-            fields[cid]["wall_time"] += clock() - start
+            report.wall_time += clock() - start
         for case in trial:
             pending.setdefault(_group(case), []).append((i, case))
         trial_bytes = len(shared) * n * n * _ITEMSIZE
@@ -587,9 +580,9 @@ def _campaigns(order, mutation, trials, dims, root_seed, tol, keep_verdicts,
         del case, trial, shared  # only the pending cases hold the recorded operands now
         if held >= STACK_BYTES:
             flush()
-    if pending or waiting:
+    if pending:
         flush()
-    return fields, fixed_verdicts
+    return fixed_verdicts
 
 
 def _generate(specs: list) -> dict:
@@ -630,106 +623,90 @@ def _generate_recorded(sampled: list) -> Counter:
     return Counter(case.check_id for case in recorded.values())
 
 
-def _run_pending(pending: dict, tol: float, keep_verdicts: bool, fields: dict,
-                 waiting: dict, fixed_verdicts: list) -> None:
-    """Generate the operands of the pending cases, run each stack of them
-    with the fixed cases waiting in its group, then book the campaign
-    verdicts in trial order, and each fixed case's verdict at its index of
-    ``fixed_verdicts``.  A group of fixed cases alone runs first, before
-    anything is generated.  Each stack leaves ``pending`` and ``waiting``
-    as soon as it has run, and each operand stack is dropped once no other
-    pending stack takes it; a NormetryError names its case from the cases
-    left (``_raise_first_failure``)."""
+def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
+                 fixed: list, fixed_verdicts: list) -> None:
+    """Generate the operands of the pending cases and run each stack of
+    them, in the order of their first cases, so the fixed cases' groups
+    run first.  Each stack leaves ``pending`` as soon as it has run, and
+    each operand stack is dropped once no other pending stack takes it.
+    Then its verdicts are booked: a fixed case's, with its own tol, at its
+    index of ``fixed_verdicts``; a trial's, in trial order, to its
+    checker's report.  A NormetryError names its case from the cases left
+    (``_raise_first_failure``)."""
     clock = time.perf_counter
     stacks: dict = {}  # operand stacks, shared by the checkers that take them
-
-    def run(group, stack: list) -> list:
-        """The verdicts of the group's pending [(trial, case)]; its fixed
-        cases' verdicts are booked here."""
-        rows = waiting.get(group, ())
-        verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks,
-                             stamp=keep_verdicts, extra=[row.case for _, row in rows])
-        waiting.pop(group, None)
-        for (j, row), verdict in zip(rows, verdicts[len(stack):]):
-            verdict.tol = row.tol
-            fixed_verdicts[j] = verdict
-        return verdicts[:len(stack)]
-
-    done: dict = {}  # check id -> [(trial, verdict, certificate or None)]
+    done = []  # (trial, report, verdict, certificate or None)
     try:
-        for group in [g for g in waiting if g not in pending]:
-            run(group, [])
-        if not pending:
-            return
         start = clock()
         recorders = _generate_recorded([case for stack in pending.values() for _, case in stack])
         spent = (clock() - start) / max(1, sum(recorders.values()))
         for cid, count in recorders.items():  # each check's share of generating
-            fields[cid]["wall_time"] += spent * count
+            reports[cid].wall_time += spent * count
         keys = {}  # the operand stacks of each group
         for group, stack in pending.items():
-            rows = [case for _, case in stack] + [row.case for _, row in waiting.get(group, ())]
-            keys[group] = [_stack_key(rows, name) for name in rows[0].matrices]
+            cases = [case for _, case in stack]
+            keys[group] = [_stack_key(cases, name) for name in cases[0].matrices]
         users = Counter(key for group in keys.values() for key in group)
         while pending:
             group = next(iter(pending))  # in the order of their first cases
             stack = pending[group]
-            cid = group[0]
+            report = reports.get(group[0])  # None: fixed cases of no campaign
             start = clock()
-            verdicts = run(group, stack)
+            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks)
             del pending[group]
             for key in keys.pop(group):
                 users[key] -= 1
                 if not users[key]:
                     del stacks[key]
-            done.setdefault(cid, []).extend(
-                (i, v, None if v.passed else make_certificate(case, v))
-                for (i, case), v in zip(stack, verdicts))
-            fields[cid]["wall_time"] += clock() - start
+            for (i, case), verdict in zip(stack, verdicts):
+                if i < 0:
+                    verdict.tol = fixed[i].tol
+                    fixed_verdicts[i] = verdict
+                    continue
+                # the benchmark's tracer counts trials by these calls
+                run_case(case, verdict=verdict, stamp=keep_verdicts)
+                done.append((i, report, verdict,
+                             None if verdict.passed else make_certificate(case, verdict)))
+            if report is not None:
+                report.wall_time += clock() - start
     except NormetryError:
-        _raise_first_failure(waiting, pending, tol)
+        _raise_first_failure(pending, fixed, tol)
         raise
-    for cid, results in done.items():
-        out = fields[cid]
-        results.sort(key=lambda r: r[0])
-        for _, verdict, certificate in results:
-            margin = verdict.min_margin
-            if margin != margin or margin < out["min_margin"]:  # a NaN sticks
-                out["min_margin"] = margin
-            if certificate is not None:
-                out["violations"].append(certificate)
-            if keep_verdicts:
-                out["verdicts"].append(verdict_row(verdict))
+    done.sort(key=lambda entry: entry[0])
+    for _, report, verdict, certificate in done:
+        margin = verdict.min_margin
+        if margin != margin or margin < report.min_margin:  # a NaN sticks
+            report.min_margin = margin
+        if certificate is not None:
+            report.violations.append(certificate)
+        if keep_verdicts:
+            report.verdicts.append(verdict_row(verdict))
 
 
-def _raise_first_failure(waiting: dict, pending: dict, tol: float) -> None:
-    """Rerun one at a time the cases a flush that raised has not passed,
-    the fixed ones still ``waiting`` and the sampled ones still
-    ``pending``, and raise the error of the first that fails, with its
-    label at the start of its message: the fixed cases in their order,
-    then each trial in order, which generates its recorded operands alone
-    in record order and then runs its cases alone in check order.  Guards
-    decide each matrix as alone, so that is the campaign's first failing
-    case.  Returns if none fails alone."""
-    sampled = sorted((pair for stack in pending.values() for pair in stack),
-                     key=lambda pair: (pair[0], checks.CHECK_IDS.index(pair[1].check_id)))
+def _raise_first_failure(pending: dict, fixed: list, tol: float) -> None:
+    """Rerun one at a time the cases still ``pending`` in a flush that
+    raised, and raise the error of the first that fails, with its label at
+    the start of its message.  They rerun in (index, check) order: the
+    fixed cases first, in their order, then each trial in order, which
+    generates its recorded operands alone in record order and then runs
+    its cases alone in check order.  Guards decide each matrix as alone,
+    so that is the campaign's first failing case.  Returns if none fails
+    alone."""
+    entries = sorted((entry for stack in pending.values() for entry in stack),
+                     key=lambda entry: (entry[0], checks.CHECK_IDS.index(entry[1].check_id)))
     try:
-        for _, row in sorted((pair for rows in waiting.values() for pair in rows),
-                             key=lambda pair: pair[0]):
-            label = row.label
-            run_stack([row.case], tol=tol, stamp=False)
-        for i, trial in itertools.groupby(sampled, key=lambda pair: pair[0]):
-            cases = [case for _, case in trial]
+        for i, entry in itertools.groupby(entries, key=lambda entry: entry[0]):
+            named = [(fixed[i].label if i < 0 else
+                      _trial_label(case.check_id, i, case.n, case.seed), case)
+                     for _, case in entry]
             made = {}  # GenSpec -> its operand, generated alone
-            for case in cases:
-                label = _trial_label(case.check_id, i, case.n, case.seed)
+            for label, case in named:
                 for name, m in case.matrices.items():
                     if isinstance(m, GenSpec):
                         if m not in made:
                             made[m] = _generate([m])[m]
                         case.matrices[name] = made[m]
-            for case in cases:
-                label = _trial_label(case.check_id, i, case.n, case.seed)
-                run_stack([case], tol=tol, stamp=False)
+            for label, case in named:
+                run_stack([case], tol=tol)
     except NormetryError as exc:
         raise _named(exc, label) from exc

@@ -137,8 +137,12 @@ def default_rngs(seeds):
 def _ggauss(rngs, n: int) -> np.ndarray:
     """(G + iH)/sqrt(2) for two standard normal n x n draws G then H of
     each rng, with the bits of ``(G + 1j * H) / np.sqrt(2)`` from one draw
-    per rng and no temporaries; one matrix per rng."""
-    g = np.empty((len(rngs), 2, n, n))
+    per rng and no temporaries; one matrix per rng.  Every kind allocates
+    here first, so a dimension too large to allocate is a BadSpec here."""
+    try:
+        g = np.empty((len(rngs), 2, n, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise BadSpec(f"dimension {n} is too large to allocate: {exc}") from None
     for rng, out in zip(rngs, g):
         rng.standard_normal(out=out)
     m = np.empty((len(rngs), n, n), dtype=complex)
@@ -177,7 +181,8 @@ def generate_stack(kind: str, n: int, rngs, scale: float = 1.0,
                    min_eig: float = 0.1) -> np.ndarray:
     """One matrix of ``kind`` per generator of ``rngs``, as a (T, n, n)
     stack: each matrix draws from its own generator, in the order
-    ``generate`` draws, and has the bits ``generate`` gives it."""
+    ``generate`` draws, and has the bits ``generate`` gives it.  A
+    dimension too large to allocate raises BadSpec."""
     if kind not in KINDS:
         raise BadSpec(f"unknown generator kind {kind!r}")
     if n < 1:

@@ -158,7 +158,3 @@ def run(check_ids, tol: float, **campaigns) -> tuple[list[dict], list]:
         **campaigns)
     return [row(w, v, tol) for w, v in zip(chosen, verdicts)], reports
 
-
-def table(check_ids, tol: float) -> list[dict]:
-    """The witness rows of the verify report for ``check_ids``."""
-    return run(check_ids, tol)[0]

@@ -132,6 +132,24 @@ def test_gen_non_finite_scale_is_usage_error(scale, capsys):
     assert "scale" in captured.err
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["gen", "--kind", "psd", "--dim", "100000000"], ""),
+    (["verify", "--checks", "ineq4", "--trials", "1", "--dims", "100000000"],
+     "ineq4 trial 0 (n=100000000, seed="),
+    (["falsify", "--check", "thm1.2", "--trials", "1", "--dims", "10000000000"],
+     "thm1.2 trial 0 (n=10000000000, seed="),
+])
+def test_a_dimension_too_large_to_allocate_is_a_usage_error(argv, label, capsys):
+    """numpy refuses both sizes before allocating anything: 142 PiB at
+    n = 10**8, and past the largest array size at n = 10**10.  A campaign
+    names the trial that asked for it."""
+    assert run(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: " + label)
+    assert "is too large to allocate" in captured.err
+
+
 def write_drop_vanishing_cert(tmp_path):
     certs = tmp_path / "certs"
     run(

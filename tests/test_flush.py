@@ -18,12 +18,12 @@ def bits(x: float) -> bytes:
 
 
 def spy_stacks(monkeypatch):
-    """Record each run_stack call as (its campaign cases, its extra cases)."""
+    """Record the cases of each run_stack call."""
     seen = []
     real = falsify.run_stack
 
     def spy(cases, **kwargs):
-        seen.append((list(cases), list(kwargs.get("extra", ()))))
+        seen.append(list(cases))
         return real(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
@@ -51,7 +51,7 @@ def test_cases_of_both_kinds_share_a_stack(monkeypatch, cid, kinds):
     stacks = spy_stacks(monkeypatch)
     grouped = falsify.run_campaign(cid, **args)
     assert len(stacks) == 1
-    assert {case.kinds["a"] for case in stacks[0][0]} == kinds
+    assert {case.kinds["a"] for case in stacks[0]} == kinds
     monkeypatch.setattr(falsify, "STACK_BYTES", 0)  # one case per stack
     alone = falsify.run_campaign(cid, **args)
     assert len(stacks) == 1 + 12
@@ -95,13 +95,13 @@ def test_witness_rows_from_the_flush_equal_single_call_rows(tol, dims):
     for got, expected in zip(reports, alone):
         assert (got.verdicts, got.violations) == (expected.verdicts, expected.violations)
         assert bits(got.min_margin) == bits(expected.min_margin)
-    assert_same_rows(witnesses.table(checks.CHECK_IDS, tol), rows)
+    assert_same_rows(witnesses.run(checks.CHECK_IDS, tol)[0], rows)
 
 
 def test_witnesses_join_the_campaign_stacks(monkeypatch):
     """At verify-small's settings every witness joins a campaign stack: the
-    witness table adds no stack and no checker call, and its rows make no
-    ``run_case`` call."""
+    witness table adds no stack and no checker call, and its rows (the
+    cases without a seed) make no ``run_case`` call."""
     stacks = spy_stacks(monkeypatch)
     calls = count_checker_calls(monkeypatch)
     run_cases = []
@@ -113,8 +113,9 @@ def test_witnesses_join_the_campaign_stacks(monkeypatch):
     assert len(run_cases) == 16 * 20
     assert all(case.seed is not None for case in run_cases)
     assert len(stacks) == len(calls) == 131
-    assert all(cases for cases, _ in stacks)
-    joined = [extra for _, extra in stacks if extra]
+    assert all(any(case.seed is not None for case in cases) for cases in stacks)
+    joined = [rows for rows in ([c for c in cases if c.seed is None] for cases in stacks)
+              if rows]
     assert len(joined) == 18 and sum(map(len, joined)) == len(witnesses.WITNESSES)
     stacks.clear()
     calls.clear()

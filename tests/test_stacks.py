@@ -85,7 +85,8 @@ def test_each_row_of_a_stack_is_its_single_case(cid, mutation):
         assert len(stacked) == len(cases)
         for case, verdict in zip(cases, stacked):
             alone = falsify.run_case(case)
-            assert verdict.fingerprint == alone.fingerprint
+            assert verdict.fingerprint == ""  # run_stack leaves stamping to its caller
+            assert falsify.fingerprint(case) == alone.fingerprint
             assert [tuple(map(repr, r)) for r in verdict.records] == [
                 tuple(map(repr, r)) for r in alone.records
             ]
@@ -364,6 +365,31 @@ def test_a_failure_in_the_last_flush_reruns_no_earlier_flush(monkeypatch):
     assert last >= 2 and earlier
     assert all(runs[cid, derive_stream(seed, i)] == 1 for i in earlier for cid in ids)
     assert len(flushes[last]) > 1 and raised[0][0] == "prop3.4"
+
+
+def test_a_failing_flush_books_none_of_the_cases_it_reruns(monkeypatch):
+    """Only the stacks that passed reach ``run_case``, once per case; the
+    cases rerun one at a time to name the failure make no such call.
+    prop3.4's n = 3 stack (trials 1, 4, 7, 10) raises after three stacks
+    have passed, and the rerun runs seven cases alone, up to trial 7's."""
+    plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 7).matrices["a"]])
+    runs, raised = spy_runs(monkeypatch)
+    booked = []  # (check id, trial seed) of each run_case call, and the raises before it
+    real = falsify.run_case
+
+    def spy(case, **kwargs):
+        booked.append(((case.check_id, case.seed), len(raised)))
+        return real(case, **kwargs)
+
+    monkeypatch.setattr(falsify, "run_case", spy)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
+                              root_seed=31)
+    assert str(err.value) == failure_message("prop3.4", 7)
+    assert raised == [("prop3.4", 4), ("prop3.4", 1)]
+    assert [before for _, before in booked] == [0] * 12
+    assert len({case for case, _ in booked}) == 12
+    assert sum(runs.values()) == 4 * 4 + 7
 
 
 def test_an_earlier_trial_of_a_later_stack_is_named_first(monkeypatch):

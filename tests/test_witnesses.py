@@ -17,7 +17,7 @@ def test_stacked_table_rows_equal_single_call_rows(tol):
     own checker call: check, description, equality, pass and the bits of
     its min margin."""
     assert len(witnesses.WITNESSES) == 32
-    rows = witnesses.table(checks.CHECK_IDS, tol)
+    rows = witnesses.run(checks.CHECK_IDS, tol)[0]
     assert len(rows) == 32
     for w, got in zip(witnesses.WITNESSES, rows):
         alone = witnesses.row(w, w.run(), tol)
@@ -33,7 +33,7 @@ def test_table_makes_one_checker_call_per_group(monkeypatch):
             calls.append(_cid)
             return _run(*args, **kwargs)
         monkeypatch.setitem(checks.SPECS, cid, replace(spec, run=counted))
-    rows = witnesses.table(["thm3.1", "ineq5", "identity6"], DEFAULT_TOL)
+    rows = witnesses.run(["thm3.1", "ineq5", "identity6"], DEFAULT_TOL)[0]
     assert len(rows) == 6 and all(row["pass"] for row in rows)
     # thm3.1 has a 1 x 1 and a 2 x 2 witness; ineq5's and identity6's share n
     assert sorted(calls) == ["identity6", "ineq5", "thm3.1", "thm3.1"]
