@@ -129,7 +129,9 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
     if len(operands) < 2:
         raise BadSpec("need at least two operands")
     _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    total = sum(operands[1:], start=operands[0])
+    total = operands[0]
+    for m in operands[1:]:
+        total = linalg.derived(np.add, total, m)
     parts = _spectral_apply(f, total, *operands)
     return norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
 
@@ -138,7 +140,7 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
 def check_thm_1_2(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
     _require_tag(g, scalarfn.CONVEX_VANISHING, enforce)
-    ga, gb, gs = _spectral_apply(g, a, b, a + b)
+    ga, gb, gs = _spectral_apply(g, a, b, linalg.derived(np.add, a, b))
     return norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
 
 
@@ -176,7 +178,7 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
     if enforce:
         _require_pd(A=a, B=b)
     t = len(a)
-    spec = linalg.joined(linalg.eigh, a + b, a, b)
+    spec = linalg.joined(linalg.eigh, linalg.derived(np.add, a, b), a, b)
     w = spec.eigenvalues[:t]
     if np.any(w <= 0):
         raise NotPositiveDefinite("A+B is not positive definite")
@@ -199,7 +201,7 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     """
     _require_tag(g, scalarfn.DECREASING_TG_INCREASING, enforce)
     t = len(a)
-    spec = linalg.joined(linalg.eigh, a + b, a, b)
+    spec = linalg.joined(linalg.eigh, linalg.derived(np.add, a, b), a, b)
     w = np.maximum(spec.eigenvalues[:t], 0.0)
     singular = np.array([fn.singular_at_zero for fn in _fns(g, t)])
     if np.any(singular & np.any(w <= 0, axis=-1)):
@@ -330,7 +332,7 @@ def _abs4(a, b, c, d):
 def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
     _require_normal(enforce, A=a, B=b, C=c, D=d)
-    block = _block2(a, b, c, d)
+    block = linalg.derived(_block2, a, b, c, d)
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     return norms.dominance_verdict(
         block, pa + pb + pc + pd_, tol=tol, check_id="thm3.1", pad=True)
@@ -351,7 +353,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
     _require_normal(enforce, A=a, B=b, C=c, D=d)
-    lhs = _opnorm(_block2(a, b, c, d))
+    lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     rhs = _max_opnorm(pa + pb, pc + pd_, pa + pc, pb + pd_)
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)

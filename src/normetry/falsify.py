@@ -5,12 +5,11 @@ minimum scaled margin plus any violations (with self-contained replay
 certificates).  Campaigns sample trial-major: the cases of all checkers
 of trial i are drawn from one per-trial dict of operands, so an operand the
 checkers share is recorded once.  When the sampled cases run, their
-operands are generated first, one (kind, n) stack at a time; then each
-checker's cases of one n and one operand list go through the checker in
-one (T, n, n) call.  Mutations
-deliberately break one hypothesis: the must-violate mutations ship with an
-analytic witness tried first, while drop-normality is exploratory and only
-records what it sees.
+operands are generated first, the kinds of one seed from one first draw;
+then each checker's cases of one n and one operand list go through the
+checker in one (T, n, n) call.  Mutations deliberately break one
+hypothesis: the must-violate mutations ship with an analytic witness tried
+first, while drop-normality is exploratory and only records what it sees.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from . import __version__, checks, linalg, scalarfn, serialize
 from .errors import BadSpec, MalformedCertificate, NormetryError, UnknownCheck
 from .norms import DEFAULT_TOL, Verdict
 from .rand import (
-    GenSpec, _seed_words, default_rngs, derive_stream, generate, generate_stack,
+    GenSpec, _seed_words, default_rngs, derive_stream, generate, generate_family,
     rng_from_words,
 )
 
@@ -460,8 +459,8 @@ def run_campaigns(
     Trial i samples every checker's case from the same trial seed and one
     dict of shared operands, so the operands checkers share are recorded,
     and later generated, once.  Sampled cases wait until their operands
-    would reach ``STACK_BYTES``; then their operands are generated, one
-    stack per (kind, n), and each checker's waiting cases of one n and one
+    would reach ``STACK_BYTES``; then their operands are generated
+    (``_generate``), and each checker's waiting cases of one n and one
     list of operand names run as one stack (``run_stack``), whatever kinds
     the operands were drawn from.  Reports and verdict rows are the same as
     one checker and one case at a time would give.  A case's fingerprint is
@@ -586,23 +585,27 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
 
 
 def _generate(specs: list) -> dict:
-    """Each GenSpec of ``specs`` (default scale and min_eig) generated,
-    read-only: their generators seeded in one pass, then one
-    ``generate_stack`` call per (kind, n) group of at most
-    ``linalg.JOIN_BYTES`` of output, which bounds the transient memory."""
-    groups: dict = {}
+    """Each GenSpec of ``specs`` generated, read-only.  The specs of one
+    seed and n are a family, drawn from one generator: the generators are
+    seeded in one pass, then each n's families are generated by
+    ``generate_family`` calls of at most ``linalg.JOIN_BYTES`` of first
+    draws (and at least one family), which bounds the transient memory."""
+    families: dict = {}  # (n, seed) -> its specs
     for spec in specs:
-        groups.setdefault((spec.kind, spec.n), []).append(spec)
-    ordered = [spec for group in groups.values() for spec in group]
-    rngs = default_rngs([spec.seed for spec in ordered])  # taken in this order
+        families.setdefault((spec.n, spec.seed), []).append(spec)
+    by_n: dict = {}  # n -> the specs of each of its seeds
+    for (n, _), family in families.items():
+        by_n.setdefault(n, []).append(family)
+    rngs = default_rngs([family[0].seed for rows in by_n.values() for family in rows])
     out = {}
-    for (kind, n), group in groups.items():
+    for n, rows in by_n.items():
         step = max(1, linalg.JOIN_BYTES // (n * n * _ITEMSIZE))
-        for start in range(0, len(group), step):
-            part = group[start:start + step]
-            stack = generate_stack(kind, n, list(itertools.islice(rngs, len(part))))
-            stack.flags.writeable = False
-            out.update(zip(part, stack))
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            made = generate_family(n, list(itertools.islice(rngs, len(part))), part)
+            for kind_specs, stack in made.values():
+                stack.flags.writeable = False
+                out.update(zip(kind_specs, stack))
     return out
 
 

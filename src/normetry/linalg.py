@@ -18,7 +18,8 @@ one call, and reuses its results on stacks marked by ``share`` (a campaign
 shares the operand stacks that several checkers take); those stacks and
 results are read-only.  ``polar`` and the SVD route of ``matrix_abs`` take
 their SVD through ``joined`` too, so a shared stack is decomposed once for
-both.
+both.  ``derived`` makes a stack derived from shared stacks, such as A + B,
+a shared stack too, made once.
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ def share(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def derived(fn, *stacks) -> np.ndarray:
+    """``fn(*stacks)``, a stack derived from stacks, such as A + B.  Where
+    every input is marked by ``share``, so is the result, and it is
+    computed once: the first input's memo keeps it under (fn, the other
+    inputs' ids), with weak references to those inputs, so an id that a
+    dead input leaves to another stack never finds it.  The results
+    ``joined`` computes on it are kept in its own memo, for every checker
+    that derives it."""
+    memo = _MEMOS.get(id(stacks[0])) if _MEMOS else None
+    if memo is None or not all(id(m) in _MEMOS for m in stacks[1:]):
+        return fn(*stacks)
+    key = (fn, *map(id, stacks[1:]))
+    kept = memo.get(key)
+    if kept is None or any(ref() is not m for ref, m in zip(kept[1], stacks[1:])):
+        kept = memo[key] = share(fn(*stacks)), [weakref.ref(m) for m in stacks[1:]]
+    return kept[0]
+
+
 # Bytes of stacks that ``joined`` takes in one call: joining saves call
 # overhead at small n, while at large n it would only multiply the
 # transient memory of the call.
@@ -58,8 +77,8 @@ JOIN_BYTES = 1 << 18
 def joined(fn, *stacks, **kwargs):
     """``fn(np.concatenate(stacks), **kwargs)`` for one of this module's
     per-matrix functions (``eigh``, ``matrix_abs``, ``polar``,
-    ``is_normal``) and same-shape (T, n, n) stacks, taken in as few calls
-    as ``JOIN_BYTES`` allows.
+    ``is_normal``), or the singular values of ``norms``, and same-shape
+    (T, n, n) stacks, taken in as few calls as ``JOIN_BYTES`` allows.
 
     A stack marked by ``share`` keeps its rows of the result, read-only,
     and they are not computed again.  ``polar`` keeps only its SVD, which
@@ -185,7 +204,8 @@ def opnorm(x):
     """Operator (spectral) norm, i.e. the largest singular value, by SVD.
 
     This is the reference the guards compare against; reported norms go
-    through ``norms.norm``, which takes the cheaper Hermitian route.
+    through ``norms.singular_values``, which takes the cheaper Hermitian
+    route.
     """
     s = _lapack(np.linalg.svd, np.asarray(x, dtype=complex), compute_uv=False)
     top = s[..., 0]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpec, DimensionMismatch
-from .linalg import _lapack, as_square, _by_route
+from .linalg import _MEMOS, _by_route, _lapack, as_square, joined
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -70,8 +70,14 @@ def singular_values(x) -> np.ndarray:
     per matrix of a stack.
 
     An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
+    A stack marked by ``linalg.share`` keeps them in its memo (``joined``).
     """
-    s = _by_route(as_square(x), _hermitian_sv, _svd_sv)
+    m = as_square(x)
+    return joined(_singular_values, m) if id(m) in _MEMOS else _singular_values(m)
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    s = _by_route(m, _hermitian_sv, _svd_sv)
     return np.where(s < SV_CLAMP_REL * s[..., :1], 0.0, s)
 
 

@@ -6,11 +6,14 @@ identical (kind, n, seed, scale) always yields bit-identical output, and
 per-trial seeds are derived from a root seed by a collision-resistant hash
 so campaign trials are order-independent.
 
-``generate_stack`` makes a (T, n, n) stack of one kind, one matrix per
-generator, with one matmul, SVD and QR call for the whole stack; each
-matrix draws from its own generator, in the order a single matrix does, and
-gets the bits it gets alone.  ``generate`` is its T = 1 call.
-``default_rngs`` seeds many generators in one vectorized pass.
+``generate_family`` makes the matrices of several kinds drawn from each of
+several generators: every kind's first draw is the same matrix, so it is
+drawn once per generator, and what kinds derive from it is computed once,
+in one stacked call; each matrix draws from its own generator, in the
+order a single matrix does, and gets the bits it gets alone.
+``generate_stack`` is its one kind per generator, and ``generate`` that
+of one generator.  ``default_rngs`` seeds many generators in one
+vectorized pass.
 """
 
 from __future__ import annotations
@@ -151,24 +154,78 @@ def _ggauss(rngs, n: int) -> np.ndarray:
     return m
 
 
-def _rescale(m: np.ndarray, target: float) -> np.ndarray:
-    """Each matrix scaled to operator norm ``target``; a zero matrix is
-    kept as it is."""
-    top = np.linalg.svd(m, compute_uv=False)[:, 0]
+def _scaled(m: np.ndarray, top: np.ndarray, target) -> np.ndarray:
+    """Each matrix, of operator norm ``top``, scaled to operator norm
+    ``target`` (one value, or one per matrix); a zero matrix is kept as it
+    is."""
     nonzero = top != 0
     if nonzero.all():
         return m * (target / top)[:, None, None]
+    target = np.broadcast_to(target, top.shape)
     out = m.copy()
-    out[nonzero] = m[nonzero] * (target / top[nonzero])[:, None, None]
+    out[nonzero] = m[nonzero] * (target[nonzero] / top[nonzero])[:, None, None]
     return out
 
 
-def _unitary(rngs, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ggauss(rngs, n))
+def _top(m: np.ndarray) -> np.ndarray:
+    """The operator norm of each matrix."""
+    return np.linalg.svd(m, compute_uv=False)[:, 0]
+
+
+def _gram(g: np.ndarray) -> tuple:
+    """G*G of each matrix, with its operator norm."""
+    gram = _adjoint(g) @ g
+    return gram, _top(gram)
+
+
+def _itself(g: np.ndarray) -> tuple:
+    return (g,)
+
+
+def _with_top(g: np.ndarray) -> tuple:
+    return g, _top(g)
+
+
+def _unitary(g: np.ndarray) -> tuple:
+    """The phase-fixed Q of each matrix's QR, as a one-tuple."""
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # fix the phase ambiguity of QR so the output is deterministic and Haar
     phases = d / np.where(np.abs(d) == 0, 1.0, np.abs(d))
-    return q * phases[:, None, :]
+    return (q * phases[:, None, :],)
+
+
+# What each kind takes of its first draw G, computed once for the
+# generators whose kinds take it.
+_FIRST_DRAW = {
+    "hermitian": _itself,
+    "psd": _gram, "pd": _gram,
+    "general": _with_top, "contraction": _with_top,
+    "unitary": _unitary, "normal": _unitary, "expansive": _unitary,
+}
+# Kinds that draw again after G.
+_DRAW_AGAIN = ("normal", "contraction", "expansive")
+_ANY_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _copy(rng: np.random.Generator) -> np.random.Generator:
+    """A generator in ``rng``'s state that draws apart from it."""
+    twin = rng_from_words(_ANY_WORDS)
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _check(kind: str, n: int, scale: float, min_eig: float) -> None:
+    if kind not in KINDS:
+        raise BadSpec(f"unknown generator kind {kind!r}")
+    if n < 1:
+        raise BadSpec(f"dimension must be >= 1, got {n}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise BadSpec(f"scale must be finite and > 0, got {scale}")
+    if not math.isfinite(min_eig):
+        raise BadSpec(f"min_eig must be finite, got {min_eig}")
+    if kind == "pd" and not 0 < min_eig < scale:
+        raise BadSpec("pd needs 0 < min_eig < scale")
 
 
 def generate(spec: GenSpec) -> np.ndarray:
@@ -183,49 +240,105 @@ def generate_stack(kind: str, n: int, rngs, scale: float = 1.0,
     stack: each matrix draws from its own generator, in the order
     ``generate`` draws, and has the bits ``generate`` gives it.  A
     dimension too large to allocate raises BadSpec."""
-    if kind not in KINDS:
-        raise BadSpec(f"unknown generator kind {kind!r}")
-    if n < 1:
-        raise BadSpec(f"dimension must be >= 1, got {n}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise BadSpec(f"scale must be finite and > 0, got {scale}")
-    if not math.isfinite(min_eig):
-        raise BadSpec(f"min_eig must be finite, got {min_eig}")
+    _check(kind, n, scale, min_eig)
+    spec = (GenSpec(kind, n, 0, scale, min_eig),)  # its seed is not read
+    made = generate_family(n, rngs, [spec] * len(rngs))
+    return made[kind][1] if made else np.empty((0, n, n), dtype=complex)
 
-    if kind == "psd":
-        g = _ggauss(rngs, n)
-        return _rescale(_adjoint(g) @ g, scale)
+
+def generate_family(n: int, rngs, specs) -> dict:
+    """The matrices of ``specs``: kind -> (its specs, their (T, n, n)
+    stack), for each kind drawn.
+
+    ``specs[t]`` lists GenSpecs of dimension n drawn from generator
+    ``rngs[t]``, which stands for their seed: their n and seed are not
+    read.  A kind's specs are in generator order, then as listed, and each
+    matrix has the bits ``generate`` gives its spec.
+
+    Every kind's first draw from a generator is the same matrix G
+    (``_ggauss``), so G is drawn once per generator.  What several kinds
+    take of G (``_FIRST_DRAW``) is computed once per generator, in one
+    call for the generators whose kinds take it; each kind then completes
+    its matrices, with their own scale and min_eig, in one stacked pass.
+    A kind that draws again after G continues from its own copy of the
+    generator's state after G.  A dimension too large to allocate raises
+    BadSpec.
+    """
+    drawn: dict = {}  # kind -> [(generator index, spec)]
+    for t, row in enumerate(specs):
+        for spec in row:
+            drawn.setdefault(spec.kind, []).append((t, spec))
+    columns = {kind: tuple(zip(*entries)) for kind, entries in drawn.items()}
+    wanted: dict = {}  # what is taken of G -> kind -> the generators of its matrices
+    for kind, (rows, kind_specs) in columns.items():
+        for scale, min_eig in {spec[3:] for spec in kind_specs}:
+            _check(kind, n, scale, min_eig)
+        wanted.setdefault(_FIRST_DRAW[kind], {})[kind] = rows
+    g = _ggauss(rngs, n)
+    later = _later_draws(rngs, columns)
+    parts = {}
+    for derive, rows in wanted.items():
+        parts.update(_derived(derive, g, rows))
+    return {kind: (kind_specs, _complete(kind, n, parts[kind], kind_specs, later.get(kind)))
+            for kind, (_, kind_specs) in columns.items()}
+
+
+def _later_draws(rngs, columns: dict) -> dict:
+    """The generators that each kind drawing again after G draws from:
+    the first such kind of a generator takes the generator, and every
+    other one a copy of its state after G, taken before any draws again."""
+    taken: set = set()
+    later: dict = {}
+    for kind in _DRAW_AGAIN:
+        if kind not in columns:
+            continue
+        later[kind] = []
+        for t in columns[kind][0]:
+            later[kind].append(_copy(rngs[t]) if t in taken else rngs[t])
+            taken.add(t)
+    return later
+
+
+def _derived(derive, g: np.ndarray, wanted: dict) -> dict:
+    """``derive`` of the matrices of g at the rows each kind of ``wanted``
+    (kind -> rows) takes, computed once per row: kind -> its rows of each
+    result."""
+    rows = tuple(sorted(set().union(*wanted.values())))
+    results = derive(g if len(rows) == len(g) else g[list(rows)])
+    at = {t: i for i, t in enumerate(rows)}
+    return {kind: results if r == rows else tuple(a[[at[t] for t in r]] for a in results)
+            for kind, r in wanted.items()}
+
+
+def _complete(kind: str, n: int, part: tuple, specs: tuple, later) -> np.ndarray:
+    """The matrices of ``kind`` from what they take of their first draws:
+    ``part`` is what ``_FIRST_DRAW`` gives the kind, ``specs`` give each
+    matrix's scale and min_eig, and ``later`` the generators of its later
+    draws."""
+    m, *top = part
+    if kind == "unitary":
+        return m
+    if kind == "contraction":  # it takes no scale
+        u = np.array([rng.uniform(0.0, 1.0) for rng in later])
+        return m / (np.maximum(top[0], np.finfo(float).tiny) * (1.0 + u))[:, None, None]
+    scale = np.array([spec.scale for spec in specs])
+    if kind in ("psd", "general"):
+        return _scaled(m, top[0], scale)
     if kind == "pd":
-        if not 0 < min_eig < scale:
-            raise BadSpec("pd needs 0 < min_eig < scale")
-        g = _ggauss(rngs, n)
-        h = _rescale(_adjoint(g) @ g, scale - min_eig)
-        return h + min_eig * np.eye(n)
+        min_eig = np.array([spec.min_eig for spec in specs])
+        return _scaled(m, top[0], scale - min_eig) + min_eig[:, None, None] * np.eye(n)
     if kind == "hermitian":
-        g = _ggauss(rngs, n)
-        return _rescale((g + _adjoint(g)) / 2, scale)
+        h = (m + _adjoint(m)) / 2
+        return _scaled(h, _top(h), scale)
     if kind == "normal":
-        u = _unitary(rngs, n)
-        x = np.empty((len(rngs), 2, n))
-        for rng, out in zip(rngs, x):
+        x = np.empty((len(later), 2, n))
+        for rng, out in zip(later, x):
             rng.standard_normal(out=out)
         d = x[:, 0] + 1j * x[:, 1]
-        top = np.max(np.abs(d), axis=-1)
-        d[top > 0] *= (scale / top[top > 0])[:, None]
+        size = np.max(np.abs(d), axis=-1)
+        d[size > 0] *= (scale[size > 0] / size[size > 0])[:, None]
         # (u d) u* one matrix at a time: at n = 1 the stacked product of
         # complex entries takes another numpy loop, which rounds otherwise
-        return np.stack([(ut * dt) @ ut.conj().T for ut, dt in zip(u, d)])
-    if kind == "unitary":
-        return _unitary(rngs, n)
-    if kind == "contraction":
-        x = _ggauss(rngs, n)
-        top = np.linalg.svd(x, compute_uv=False)[:, 0]
-        u = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
-        return x / (np.maximum(top, np.finfo(float).tiny) * (1.0 + u))[:, None, None]
-    if kind == "expansive":
-        u = _unitary(rngs, n)
-        g = _ggauss(rngs, n)
-        w = _rescale(_adjoint(g) @ g, scale)
-        return u @ (np.eye(n) + w)
-    # general complex
-    return _rescale(_ggauss(rngs, n), scale)
+        return np.stack([(ut * dt) @ ut.conj().T for ut, dt in zip(m, d)])
+    gram, top = _gram(_ggauss(later, n))  # expansive
+    return m @ (np.eye(n) + _scaled(gram, top, scale))

@@ -4,6 +4,8 @@ checker's pending cases of one n and one operand list run as one (T, n, n)
 stack."""
 
 import gc
+import itertools
+import sys
 import weakref
 from collections import Counter
 
@@ -13,7 +15,7 @@ import pytest
 from normetry import falsify, linalg
 from normetry.checks import CHECK_IDS
 from normetry.errors import ConvergenceFailure
-from normetry.rand import GenSpec, derive_stream, generate
+from normetry.rand import KINDS, GenSpec, derive_stream, generate
 
 
 def reference_campaigns(trials, dims, seed):
@@ -156,13 +158,14 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
     monkeypatch.setattr(falsify, "STACK_BYTES", 0)
     gc.collect()
     alive = []  # weak references to every operand stack generated so far
-    real_generate, real_sample = falsify.generate_stack, falsify.sample_case
+    real_generate, real_sample = falsify.generate_family, falsify.sample_case
     live_at_trial_start = []
 
-    def generate_spy(kind, n, rngs):
-        stack = real_generate(kind, n, rngs)
-        alive.append(weakref.ref(stack))  # alive while any of its operands is
-        return stack
+    def generate_spy(n, rngs, specs):
+        made = real_generate(n, rngs, specs)
+        # a stack is alive while any of its operands is
+        alive.extend(weakref.ref(stack) for _, stack in made.values())
+        return made
 
     def sample_spy(check_id, n, seed, mutation=None, shared=None, words=None):
         if not shared:  # the first case of a trial
@@ -170,7 +173,7 @@ def test_pool_is_empty_after_every_trial(monkeypatch):
                 (sum(r() is not None for r in alive), len(linalg._MEMOS)))
         return real_sample(check_id, n, seed, mutation, shared, words)
 
-    monkeypatch.setattr(falsify, "generate_stack", generate_spy)
+    monkeypatch.setattr(falsify, "generate_family", generate_spy)
     monkeypatch.setattr(falsify, "sample_case", sample_spy)
     falsify.run_campaigns(CHECK_IDS, trials=5, dims=(2, 3))
     assert live_at_trial_start == [(0, 0)] * 5
@@ -243,14 +246,15 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     though eigen-sum takes |A| of it and ineq4 its polar parts."""
     generated = Counter()  # (kind, n, generator state) -> operands made of it
     operands = set()  # bytes of every generated operand
-    real_generate = falsify.generate_stack
+    real_generate = falsify.generate_family
 
-    def count_generate(kind, n, rngs):
-        for rng in rngs:
-            generated[kind, n, str(rng.bit_generator.state)] += 1
-        stack = real_generate(kind, n, rngs)
-        operands.update(m.tobytes() for m in stack)
-        return stack
+    def count_generate(n, rngs, specs):
+        for rng, row in zip(rngs, specs):
+            for spec in row:
+                generated[spec.kind, n, str(rng.bit_generator.state)] += 1
+        made = real_generate(n, rngs, specs)
+        operands.update(m.tobytes() for _, stack in made.values() for m in stack)
+        return made
 
     svd_inputs = Counter()  # operand bytes -> SVDs with vectors taken of it
     real_svd = np.linalg.svd
@@ -289,7 +293,7 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     # root seed 0 draws general operands for eigen-sum, which ineq4 takes too
     sample = falsify.sample_case("eigen-sum", 4, derive_stream(0, 0))
     assert set(sample.kinds.values()) == {"general"}
-    monkeypatch.setattr(falsify, "generate_stack", count_generate)
+    monkeypatch.setattr(falsify, "generate_family", count_generate)
     monkeypatch.setattr(falsify, "run_stack", count_operands)
     monkeypatch.setattr(linalg, "joined", count_joined)
     monkeypatch.setattr(np.linalg, "svd", count_svd)
@@ -329,3 +333,110 @@ def test_matrix_abs_and_polar_share_one_svd(monkeypatch):
         assert alone.u.tobytes() == parts.u[t].tobytes()
         assert alone.abs.tobytes() == parts.abs[t].tobytes()
         assert alone.abs_star.tobytes() == parts.abs_star[t].tobytes()
+
+
+# Every set of kinds one seed can be drawn as, each at one of these dims.
+KIND_SETS = [kinds for size in range(1, len(KINDS) + 1)
+             for kinds in itertools.combinations(KINDS, size)]
+FAMILY_DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 32, 128)
+
+
+def test_each_family_of_a_flush_has_the_bits_of_generate():
+    """A flush draws the first matrix of each (seed, n) once and shares
+    what kinds derive from it; every operand still has the bits
+    ``generate`` gives its spec alone.  The sets holding two or three of
+    normal, contraction and expansive draw again from copies of one
+    generator's state."""
+    again = {"normal", "contraction", "expansive"}
+    assert {len(again.intersection(kinds)) for kinds in KIND_SETS} == {0, 1, 2, 3}
+    specs = [GenSpec(kind, FAMILY_DIMS[j % len(FAMILY_DIMS)], derive_stream(19, j))
+             for j, kinds in enumerate(KIND_SETS) for kind in kinds]
+    made = falsify._generate(specs)
+    for spec in specs:
+        assert made[spec].tobytes() == generate(spec).tobytes(), spec
+        assert not made[spec].flags.writeable
+
+
+def test_a_flush_generates_each_spec_at_its_own_scale_and_min_eig():
+    """Kinds of one seed share their first draw, not its scaling."""
+    specs = [GenSpec("psd", 3, 5, scale=1e-6), GenSpec("psd", 3, 5),
+             GenSpec("pd", 3, 5, scale=2.0, min_eig=0.5), GenSpec("pd", 3, 5),
+             GenSpec("general", 4, 6, scale=1e3), GenSpec("contraction", 4, 6),
+             GenSpec("hermitian", 4, 6, scale=1e-3), GenSpec("normal", 2, 7, scale=1e6),
+             GenSpec("normal", 2, 7), GenSpec("expansive", 2, 7, scale=3.0)]
+    made = falsify._generate(specs)
+    for spec in specs:
+        assert made[spec].tobytes() == generate(spec).tobytes(), spec
+    assert linalg.opnorm(made[specs[0]]) == pytest.approx(1e-6)
+    assert linalg.eigvalsh_desc(made[specs[2]])[-1] >= 0.5
+    assert linalg.opnorm(made[specs[4]]) == pytest.approx(1e3)
+
+
+def calling_checker() -> str | None:
+    frame = sys._getframe(2)
+    while frame is not None and not frame.f_code.co_name.startswith("check_"):
+        frame = frame.f_back
+    return None if frame is None else frame.f_code.co_name
+
+
+def test_a_campaign_decomposes_each_matrix_once(monkeypatch):
+    """No LAPACK routine sees the same matrix twice in a campaign: kinds
+    drawn from one seed share their first draw and what derives from it,
+    and A + B and the block [[A, B], [C, D]] are shared stacks, decomposed
+    once for every checker that derives them."""
+    seen = Counter()
+    repeats = []
+
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            # an SVD with vectors and one without are two computations: eigen-sum
+            # takes |A + B| from the first and ineq4 the norms of A + B from the
+            # second, and neither has the bits of the other
+            routine = name, kwargs.get("compute_uv", True)
+            for m in np.reshape(a, (-1, *np.shape(a)[-2:])):
+                # a matrix of zeros has the same bytes however it arose:
+                # thm1.2's g(A) + g(B) and g(A + B) where g vanishes on the spectrum
+                if m.any():
+                    seen[routine, m.tobytes()] += 1
+                    if seen[routine, m.tobytes()] == 2:
+                        repeats.append((name, calling_checker()))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    falsify.run_campaigns(CHECK_IDS, trials=2, dims=(3, 32), root_seed=1)
+    assert len(seen) > 100
+    # left: the singular values of |A| + |B|, which thm3.2 and prop3.4 each
+    # sum from their own |A| and |B|
+    assert set(repeats) <= {("eigvalsh", "check_prop_3_4")}
+    assert linalg._MEMOS == {}
+
+
+def test_a_derived_stack_serves_only_its_own_inputs():
+    """A + B of shared stacks is a shared stack, taken once and kept in
+    A's memo; once B dies, a stack that takes B's id gets its own sum."""
+    a = linalg.share(np.stack([generate(GenSpec("psd", 3, s)) for s in (1, 2)]))
+    b = linalg.share(np.stack([generate(GenSpec("psd", 3, s)) for s in (3, 4)]))
+    total = linalg.derived(np.add, a, b)
+    assert total.tobytes() == (a + b).tobytes()
+    assert linalg.derived(np.add, a, b) is total
+    assert id(total) in linalg._MEMOS and not total.flags.writeable
+    spec = linalg.joined(linalg.eigh, total)
+    assert linalg.joined(linalg.eigh, linalg.derived(np.add, a, b)) is spec
+    fresh = b.copy()  # not shared, so nothing derived from it is kept
+    assert linalg.derived(np.add, a, fresh) is not linalg.derived(np.add, a, fresh)
+    ref, old = weakref.ref(total), id(b)
+    del b, total, spec
+    assert ref() is not None  # A's memo keeps it
+    for shift in range(1, 21):  # CPython soon hands B's id to a new array
+        other = linalg.share(a + shift)
+        assert linalg.derived(np.add, a, other).tobytes() == (a + other).tobytes()
+        reused = id(other) == old
+        del other
+        if reused:
+            break
+    assert reused
+    key = id(a)
+    del a
+    assert ref() is None and key not in linalg._MEMOS

@@ -261,20 +261,21 @@ def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_tr
 
 
 def plant_generator_failure(monkeypatch, kind, seeds):
-    """Make the campaign's stack generator raise DomainError on a stack
-    holding a ``kind`` operand whose generator was seeded with one of
-    ``seeds``; record the size of every stack it is asked for."""
+    """Make the campaign's generator raise DomainError on a call that
+    draws a ``kind`` operand from a generator seeded with one of
+    ``seeds``; record the number of generators of every call."""
     marks = {str(np.random.default_rng(np.uint64(s)).bit_generator.state) for s in seeds}
-    real = falsify.generate_stack
+    real = falsify.generate_family
     sizes = []
 
-    def planted(k, n, rngs, *args, **kwargs):
+    def planted(n, rngs, specs):
         sizes.append(len(rngs))
-        if k == kind and any(str(r.bit_generator.state) in marks for r in rngs):
+        if any(str(r.bit_generator.state) in marks and any(s.kind == kind for s in row)
+               for r, row in zip(rngs, specs)):
             raise DomainError("planted failure")
-        return real(k, n, rngs, *args, **kwargs)
+        return real(n, rngs, specs)
 
-    monkeypatch.setattr(falsify, "generate_stack", planted)
+    monkeypatch.setattr(falsify, "generate_family", planted)
     return sizes
 
 
