@@ -153,7 +153,8 @@ def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
     """The spec of ``check_id``; raises if the check or the mutation is
     unknown, or if the mutation does not apply to the check."""
     if check_id not in checks.SPECS:
-        raise UnknownCheck(check_id)
+        raise UnknownCheck(f"unknown check {check_id!r}; "
+                           f"choose from {', '.join(checks.CHECK_IDS)}")
     if mutation_expectation(mutation) != "none":
         if check_id not in MUTATIONS[mutation]["targets"]:
             raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
@@ -255,34 +256,27 @@ def run_stack(cases: list, tol: float = DEFAULT_TOL,
     """The verdicts of ``cases``, unstamped, from one stacked checker call.
 
     The cases share a checker, a mutation, n and their operand names; each
-    operand, scalar and scalar function becomes one row per case.  Each
-    operand stack is marked by ``linalg.share`` (one case's operand is
-    stacked as a view).  ``stacks`` keeps the stacks built for other cases,
-    by ``_stack_key``, so checkers that take the same operands take one
-    stack and decompose it once; the caller keeps those matrices alive
-    while it keeps their stacks.
+    operand, scalar and scalar function becomes one row per case.
+    ``stacks`` holds each operand's stack by name, as a flush built and
+    shared them (``_run_pending``); without it the cases are stacked here
+    (``_stacked``) and nothing is shared.
     """
     first = cases[0]
-    stacks = {} if stacks is None else stacks
-    mats = {}
-    for name in first.matrices:
-        key = _stack_key(cases, name)
-        if key not in stacks:
-            parts = [case.matrices[name] for case in cases]
-            stacks[key] = linalg.share(parts[0][None] if len(parts) == 1
-                                       else np.stack(parts))
-        mats[name] = stacks[key]
+    if stacks is None:
+        stacks = {name: _stacked(cases, name) for name in first.matrices}
     return _spec(first.check_id).run(
         None if first.fn_descriptor is None else [case.fn() for case in cases],
-        mats,
+        stacks,
         {key: np.array([c.scalars[key] for c in cases]) for key in first.scalars},
         tol=tol, enforce=first.mutation is None,
     )
 
 
-def _stack_key(cases: list, name: str) -> tuple:
-    """Which matrices the stack of operand ``name`` of ``cases`` holds."""
-    return tuple(id(case.matrices[name]) for case in cases)
+def _stacked(cases: list, name: str) -> np.ndarray:
+    """The (T, n, n) stack of operand ``name`` of ``cases``; one case's
+    operand is stacked as a view."""
+    parts = [case.matrices[name] for case in cases]
+    return parts[0][None] if len(parts) == 1 else np.stack(parts)
 
 
 def _case_fields(case: Case) -> dict:
@@ -458,8 +452,8 @@ def run_campaigns(
 
     Trial i samples every checker's case from the same trial seed and one
     dict of shared operands, so the operands checkers share are recorded,
-    and later generated, once.  Sampled cases wait until their operands
-    would reach ``STACK_BYTES``; then their operands are generated
+    and later generated, once.  Sampled cases wait until the next trial's
+    operands would take theirs past ``STACK_BYTES``; then they are generated
     (``_generate``), and each checker's waiting cases of one n and one
     list of operand names run as one stack (``run_stack``), whatever kinds
     the operands were drawn from.  Reports and verdict rows are the same as
@@ -489,7 +483,8 @@ def run_with_fixed(
 ) -> tuple[list[CampaignReport], list[Verdict]]:
     """``run_campaigns`` of ``check_ids`` (none: no campaign), with the
     ``fixed`` cases (FixedCase) run in its first flush; returns the reports
-    and each fixed case's verdict.
+    and each fixed case's verdict.  Every report's ``wall_time`` is the
+    elapsed time of the whole run.
 
     A fixed case waits in the first flush's queue like a trial's case,
     ahead of every trial, and joins the stack of its group (``_group``),
@@ -517,8 +512,12 @@ def run_with_fixed(
     dims = [int(d) for d in dims]
     reports = {cid: CampaignReport(cid, mutation, expectation, trials, [], float("inf"), 0.0)
                for cid in sorted(set(check_ids), key=checks.CHECK_IDS.index)}
+    start = time.perf_counter()
     verdicts = _campaigns(reports, mutation, trials if reports else 0, dims, root_seed,
                           tol, keep_verdicts, list(fixed))
+    wall_time = time.perf_counter() - start
+    for report in reports.values():
+        report.wall_time = wall_time
     return [reports[cid] for cid in check_ids], verdicts
 
 
@@ -531,24 +530,20 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
                fixed) -> list:
     """Run the trials of each checker of ``reports`` (check id -> its
     report, in check order) and book them there; return the verdicts of
-    the ``fixed`` cases.  The pending cases run whenever their operands
-    reach ``STACK_BYTES``, or would with the next trial.  Fixed case j
+    the ``fixed`` cases.  The pending cases run before a trial joins them
+    whose recorded operands would take theirs past ``STACK_BYTES``, so a
+    flush of more than one trial holds at most that.  Fixed case j
     waits as index j - len(fixed), so it sorts before every trial and runs
     in the first flush.  A case that fails to sample raises once the cases
     before it have run."""
     fixed_verdicts = [None] * len(fixed)
     witness = mutation_expectation(mutation) == "must-violate"
-    clock = time.perf_counter
     pending: dict = {}  # (check id, n, operand names, mutation) -> [(index, case)]
     for j, row in enumerate(fixed):
         pending.setdefault(_group(row.case), []).append((j - len(fixed), row.case))
-    held = 0
-    per_entry = 0.0  # operand bytes of the last trial per entry of one matrix
-
-    def flush():  # it empties pending
-        nonlocal held
-        _run_pending(pending, tol, keep_verdicts, reports, fixed, fixed_verdicts)
-        held = 0
+    held = 0  # operand bytes the pending trials recorded
+    flush = functools.partial(  # it empties pending
+        _run_pending, pending, tol, keep_verdicts, reports, fixed, fixed_verdicts)
 
     for i in range(trials):
         if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
@@ -556,11 +551,8 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
             seeds = [derive_stream(root_seed, j) for j in block]
             words = _seed_words(seeds)
         n, seed = dims[i % len(dims)], seeds[i % WORDS_BLOCK]
-        if pending and held + per_entry * n * n > STACK_BYTES:
-            flush()
         shared, trial = {}, []
-        for cid, report in reports.items():
-            start = clock()
+        for cid in reports:
             try:
                 if i == 0 and witness:
                     trial.append(analytic_witness(cid, mutation))
@@ -570,15 +562,14 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
             except NormetryError as exc:
                 flush()  # a failing case of an earlier trial raises first
                 raise _named(exc, _trial_label(cid, i, n, seed)) from exc
-            report.wall_time += clock() - start
+        trial_bytes = len(shared) * n * n * _ITEMSIZE
+        if held and held + trial_bytes > STACK_BYTES:
+            flush()
+            held = 0
         for case in trial:
             pending.setdefault(_group(case), []).append((i, case))
-        trial_bytes = len(shared) * n * n * _ITEMSIZE
         held += trial_bytes
-        per_entry = trial_bytes / (n * n)
         del case, trial, shared  # only the pending cases hold the recorded operands now
-        if held >= STACK_BYTES:
-            flush()
     if pending:
         flush()
     return fixed_verdicts
@@ -609,55 +600,51 @@ def _generate(specs: list) -> dict:
     return out
 
 
-def _generate_recorded(sampled: list) -> Counter:
+def _generate_recorded(sampled: list) -> None:
     """Put the generated operands in place of the GenSpecs that the sampled
-    cases recorded (``_gen``), shared as they were recorded; returns how
-    many operands each check id recorded first."""
-    recorded = {}  # GenSpec -> the case that recorded it first
-    for case in sampled:
-        for m in case.matrices.values():
-            if isinstance(m, GenSpec):
-                recorded.setdefault(m, case)
-    made = _generate(list(recorded))
+    cases recorded (``_gen``), shared as they were recorded."""
+    made = _generate(list(dict.fromkeys(
+        m for case in sampled for m in case.matrices.values() if isinstance(m, GenSpec))))
     for case in sampled:
         for name, m in case.matrices.items():
             if isinstance(m, GenSpec):
                 case.matrices[name] = made[m]
-    return Counter(case.check_id for case in recorded.values())
 
 
 def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
                  fixed: list, fixed_verdicts: list) -> None:
     """Generate the operands of the pending cases and run each stack of
     them, in the order of their first cases, so the fixed cases' groups
-    run first.  Each stack leaves ``pending`` as soon as it has run, and
-    each operand stack is dropped once no other pending stack takes it.
-    Then its verdicts are booked: a fixed case's, with its own tol, at its
+    run first.  Each operand stack is built once and marked by
+    ``linalg.share``, so the checkers that take it decompose it once; it is
+    dropped once no pending stack of cases takes it.  A stack of cases
+    leaves ``pending`` as soon as it has run.  Then its verdicts are booked: a fixed case's, with its own tol, at its
     index of ``fixed_verdicts``; a trial's, in trial order, to its
     checker's report.  A NormetryError names its case from the cases left
     (``_raise_first_failure``)."""
-    clock = time.perf_counter
-    stacks: dict = {}  # operand stacks, shared by the checkers that take them
+    stacks: dict = {}  # operand stacks, by the ids of the matrices they hold
     done = []  # (trial, report, verdict, certificate or None)
     try:
-        start = clock()
-        recorders = _generate_recorded([case for stack in pending.values() for _, case in stack])
-        spent = (clock() - start) / max(1, sum(recorders.values()))
-        for cid, count in recorders.items():  # each check's share of generating
-            reports[cid].wall_time += spent * count
-        keys = {}  # the operand stacks of each group
-        for group, stack in pending.items():
-            cases = [case for _, case in stack]
-            keys[group] = [_stack_key(cases, name) for name in cases[0].matrices]
-        users = Counter(key for group in keys.values() for key in group)
+        _generate_recorded([case for stack in pending.values() for _, case in stack])
+        keys = {  # each group's operand stacks, by operand name
+            group: {name: tuple(id(case.matrices[name]) for _, case in stack)
+                    for name in stack[0][1].matrices}
+            for group, stack in pending.items()
+        }
+        users = Counter(key for names in keys.values() for key in names.values())
         while pending:
             group = next(iter(pending))  # in the order of their first cases
             stack = pending[group]
             report = reports.get(group[0])  # None: fixed cases of no campaign
-            start = clock()
-            verdicts = run_stack([case for _, case in stack], tol=tol, stacks=stacks)
+            cases = [case for _, case in stack]
+            names = keys.pop(group)
+            for name, key in names.items():
+                if key not in stacks:
+                    stacks[key] = linalg.share(_stacked(cases, name))
+            verdicts = run_stack(cases, tol=tol,
+                                 stacks={name: stacks[key] for name, key in names.items()})
             del pending[group]
-            for key in keys.pop(group):
+            for key in names.values():
                 users[key] -= 1
                 if not users[key]:
                     del stacks[key]
@@ -670,8 +657,6 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
                 run_case(case, verdict=verdict, stamp=keep_verdicts)
                 done.append((i, report, verdict,
                              None if verdict.passed else make_certificate(case, verdict)))
-            if report is not None:
-                report.wall_time += clock() - start
     except NormetryError:
         _raise_first_failure(pending, fixed, tol)
         raise

@@ -265,10 +265,11 @@ def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1):
                     and lhs < math.inf):
                 undecided.append(t)
     if undecided:
-        top = opnorm(xs[undecided]) if matrix else np.take(xs, undecided)
-        within = top <= tol * np.fmax(1.0, opnorm(s3[undecided]) ** power)
-        for t, decision in zip(undecided, within.tolist()):
-            ok[t] = decision
+        top = opnorm(xs[undecided]).tolist() if matrix else [xs[t] for t in undecided]
+        for t, lhs, norm in zip(undecided, top, opnorm(s3[undecided]).tolist()):
+            # the single-matrix test: ** rounds as a float's (C pow), not as
+            # a stack's (x * x for a square), and past the float range is inf
+            ok[t] = lhs <= tol * max(1.0, float(np.float64(norm) ** power))
     return ok[0] if s.ndim == 2 else np.array(ok)
 
 

@@ -158,13 +158,7 @@ def _scaled(m: np.ndarray, top: np.ndarray, target) -> np.ndarray:
     """Each matrix, of operator norm ``top``, scaled to operator norm
     ``target`` (one value, or one per matrix); a zero matrix is kept as it
     is."""
-    nonzero = top != 0
-    if nonzero.all():
-        return m * (target / top)[:, None, None]
-    target = np.broadcast_to(target, top.shape)
-    out = m.copy()
-    out[nonzero] = m[nonzero] * (target[nonzero] / top[nonzero])[:, None, None]
-    return out
+    return m * (target / np.where(top == 0, 1.0, top))[:, None, None]
 
 
 def _top(m: np.ndarray) -> np.ndarray:

@@ -35,7 +35,9 @@ def test_verify_unknown_check_usage_error(capsys):
 
 def test_falsify_unknown_check_usage_error(capsys):
     assert run(["falsify", "--check", "nosuch", "--trials", "1"]) == cli.EXIT_USAGE
-    assert "usage error: nosuch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"usage error: unknown check 'nosuch'; choose from {', '.join(checks.CHECK_IDS)}\n"
+    )
 
 
 def test_verify_bad_dims_usage_error():

@@ -34,6 +34,12 @@ def test_unmutated_campaigns_stay_green():
         assert report.min_margin >= -1e-9
 
 
+def test_every_report_of_a_run_carries_the_run_elapsed_time():
+    reports = falsify.run_campaigns(["thm1.2", "prop3.4", "ineq4"], trials=4, dims=(2, 3))
+    assert len({report.wall_time for report in reports}) == 1
+    assert reports[0].wall_time > 0
+
+
 def test_drop_normality_is_exploratory():
     report = falsify.run_campaign("thm3.1", mutation="drop-normality", trials=30)
     assert report.expectation == "exploratory"

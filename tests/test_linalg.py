@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normetry import linalg
@@ -243,6 +243,9 @@ PLACEMENTS = st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None)
+# a threshold hit exactly, where ||s||**2 by x * x is one ulp below C pow's
+@example(seed=2598420, n=1, power=2, tol=1e-12, s_scale=1.0, shape="general",
+         s_unitary=False, placement=1.0)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 8),

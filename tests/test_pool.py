@@ -8,11 +8,12 @@ import itertools
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from normetry import falsify, linalg
+from normetry import checks, falsify, linalg
 from normetry.checks import CHECK_IDS
 from normetry.errors import ConvergenceFailure
 from normetry.rand import KINDS, GenSpec, derive_stream, generate
@@ -135,10 +136,20 @@ def test_campaign_cases_hold_read_only_operands(monkeypatch):
     assert seen and not any(seen)
 
 
-def test_nothing_is_pooled_outside_a_campaign():
+def test_nothing_is_pooled_outside_a_campaign(monkeypatch):
     case = falsify.sample_case("thm3.1", 3, 17)
     witness = falsify.analytic_witness("thm2.4", "drop-expansive")
-    for m in [*case.matrices.values(), *witness.matrices.values()]:
+    handed = []  # the stacks a lone run_stack call hands its checker
+    spec = checks.SPECS["thm3.1"]
+
+    def spy(fn, mats, *args, **kwargs):
+        handed.extend(mats.values())
+        return spec.run(fn, mats, *args, **kwargs)
+
+    monkeypatch.setitem(checks.SPECS, "thm3.1", replace(spec, run=spy))
+    falsify.run_stack([case])
+    assert handed
+    for m in [*case.matrices.values(), *witness.matrices.values(), *handed]:
         assert m.flags.writeable
         assert id(m) not in linalg._MEMOS
     a = case.matrices["a"]

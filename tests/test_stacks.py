@@ -488,6 +488,29 @@ def test_stacks_stay_under_the_byte_budget(monkeypatch):
                                                             b.min_margin)
 
 
+@pytest.mark.parametrize("budget", [2000, 5000])
+def test_a_flush_of_several_trials_holds_at_most_the_byte_budget(monkeypatch, budget):
+    """A trial joins a flush by the operand bytes it recorded, so a flush of
+    more than one trial holds at most ``STACK_BYTES`` of them, whatever the
+    sizes of the trials before it (thm1.1 draws two or three operands)."""
+    flushes = []  # (trials, recorded operand bytes) of each flush
+    real = falsify._run_pending
+
+    def spy(pending, *args):
+        specs = {m for stack in pending.values() for _, case in stack
+                 for m in case.matrices.values()}
+        flushes.append((len({i for stack in pending.values() for i, _ in stack}),
+                        sum(spec.n * spec.n * 16 for spec in specs)))
+        return real(pending, *args)
+
+    monkeypatch.setattr(falsify, "_run_pending", spy)
+    monkeypatch.setattr(falsify, "STACK_BYTES", budget)
+    for seed in range(4):
+        falsify.run_campaigns(["thm1.1"], trials=60, dims=(2, 3, 4, 5, 6), root_seed=seed)
+    several = [size for trials, size in flushes if trials > 1]
+    assert several and max(several) <= budget
+
+
 # --- values at the ends of the float range ---------------------------------
 
 
