@@ -344,8 +344,17 @@ def _opnorm(m) -> np.ndarray:
 
 
 def _max_opnorm(*stacks) -> np.ndarray:
-    """The largest operator norm among same-shape stacks, per matrix."""
-    return np.maximum.reduce(_split(_opnorm(np.concatenate(stacks)), len(stacks)))
+    """The largest operator norm among same-shape stacks, per matrix; a
+    shared stack's singular values are taken once (``linalg.joined``)."""
+    s = norms.singular_values(*stacks)
+    return np.maximum.reduce(_split(s[..., 0], len(stacks)))
+
+
+def _abs_sum(a, b) -> np.ndarray:
+    """|A| + |B|; ``linalg.derived`` keeps it, and its singular values, for
+    every checker that sums the same shared stacks."""
+    abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
+    return abs_a + abs_b
 
 
 @_cases(0, 1, 2, 3)
@@ -355,7 +364,9 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     _require_normal(enforce, A=a, B=b, C=c, D=d)
     lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
-    rhs = _max_opnorm(pa + pb, pc + pd_, pa + pc, pb + pd_)
+    # prop3.4 takes the same |A| + |B| of shared stacks
+    ab = linalg.derived(_abs_sum, a, b) if linalg.shared(a, b) else pa + pb
+    rhs = _max_opnorm(ab, pc + pd_, pa + pc, pb + pd_)
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
@@ -385,8 +396,8 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
 def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
     _require_normal(enforce, A=a, B=b)
-    abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
-    return norms.dominance_verdict(a + b, abs_a + abs_b, tol=tol, check_id="prop3.4")
+    return norms.dominance_verdict(
+        a + b, linalg.derived(_abs_sum, a, b), tol=tol, check_id="prop3.4")
 
 
 @_cases(0, 1)
@@ -462,8 +473,20 @@ def _ops(kind: str, names="ab") -> tuple:
     return tuple((name, kind) for name in names)
 
 
-def _psd_family(rng, fn) -> list:
-    return [(f"a{i}", "psd") for i in range(2 + int(rng.integers(2)))]
+@dataclass(frozen=True)
+class Pick:
+    """An operand list that a case draws: ``choices[index(rng, fn_descriptor)]``,
+    where each choice is a list of (name, generator kind) in slot order."""
+
+    choices: tuple
+    index: Callable[..., int]
+
+    def __call__(self, rng, fn) -> tuple:
+        return self.choices[int(self.index(rng, fn))]
+
+
+def _coin(rng, fn) -> int:
+    return rng.integers(2)
 
 
 def _draw_jk(rng, n: int) -> dict:
@@ -490,10 +513,10 @@ class CheckSpec:
 
     A case draws from its rng, in this order: a function of class
     ``fn_class`` (None: the checker takes none); the operand list, if
-    ``operands`` is a draw ``(rng, fn_descriptor) -> list`` rather than a
-    list of (name, generator kind) in slot order; then ``scalars(rng, n)``.
-    ``run(f, matrices, scalars, tol=, enforce=)`` calls the checker by its
-    module-global name, so a wrapper set on that name sees the call.
+    ``operands`` is a ``Pick`` rather than a list of (name, generator kind)
+    in slot order; then ``scalars(rng, n)``.  ``run(f, matrices, scalars,
+    tol=, enforce=)`` calls the checker by its module-global name, so a
+    wrapper set on that name sees the call.
     """
 
     check_id: str
@@ -502,9 +525,16 @@ class CheckSpec:
     run: Callable[..., Verdict]
     scalars: Callable[..., dict] = lambda rng, n: {}
 
+    @property
+    def kinds(self) -> set:
+        """Every generator kind the check's operands may be drawn from."""
+        lists = self.operands.choices if isinstance(self.operands, Pick) else (self.operands,)
+        return {kind for operands in lists for _, kind in operands}
+
 
 SPECS = {spec.check_id: spec for spec in (
-    CheckSpec("thm1.1", scalarfn.CONCAVE_NONNEG, _psd_family,
+    CheckSpec("thm1.1", scalarfn.CONCAVE_NONNEG,
+              Pick((_ops("psd", ("a0", "a1")), _ops("psd", ("a0", "a1", "a2"))), _coin),
               lambda f, m, s, **kw: check_thm_1_1(f, [m[k] for k in sorted(m)], **kw)),
     CheckSpec("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
               lambda f, m, s, **kw: check_thm_1_2(f, m["a"], m["b"], **kw)),
@@ -514,12 +544,12 @@ SPECS = {spec.check_id: spec for spec in (
     CheckSpec("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"),
               lambda f, m, s, **kw: check_pinching_eq2(f, m["a"], m["b"], **kw)),
     CheckSpec("prop2.1", scalarfn.DECREASING_TG_INCREASING,
-              lambda rng, fn: _ops("pd" if fn["kind"] == "inv-sqrt" else "psd"),
+              Pick((_ops("psd"), _ops("pd")), lambda rng, fn: fn["kind"] == "inv-sqrt"),
               lambda f, m, s, **kw: check_prop_2_1(f, m["a"], m["b"], **kw)),
     CheckSpec("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
               lambda f, m, s, **kw: check_thm_2_4(f, m["a"], m["z"], **kw)),
     CheckSpec("eigen-sum", scalarfn.CONCAVE_NONNEG,
-              lambda rng, fn: _ops("psd" if int(rng.integers(2)) else "general"),
+              Pick((_ops("general"), _ops("psd")), _coin),
               lambda f, m, s, **kw: check_eigen_sum(
                   f, m["a"], m["b"], s["j"], s["k"], **kw),
               _draw_jk),
@@ -552,3 +582,20 @@ SPECS = {spec.check_id: spec for spec in (
 )}
 
 CHECK_IDS = tuple(SPECS)
+
+# A check that may draw one of these kinds is in the positive family, with
+# its contraction, expansive or general partner operands.
+POSITIVE_KINDS = frozenset({"psd", "pd"})
+
+
+def groups(check_ids, jobs: int) -> list[list[str]]:
+    """``check_ids`` split by operand family, for ``jobs`` processes: the
+    checks of the positive family, then the rest (normal, hermitian and
+    general operands), each in the order given; one group of them all when
+    ``jobs`` is smaller.  Each shared (kind, slot) operand is drawn and
+    decomposed within one group, except the general pair that eigen-sum
+    draws in some trials and ineq4 in all."""
+    positive = [cid for cid in check_ids if SPECS[cid].kinds & POSITIVE_KINDS]
+    rest = [cid for cid in check_ids if cid not in positive]
+    families = [group for group in (positive, rest) if group]
+    return families if jobs >= len(families) else [list(check_ids)]

@@ -7,7 +7,7 @@ Subcommands:
   gen      emit one sample matrix from a generator spec
 
 Exit codes: 0 success, 1 violation/mismatch, 2 usage or config error,
-3 numerical failure.
+3 numerical failure or a lost worker process.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     MalformedCertificate,
     NormetryError,
     UnknownCheck,
+    WorkerLost,
 )
 from .norms import DEFAULT_TOL
 from .rand import GenSpec, KINDS, generate
@@ -69,6 +70,17 @@ def _check_seed(seed: int, bound: int) -> None:
     if not 0 <= seed < bound:
         raise BadSpec(f"--seed (or NORMETRY_SEED) must be in "
                       f"[0, 2**{bound.bit_length() - 1}), got {seed}")
+
+
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -154,13 +166,13 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    from . import witnesses
+    from . import witnesses, workers
 
     # only a JSON report holds verdict rows
     keep_verdicts = args.verdicts and args.format == "json"
     witness_rows, reports = witnesses.run(
-        check_ids, args.tol, trials=args.trials, dims=dims, root_seed=args.seed,
-        keep_verdicts=keep_verdicts,
+        check_ids, args.tol, jobs=args.jobs or workers.usable_cpus(),
+        trials=args.trials, dims=dims, root_seed=args.seed, keep_verdicts=keep_verdicts,
     )
     all_pass = all(row["pass"] for row in witness_rows)
     campaigns = []
@@ -299,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
     p.add_argument("--verdicts", action="store_true",
                    help="also write one verdict row per trial")
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="processes for groups of checks (default: usable CPUs)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("falsify", help="run a mutation campaign")
@@ -346,6 +360,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UnknownCheck, BadSpec) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

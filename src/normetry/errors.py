@@ -55,3 +55,7 @@ class UnknownCheck(NormetryError):
 
 class MalformedCertificate(NormetryError):
     """A replay certificate lacks a field or holds one of the wrong type."""
+
+
+class WorkerLost(NormetryError):
+    """A worker process ended without sending its outcome."""

@@ -50,6 +50,11 @@ def share(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def shared(*stacks) -> bool:
+    """Whether every stack is marked by ``share``."""
+    return all(id(m) in _MEMOS for m in stacks)
+
+
 def derived(fn, *stacks) -> np.ndarray:
     """``fn(*stacks)``, a stack derived from stacks, such as A + B.  Where
     every input is marked by ``share``, so is the result, and it is
@@ -58,9 +63,9 @@ def derived(fn, *stacks) -> np.ndarray:
     dead input leaves to another stack never finds it.  The results
     ``joined`` computes on it are kept in its own memo, for every checker
     that derives it."""
-    memo = _MEMOS.get(id(stacks[0])) if _MEMOS else None
-    if memo is None or not all(id(m) in _MEMOS for m in stacks[1:]):
+    if not shared(*stacks):
         return fn(*stacks)
+    memo = _MEMOS[id(stacks[0])]
     key = (fn, *map(id, stacks[1:]))
     kept = memo.get(key)
     if kept is None or any(ref() is not m for ref, m in zip(kept[1], stacks[1:])):

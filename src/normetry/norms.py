@@ -65,36 +65,23 @@ def _svd_sv(m: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.svd, m, compute_uv=False)
 
 
-def singular_values(x) -> np.ndarray:
+def singular_values(x, *more) -> np.ndarray:
     """Singular values, descending, with tiny values clamped to 0; one row
-    per matrix of a stack.
+    per matrix of a stack, and of ``more`` same-shape stacks the rows of
+    each in turn.
 
     An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
     A stack marked by ``linalg.share`` keeps them in its memo (``joined``).
     """
     m = as_square(x)
-    return joined(_singular_values, m) if id(m) in _MEMOS else _singular_values(m)
+    if more or id(m) in _MEMOS:
+        return joined(_singular_values, m, *map(as_square, more))
+    return _singular_values(m)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
     s = _by_route(m, _hermitian_sv, _svd_sv)
     return np.where(s < SV_CLAMP_REL * s[..., :1], 0.0, s)
-
-
-def norm_from_sv(s: np.ndarray, spec: NormSpec) -> float:
-    n = s.size
-    if spec.kind == "operator":
-        return float(s[0]) if n else 0.0
-    if spec.kind == "trace":
-        return float(np.sum(s))
-    if spec.kind == "kyfan":
-        k = int(spec.param)
-        if k > n:
-            raise BadSpec(f"Ky Fan k={k} exceeds dimension {n}")
-        return float(np.sum(s[:k]))
-    if spec.kind == "schatten":
-        return _schatten(s, (spec.param,))[0][0]
-    raise BadSpec(f"unknown norm kind {spec.kind!r}")
 
 
 def _schatten(s: np.ndarray, ps) -> list:
@@ -126,11 +113,6 @@ def _schatten(s: np.ndarray, ps) -> list:
                 values[t] = top * float(np.add.reduce((rows[t] / top) ** p)) ** root
         out.append(values)
     return out
-
-
-def norm(x, spec: NormSpec) -> float:
-    """Evaluate a symmetric norm of a square matrix."""
-    return norm_from_sv(singular_values(x), spec)
 
 
 def _pad(s: np.ndarray, n: int) -> np.ndarray:
@@ -249,14 +231,15 @@ def dominance_verdict(
     singular values (used for block-vs-sum comparisons).  Each side is
     coerced once, by ``singular_values``; a square side has as many
     singular values as rows, so their counts compare the shapes.  Sides
-    of one shape take one ``singular_values`` call, and both sides' grids
-    come from one ``fan_grid`` call.
+    of one shape take one ``singular_values`` call unless one is a shared
+    stack, and both sides' grids come from one ``fan_grid`` call.
     """
     ml, mr = np.asarray(lhs), np.asarray(rhs)
-    if ml.shape == mr.shape and ml.ndim in (2, 3) and ml.shape[-1] == ml.shape[-2]:
+    if (ml.shape == mr.shape and ml.ndim in (2, 3) and ml.shape[-1] == ml.shape[-2]
+            and id(ml) not in _MEMOS and id(mr) not in _MEMOS):
         both = np.concatenate((ml[None], mr[None]))
         s = singular_values(both.reshape(-1, *ml.shape[-2:])).reshape(both.shape[:-1])
-    else:
+    else:  # a shared side keeps its singular values in its memo
         sl, sr = singular_values(ml), singular_values(mr)
         nl, nr = sl.shape[-1], sr.shape[-1]
         if not pad and nl != nr:

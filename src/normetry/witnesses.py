@@ -14,11 +14,13 @@ entries alone.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checks, falsify, scalarfn
+from . import checks, falsify, scalarfn, workers
+from .errors import NormetryError
 from .norms import DEFAULT_TOL, Verdict
 
 _I2 = np.eye(2, dtype=complex)
@@ -147,14 +149,45 @@ def row(witness: Witness, verdict: Verdict, tol: float) -> dict:
     }
 
 
-def run(check_ids, tol: float, **campaigns) -> tuple[list[dict], list]:
+def run(check_ids, tol: float, jobs: int = 1, **campaigns) -> tuple[list[dict], list]:
     """The witness rows of the verify report for ``check_ids``, and, given
     ``campaigns``, the other keyword arguments of ``falsify.run_campaigns``
     (``trials``, ``dims``, ...), the campaign reports of ``check_ids`` at
-    ``tol``, from the same flushes."""
-    chosen = witnesses_for(check_ids)
-    reports, verdicts = falsify.run_with_fixed(
-        [w.fixed() for w in chosen], check_ids if campaigns else (), tol=tol,
-        **campaigns)
-    return [row(w, v, tol) for w, v in zip(chosen, verdicts)], reports
+    ``tol``, from the same flushes.
 
+    The checks run in ``checks.groups`` for ``jobs`` processes, each group
+    with its own witnesses (``workers.run_groups``), and the rows and
+    reports come back in the order of one run of them all, with the same
+    bits.  A failing case raises as in one run: a failing witness first,
+    in table order, then the first failing trial in (trial, check) order.
+    Every report's ``wall_time`` is the elapsed time of the whole run.
+    """
+    check_ids = list(check_ids)
+    chosen = witnesses_for(check_ids)
+
+    def run_group(ids):
+        mine = [p for p, w in enumerate(chosen) if w.check_id in ids]
+        try:
+            reports, verdicts = falsify.run_with_fixed(
+                [chosen[p].fixed() for p in mine], ids if campaigns else (), tol=tol,
+                **campaigns)
+        except NormetryError as exc:
+            if not hasattr(exc, "case"):
+                return workers.FIRST, exc
+            i, cid = exc.case
+            # a witness waits at its index in ``mine`` less len(mine)
+            key = (mine[i] - len(chosen),) if i < 0 else (i, checks.CHECK_IDS.index(cid))
+            return key, exc
+        return None, ({p: row(chosen[p], v, tol) for p, v in zip(mine, verdicts)}, reports)
+
+    start = time.perf_counter()
+    rows, reports = {}, {}
+    groups = checks.groups(check_ids, jobs) if campaigns else [check_ids]
+    for group_rows, group_reports in workers.run_groups(run_group, groups):
+        rows.update(group_rows)
+        reports.update((report.check_id, report) for report in group_reports)
+    wall_time = time.perf_counter() - start
+    for report in reports.values():
+        report.wall_time = wall_time
+    return ([rows[p] for p in range(len(chosen))],
+            [reports[cid] for cid in check_ids] if campaigns else [])

@@ -18,6 +18,7 @@ from normetry.errors import (
     ShapeValidationFailed,
 )
 from normetry.rand import GenSpec, derive_stream, generate
+from reference_norms import norm
 
 
 def psd(n, seed, **kw):
@@ -103,7 +104,7 @@ def test_thm_1_2_power_m_matches_direct_powers():
         direct_lhs = np.linalg.matrix_power(a, m) + np.linalg.matrix_power(b, m)
         direct_rhs = np.linalg.matrix_power(a + b, m)
         for spec in norms.norm_grid(4):
-            nl, nr = norms.norm(direct_lhs, spec), norms.norm(direct_rhs, spec)
+            nl, nr = norm(direct_lhs, spec), norm(direct_rhs, spec)
             assert nl <= nr + 1e-10 * max(1.0, nr)
         assert v.passed
 

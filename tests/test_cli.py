@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -347,27 +348,32 @@ def test_falsify_certificates_carry_run_case_fingerprints(tmp_path):
         assert cert["fingerprint"] == falsify.run_case(case).fingerprint
 
 
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` in this process and in the worker
+    processes it forks, in a counter they share (a fork context's lock
+    needs no resource-tracker process)."""
+    calls = multiprocessing.get_context("fork").Value("q", 0)
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_lean_verify_takes_no_fingerprint(monkeypatch, tmp_path):
     """An all-pass ``verify`` hashes no case unless it writes verdict rows,
     and still calls ``run_case`` once per case."""
-    calls = {"fingerprint": 0, "run_case": 0}
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(serialize, "fingerprint")
-    counted(falsify, "run_case")
+    fingerprints = count_calls(monkeypatch, serialize, "fingerprint")
+    run_cases = count_calls(monkeypatch, falsify, "run_case")
     argv = ["verify", "--checks", "all", "--trials", "3", "--dims", "1,2",
             "--out", str(tmp_path / "r.json")]
     assert run(argv) == cli.EXIT_OK
-    assert calls == {"fingerprint": 0, "run_case": 16 * 3}
+    assert (fingerprints.value, run_cases.value) == (0, 16 * 3)
     assert run(argv + ["--verdicts"]) == cli.EXIT_OK
-    assert calls == {"fingerprint": 16 * 3, "run_case": 2 * 16 * 3}
+    assert (fingerprints.value, run_cases.value) == (16 * 3, 2 * 16 * 3)
 
 
 def test_missing_subcommand_is_usage():
@@ -507,16 +513,13 @@ def test_csv_summary_keeps_no_verdict_rows(monkeypatch, tmp_path):
     """``--verdicts`` adds rows only to a JSON report: with ``--format
     csv-summary`` no case is fingerprinted, and the CSV is the one written
     without ``--verdicts``."""
-    calls = []
-    real = serialize.fingerprint
-    monkeypatch.setattr(serialize, "fingerprint",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    calls = count_calls(monkeypatch, serialize, "fingerprint")
     argv = ["verify", "--checks", "all", "--trials", "4", "--dims", "1,2,3",
             "--seed", "3", "--format", "csv-summary"]
     lean, full = tmp_path / "lean.csv", tmp_path / "full.csv"
     assert run(argv + ["--out", str(lean)]) == cli.EXIT_OK
     assert run(argv + ["--verdicts", "--out", str(full)]) == cli.EXIT_OK
-    assert calls == []
+    assert calls.value == 0
     assert full.read_bytes() == lean.read_bytes()
 
 
@@ -573,3 +576,19 @@ def test_replay_detects_an_operand_moved_by_one_ulp(tmp_path, capsys):
     line = capsys.readouterr().out
     assert "stored=-0.5 recomputed=-0.5 fingerprint: stored=" in line
     assert line.split()[-1] == "MISMATCH"
+
+
+@pytest.mark.parametrize("dims, trials", [("1,2,3,4,5,6,7,8", "5"), ("32,128", "2")])
+def test_verify_reports_do_not_depend_on_jobs(tmp_path, dims, trials):
+    """The groups of checks (in worker processes where this process may
+    fork) give the bytes of one group, outside the timestamp."""
+    reports = []
+    for jobs in ([], ["--jobs", "1"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        argv = ["verify", "--verdicts", "--checks", "all", "--seed", "123",
+                "--dims", dims, "--trials", trials, "--out", str(out)]
+        assert run(argv + jobs) == cli.EXIT_OK
+        text = out.read_text()
+        stamp = json.loads(text)["header"]["timestamp"]
+        reports.append(text.replace(json.dumps(stamp), '""', 1))
+    assert reports[0] == reports[1]

@@ -3,6 +3,7 @@ witness table run inside it, and the per-stack domain check of scalar
 functions.  Grouping decides only how many calls a flush makes, never a
 verdict's bits."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,12 @@ import pytest
 from normetry import checks, cli, falsify, linalg, scalarfn, witnesses
 from normetry.errors import ConvergenceFailure, DomainError
 from normetry.norms import DEFAULT_TOL
+
+
+# first operands of witnesses: prop3.4's unitary pair, and the complementary
+# projection of thm1.2's and ineq5's
+_UNITARY_A = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+_COMPLEMENT_A = np.diag([1.0, 0.0]).astype(complex)
 
 
 def bits(x: float) -> bytes:
@@ -159,6 +166,54 @@ def test_a_failing_witness_names_itself(monkeypatch, capsys, dims, error, code):
     assert ("witness thm1.2 (t^2 on complementary projections (equality)): "
             "planted failure") in err
     assert "trial" not in err
+
+
+def planted_witness_failure(monkeypatch, name, marked):
+    """Make checker ``name`` raise DomainError on a stack that holds the
+    matrix ``marked`` as its first operand."""
+    real = getattr(checks, name)
+    position = 1 if name == "check_thm_1_2" else 0
+
+    def planted(*args, **kw):
+        a = args[position]
+        if any(m.tobytes() == marked.tobytes() for m in np.reshape(a, (-1,) + a.shape[-2:])):
+            raise DomainError("planted failure")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(checks, name, planted)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("planted, first", [
+    ({"prop3.4": _UNITARY_A, "ineq5": _COMPLEMENT_A}, "prop3.4 (A=B unitary"),
+    ({"prop3.4": _UNITARY_A, "thm1.2": _COMPLEMENT_A}, "thm1.2 (t^2 on complementary"),
+    ({"prop3.4": _UNITARY_A}, "prop3.4 (A=B unitary"),
+])
+def test_a_failing_witness_in_either_group_names_itself(
+        monkeypatch, capsys, jobs, planted, first):
+    """Witnesses run in the group of their check; a failing witness in
+    either group comes before every failing trial, and of two failing
+    witnesses the one earlier in the table raises, as in one run."""
+    names = {"prop3.4": "check_prop_3_4", "thm1.2": "check_thm_1_2",
+             "ineq5": "check_ineq_5"}
+    for cid, marked in planted.items():
+        planted_witness_failure(monkeypatch, names[cid], marked)
+    real_thm_1_2 = checks.check_thm_1_2
+
+    def fails_at_n3(g, a, b, **kw):
+        if a.shape[-1] == 3:
+            raise DomainError("planted trial failure")
+        return real_thm_1_2(g, a, b, **kw)
+
+    monkeypatch.setattr(checks, "check_thm_1_2", fails_at_n3)
+    argv = ["verify", "--checks", "thm1.2,prop3.4,ineq5", "--trials", "4",
+            "--dims", "2,3", "--seed", "11", "--jobs", jobs]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: witness {first}") and err.endswith(": planted failure\n")
+    assert err.count("\n") == 1
 
 
 def row_fns():

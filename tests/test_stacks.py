@@ -8,12 +8,13 @@ batch differently, so the kernels are checked here first.
 """
 
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from normetry import checks, falsify, linalg, norms
+from normetry import checks, falsify, linalg, norms, witnesses
 from normetry.errors import (
     ConvergenceFailure,
     DomainError,
@@ -22,6 +23,7 @@ from normetry.errors import (
     NotNormal,
     NotPositiveDefinite,
 )
+from normetry.norms import DEFAULT_TOL
 from normetry.rand import GenSpec, derive_stream, generate
 
 DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 32)
@@ -258,6 +260,39 @@ def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_tr
         "planted failure"
     )
     assert max(sizes) > 1  # the failure arose in a stack, then was rerun
+
+
+def assert_reaped():
+    """No worker process is left: every child has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("thm12_trial, prop34_trial, first", [
+    (7, 5, "prop3.4"), (6, 9, "thm1.2"), (6, 6, "thm1.2"), (None, 8, "prop3.4"),
+    (4, None, "thm1.2")])
+def test_a_failing_verify_names_its_first_failing_case_across_groups(
+        monkeypatch, jobs, thm12_trial, prop34_trial, first):
+    """thm1.2 and prop3.4 run in groups of their own (in two processes where
+    this one may fork): with a failure planted in each, or in one, the
+    error is the one run of both would raise, its first failing case in
+    (trial, check) order."""
+    dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
+    assert len(checks.groups(ids, jobs)) == jobs
+    trials = {"thm1.2": thm12_trial, "prop3.4": prop34_trial}
+    for cid, i in trials.items():
+        if i is not None:
+            case = falsify.sample_case(cid, dims[i % 3], derive_stream(seed, i))
+            plant_failure(monkeypatch, cid, [case.matrices["a"]])
+    with pytest.raises(DomainError) as err:
+        witnesses.run(ids, DEFAULT_TOL, jobs=jobs, trials=12, dims=dims, root_seed=seed)
+    assert_reaped()
+    i = trials[first]
+    assert str(err.value) == (
+        f"{first} trial {i} (n={dims[i % 3]}, seed={derive_stream(seed, i)}): "
+        "planted failure"
+    )
 
 
 def plant_generator_failure(monkeypatch, kind, seeds):
