@@ -588,14 +588,12 @@ CHECK_IDS = tuple(SPECS)
 POSITIVE_KINDS = frozenset({"psd", "pd"})
 
 
-def groups(check_ids, jobs: int) -> list[list[str]]:
-    """``check_ids`` split by operand family, for ``jobs`` processes: the
-    checks of the positive family, then the rest (normal, hermitian and
-    general operands), each in the order given; one group of them all when
-    ``jobs`` is smaller.  Each shared (kind, slot) operand is drawn and
-    decomposed within one group, except the general pair that eigen-sum
-    draws in some trials and ineq4 in all."""
+def groups(check_ids) -> list[list[str]]:
+    """``check_ids`` split by operand family: the checks of the positive
+    family, then the rest (normal, hermitian and general operands), each
+    in the order given, leaving out a family with no check.  Each shared
+    (kind, slot) operand is drawn and decomposed within one group, except
+    the general pair that eigen-sum draws in some trials and ineq4 in all."""
     positive = [cid for cid in check_ids if SPECS[cid].kinds & POSITIVE_KINDS]
     rest = [cid for cid in check_ids if cid not in positive]
-    families = [group for group in (positive, rest) if group]
-    return families if jobs >= len(families) else [list(check_ids)]
+    return [group for group in (positive, rest) if group]

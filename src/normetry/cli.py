@@ -72,17 +72,6 @@ def _check_seed(seed: int, bound: int) -> None:
                       f"[0, 2**{bound.bit_length() - 1}), got {seed}")
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
-
-
 def _parse_checks(text: str) -> list[str]:
     if text == "all":
         return list(checks.SPECS)
@@ -166,13 +155,13 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    from . import witnesses, workers
+    from . import witnesses
 
     # only a JSON report holds verdict rows
     keep_verdicts = args.verdicts and args.format == "json"
     witness_rows, reports = witnesses.run(
-        check_ids, args.tol, jobs=args.jobs or workers.usable_cpus(),
-        trials=args.trials, dims=dims, root_seed=args.seed, keep_verdicts=keep_verdicts,
+        check_ids, args.tol, trials=args.trials, dims=dims, root_seed=args.seed,
+        keep_verdicts=keep_verdicts,
     )
     all_pass = all(row["pass"] for row in witness_rows)
     campaigns = []
@@ -311,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
     p.add_argument("--verdicts", action="store_true",
                    help="also write one verdict row per trial")
-    p.add_argument("--jobs", type=_jobs, default=None,
-                   help="processes for groups of checks (default: usable CPUs)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("falsify", help="run a mutation campaign")

@@ -412,12 +412,17 @@ def _trial_label(cid: str, i: int, n: int, seed) -> str:
     return f"{cid} trial {i} (n={n}, seed={seed})"
 
 
-def _named(exc: NormetryError, label: str, index: int, check_id: str) -> NormetryError:
+# The stage of a case's failure: sampling comes before running.
+SAMPLING, RUNNING = 0, 1
+
+
+def _named(exc: NormetryError, label: str, index: int, stage: int,
+           check_id: str) -> NormetryError:
     """The same error, its message prefixed with the case that raised it,
-    and that case as the error's ``case``: (index, check id), where a
-    fixed case's index is negative, as it waits in the queue."""
+    and that case as the error's ``case``: (index, stage, check id), where
+    a fixed case's index is negative, as it waits in the queue."""
     named = type(exc)(f"{label}: {exc}")
-    named.case = index, check_id
+    named.case = index, stage, check_id
     return named
 
 
@@ -565,7 +570,7 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
                                              words[i % WORDS_BLOCK]))
             except NormetryError as exc:
                 flush()  # a failing case of an earlier trial raises first
-                raise _named(exc, _trial_label(cid, i, n, seed), i, cid) from exc
+                raise _named(exc, _trial_label(cid, i, n, seed), i, SAMPLING, cid) from exc
         trial_bytes = len(shared) * n * n * _ITEMSIZE
         if held and held + trial_bytes > STACK_BYTES:
             flush()
@@ -701,4 +706,4 @@ def _raise_first_failure(pending: dict, fixed: list, tol: float) -> None:
             for label, case in named:
                 run_stack([case], tol=tol)
     except NormetryError as exc:
-        raise _named(exc, label, i, case.check_id) from exc
+        raise _named(exc, label, i, RUNNING, case.check_id) from exc

@@ -14,7 +14,6 @@ entries alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,18 +148,20 @@ def row(witness: Witness, verdict: Verdict, tol: float) -> dict:
     }
 
 
-def run(check_ids, tol: float, jobs: int = 1, **campaigns) -> tuple[list[dict], list]:
+def run(check_ids, tol: float, **campaigns) -> tuple[list[dict], list]:
     """The witness rows of the verify report for ``check_ids``, and, given
     ``campaigns``, the other keyword arguments of ``falsify.run_campaigns``
     (``trials``, ``dims``, ...), the campaign reports of ``check_ids`` at
     ``tol``, from the same flushes.
 
-    The checks run in ``checks.groups`` for ``jobs`` processes, each group
-    with its own witnesses (``workers.run_groups``), and the rows and
-    reports come back in the order of one run of them all, with the same
-    bits.  A failing case raises as in one run: a failing witness first,
-    in table order, then the first failing trial in (trial, check) order.
-    Every report's ``wall_time`` is the elapsed time of the whole run.
+    Where ``workers.parallel()``, the campaigns run in ``checks.groups``,
+    one process each (``workers.run_groups``), each group with its own
+    witnesses; else in one group of them all, on the same path.  The rows
+    and reports come back in the order of one run of them all, with the
+    same bits.  A failing case raises as in one run: a failing witness
+    first, in table order, then the first failing trial in (trial, stage,
+    check) order, where a case that fails to sample comes before every
+    case of its trial that runs.
     """
     check_ids = list(check_ids)
     chosen = witnesses_for(check_ids)
@@ -174,20 +175,17 @@ def run(check_ids, tol: float, jobs: int = 1, **campaigns) -> tuple[list[dict], 
         except NormetryError as exc:
             if not hasattr(exc, "case"):
                 return workers.FIRST, exc
-            i, cid = exc.case
+            i, stage, cid = exc.case
             # a witness waits at its index in ``mine`` less len(mine)
-            key = (mine[i] - len(chosen),) if i < 0 else (i, checks.CHECK_IDS.index(cid))
+            key = ((mine[i] - len(chosen),) if i < 0
+                   else (i, stage, checks.CHECK_IDS.index(cid)))
             return key, exc
         return None, ({p: row(chosen[p], v, tol) for p, v in zip(mine, verdicts)}, reports)
 
-    start = time.perf_counter()
     rows, reports = {}, {}
-    groups = checks.groups(check_ids, jobs) if campaigns else [check_ids]
+    groups = checks.groups(check_ids) if campaigns and workers.parallel() else [check_ids]
     for group_rows, group_reports in workers.run_groups(run_group, groups):
         rows.update(group_rows)
         reports.update((report.check_id, report) for report in group_reports)
-    wall_time = time.perf_counter() - start
-    for report in reports.values():
-        report.wall_time = wall_time
     return ([rows[p] for p in range(len(chosen))],
             [reports[cid] for cid in check_ids] if campaigns else [])

@@ -1,13 +1,15 @@
-"""Independent groups of work, each in its own process where forking is safe.
+"""Independent groups of work, each in its own process.
 
-``run_groups`` runs a function on each group and returns the results in
-group order.  Where this process may fork (on Linux, from a process of one
-OS thread) the first group runs here and each other group in a forked
-child, which pickles its outcome back through a pipe; elsewhere every
-group runs here, one after another, on the same path.  A group's function
-returns its failure as data, so whichever process met it, the failure the
-caller would have met first is raised, and only once every group has
-ended.  Each child is reaped on every path.
+``parallel`` says whether groups may run in processes of their own: on
+Linux, from a process of one OS thread, with more than one usable CPU and
+no function of the package wrapped from outside it.  Only then does a
+caller split its work into groups.  ``run_groups`` runs a function on each
+group and returns the results in group order: the first group runs here
+and each other group in a forked child, which pickles its outcome back
+through a pipe.  A group's function returns its failure as data, so
+whichever process met it, the failure the caller would have met first is
+raised, and only once every group has ended.  Each child is reaped on
+every path.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import types
 
 from .errors import WorkerLost
 
@@ -42,19 +45,36 @@ def can_fork() -> bool:
         return False
 
 
+def _wrapped_from_outside() -> bool:
+    """Whether a module of the package binds a wrapper from outside the
+    package that names what it wraps in ``__wrapped__``, as a tracer's
+    does.  Such a wrapper sees the calls of its own process only."""
+    prefix = __package__ + "."
+    return any(
+        isinstance(value, types.FunctionType)
+        and not value.__module__.startswith(prefix) and hasattr(value, "__wrapped__")
+        for name, module in list(sys.modules.items()) if name.startswith(prefix)
+        for value in vars(module).values())
+
+
+def parallel() -> bool:
+    """Whether groups of work may run in processes of their own: only
+    where a second process can run beside this one, this one may fork,
+    and every call stays in sight of the wrappers set on the package."""
+    return usable_cpus() > 1 and can_fork() and not _wrapped_from_outside()
+
+
 def run_groups(run, groups: list) -> list:
     """``run(group)`` of each group, in group order.  ``run`` returns
     ``(None, result)``, or ``(key, exception)`` for a failure; once every
-    group has ended, the exception of the least key is raised.  At most
-    one process runs each group, this one the first."""
+    group has ended, the exception of the least key is raised.  The first
+    group runs in this process and each other one in a forked child, so
+    pass more than one group only where ``parallel()``."""
     finishers = []
     try:
-        if len(groups) > 1 and can_fork():
-            for group in groups[1:]:
-                finishers.append(_start(run, group))
-            outcomes = [run(groups[0])]
-        else:
-            outcomes = [run(group) for group in groups]
+        for group in groups[1:]:
+            finishers.append(_start(run, group))
+        outcomes = [run(groups[0])]
         while finishers:
             outcomes.append(finishers.pop(0)())
     finally:

@@ -579,15 +579,16 @@ def test_replay_detects_an_operand_moved_by_one_ulp(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dims, trials", [("1,2,3,4,5,6,7,8", "5"), ("32,128", "2")])
-def test_verify_reports_do_not_depend_on_jobs(tmp_path, dims, trials):
+def test_verify_reports_do_not_depend_on_the_groups(split_groups, tmp_path, dims, trials):
     """The groups of checks (in worker processes where this process may
     fork) give the bytes of one group, outside the timestamp."""
     reports = []
-    for jobs in ([], ["--jobs", "1"]):
+    for split in (True, False):
+        split_groups(split)
         out = tmp_path / f"report{len(reports)}.json"
         argv = ["verify", "--verdicts", "--checks", "all", "--seed", "123",
                 "--dims", dims, "--trials", trials, "--out", str(out)]
-        assert run(argv + jobs) == cli.EXIT_OK
+        assert run(argv) == cli.EXIT_OK
         text = out.read_text()
         stamp = json.loads(text)["header"]["timestamp"]
         reports.append(text.replace(json.dumps(stamp), '""', 1))

@@ -105,10 +105,12 @@ def test_witness_rows_from_the_flush_equal_single_call_rows(tol, dims):
     assert_same_rows(witnesses.run(checks.CHECK_IDS, tol)[0], rows)
 
 
-def test_witnesses_join_the_campaign_stacks(monkeypatch):
+def test_witnesses_join_the_campaign_stacks(monkeypatch, split_groups):
     """At verify-small's settings every witness joins a campaign stack: the
     witness table adds no stack and no checker call, and its rows (the
-    cases without a seed) make no ``run_case`` call."""
+    cases without a seed) make no ``run_case`` call.  The counts are of one
+    group of all the checks, whose calls these spies see in this process."""
+    split_groups(False)
     stacks = spy_stacks(monkeypatch)
     calls = count_checker_calls(monkeypatch)
     run_cases = []
@@ -183,14 +185,14 @@ def planted_witness_failure(monkeypatch, name, marked):
     monkeypatch.setattr(checks, name, planted)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("planted, first", [
     ({"prop3.4": _UNITARY_A, "ineq5": _COMPLEMENT_A}, "prop3.4 (A=B unitary"),
     ({"prop3.4": _UNITARY_A, "thm1.2": _COMPLEMENT_A}, "thm1.2 (t^2 on complementary"),
     ({"prop3.4": _UNITARY_A}, "prop3.4 (A=B unitary"),
 ])
 def test_a_failing_witness_in_either_group_names_itself(
-        monkeypatch, capsys, jobs, planted, first):
+        monkeypatch, capsys, split_groups, split, planted, first):
     """Witnesses run in the group of their check; a failing witness in
     either group comes before every failing trial, and of two failing
     witnesses the one earlier in the table raises, as in one run."""
@@ -207,7 +209,8 @@ def test_a_failing_witness_in_either_group_names_itself(
 
     monkeypatch.setattr(checks, "check_thm_1_2", fails_at_n3)
     argv = ["verify", "--checks", "thm1.2,prop3.4,ineq5", "--trials", "4",
-            "--dims", "2,3", "--seed", "11", "--jobs", jobs]
+            "--dims", "2,3", "--seed", "11"]
+    split_groups(split)
     assert cli.main(argv) == cli.EXIT_USAGE
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

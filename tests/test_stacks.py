@@ -268,25 +268,26 @@ def assert_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("thm12_trial, prop34_trial, first", [
     (7, 5, "prop3.4"), (6, 9, "thm1.2"), (6, 6, "thm1.2"), (None, 8, "prop3.4"),
     (4, None, "thm1.2")])
 def test_a_failing_verify_names_its_first_failing_case_across_groups(
-        monkeypatch, jobs, thm12_trial, prop34_trial, first):
-    """thm1.2 and prop3.4 run in groups of their own (in two processes where
-    this one may fork): with a failure planted in each, or in one, the
-    error is the one run of both would raise, its first failing case in
-    (trial, check) order."""
+        monkeypatch, split_groups, split, thm12_trial, prop34_trial, first):
+    """Split, thm1.2 and prop3.4 run in groups of their own (in two
+    processes where this one may fork): with a failure planted in each, or
+    in one, the error is the one run of both would raise, its first
+    failing case in (trial, check) order."""
     dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
-    assert len(checks.groups(ids, jobs)) == jobs
+    assert checks.groups(ids) == [["thm1.2"], ["prop3.4"]]
+    split_groups(split)
     trials = {"thm1.2": thm12_trial, "prop3.4": prop34_trial}
     for cid, i in trials.items():
         if i is not None:
             case = falsify.sample_case(cid, dims[i % 3], derive_stream(seed, i))
             plant_failure(monkeypatch, cid, [case.matrices["a"]])
     with pytest.raises(DomainError) as err:
-        witnesses.run(ids, DEFAULT_TOL, jobs=jobs, trials=12, dims=dims, root_seed=seed)
+        witnesses.run(ids, DEFAULT_TOL, trials=12, dims=dims, root_seed=seed)
     assert_reaped()
     i = trials[first]
     assert str(err.value) == (
@@ -501,6 +502,34 @@ def test_a_sampling_error_comes_after_the_trials_before_it(monkeypatch, run_fail
                               root_seed=31)
     assert str(err.value) == failure_message("prop3.4", run_failure or 8)
     assert ("thm1.2", bad_seed) not in runs  # trial 8 never ran
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_a_sampling_error_comes_before_a_run_failure_of_its_trial_across_groups(
+        monkeypatch, split_groups, split):
+    """thm1.2 fails to run at trial 8, where prop3.4, a later check in the
+    other group, fails to sample.  One run of both samples thm1.2, then
+    raises prop3.4's error before trial 8 runs; so do the two groups,
+    though thm1.2's group runs trial 8."""
+    split_groups(split)
+    plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 8).matrices["a"]])
+    bad_seed = derive_stream(31, 8)
+    real = falsify.sample_case
+
+    def fails_at_trial_8(check_id, n, seed, *args, **kwargs):
+        if check_id == "prop3.4" and seed == bad_seed:
+            raise DomainError("planted failure")
+        return real(check_id, n, seed, *args, **kwargs)
+
+    monkeypatch.setattr(falsify, "sample_case", fails_at_trial_8)
+    for run in (lambda: falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12,
+                                              dims=(2, 3, 4), root_seed=31),
+                lambda: witnesses.run(["thm1.2", "prop3.4"], DEFAULT_TOL, trials=12,
+                                      dims=(2, 3, 4), root_seed=31)):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert_reaped()
+        assert str(err.value) == failure_message("prop3.4", 8)
 
 
 def test_stacks_stay_under_the_byte_budget(monkeypatch):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import normetry
-from normetry import checks, cli, workers
+from normetry import checks, cli, falsify, workers
 from normetry.errors import DomainError, WorkerLost
 
 SMALL = ["--trials", "2", "--dims", "1,2", "--seed", "3"]
@@ -52,39 +52,57 @@ def in_a_forking_process(body):
 
 def test_groups_split_the_checks_by_operand_family():
     """The positive family (psd and pd operands, with their contraction,
-    expansive and general partners) and the rest; one group for one job,
-    and a family alone never splits."""
-    positive, rest = checks.groups(checks.CHECK_IDS, 2)
+    expansive and general partners) and the rest; a family alone never
+    splits."""
+    positive, rest = checks.groups(checks.CHECK_IDS)
     assert rest == ["ineq4", "thm3.1", "thm3.2", "cor3.3", "prop3.4", "prop3.5"]
     assert positive == [cid for cid in checks.CHECK_IDS if cid not in rest]
-    assert checks.groups(checks.CHECK_IDS, 1) == [list(checks.CHECK_IDS)]
-    assert checks.groups(["prop3.4", "ineq4"], 8) == [["prop3.4", "ineq4"]]
+    assert checks.groups(["prop3.4", "ineq4"]) == [["prop3.4", "ineq4"]]
     assert checks.SPECS["eigen-sum"].kinds == {"psd", "general"}
     assert checks.SPECS["prop2.1"].kinds == {"psd", "pd"}
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5", ""])
-def test_jobs_below_one_or_not_an_integer_is_a_usage_error(capsys, jobs):
-    assert cli.main(["verify", "--jobs", jobs] + SMALL) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "--jobs: must be an integer >= 1" in err
+def test_parallel_needs_a_second_cpu_a_fork_and_no_outside_wrapper(monkeypatch):
+    """Groups run in processes of their own only beside a second usable
+    CPU, from a process that may fork, and while no wrapper from outside
+    the package (one that names what it wraps, as a tracer's does) would
+    miss a worker's calls.  The package's own decorators do not count."""
+    monkeypatch.setattr(workers, "can_fork", lambda: True)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    assert workers.parallel()
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    assert not workers.parallel()
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "can_fork", lambda: False)
+    assert not workers.parallel()
+    monkeypatch.setattr(workers, "can_fork", lambda: True)
+    real = falsify.run_case
+
+    def traced(*args, **kwargs):
+        return real(*args, **kwargs)
+
+    traced.__wrapped__ = real
+    monkeypatch.setattr(falsify, "run_case", traced)
+    assert not workers.parallel()
+    monkeypatch.setattr(falsify, "run_case", real)
+    assert workers.parallel()
 
 
-@pytest.mark.parametrize("jobs, started", [("1", 0), ("2", 1), ("1000000", 1)])
-def test_jobs_start_at_most_one_process_per_group(monkeypatch, tmp_path, jobs, started):
-    """A huge --jobs is capped at the group count: the process-start helper
-    is replaced by one that runs the group here, so no process starts."""
+@pytest.mark.parametrize("split", [False, True])
+def test_verify_starts_one_process_per_group_but_the_first(monkeypatch, tmp_path, split):
+    """The process-start helper is replaced by one that records its group
+    and runs it here, so no process starts."""
     groups = []
 
     def start(run, group):
         groups.append(group)
         return lambda kill=False: run(group)
 
-    monkeypatch.setattr(workers, "can_fork", lambda: True)
+    monkeypatch.setattr(workers, "parallel", lambda: split)
     monkeypatch.setattr(workers, "_start", start)
     out = tmp_path / "report.json"
-    assert cli.main(["verify", "--jobs", jobs, "--out", str(out)] + SMALL) == cli.EXIT_OK
-    assert groups == checks.groups(checks.CHECK_IDS, 2)[1:1 + started]
+    assert cli.main(["verify", "--out", str(out)] + SMALL) == cli.EXIT_OK
+    assert groups == checks.groups(checks.CHECK_IDS)[1:split + 1]
     assert_reaped()
 
 
@@ -151,7 +169,7 @@ def test_an_interrupted_parent_reaps_its_workers():
 
 PLANTED_VERIFY = """
 import os, sys
-from normetry import checks, cli
+from normetry import checks, cli, workers
 from normetry.errors import DomainError
 
 MAIN = os.getpid()
@@ -161,6 +179,7 @@ def planted(a, b, **kw):
                                                else "a worker"))
 
 checks.check_prop_3_4 = planted
+workers.usable_cpus = lambda: 2  # a worker starts on one CPU too
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -169,7 +188,7 @@ def test_a_worker_writes_nothing_to_stdout_or_stderr():
     """The failure of a check run by a worker reaches the user once, as
     the parent's own message and exit code."""
     done = single_threaded(PLANTED_VERIFY, "verify", "--checks", "thm1.1,prop3.4",
-                           "--jobs", "2", "--trials", "2", "--dims", "2")
+                           "--trials", "2", "--dims", "2")
     assert done.returncode == cli.EXIT_USAGE
     assert done.stdout == ""
     assert done.stderr == ("error: witness prop3.4 (A=I, B=-I gives zero LHS): "
