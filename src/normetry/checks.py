@@ -2,17 +2,18 @@
 
 Each checker builds the two sides of its statement and delegates to the
 Fan-dominance verdict, a Loewner-order comparison, or a direct scalar
-comparison on the norm grid.  Hypotheses are validated up front (shape
-class of the scalar function, contraction/expansive/normal predicates);
-the falsifier can switch validation off to probe broken hypotheses.
-
-``SPECS`` at the end declares each checker once for the falsifier: its
-operand kinds, scalar-function class, extra scalar draws and call.
+comparison on the norm grid.  Its ``@_check`` decorator declares the check
+once, as a ``CheckSpec`` in ``SPECS``: id, scalar-function class, operand
+kinds and scalar draw.  The checker enforces the hypotheses that
+declaration states (the function's class tag; pd, contraction, expansive
+and normal operands) unless the falsifier, probing a broken hypothesis,
+switches them off.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +34,16 @@ from .norms import DEFAULT_TOL, ComparisonRecord, Verdict
 
 PREDICATE_TOL = 1e-8  # slack for hypothesis predicates on generated inputs
 
+# The operand kinds that are hypotheses: the linalg predicate testing each
+# matrix (by name, so a wrapper set on it sees the call), its tolerance, the
+# error a failing operand raises and what that operand is not.
+_HYPOTHESES = {
+    "pd": ("is_pd", 1e-12, NotPositiveDefinite, "positive definite"),
+    "contraction": ("is_contraction", PREDICATE_TOL, NotAContraction, "a contraction"),
+    "expansive": ("is_expansive", PREDICATE_TOL, NotExpansive, "expansive"),
+    "normal": ("is_normal", PREDICATE_TOL, NotNormal, "normal"),
+}
+
 
 def _stack(x) -> np.ndarray:
     """An operand as a (T, n, n) stack; a single matrix is a stack of one."""
@@ -40,14 +51,124 @@ def _stack(x) -> np.ndarray:
     return m[None] if m.ndim == 2 else m
 
 
-def _cases(*positions: int):
-    """Checker decorator: the checker's body takes (T, n, n) stacks and
-    returns one result per matrix.  The arguments at ``positions`` are its
-    matrices (or a list of them), each coerced to a stack here; a call on
-    single matrices gets a single result back."""
+def _split(x: np.ndarray, k: int) -> list:
+    """A joined result of k stacks, back as k stacks (views)."""
+    t = len(x) // k
+    return [x[i * t:(i + 1) * t] for i in range(k)]
+
+
+def _fns(f, t: int) -> list:
+    """The scalar function of each of t matrices: ``f`` is one for all of
+    them, or a sequence of one per matrix."""
+    return [f] * t if callable(f) else list(f)
+
+
+def _ops(kind: str, names="ab") -> tuple:
+    return tuple((name, kind) for name in names)
+
+
+@dataclass(frozen=True)
+class Pick:
+    """An operand list that a case draws: ``choices[index(rng, fn_descriptor)]``,
+    where each choice is a list of (name, generator kind) in slot order."""
+
+    choices: tuple
+    index: Callable[..., int]
+
+    def __call__(self, rng, fn) -> tuple:
+        return self.choices[int(self.index(rng, fn))]
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """How the falsifier samples and runs one checker.
+
+    A case draws from its rng, in this order: a function of class
+    ``fn_class`` (None: the checker takes none); the operand list, if
+    ``operands`` is a ``Pick`` rather than a list of (name, generator kind)
+    in slot order; then ``scalars(rng, n)``.  ``run(f, matrices, scalars,
+    tol=, enforce=)`` calls the checker by its module-global name, so a
+    wrapper set on that name sees the call.
+    """
+
+    check_id: str
+    fn_class: str | None
+    operands: tuple | Callable
+    run: Callable[..., Verdict]
+    scalars: Callable[..., dict]
+
+    def _lists(self) -> tuple:
+        return self.operands.choices if isinstance(self.operands, Pick) else (self.operands,)
+
+    @property
+    def kinds(self) -> set:
+        """Every generator kind the check's operands may be drawn from."""
+        return {kind for operands in self._lists() for _, kind in operands}
+
+    @property
+    def hypotheses(self) -> dict:
+        """{operand: kind} for each operand that every operand list of the
+        check declares of one kind in ``_HYPOTHESES``; its checker
+        enforces these."""
+        first, *rest = self._lists()
+        return {name: kind for name, kind in first
+                if kind in _HYPOTHESES and all((name, kind) in ops for ops in rest)}
+
+
+SPECS: dict[str, CheckSpec] = {}
+
+
+def _enforce(fn_class: str | None, guards: list, args: list) -> None:
+    """Raise unless the checker arguments ``args`` meet its hypotheses: the
+    scalar function's class tag, then each (hypothesis, operand positions,
+    operand names) of ``guards``, tested on all its operands in one call."""
+    if fn_class is not None:
+        for fn in _fns(args[0], 1):
+            if fn_class not in fn.tags:
+                raise ShapeValidationFailed(f"{fn.kind} lacks required class {fn_class}")
+    for (test, tol, error, what), at, names in guards:
+        ok = linalg.joined(getattr(linalg, test), *[args[i] for i in at], tol=tol)
+        for name, ok_name in zip(names, _split(ok, len(at))):
+            if not ok_name.all():
+                raise error(f"{name.upper()} is not {what}")
+
+
+def _check(check_id: str, fn_class: str | None, operands,
+           scalars=lambda rng, n: {}, args_of=None):
+    """Declare the checker below as check ``check_id``, in ``SPECS``.
+
+    The checker's body takes (T, n, n) stacks and returns one result per
+    matrix.  Its parameters named as operands (or ``operands``, a list of
+    them) are its matrices, each coerced to a stack here; a call on single
+    matrices gets a single result back.  Unless called with
+    ``enforce=False``, it enforces the check's hypotheses first.  ``run``
+    passes the checker f, if it takes one, then its operands and scalars
+    by parameter name, or else ``args_of(f, matrices, scalars)``."""
     def wrap(body):
+        params = [p for p in inspect.signature(body).parameters if p != "tol"]
+        takes_fn = fn_class is not None
+        by_name = params[takes_fn:]
+
+        def run(f, m, s, **kw):
+            if args_of is None:
+                named = {**m, **s}
+                args = ([f] if takes_fn else []) + [named[p] for p in by_name]
+            else:
+                args = args_of(f, m, s)
+            return globals()[body.__name__](*args, **kw)
+
+        spec = SPECS[check_id] = CheckSpec(check_id, fn_class, operands, run, scalars)
+        operand_names = {name for ops in spec._lists() for name, _ in ops}
+        positions = [i for i, p in enumerate(params)
+                     if p in operand_names or p == "operands"]
+        by_kind: dict = {}
+        for operand, kind in spec.hypotheses.items():
+            by_kind.setdefault(kind, []).append(operand)
+        guards = [(_HYPOTHESES[kind], [params.index(p) for p in named], named)
+                  for kind, named in by_kind.items()]
+
         @functools.wraps(body)
-        def checker(*args, **kwargs):
+        def checker(*args, enforce=True, **kwargs):
             args = list(args)
             first = args[positions[0]]
             if isinstance(first, (list, tuple)) and first:
@@ -57,16 +178,34 @@ def _cases(*positions: int):
                 x = args[i]
                 args[i] = ([_stack(m) for m in x] if isinstance(x, (list, tuple))
                            else _stack(x))
+            if enforce:
+                _enforce(fn_class, guards, args)
             out = body(*args, **kwargs)
             return out[0] if single else out
         return checker
     return wrap
 
 
-def _split(x: np.ndarray, k: int) -> list:
-    """A joined result of k stacks, back as k stacks (views)."""
-    t = len(x) // k
-    return [x[i * t:(i + 1) * t] for i in range(k)]
+def _coin(rng, fn) -> int:
+    return rng.integers(2)
+
+
+def _draw_jk(rng, n: int) -> dict:
+    j = int(rng.integers(n))
+    return {"j": j, "k": int(rng.integers(n - j))}
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im, built exactly (one value or one per matrix)."""
+    z = np.array(re, dtype=complex)
+    z.imag = im
+    return z
+
+
+def _draw_z_m(rng, n: int) -> dict:
+    z = rng.standard_normal() + 1j * rng.standard_normal()
+    m = int(rng.integers(1, 6))
+    return {"z_re": float(z.real), "z_im": float(z.imag), "m": m}
 
 
 def _spectrum_rows(spec: linalg.Spectrum, rows: slice) -> linalg.Spectrum:
@@ -80,12 +219,6 @@ def _spectral_apply(f, *stacks) -> np.ndarray:
     return _split(linalg.apply_spectrum(_repeat_fns(f, len(stacks)), spec), len(stacks))
 
 
-def _fns(f, t: int) -> list:
-    """The scalar function of each of t matrices: ``f`` is one for all of
-    them, or a sequence of one per matrix."""
-    return [f] * t if callable(f) else list(f)
-
-
 def _repeat_fns(f, k: int):
     """``f`` for k joined stacks."""
     return f if callable(f) else list(f) * k
@@ -95,13 +228,6 @@ def _per_row(x, t: int) -> np.ndarray:
     """A scalar argument (j, k, z, m) as one value per matrix."""
     x = np.reshape(x, -1)
     return x if len(x) == t else np.repeat(x, t)
-
-
-def _require_tag(f, tag: str, enforce: bool) -> None:
-    if enforce:
-        for fn in _fns(f, 1):
-            if tag not in fn.tags:
-                raise ShapeValidationFailed(f"{fn.kind} lacks required class {tag}")
 
 
 def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
@@ -123,12 +249,13 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
     ]
 
 
-@_cases(1)
-def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
+@_check("thm1.1", scalarfn.CONCAVE_NONNEG,
+        Pick((_ops("psd", ("a0", "a1")), _ops("psd", ("a0", "a1", "a2"))), _coin),
+        args_of=lambda f, m, s: (f, [m[k] for k in sorted(m)]))
+def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
     """||f(sum A_i)|| <= ||sum f(A_i)|| for concave f >= 0 and PSD A_i."""
     if len(operands) < 2:
         raise BadSpec("need at least two operands")
-    _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
     total = operands[0]
     for m in operands[1:]:
         total = linalg.derived(np.add, total, m)
@@ -136,47 +263,31 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL, enforce=True):
     return norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
 
 
-@_cases(1, 2)
-def check_thm_1_2(g, a, b, tol=DEFAULT_TOL, enforce=True):
+@_check("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"))
+def check_thm_1_2(g, a, b, tol=DEFAULT_TOL):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
-    _require_tag(g, scalarfn.CONVEX_VANISHING, enforce)
     ga, gb, gs = _spectral_apply(g, a, b, linalg.derived(np.add, a, b))
     return norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
 
 
-@_cases(1, 2)
-def check_davis_hansen(f, a, z, tol=DEFAULT_TOL, enforce=True):
+@_check("davis-hansen", scalarfn.OPERATOR_CONCAVE, (("a", "psd"), ("z", "contraction")))
+def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     """Z* f(A) Z <= f(Z* A Z) for operator concave f, f(0) >= 0, ||Z|| <= 1.
 
     The compression case (Z an orthogonal projection followed by a subspace
     embedding) is the classical inequality for compressions.
     """
-    _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    if enforce and not linalg.is_contraction(z, tol=PREDICATE_TOL).all():
-        raise NotAContraction("Z*Z has an eigenvalue above 1")
     zh = z.conj().swapaxes(-1, -2)
     fa, fz = _spectral_apply(f, a, linalg.hermitian_part(zh @ a @ z))
     return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
 
 
-def _require_pd(**named) -> None:
-    """Each named stack is positive definite, matrix by matrix."""
-    stacks = np.concatenate(list(named.values()))
-    w = _split(linalg.eigvalsh_desc(linalg.hermitian_part(stacks)), len(named))
-    for name, wn in zip(named, w):
-        if np.any(wn[:, -1] <= 1e-12 * np.maximum(1.0, wn[:, 0])):
-            raise NotPositiveDefinite(f"{name} is not positive definite")
-
-
-@_cases(1, 2)
-def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
+@_check("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"))
+def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
     """A^(1/2) phi(A+B) A^(1/2) + B^(1/2) phi(A+B) B^(1/2) <= f(A) + f(B)
 
     with phi(t) = f(t)/t, for operator concave f and A, B > 0.
     """
-    _require_tag(f, scalarfn.OPERATOR_CONCAVE, enforce)
-    if enforce:
-        _require_pd(A=a, B=b)
     t = len(a)
     spec = linalg.joined(linalg.eigh, linalg.derived(np.add, a, b), a, b)
     w = spec.eigenvalues[:t]
@@ -192,14 +303,14 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL, enforce=True):
     return _loewner_verdict("pinching-eq2", lhs, fa + fb, tol)
 
 
-@_cases(1, 2)
-def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
+@_check("prop2.1", scalarfn.DECREASING_TG_INCREASING,
+        Pick((_ops("psd"), _ops("pd")), lambda rng, fn: fn["kind"] == "inv-sqrt"))
+def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     """||(A+B) g(A+B)|| <= ||A^(1/2) g(A+B) A^(1/2) + B^(1/2) g(A+B) B^(1/2)||
 
     for g decreasing with t*g(t) increasing, A, B >= 0 (A+B > 0 when g is
     singular at 0).
     """
-    _require_tag(g, scalarfn.DECREASING_TG_INCREASING, enforce)
     t = len(a)
     spec = linalg.joined(linalg.eigh, linalg.derived(np.add, a, b), a, b)
     w = np.maximum(spec.eigenvalues[:t], 0.0)
@@ -216,12 +327,9 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL, enforce=True):
     return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1")
 
 
-@_cases(1, 2)
-def check_thm_2_4(f, a, z, tol=DEFAULT_TOL, enforce=True):
+@_check("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")))
+def check_thm_2_4(f, a, z, tol=DEFAULT_TOL):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
-    _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
-    if enforce and not linalg.is_expansive(z, tol=PREDICATE_TOL).all():
-        raise NotExpansive("Z*Z has an eigenvalue below 1")
     zh = z.conj().swapaxes(-1, -2)
     lhs, fa = _spectral_apply(f, linalg.hermitian_part(zh @ a @ z), a)
     return norms.dominance_verdict(lhs, zh @ fa @ z, tol=tol, check_id="thm2.4")
@@ -245,14 +353,14 @@ def _eigen_indices(j, k, t: int, n: int):
     return j, k, labels
 
 
-@_cases(1, 2)
-def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL, enforce=True):
+@_check("eigen-sum", scalarfn.CONCAVE_NONNEG,
+        Pick((_ops("general"), _ops("psd")), _coin), _draw_jk)
+def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(f(S)) <= lambda_{j+1}(f(A')) + lambda_{k+1}(f(B')).
 
     For PSD A, B this uses S = A+B, A' = A, B' = B; otherwise the absolute
     values |A+B|, |A|, |B| are used (triangle-inequality form).
     """
-    _require_tag(f, scalarfn.CONCAVE_NONNEG, enforce)
     t, n = a.shape[:2]
     j, k, labels = _eigen_indices(j, k, t, n)
     psd_a, psd_b = _split(linalg.is_psd(np.concatenate((a, b)), tol=PREDICATE_TOL), 2)
@@ -276,24 +384,19 @@ def _grid_rhs(s: np.ndarray):
     return lhs, norms.sqrt_product(gx, gy)
 
 
-@_cases(0, 1, 2, 3, 4, 5)
-def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL, enforce=True):
+@_check("cs-lemma", None,
+        _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")))
+def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
     per symmetric norm, for PSD A_i, B_i and contractions C_i.
     """
-    if enforce:
-        c = np.concatenate((c1, c2))
-        ok = _split(linalg.is_contraction(c, tol=PREDICATE_TOL), 2)
-        for name, okc in zip(("C1", "C2"), ok):
-            if not okc.all():
-                raise NotAContraction(f"{name} is not a contraction")
     lhs, rhs = _grid_rhs(norms.singular_values(np.concatenate(
         (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))))
     return norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
 
 
-@_cases(0, 1)
+@_check("ineq4", None, _ops("general"))
 def check_ineq_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
     if a.shape != b.shape:
@@ -304,16 +407,6 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL):
     lhs, rhs = _grid_rhs(norms.singular_values(
         np.concatenate((a + b, abs_a + abs_b, star_a + star_b))))
     return norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
-
-
-def _require_normal(enforce, **named) -> None:
-    if not enforce:
-        return
-    ok = _split(linalg.joined(linalg.is_normal, *named.values(), tol=PREDICATE_TOL),
-                len(named))
-    for name, okm in zip(named, ok):
-        if not okm.all():
-            raise NotNormal(f"{name} is not normal")
 
 
 def _block2(a, b, c, d) -> np.ndarray:
@@ -328,10 +421,9 @@ def _abs4(a, b, c, d):
     return _split(linalg.joined(linalg.matrix_abs, a, b, c, d), 4)
 
 
-@_cases(0, 1, 2, 3)
-def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
+@_check("thm3.1", None, _ops("normal", "abcd"))
+def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
-    _require_normal(enforce, A=a, B=b, C=c, D=d)
     block = linalg.derived(_block2, a, b, c, d)
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     return norms.dominance_verdict(
@@ -357,11 +449,10 @@ def _abs_sum(a, b) -> np.ndarray:
     return abs_a + abs_b
 
 
-@_cases(0, 1, 2, 3)
-def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
+@_check("thm3.2", None, _ops("normal", "abcd"))
+def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
-    _require_normal(enforce, A=a, B=b, C=c, D=d)
     lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     # prop3.4 takes the same |A| + |B| of shared stacks
@@ -370,7 +461,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL, enforce=True):
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
-@_cases(0, 1, 2)
+@_check("cor3.3", None, _ops("hermitian") + (("x", "general"),))
 def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
@@ -392,15 +483,14 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     return norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
-@_cases(0, 1)
-def check_prop_3_4(a, b, tol=DEFAULT_TOL, enforce=True):
+@_check("prop3.4", None, _ops("normal"))
+def check_prop_3_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
-    _require_normal(enforce, A=a, B=b)
     return norms.dominance_verdict(
         a + b, linalg.derived(_abs_sum, a, b), tol=tol, check_id="prop3.4")
 
 
-@_cases(0, 1)
+@_check("prop3.5", None, _ops("hermitian", "st"), _draw_jk)
 def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(|S+T|) <= (lambda_{j+1}(M) + lambda_{k+1}(M))/2
 
@@ -430,7 +520,8 @@ def _powers(m, t: int) -> list:
     return powers
 
 
-@_cases(0, 1)
+@_check("ineq5", None, _ops("psd"), _draw_z_m,
+        args_of=lambda f, m, s: (m["a"], m["b"], _complex(s["z_re"], s["z_im"]), s["m"]))
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
     m = _powers(m, len(a))
@@ -446,7 +537,7 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
 
 
-@_cases(0, 1)
+@_check("identity6", None, _ops("psd"), lambda rng, n: {"m": int(rng.integers(1, 9))})
 def identity_6_verdict(a, b, m, tol: float = 1e-10):
     """The relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
     w = exp(2*pi*i/m), as a Verdict with one record: the residual as LHS
@@ -468,118 +559,6 @@ def identity_6_verdict(a, b, m, tol: float = 1e-10):
                     records=[ComparisonRecord("residual", r, 0.0, -r)])
             for r in residual]
 
-
-def _ops(kind: str, names="ab") -> tuple:
-    return tuple((name, kind) for name in names)
-
-
-@dataclass(frozen=True)
-class Pick:
-    """An operand list that a case draws: ``choices[index(rng, fn_descriptor)]``,
-    where each choice is a list of (name, generator kind) in slot order."""
-
-    choices: tuple
-    index: Callable[..., int]
-
-    def __call__(self, rng, fn) -> tuple:
-        return self.choices[int(self.index(rng, fn))]
-
-
-def _coin(rng, fn) -> int:
-    return rng.integers(2)
-
-
-def _draw_jk(rng, n: int) -> dict:
-    j = int(rng.integers(n))
-    return {"j": j, "k": int(rng.integers(n - j))}
-
-
-def _complex(re, im) -> np.ndarray:
-    """re + i*im, built exactly (one value or one per matrix)."""
-    z = np.array(re, dtype=complex)
-    z.imag = im
-    return z
-
-
-def _draw_z_m(rng, n: int) -> dict:
-    z = rng.standard_normal() + 1j * rng.standard_normal()
-    m = int(rng.integers(1, 6))
-    return {"z_re": float(z.real), "z_im": float(z.imag), "m": m}
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """How the falsifier samples and runs one checker.
-
-    A case draws from its rng, in this order: a function of class
-    ``fn_class`` (None: the checker takes none); the operand list, if
-    ``operands`` is a ``Pick`` rather than a list of (name, generator kind)
-    in slot order; then ``scalars(rng, n)``.  ``run(f, matrices, scalars,
-    tol=, enforce=)`` calls the checker by its module-global name, so a
-    wrapper set on that name sees the call.
-    """
-
-    check_id: str
-    fn_class: str | None
-    operands: tuple | Callable
-    run: Callable[..., Verdict]
-    scalars: Callable[..., dict] = lambda rng, n: {}
-
-    @property
-    def kinds(self) -> set:
-        """Every generator kind the check's operands may be drawn from."""
-        lists = self.operands.choices if isinstance(self.operands, Pick) else (self.operands,)
-        return {kind for operands in lists for _, kind in operands}
-
-
-SPECS = {spec.check_id: spec for spec in (
-    CheckSpec("thm1.1", scalarfn.CONCAVE_NONNEG,
-              Pick((_ops("psd", ("a0", "a1")), _ops("psd", ("a0", "a1", "a2"))), _coin),
-              lambda f, m, s, **kw: check_thm_1_1(f, [m[k] for k in sorted(m)], **kw)),
-    CheckSpec("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
-              lambda f, m, s, **kw: check_thm_1_2(f, m["a"], m["b"], **kw)),
-    CheckSpec("davis-hansen", scalarfn.OPERATOR_CONCAVE,
-              (("a", "psd"), ("z", "contraction")),
-              lambda f, m, s, **kw: check_davis_hansen(f, m["a"], m["z"], **kw)),
-    CheckSpec("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"),
-              lambda f, m, s, **kw: check_pinching_eq2(f, m["a"], m["b"], **kw)),
-    CheckSpec("prop2.1", scalarfn.DECREASING_TG_INCREASING,
-              Pick((_ops("psd"), _ops("pd")), lambda rng, fn: fn["kind"] == "inv-sqrt"),
-              lambda f, m, s, **kw: check_prop_2_1(f, m["a"], m["b"], **kw)),
-    CheckSpec("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
-              lambda f, m, s, **kw: check_thm_2_4(f, m["a"], m["z"], **kw)),
-    CheckSpec("eigen-sum", scalarfn.CONCAVE_NONNEG,
-              Pick((_ops("general"), _ops("psd")), _coin),
-              lambda f, m, s, **kw: check_eigen_sum(
-                  f, m["a"], m["b"], s["j"], s["k"], **kw),
-              _draw_jk),
-    CheckSpec("cs-lemma", None,
-              _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")),
-              lambda f, m, s, **kw: check_cs_lemma(
-                  m["a1"], m["a2"], m["b1"], m["b2"], m["c1"], m["c2"], **kw)),
-    CheckSpec("ineq4", None, _ops("general"),
-              lambda f, m, s, tol, **_: check_ineq_4(m["a"], m["b"], tol=tol)),
-    CheckSpec("thm3.1", None, _ops("normal", "abcd"),
-              lambda f, m, s, **kw: check_thm_3_1(*(m[k] for k in "abcd"), **kw)),
-    CheckSpec("thm3.2", None, _ops("normal", "abcd"),
-              lambda f, m, s, **kw: check_thm_3_2(*(m[k] for k in "abcd"), **kw)),
-    CheckSpec("cor3.3", None, _ops("hermitian") + (("x", "general"),),
-              lambda f, m, s, tol, **_: check_cor_3_3(m["a"], m["b"], m["x"], tol=tol)),
-    CheckSpec("prop3.4", None, _ops("normal"),
-              lambda f, m, s, **kw: check_prop_3_4(m["a"], m["b"], **kw)),
-    CheckSpec("prop3.5", None, _ops("hermitian", "st"),
-              lambda f, m, s, tol, **_: check_prop_3_5_eigen(
-                  m["s"], m["t"], s["j"], s["k"], tol=tol),
-              _draw_jk),
-    CheckSpec("ineq5", None, _ops("psd"),
-              lambda f, m, s, tol, **_: check_ineq_5(
-                  m["a"], m["b"], _complex(s["z_re"], s["z_im"]), s["m"], tol=tol),
-              _draw_z_m),
-    CheckSpec("identity6", None, _ops("psd"),
-              lambda f, m, s, tol, **_: identity_6_verdict(
-                  m["a"], m["b"], s["m"], tol=tol),
-              lambda rng, n: {"m": int(rng.integers(1, 9))}),
-)}
 
 CHECK_IDS = tuple(SPECS)
 

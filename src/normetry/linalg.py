@@ -2,7 +2,7 @@
 
 Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
-(psd, normality, contraction/expansive) used by the checkers.
+(psd, pd, normality, contraction/expansive) used by the checkers.
 
 All functions are pure; matrices are plain complex ndarrays.  Every function
 takes one n x n matrix or a (T, n, n) stack of them, and a 2-D input is the
@@ -35,6 +35,13 @@ from .errors import ConvergenceFailure, DimensionMismatch, DomainError
 HERMITIAN_DRIFT_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 NEG_EIG_CLAMP = 1e-8
+# eigh's eigenvalues are exact for A + E, ||E|| <= c n eps ||A|| (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002), so by Weyl
+# each is off by at most that (Bhatia, Matrix Analysis, GTM 169, ch. III):
+# one within c n eps max|lambda| of 0 is clamped to exactly 0.  c = 8 is a
+# modest constant for the Householder reduction, not tuned to any case.
+EIG_ZERO_C = 8
+_EPS = float(np.finfo(float).eps)
 
 # id(stack) -> memo of the results ``joined`` computed on it, for stacks passed
 # to share.  Each memo is dropped when its stack dies, before the id can be
@@ -81,8 +88,8 @@ JOIN_BYTES = 1 << 18
 
 def joined(fn, *stacks, **kwargs):
     """``fn(np.concatenate(stacks), **kwargs)`` for one of this module's
-    per-matrix functions (``eigh``, ``matrix_abs``, ``polar``,
-    ``is_normal``), or the singular values of ``norms``, and same-shape
+    per-matrix functions (``eigh``, ``matrix_abs``, ``polar``, the ``is_``
+    predicates), or the singular values of ``norms``, and same-shape
     (T, n, n) stacks, taken in as few calls as ``JOIN_BYTES`` allows.
 
     A stack marked by ``share`` keeps its rows of the result, read-only,
@@ -370,7 +377,8 @@ def eigvalsh_desc(h) -> np.ndarray:
 
 
 def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
-    """Clamp roundoff-negative eigenvalues to 0; reject genuinely negative ones.
+    """Clamp roundoff-negative eigenvalues, and those within the rounding
+    floor of 0 (``EIG_ZERO_C``), to 0; reject genuinely negative ones.
 
     Each row of ``w`` is descending, so its ends hold its largest magnitude
     and its least value.
@@ -380,7 +388,11 @@ def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
             if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
                 raise DomainError(
                     f"eigenvalue {low:.3e} below the roundoff clamp window")
-    return np.maximum(w, 0.0)
+    out = np.maximum(w, 0.0)
+    # max|lambda| of a descending row is max(top, -low)
+    floor = np.maximum(w[..., :1], -w[..., -1:]) * (EIG_ZERO_C * w.shape[-1] * _EPS)
+    out[out <= floor] = 0.0
+    return out
 
 
 def _apply_rows(f, w: np.ndarray) -> np.ndarray:
@@ -505,6 +517,12 @@ def is_psd(x, tol: float = 1e-9):
         near = m3 if ok.all() else m3[ok]
         ok[ok] = _opnorm_within(-_least(eigvalsh_desc(hermitian_part(near))), near, tol)
     return _per_matrix(ok if m.ndim == 3 else ok[0])
+
+
+def is_pd(x, tol: float):
+    """The Hermitian part's least eigenvalue is > tol * max(1, its largest)."""
+    w = eigvalsh_desc(hermitian_part(x))
+    return _per_matrix(_least(w) > tol * np.maximum(1.0, w[..., 0]))
 
 
 def is_normal(x, tol: float = 1e-9):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -148,6 +149,28 @@ def test_davis_hansen_projection_compression():
 def test_davis_hansen_rejects_expansion():
     with pytest.raises(NotAContraction):
         checks.check_davis_hansen(sf.sqrt_fn(), np.eye(2), 2.0 * np.eye(2))
+
+
+def test_davis_hansen_has_no_false_violation_on_rank_deficient_operands():
+    """A's exact zero eigenvalues come out of eigh as +-1e-17.  Unless
+    they are clamped to 0, sqrt and t^s lift the positive ones far above
+    rounding in f(A), f(Z* A Z) rounds apart, and the theorem seems to
+    fail by up to 2e-4."""
+    rng = np.random.default_rng(11)
+    draws = falsify.FN_DRAWS[sf.OPERATOR_CONCAVE]
+    failed = []
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        rank = max(1, n // 3)
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        a = linalg.hermitian_part(g @ g.conj().T)  # a complex Wishart
+        a = a / linalg.opnorm(a)
+        z = generate(GenSpec("contraction", n, int(rng.integers(2**63))))
+        fn = draws[int(rng.integers(len(draws)))](rng)
+        verdict = checks.check_davis_hansen(sf.from_descriptor(fn), a, z)
+        if not verdict.passed:
+            failed.append((fn, verdict.min_margin))
+    assert failed == []
 
 
 def test_pinching_eq2_seed21():
@@ -512,3 +535,52 @@ def test_cor_2_3_smoothed_inverse_crosscheck():
         a = psd(4, derive_stream(1200, 2 * seed))
         b = psd(4, derive_stream(1200, 2 * seed + 1))
         assert checks.check_thm_1_2(g, a, b).passed
+
+
+# ------------------------------------------------------- every check at once
+
+
+HYPOTHESES = {
+    "davis-hansen": {"z": "contraction"},
+    "pinching-eq2": {"a": "pd", "b": "pd"},
+    "thm2.4": {"z": "expansive"},
+    "cs-lemma": {"c1": "contraction", "c2": "contraction"},
+    "thm3.1": dict.fromkeys("abcd", "normal"),
+    "thm3.2": dict.fromkeys("abcd", "normal"),
+    "prop3.4": {"a": "normal", "b": "normal"},
+}
+
+VIOLATORS = {  # kind -> a 3 x 3 matrix outside it, the error and its text
+    "pd": (np.diag([1.0, 1.0, 0.0]), NotPositiveDefinite, "positive definite"),
+    "contraction": (2.0 * np.eye(3), NotAContraction, "a contraction"),
+    "expansive": (0.5 * np.eye(3), NotExpansive, "expansive"),
+    "normal": (np.triu(np.ones((3, 3))), NotNormal, "normal"),
+}
+
+
+def test_each_check_enforces_the_operand_hypotheses_it_declares():
+    """The hypotheses derived from each declaration are the guards pinned
+    here, so editing a declaration cannot drop one unnoticed, and each
+    fires on an operand outside its kind."""
+    derived = {cid: spec.hypotheses for cid, spec in checks.SPECS.items()}
+    assert {cid: h for cid, h in derived.items() if h} == HYPOTHESES
+    for cid, hypotheses in HYPOTHESES.items():
+        for name, kind in hypotheses.items():
+            matrix, error, what = VIOLATORS[kind]
+            case = falsify.sample_case(cid, 3, derive_stream(4, 0))
+            case.matrices[name] = matrix.astype(complex)
+            with pytest.raises(error, match=f"^{name.upper()} is not {what}$"):
+                falsify.run_case(case)
+
+
+@pytest.mark.parametrize("cid", checks.CHECK_IDS)
+def test_margins_are_invariant_under_unitary_conjugation(cid):
+    """Every statement is unitarily invariant: conjugating all of a case's
+    operands by one unitary U moves its min margin by rounding only."""
+    for i in range(120):
+        case = falsify.sample_case(cid, 1 + i % 8, derive_stream(9, i))
+        u = generate(GenSpec("unitary", case.n, derive_stream(10, i)))
+        moved = dataclasses.replace(
+            case, matrices={k: u @ m @ u.conj().T for k, m in case.matrices.items()})
+        shift = falsify.run_case(moved).min_margin - falsify.run_case(case).min_margin
+        assert abs(shift) <= 1e-12, (i, shift)

@@ -76,6 +76,26 @@ def test_spectral_apply_clamps_roundoff_negative():
     assert np.all(np.isfinite(out))
 
 
+def test_clamp_still_rejects_a_genuinely_negative_eigenvalue():
+    clamp = linalg.NEG_EIG_CLAMP
+    with pytest.raises(DomainError):
+        linalg._clamp_spectrum(np.array([[1.0, 0.5, -2 * clamp]]))
+    assert linalg._clamp_spectrum(np.array([[1.0, 0.5, -clamp / 2]])).tolist() == [
+        [1.0, 0.5, 0.0]]
+
+
+def test_clamp_zeroes_only_eigenvalues_inside_the_rounding_floor():
+    """Eigenvalues within c n eps max|lambda| of 0 become exactly 0; those
+    far above that floor, at any scale, keep their bits."""
+    floor = linalg.EIG_ZERO_C * 4 * np.finfo(float).eps
+    for scale in (1e-6, 1.0, 1e6):
+        w = scale * np.array([[1.0, 1e3 * floor, 1e-3, -floor / 2],
+                              [1.0, 1e-10, floor / 2, floor]])
+        out = linalg._clamp_spectrum(w)
+        assert out.tobytes() == np.array([w[0, :3].tolist() + [0.0],
+                                          w[1, :2].tolist() + [0.0, 0.0]]).tobytes()
+
+
 def test_matrix_abs_rotation_is_identity():
     x = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     np.testing.assert_allclose(linalg.matrix_abs(x), np.eye(2), atol=1e-12)

@@ -314,7 +314,8 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     assert set(computed.values()) == {1}
     assert max(asked.values()) > 1  # memo hits happen
     assert {key[0] for _, key in computed} == {
-        linalg.eigh, linalg.matrix_abs, linalg._svd, linalg.is_normal
+        linalg.eigh, linalg.matrix_abs, linalg._svd, linalg.is_normal,
+        linalg.is_contraction, linalg.is_expansive, linalg.is_pd,
     }
     # the SVD that matrix_abs took of eigen-sum's operands serves ineq4's polar
     assert max(n for (_, key), n in asked.items() if key == (linalg._svd,)) > 1

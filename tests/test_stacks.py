@@ -20,6 +20,7 @@ from normetry.errors import (
     DomainError,
     NormetryError,
     NotAContraction,
+    NotExpansive,
     NotNormal,
     NotPositiveDefinite,
 )
@@ -191,6 +192,8 @@ def test_a_row_below_the_clamp_window_fails_the_stack_as_alone():
     ("davis-hansen", ("z", 2.0 * np.eye(3)), NotAContraction),
     ("prop3.4", ("b", np.triu(np.ones((3, 3)))), NotNormal),
     ("pinching-eq2", ("b", np.diag([1.0, 1.0, 0.0])), NotPositiveDefinite),
+    ("thm2.4", ("z", 0.5 * np.eye(3)), NotExpansive),
+    ("cs-lemma", ("c2", 2.0 * np.eye(3)), NotAContraction),
 ])
 def test_a_row_failing_a_hypothesis_fails_the_stack_as_alone(check, bad, error):
     name, matrix = bad
