@@ -380,18 +380,16 @@ def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Clamp roundoff-negative eigenvalues, and those within the rounding
     floor of 0 (``EIG_ZERO_C``), to 0; reject genuinely negative ones.
 
-    Each row of ``w`` is descending, so its ends hold its largest magnitude
-    and its least value.
+    Each row of ``w`` is descending, so its ends hold its least value and
+    its largest magnitude, max(top, -low).
     """
-    if w.shape[-1]:
-        for top, low in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist()):
-            if low < -NEG_EIG_CLAMP * max(1.0, abs(top), abs(low)):
-                raise DomainError(
-                    f"eigenvalue {low:.3e} below the roundoff clamp window")
+    low = w[..., -1:]
+    size = np.maximum(w[..., :1], -low)
+    below = low < -NEG_EIG_CLAMP * np.maximum(size, 1.0)
+    if below.any():
+        raise DomainError(f"eigenvalue {low[below][0]:.3e} below the roundoff clamp window")
     out = np.maximum(w, 0.0)
-    # max|lambda| of a descending row is max(top, -low)
-    floor = np.maximum(w[..., :1], -w[..., -1:]) * (EIG_ZERO_C * w.shape[-1] * _EPS)
-    out[out <= floor] = 0.0
+    out[out <= size * (EIG_ZERO_C * w.shape[-1] * _EPS)] = 0.0
     return out
 
 
