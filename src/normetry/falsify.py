@@ -633,6 +633,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
     (``_raise_first_failure``)."""
     stacks: dict = {}  # operand stacks, by the ids of the matrices they hold
     done = []  # (trial, report, verdict, certificate or None)
+    group = None  # the group whose stack runs, once the operands are generated
     try:
         _generate_recorded([case for stack in pending.values() for _, case in stack])
         keys = {  # each group's operand stacks, by operand name
@@ -667,7 +668,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
                 done.append((i, report, verdict,
                              None if verdict.passed else make_certificate(case, verdict)))
     except NormetryError:
-        _raise_first_failure(pending, fixed, tol)
+        _raise_first_failure(pending, fixed, tol, group)
         raise
     done.sort(key=lambda entry: entry[0])
     for _, report, verdict, certificate in done:
@@ -680,16 +681,30 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
             report.verdicts.append(verdict_row(verdict))
 
 
-def _raise_first_failure(pending: dict, fixed: list, tol: float) -> None:
-    """Rerun one at a time the cases still ``pending`` in a flush that
-    raised, and raise the error of the first that fails, with its label at
-    the start of its message.  They rerun in (index, check) order: the
-    fixed cases first, in their order, then each trial in order, which
-    generates its recorded operands alone in record order and then runs
-    its cases alone in check order.  Guards decide each matrix as alone,
-    so that is the campaign's first failing case.  Returns if none fails
+def _raise_first_failure(pending: dict, fixed: list, tol: float,
+                         failed: tuple | None) -> None:
+    """Find the first failing case among the cases still ``pending`` in a
+    flush that raised, and raise its error, with its label at the start of
+    its message.  Where the stack of group ``failed`` raised, the operands
+    are generated: every other pending stack runs as a stack, and only the
+    cases of the stacks that raised rerun one at a time; guards decide each
+    matrix as alone, so a stack that passes has passed case by case.
+    Otherwise (generation raised) every pending case reruns one at a time.
+    Cases rerun in (index, check) order: the fixed cases first, in their
+    order, then each trial in order, which generates its recorded operands
+    alone in record order and then runs its cases alone in check order.
+    That is the campaign's first failing case.  Returns if none fails
     alone."""
-    entries = sorted((entry for stack in pending.values() for entry in stack),
+    rerun = pending.values()
+    if failed in pending:
+        rerun = [pending[failed]]
+        for group, stack in pending.items():
+            if group != failed:
+                try:
+                    run_stack([case for _, case in stack], tol=tol)
+                except NormetryError:
+                    rerun.append(stack)
+    entries = sorted((entry for stack in rerun for entry in stack),
                      key=lambda entry: (entry[0], checks.CHECK_IDS.index(entry[1].check_id)))
     try:
         for i, entry in itertools.groupby(entries, key=lambda entry: entry[0]):

@@ -1,12 +1,16 @@
 """JSON serialization of matrices, cases, and reports.
 
-Matrices are stored as {n, re, im} with row-major entry arrays; Python's
-shortest-roundtrip float repr makes the encoding bit-faithful (signed zeros
-included), so replayed certificates recompute margins exactly.
+A matrix is stored as ``{"n": n, "c16": text}``, where ``text`` is the
+base64 of its n·n entries as little-endian complex128, row-major: the
+bytes ``fingerprint`` hashes.  The encoding is bit-exact (signed zeros,
+subnormals, infinities and NaN payloads included) and stays standard
+JSON for non-finite entries, so replayed certificates recompute margins
+and fingerprints exactly.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 
@@ -16,26 +20,29 @@ from .errors import BadSpec
 
 
 def mat_to_json(m) -> dict:
-    a = np.asarray(m, dtype=complex)
-    n = a.shape[0]
-    return {
-        "n": n,
-        "re": a.real.ravel().tolist(),
-        "im": a.imag.ravel().tolist(),
-    }
+    a = np.ascontiguousarray(m, dtype="<c16")
+    return {"n": a.shape[0], "c16": base64.b64encode(a).decode("ascii")}
 
 
 def mat_from_json(d: dict) -> np.ndarray:
+    """The n×n complex matrix of ``d``, read-only.  Raises BadSpec unless
+    ``n`` is an integer >= 0 and ``c16`` is base64 of exactly 16·n² bytes;
+    the count is checked before anything is reshaped."""
     try:
-        n = int(d["n"])
-        re = np.asarray(d["re"], dtype=float).reshape(n, n)
-        im = np.asarray(d["im"], dtype=float).reshape(n, n)
-    except (KeyError, TypeError, ValueError) as exc:
+        n = d["n"]
+        raw = base64.b64decode(d["c16"], validate=True)
+    except KeyError as exc:
+        raise BadSpec(f"malformed matrix object: missing field {exc}") from exc
+    except TypeError as exc:
         raise BadSpec(f"malformed matrix object: {exc}") from exc
-    m = np.empty((n, n), dtype=complex)
-    m.real = re
-    m.imag = im
-    return m
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise BadSpec(f"malformed matrix object: 'c16' is not base64: {exc}") from exc
+    if type(n) is not int or n < 0:
+        raise BadSpec(f"malformed matrix object: 'n' must be an integer >= 0, got {n!r}")
+    if len(raw) != 16 * n * n:
+        raise BadSpec(f"malformed matrix object: 'c16' holds {len(raw)} bytes, "
+                      f"an n={n} matrix takes {16 * n * n}")
+    return np.frombuffer(raw, dtype="<c16").reshape(n, n)
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

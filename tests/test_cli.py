@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import multiprocessing
@@ -6,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
+from decimal_form import as_decimal
 from normetry import checks, cli, falsify, serialize
 from normetry.errors import ConvergenceFailure, DomainError
-from normetry.rand import derive_stream
+from normetry.rand import GenSpec, derive_stream, generate
 
 
 def run(argv):
@@ -118,8 +120,8 @@ def test_gen_deterministic(tmp_path):
     assert run(["gen", "--kind", "psd", "--dim", "3", "--seed", "9",
                 "--out", str(b)]) == cli.EXIT_OK
     assert a.read_text() == b.read_text()
-    payload = json.loads(a.read_text())
-    assert payload["n"] == 3 and len(payload["re"]) == 9
+    m = serialize.mat_from_json(json.loads(a.read_text()))
+    assert m.tobytes() == generate(GenSpec(kind="psd", n=3, seed=9)).tobytes()
 
 
 def test_gen_unknown_kind():
@@ -173,13 +175,16 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
     no_such_mutation["case"]["mutation"] = "nosuch"
     n = cert["case"]["n"]
     mixed_sizes = json.loads(json.dumps(cert))
-    mixed_sizes["case"]["matrices"]["b"] = {
-        "n": n + 1, "re": [0.0] * (n + 1) ** 2, "im": [0.0] * (n + 1) ** 2
-    }
+    mixed_sizes["case"]["matrices"]["b"] = serialize.mat_to_json(np.zeros((n + 1, n + 1)))
     empty = json.loads(json.dumps(cert))
     empty["case"]["n"] = 0
     for name in empty["case"]["matrices"]:
-        empty["case"]["matrices"][name] = {"n": 0, "re": [], "im": []}
+        empty["case"]["matrices"][name] = serialize.mat_to_json(np.zeros((0, 0)))
+    short_b, non_base64_b, float_n_b = (json.loads(json.dumps(cert)) for _ in range(3))
+    short_b["case"]["matrices"]["b"]["c16"] = base64.b64encode(bytes(16 * n * n - 16)).decode()
+    non_base64_b["case"]["matrices"]["b"]["c16"] = "*" + cert["case"]["matrices"]["b"]["c16"][1:]
+    float_n_b["case"]["matrices"]["b"]["n"] = n + 0.5
+    decimal = as_decimal(json.loads(json.dumps(cert)))
     bad_scalars = []
     for check_id, name, values in (("eigen-sum", "j", [1.0, "1", None, True]),
                                    ("ineq5", "m", ["x", 2.5])):
@@ -189,12 +194,22 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
             bad = json.loads(json.dumps(good))
             bad["case"]["scalars"][name] = value
             bad_scalars.append(bad)
-    for i, bad in enumerate([{"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation,
-                             mixed_sizes, empty, *bad_scalars]):
+    named = [  # each of these names what is wrong
+        (mixed_sizes, f"matrix sizes {{'a': {n}, 'b': {n + 1}}} do not match n={n}"),
+        (empty, "do not match n=0"),
+        (short_b, f"'c16' holds {16 * n * n - 16} bytes, an n={n} matrix takes {16 * n * n}"),
+        (non_base64_b, "'c16' is not base64"),
+        (float_n_b, f"'n' must be an integer >= 0, got {n + 0.5}"),
+        (decimal, "malformed matrix object: missing field 'c16'"),
+    ]
+    for i, (bad, message) in enumerate(
+            [(bad, "") for bad in ({"margin": 0.1}, no_b, [1, 2], list_id, no_such_mutation,
+                                   *bad_scalars)] + named):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         assert run(["replay", str(path)]) == cli.EXIT_USAGE
-        assert "cannot parse certificate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot parse certificate" in err and message in err
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -569,8 +584,9 @@ def test_replay_detects_an_operand_moved_by_one_ulp(tmp_path, capsys):
     assert run(["replay", str(path)]) == cli.EXIT_OK
     assert capsys.readouterr().out.split()[-1] == "match"
     cert = json.loads(path.read_text())
-    entries = cert["case"]["matrices"]["a"]["re"]
-    entries[0] = math.nextafter(entries[0], math.inf)
+    a = serialize.mat_from_json(cert["case"]["matrices"]["a"]).copy()
+    a.real[0, 0] = math.nextafter(a.real[0, 0], math.inf)
+    cert["case"]["matrices"]["a"] = serialize.mat_to_json(a)
     path.write_text(json.dumps(cert))
     assert run(["replay", str(path)]) == cli.EXIT_VIOLATION
     line = capsys.readouterr().out

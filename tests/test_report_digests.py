@@ -5,6 +5,9 @@ grouped cases by operand names and ran the witness table, on numpy 2.4.6
 with its bundled OpenBLAS 0.3.31.188.0 (SkylakeX kernels), with one and
 with two OpenBLAS threads alike.  LAPACK bits depend on the BLAS build and
 on the kernels it picks for the CPU, so on any other build the test skips.
+The falsify digest was taken when certificates stored each matrix as
+per-entry decimal floats; the test maps each stored matrix back to that
+form before hashing (``as_decimal``).
 """
 
 import ctypes
@@ -16,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from decimal_form import as_decimal
 from normetry import cli
 
 PINNED_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
@@ -62,6 +66,13 @@ def test_verify_report_with_verdict_rows_keeps_its_bytes(tmp_path):
     assert digest(report) == VERIFY_DIGEST
 
 
+def decimal_file_bytes(path) -> bytes:
+    """A certificate file's bytes as the decimal form wrote them: one line
+    of JSON with sorted keys."""
+    return (json.dumps(as_decimal(json.loads(path.read_text())), sort_keys=True)
+            + "\n").encode()
+
+
 def test_falsify_report_and_certificates_keep_their_bytes(tmp_path):
     out, certs = tmp_path / "report.json", tmp_path / "certs"
     code = cli.main(["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
@@ -71,6 +82,7 @@ def test_falsify_report_and_certificates_keep_their_bytes(tmp_path):
     report = json.loads(out.read_text())
     report["header"].pop("timestamp")
     report["campaign"].pop("wall_time")
+    report["campaign"]["violations"] = [as_decimal(c) for c in report["campaign"]["violations"]]
     files = sorted(certs.iterdir(), key=lambda p: int(p.stem.rsplit("-", 1)[1]))
     assert len(files) == 50
-    assert digest(report, *(p.read_bytes() for p in files)) == FALSIFY_DIGEST
+    assert digest(report, *(decimal_file_bytes(p) for p in files)) == FALSIFY_DIGEST

@@ -1,6 +1,15 @@
+import base64
+import json
+import math
+import re
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normetry import serialize
+from normetry.errors import BadSpec
 
 
 def signed_zeros():
@@ -23,18 +32,51 @@ def test_mat_roundtrip_bit_exact_on_random_entries():
     assert back.tobytes() == m.tobytes()
 
 
-def test_mat_to_json_matches_per_entry_floats():
-    """``tolist`` gives the same Python floats as converting entry by entry,
-    signed zeros and subnormals included."""
-    tiny = np.nextafter(0.0, 1.0)
-    m = signed_zeros()
-    m[1, 0] = complex(tiny, -5e-324)
-    d = serialize.mat_to_json(m)
-    a = np.asarray(m, dtype=complex)
-    for key, part in (("re", a.real), ("im", a.imag)):
-        reference = [float(v) for v in part.ravel()]
-        assert all(type(v) is float for v in d[key])
-        assert [v.hex() for v in d[key]] == [v.hex() for v in reference]
+# signed zeros, the extreme subnormals, infinities, a quiet NaN and NaNs
+# with payloads, as float64 bit patterns
+SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+                0x800FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x7FF8000000000000, 0x7FF0000000000001, 0xFFFDEADBEEF00000]
+float_bits = st.one_of(
+    st.sampled_from(SPECIAL_BITS),
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF),  # positive NaNs
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(float_bits, min_size=2 * n * n, max_size=2 * n * n)))
+def test_mat_roundtrip_through_json_text_keeps_every_bit_pattern(words):
+    """Any complex128 entries survive standard JSON text bit for bit, and
+    the stored bytes are the ones the fingerprint hashes."""
+    n = math.isqrt(len(words) // 2)
+    m = np.array(words, dtype="<u8").view("<c16").reshape(n, n)
+    d = json.loads(json.dumps(serialize.mat_to_json(m), allow_nan=False))
+    back = serialize.mat_from_json(d)
+    assert back.shape == (n, n)
+    assert back.tobytes() == m.tobytes()
+    assert base64.b64decode(d["c16"]) == np.ascontiguousarray(m, dtype="<c16").tobytes()
+    assert serialize.fingerprint({}, {"m": back}) == serialize.fingerprint({}, {"m": m})
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"n": 2, "c16": base64.b64encode(bytes(48)).decode()}, "holds 48 bytes, an n=2"),
+    ({"n": 1, "c16": "AAAA*AAAAAAAAAAAAAAAAAAA"}, "'c16' is not base64"),
+    ({"n": 1, "c16": "é"}, "'c16' is not base64"),
+    ({"n": 1, "c16": 5}, "bytes-like object or ASCII string"),
+    ({"n": 1.0, "c16": base64.b64encode(bytes(16)).decode()}, "'n' must be an integer"),
+    ({"n": True, "c16": base64.b64encode(bytes(16)).decode()}, "'n' must be an integer"),
+    ({"n": -1, "c16": base64.b64encode(bytes(16)).decode()}, "'n' must be an integer"),
+    ({"n": 1, "re": [0.0], "im": [0.0]}, "missing field 'c16'"),
+    ({"c16": ""}, "missing field 'n'"),
+    ([0.0], "malformed matrix object"),
+    # refused by its byte count, before a 16 TB matrix is allocated
+    ({"n": 10**6, "c16": base64.b64encode(bytes(16)).decode()}, "holds 16 bytes"),
+])
+def test_malformed_matrix_objects_are_bad_specs(d, message):
+    with pytest.raises(BadSpec, match=re.escape(message)):
+        serialize.mat_from_json(d)
 
 
 def test_fingerprint_is_16_hex_and_ignores_matrix_order_and_dtype():

@@ -409,9 +409,10 @@ def test_a_failure_in_the_last_flush_reruns_no_earlier_flush(monkeypatch):
 
 def test_a_failing_flush_books_none_of_the_cases_it_reruns(monkeypatch):
     """Only the stacks that passed reach ``run_case``, once per case; the
-    cases rerun one at a time to name the failure make no such call.
-    prop3.4's n = 3 stack (trials 1, 4, 7, 10) raises after three stacks
-    have passed, and the rerun runs seven cases alone, up to trial 7's."""
+    cases rerun to name the failure make no such call.  prop3.4's n = 3
+    stack (trials 1, 4, 7, 10) raises after three stacks have passed; the
+    two stacks not yet run then run as stacks and pass, and only the
+    failing stack's cases rerun alone, up to trial 7's."""
     plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 7).matrices["a"]])
     runs, raised = spy_runs(monkeypatch)
     booked = []  # (check id, trial seed) of each run_case call, and the raises before it
@@ -429,7 +430,7 @@ def test_a_failing_flush_books_none_of_the_cases_it_reruns(monkeypatch):
     assert raised == [("prop3.4", 4), ("prop3.4", 1)]
     assert [before for _, before in booked] == [0] * 12
     assert len({case for case, _ in booked}) == 12
-    assert sum(runs.values()) == 4 * 4 + 7
+    assert sum(runs.values()) == 4 * 4 + 2 * 4 + 3
 
 
 def test_an_earlier_trial_of_a_later_stack_is_named_first(monkeypatch):
@@ -464,10 +465,42 @@ def test_an_earlier_failing_run_comes_before_a_later_failing_generation(monkeypa
     assert set(runs.values()) == {1}
 
 
+def test_a_failing_flush_reruns_alone_only_the_cases_of_the_stacks_that_raise(monkeypatch):
+    """prop3.4 fails at trial 999 of a 16-check, 1,000-trial campaign: the
+    flush that raised makes at most one stacked call per stack it holds
+    and one call per case of the failing stack.  (Rerunning every case
+    left in the flush one at a time took 5,912 calls.)"""
+    dims, seed = range(1, 9), 7
+    plant_failure(monkeypatch, "prop3.4",
+                  [trial_case("prop3.4", 999, dims, seed).matrices["a"]])
+    calls, flushes = [], []  # per flush: (its stacks, the failing stack's cases, calls before)
+    real_stack, real_pending = falsify.run_stack, falsify._run_pending
+
+    def spy_stack(cases, **kwargs):
+        calls.append(len(cases))
+        return real_stack(cases, **kwargs)
+
+    def spy_pending(pending, *args):
+        failing = [stack for stack in pending.values()
+                   if any(i == 999 and case.check_id == "prop3.4" for i, case in stack)]
+        flushes.append((len(pending), sum(map(len, failing)), len(calls)))
+        return real_pending(pending, *args)
+
+    monkeypatch.setattr(falsify, "run_stack", spy_stack)
+    monkeypatch.setattr(falsify, "_run_pending", spy_pending)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(checks.CHECK_IDS, trials=1000, dims=dims, root_seed=seed)
+    assert str(err.value) == failure_message("prop3.4", 999, dims, seed)
+    stacks, failing_cases, before = flushes[-1]
+    assert failing_cases > 1
+    assert len(calls) - before <= stacks + failing_cases
+
+
 def test_a_stack_error_no_case_raises_alone_is_raised_unchanged(monkeypatch):
     """Guards decide each matrix as alone, so a stack that fails has a case
     that fails alone; where none does, the stack's own error is raised
-    as it was, not swallowed."""
+    as it was, not swallowed.  The n = 3 stack, run as a stack to find
+    the failing case, raises too."""
     real = checks.check_prop_3_4
 
     def fails_in_stacks(a, b, **kw):
@@ -479,7 +512,7 @@ def test_a_stack_error_no_case_raises_alone_is_raised_unchanged(monkeypatch):
     _, raised = spy_runs(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="^stacked failure$"):
         falsify.run_campaigns(["prop3.4"], trials=6, dims=(2, 3), root_seed=31)
-    assert raised == [("prop3.4", 3)]
+    assert raised == [("prop3.4", 3), ("prop3.4", 3)]
 
 
 @pytest.mark.parametrize("run_failure", [5, None])
