@@ -4,17 +4,18 @@ Each checker builds the two sides of its statement and delegates to the
 Fan-dominance verdict, a Loewner-order comparison, or a direct scalar
 comparison on the norm grid.  Its ``@_check`` decorator declares the check
 once, as a ``CheckSpec`` in ``SPECS``: id, scalar-function class, operand
-kinds and scalar draw.  The checker enforces the hypotheses that
-declaration states (the function's class tag; pd, contraction, expansive
-and normal operands) unless the falsifier, probing a broken hypothesis,
-switches them off.
+kinds, scalar draw, witnesses and the mutations that break its
+hypotheses.  The checker enforces the hypotheses that declaration states
+(the function's class tag; pd, contraction, expansive and normal
+operands) unless the falsifier, probing a broken hypothesis, switches
+them off.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,12 +37,14 @@ PREDICATE_TOL = 1e-8  # slack for hypothesis predicates on generated inputs
 
 # The operand kinds that are hypotheses: the linalg predicate testing each
 # matrix (by name, so a wrapper set on it sees the call), its tolerance, the
-# error a failing operand raises and what that operand is not.
+# error a failing operand raises, what that operand is not, and the mutation
+# that drops the hypothesis with the kind it generates in its place.
 _HYPOTHESES = {
-    "pd": ("is_pd", 1e-12, NotPositiveDefinite, "positive definite"),
-    "contraction": ("is_contraction", PREDICATE_TOL, NotAContraction, "a contraction"),
-    "expansive": ("is_expansive", PREDICATE_TOL, NotExpansive, "expansive"),
-    "normal": ("is_normal", PREDICATE_TOL, NotNormal, "normal"),
+    "pd": ("is_pd", 1e-12, NotPositiveDefinite, "positive definite", None),
+    "contraction": ("is_contraction", PREDICATE_TOL, NotAContraction, "a contraction", None),
+    "expansive": ("is_expansive", PREDICATE_TOL, NotExpansive, "expansive",
+                  ("drop-expansive", "contraction")),
+    "normal": ("is_normal", PREDICATE_TOL, NotNormal, "normal", ("drop-normality", "general")),
 }
 
 
@@ -80,6 +83,44 @@ class Pick:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A fixed instance of a check with a known outcome: an exact equality
+    (its |min margin| must be within tolerance) or a strict pass, or a
+    case that the mutation it is declared with violates.  Its operands are
+    named as one operand list of the check, in slot order."""
+
+    description: str
+    equality: bool  # min margin must be ~0, not merely >= -tol
+    operands: dict  # name -> matrix
+    fn: dict | None = None  # scalar-function descriptor
+    scalars: dict = field(default_factory=dict)
+    tol: float = DEFAULT_TOL
+    check_id: str = ""  # set by the @_check that declares it
+
+    def run(self) -> Verdict:
+        """The witness's verdict, from one checker call of its own."""
+        fn = None if self.fn is None else scalarfn.from_descriptor(self.fn)
+        return SPECS[self.check_id].run(
+            fn, self.operands, self.scalars, tol=self.tol, enforce=True)
+
+
+@dataclass(frozen=True)
+class Mutation:
+    """How a mutation breaks one hypothesis of a check: it draws the scalar
+    function with ``fn(rng)``, from outside the check's class, or generates
+    operand kind ``swap[0]`` as ``swap[1]``.  It must violate the check
+    exactly where it has a ``witness`` it violates; else it is exploratory."""
+
+    fn: Callable | None = None
+    swap: tuple = (None, None)
+    witness: Witness | None = None
+
+    @property
+    def expectation(self) -> str:
+        return "exploratory" if self.witness is None else "must-violate"
+
+
+@dataclass(frozen=True)
 class CheckSpec:
     """How the falsifier samples and runs one checker.
 
@@ -88,7 +129,9 @@ class CheckSpec:
     ``operands`` is a ``Pick`` rather than a list of (name, generator kind)
     in slot order; then ``scalars(rng, n)``.  ``run(f, matrices, scalars,
     tol=, enforce=)`` calls the checker by its module-global name, so a
-    wrapper set on that name sees the call.
+    wrapper set on that name sees the call.  ``witnesses`` are the check's
+    rows of the verify report, and ``mutations`` ({name: Mutation}) the
+    mutations that apply to it.
     """
 
     check_id: str
@@ -96,6 +139,8 @@ class CheckSpec:
     operands: tuple | Callable
     run: Callable[..., Verdict]
     scalars: Callable[..., dict]
+    witnesses: tuple
+    mutations: dict
 
     def _lists(self) -> tuple:
         return self.operands.choices if isinstance(self.operands, Pick) else (self.operands,)
@@ -126,7 +171,7 @@ def _enforce(fn_class: str | None, guards: list, args: list) -> None:
         for fn in _fns(args[0], 1):
             if fn_class not in fn.tags:
                 raise ShapeValidationFailed(f"{fn.kind} lacks required class {fn_class}")
-    for (test, tol, error, what), at, names in guards:
+    for (test, tol, error, what, _), at, names in guards:
         ok = linalg.joined(getattr(linalg, test), *[args[i] for i in at], tol=tol)
         for name, ok_name in zip(names, _split(ok, len(at))):
             if not ok_name.all():
@@ -134,8 +179,10 @@ def _enforce(fn_class: str | None, guards: list, args: list) -> None:
 
 
 def _check(check_id: str, fn_class: str | None, operands,
-           scalars=lambda rng, n: {}, args_of=None):
-    """Declare the checker below as check ``check_id``, in ``SPECS``.
+           scalars=lambda rng, n: {}, args_of=None, *, witnesses, mutations=None):
+    """Declare the checker below as check ``check_id``, in ``SPECS``, with
+    its ``witnesses`` and the ``mutations`` particular to it; each mutation
+    that drops a hypothesis the check declares adds its operand swap.
 
     The checker's body takes (T, n, n) stacks and returns one result per
     matrix.  Its parameters named as operands (or ``operands``, a list of
@@ -157,7 +204,9 @@ def _check(check_id: str, fn_class: str | None, operands,
                 args = args_of(f, m, s)
             return globals()[body.__name__](*args, **kw)
 
-        spec = SPECS[check_id] = CheckSpec(check_id, fn_class, operands, run, scalars)
+        own = functools.partial(replace, check_id=check_id)
+        spec = SPECS[check_id] = CheckSpec(check_id, fn_class, operands, run, scalars,
+                                           tuple(map(own, witnesses)), {})
         operand_names = {name for ops in spec._lists() for name, _ in ops}
         positions = [i for i, p in enumerate(params)
                      if p in operand_names or p == "operands"]
@@ -166,6 +215,13 @@ def _check(check_id: str, fn_class: str | None, operands,
             by_kind.setdefault(kind, []).append(operand)
         guards = [(_HYPOTHESES[kind], [params.index(p) for p in named], named)
                   for kind, named in by_kind.items()]
+        for kind in by_kind:
+            if _HYPOTHESES[kind][4]:  # a mutation drops this hypothesis
+                name, weaker = _HYPOTHESES[kind][4]
+                spec.mutations[name] = Mutation(swap=(kind, weaker))
+        for name, m in (mutations or {}).items():
+            spec.mutations[name] = replace(spec.mutations.get(name, m), fn=m.fn,
+                                           witness=m.witness and own(m.witness))
 
         @functools.wraps(body)
         def checker(*args, enforce=True, **kwargs):
@@ -184,6 +240,24 @@ def _check(check_id: str, fn_class: str | None, operands,
             return out[0] if single else out
         return checker
     return wrap
+
+
+# Operands and scalar functions of the witnesses below
+_I2 = np.eye(2, dtype=complex)
+_Z2 = np.zeros((2, 2), dtype=complex)
+_D10 = np.diag([1.0, 0.0]).astype(complex)
+_D01 = np.diag([0.0, 1.0]).astype(complex)
+_PSD_A = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+_PSD_B = np.array([[3.0, -1.0], [-1.0, 1.0]], dtype=complex)
+_HERM = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+_GEN = np.array([[1.0, 2.0 + 1.0j], [0.5j, -1.0]], dtype=complex)
+_UNITARY = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+_CONTRACTION = np.diag([0.6, 0.3]).astype(complex)
+_ONES = {name: np.ones((1, 1), dtype=complex) for name in "abcd"}
+_SQRT = {"kind": "sqrt"}
+_IDENTITY = {"kind": "power", "s": 1.0}
+_SQUARE = {"kind": "power-m", "m": 2}
+_JK0 = {"j": 0, "k": 0}
 
 
 def _coin(rng, fn) -> int:
@@ -251,7 +325,14 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
 
 @_check("thm1.1", scalarfn.CONCAVE_NONNEG,
         Pick((_ops("psd", ("a0", "a1")), _ops("psd", ("a0", "a1", "a2"))), _coin),
-        args_of=lambda f, m, s: (f, [m[k] for k in sorted(m)]))
+        args_of=lambda f, m, s: (f, [m[k] for k in sorted(m)]),
+        witnesses=(Witness("sqrt on complementary projections (equality)", True,
+                           {"a0": _D10, "a1": _D01}, _SQRT),
+                   Witness("sqrt on A=B=I", False, {"a0": _I2, "a1": _I2}, _SQRT)),
+        mutations={"swap-function-class": Mutation(
+            fn=lambda rng: dict(_SQUARE),
+            witness=Witness("||(2I)^2|| = 4 > ||I^2 + I^2|| = 2", False,
+                            {"a0": _I2, "a1": _I2}, _SQUARE))})
 def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
     """||f(sum A_i)|| <= ||sum f(A_i)|| for concave f >= 0 and PSD A_i."""
     if len(operands) < 2:
@@ -263,14 +344,26 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
     return norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
 
 
-@_check("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"))
+@_check("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
+        witnesses=(Witness("t^2 on complementary projections (equality)", True,
+                           {"a": _D10, "b": _D01}, _SQUARE),
+                   Witness("t^2 on A=B=I", False, {"a": _I2, "b": _I2}, _SQUARE)),
+        mutations={"drop-vanishing": Mutation(
+            fn=lambda rng: {"kind": "power-m-plus", "m": 2,
+                            "c": float(rng.uniform(0.5, 2.0))},
+            witness=Witness("g = t^2 + 1 at A = B = 0: ||g(0) + g(0)|| = 2 > ||g(0)|| = 1",
+                            False, {"a": _Z2, "b": _Z2},
+                            {"kind": "power-m-plus", "m": 2, "c": 1.0}))})
 def check_thm_1_2(g, a, b, tol=DEFAULT_TOL):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
     ga, gb, gs = _spectral_apply(g, a, b, linalg.derived(np.add, a, b))
     return norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
 
 
-@_check("davis-hansen", scalarfn.OPERATOR_CONCAVE, (("a", "psd"), ("z", "contraction")))
+@_check("davis-hansen", scalarfn.OPERATOR_CONCAVE, (("a", "psd"), ("z", "contraction")),
+        witnesses=(Witness("Z=I (equality)", True, {"a": _PSD_A, "z": _I2}, _SQRT),
+                   Witness("f=t with a strict contraction (equality)", True,
+                           {"a": _PSD_A, "z": _CONTRACTION}, _IDENTITY)))
 def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     """Z* f(A) Z <= f(Z* A Z) for operator concave f, f(0) >= 0, ||Z|| <= 1.
 
@@ -282,7 +375,10 @@ def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
 
 
-@_check("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"))
+@_check("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"),
+        witnesses=(Witness("sqrt on A=B=I", False, {"a": _I2, "b": _I2}, _SQRT),
+                   Witness("f=t makes both sides A+B (equality)", True,
+                           {"a": _PSD_A, "b": _PSD_B + 2 * _I2}, _IDENTITY)))
 def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
     """A^(1/2) phi(A+B) A^(1/2) + B^(1/2) phi(A+B) B^(1/2) <= f(A) + f(B)
 
@@ -304,7 +400,12 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
 
 
 @_check("prop2.1", scalarfn.DECREASING_TG_INCREASING,
-        Pick((_ops("psd"), _ops("pd")), lambda rng, fn: fn["kind"] == "inv-sqrt"))
+        Pick((_ops("psd"), _ops("pd")), lambda rng, fn: fn["kind"] == "inv-sqrt"),
+        witnesses=(Witness("1/sqrt(t) with A+B=4I (equality)", True,
+                           {"a": np.diag([3.0, 1.0]).astype(complex),
+                            "b": np.diag([1.0, 3.0]).astype(complex)}, {"kind": "inv-sqrt"}),
+                   Witness("constant g makes both sides A+B (equality)", True,
+                           {"a": _PSD_A, "b": _PSD_B}, {"kind": "constant", "c": 1.0})))
 def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     """||(A+B) g(A+B)|| <= ||A^(1/2) g(A+B) A^(1/2) + B^(1/2) g(A+B) B^(1/2)||
 
@@ -327,7 +428,13 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1")
 
 
-@_check("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")))
+@_check("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
+        witnesses=(Witness("Z=sqrt(2) I, A=I, f=sqrt", False,
+                           {"a": _I2, "z": np.sqrt(2.0) * _I2}, _SQRT),
+                   Witness("Z=I (equality)", True, {"a": _PSD_A, "z": _I2}, _SQRT)),
+        mutations={"drop-expansive": Mutation(witness=Witness(
+            "sqrt with A = I, Z = I/2: ||(Z*Z)^(1/2)|| = 1/2 > ||Z*Z|| = 1/4", False,
+            {"a": _I2, "z": 0.5 * _I2}, _SQRT))})
 def check_thm_2_4(f, a, z, tol=DEFAULT_TOL):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
     zh = z.conj().swapaxes(-1, -2)
@@ -354,7 +461,11 @@ def _eigen_indices(j, k, t: int, n: int):
 
 
 @_check("eigen-sum", scalarfn.CONCAVE_NONNEG,
-        Pick((_ops("general"), _ops("psd")), _coin), _draw_jk)
+        Pick((_ops("general"), _ops("psd")), _coin), _draw_jk,
+        witnesses=(Witness("f=t, j=k=0 is Weyl subadditivity", False,
+                           {"a": _PSD_A, "b": _PSD_B}, _IDENTITY, _JK0),
+                   Witness("sqrt on disjoint diagonals, j=k=0", False,
+                           {"a": 4 * _D10, "b": 4 * _D01}, _SQRT, _JK0)))
 def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(f(S)) <= lambda_{j+1}(f(A')) + lambda_{k+1}(f(B')).
 
@@ -385,7 +496,12 @@ def _grid_rhs(s: np.ndarray):
 
 
 @_check("cs-lemma", None,
-        _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")))
+        _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")),
+        witnesses=(Witness("single identity term (equality)", True,
+                           {"a1": _I2, "a2": _Z2, "b1": _I2, "b2": _Z2, "c1": _I2, "c2": _I2}),
+                   Witness("A_i=B_i with identity contractions (equality)", True,
+                           {"a1": _PSD_A, "a2": _PSD_B, "b1": _PSD_A, "b2": _PSD_B,
+                            "c1": _I2, "c2": _I2})))
 def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
@@ -396,7 +512,9 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
     return norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
 
 
-@_check("ineq4", None, _ops("general"))
+@_check("ineq4", None, _ops("general"),
+        witnesses=(Witness("A=B=I (equality)", True, {"a": _I2, "b": _I2}),
+                   Witness("B=-A gives zero LHS", False, {"a": _GEN, "b": -_GEN})))
 def check_ineq_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
     if a.shape != b.shape:
@@ -421,7 +539,10 @@ def _abs4(a, b, c, d):
     return _split(linalg.joined(linalg.matrix_abs, a, b, c, d), 4)
 
 
-@_check("thm3.1", None, _ops("normal", "abcd"))
+@_check("thm3.1", None, _ops("normal", "abcd"),
+        witnesses=(Witness("scalar all-ones blocks", False, _ONES),
+                   Witness("B=C=0 reduces to the block-diagonal fact", False,
+                           {"a": _PSD_A, "b": _Z2, "c": _Z2, "d": _PSD_B})))
 def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
     block = linalg.derived(_block2, a, b, c, d)
@@ -449,7 +570,10 @@ def _abs_sum(a, b) -> np.ndarray:
     return abs_a + abs_b
 
 
-@_check("thm3.2", None, _ops("normal", "abcd"))
+@_check("thm3.2", None, _ops("normal", "abcd"),
+        witnesses=(Witness("scalar all-ones blocks (equality)", True, _ONES),
+                   Witness("B=C=D=0 (equality)", True,
+                           {"a": _HERM, "b": _Z2, "c": _Z2, "d": _Z2})))
 def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
@@ -461,7 +585,11 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
-@_check("cor3.3", None, _ops("hermitian") + (("x", "general"),))
+@_check("cor3.3", None, _ops("hermitian") + (("x", "general"),),
+        witnesses=(Witness("A=B=0 reaches the top singular value (equality)", True,
+                           {"a": _Z2, "b": _Z2, "x": _GEN}),
+                   Witness("X=0 (equality)", True,
+                           {"a": _HERM, "b": _PSD_A - 2 * _I2, "x": _Z2})))
 def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
@@ -483,14 +611,22 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     return norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 
-@_check("prop3.4", None, _ops("normal"))
+@_check("prop3.4", None, _ops("normal"),
+        witnesses=(Witness("A=I, B=-I gives zero LHS", False, {"a": _I2, "b": -_I2}),
+                   Witness("A=B unitary (equality at every Ky Fan k)", True,
+                           {"a": _UNITARY, "b": _UNITARY})))
 def check_prop_3_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
     return norms.dominance_verdict(
         a + b, linalg.derived(_abs_sum, a, b), tol=tol, check_id="prop3.4")
 
 
-@_check("prop3.5", None, _ops("hermitian", "st"), _draw_jk)
+@_check("prop3.5", None, _ops("hermitian", "st"), _draw_jk,
+        witnesses=(Witness("S=T=diag(1,-1), j=k=0 (equality)", True,
+                           {"s": np.diag([1.0, -1.0]).astype(complex),
+                            "t": np.diag([1.0, -1.0]).astype(complex)}, scalars=_JK0),
+                   Witness("T=0, j=k=0 (equality)", True,
+                           {"s": _HERM, "t": _Z2}, scalars=_JK0)))
 def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     """lambda_{j+k+1}(|S+T|) <= (lambda_{j+1}(M) + lambda_{k+1}(M))/2
 
@@ -521,7 +657,12 @@ def _powers(m, t: int) -> list:
 
 
 @_check("ineq5", None, _ops("psd"), _draw_z_m,
-        args_of=lambda f, m, s: (m["a"], m["b"], _complex(s["z_re"], s["z_im"]), s["m"]))
+        args_of=lambda f, m, s: (m["a"], m["b"], _complex(s["z_re"], s["z_im"]), s["m"]),
+        witnesses=(Witness("real positive z (equality)", True, {"a": _PSD_A, "b": _PSD_B},
+                           scalars={"z_re": 0.7, "z_im": 0.0, "m": 2}),
+                   Witness("z=-1, m=1 on complementary projections (equality)", True,
+                           {"a": _D10, "b": _D01},
+                           scalars={"z_re": -1.0, "z_im": 0.0, "m": 1})))
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
     m = _powers(m, len(a))
@@ -537,7 +678,11 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
 
 
-@_check("identity6", None, _ops("psd"), lambda rng, n: {"m": int(rng.integers(1, 9))})
+@_check("identity6", None, _ops("psd"), lambda rng, n: {"m": int(rng.integers(1, 9))},
+        witnesses=(Witness("m=1 is exact", True, {"a": _PSD_A, "b": _PSD_B},
+                           scalars={"m": 1}, tol=1e-12),
+                   Witness("m=2 expands algebraically", True, {"a": _PSD_A, "b": _PSD_B},
+                           scalars={"m": 2}, tol=1e-12)))
 def identity_6_verdict(a, b, m, tol: float = 1e-10):
     """The relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
     w = exp(2*pi*i/m), as a Verdict with one record: the residual as LHS

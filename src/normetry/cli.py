@@ -105,9 +105,12 @@ def _write(text: str, path: str | None) -> None:
 
 def _check_writable(path: str | None) -> None:
     """Fail before any trial runs when the file ``path`` could not be
-    created: its parent must be a writable directory."""
+    created: it must not be a directory, and its parent must be a writable
+    directory."""
     if not path:
         return
+    if os.path.isdir(path):  # the message the write would give
+        raise BadSpec(f"cannot write {path}: Is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise BadSpec(f"cannot write {path}: {parent} is not a writable directory")

@@ -7,9 +7,10 @@ of trial i are drawn from one per-trial dict of operands, so an operand the
 checkers share is recorded once.  When the sampled cases run, their
 operands are generated first, the kinds of one seed from one first draw;
 then each checker's cases of one n and one operand list go through the
-checker in one (T, n, n) call.  Mutations deliberately break one
-hypothesis: the must-violate mutations ship with an analytic witness tried
-first, while drop-normality is exploratory and only records what it sees.
+checker in one (T, n, n) call.  A mutation deliberately breaks one
+hypothesis of the checks that declare it (``CheckSpec.mutations``): it
+must violate a check that declares an analytic witness for it, tried as
+trial 0, and elsewhere is exploratory and only records what it sees.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,42 +54,6 @@ class Case:
             return None
         return scalarfn.from_descriptor(self.fn_descriptor)
 
-
-_EYE2 = np.eye(2, dtype=complex)
-
-# Each mutation breaks one hypothesis of its targets: it draws the scalar
-# function from outside its class ("fn"), or generates one operand kind in
-# place of another ("swap": (kind, replacement)).  A must-violate mutation
-# has an analytic witness: (name, kind, matrix) operands and a function.
-MUTATIONS = {
-    "swap-function-class": {
-        "targets": ("thm1.1",), "expectation": "must-violate",
-        "fn": lambda rng: {"kind": "power-m", "m": 2},
-        # ||(2I)^2|| = 4 > ||I^2 + I^2|| = 2
-        "witness": ((("a0", "psd", _EYE2), ("a1", "psd", _EYE2)),
-                    {"kind": "power-m", "m": 2}),
-    },
-    "drop-vanishing": {
-        "targets": ("thm1.2",), "expectation": "must-violate",
-        "fn": lambda rng: {
-            "kind": "power-m-plus", "m": 2, "c": float(rng.uniform(0.5, 2.0))
-        },
-        # g = t^2 + 1 at A = B = 0: ||g(0) + g(0)|| = 2 > ||g(0)|| = 1
-        "witness": ((("a", "psd", 0 * _EYE2), ("b", "psd", 0 * _EYE2)),
-                    {"kind": "power-m-plus", "m": 2, "c": 1.0}),
-    },
-    "drop-expansive": {
-        "targets": ("thm2.4",), "expectation": "must-violate",
-        "swap": ("expansive", "contraction"),
-        # sqrt with A = I, Z = I/2: ||(Z*Z)^(1/2)|| = 1/2 > ||Z*Z|| = 1/4
-        "witness": ((("a", "psd", _EYE2), ("z", "contraction", 0.5 * _EYE2)),
-                    {"kind": "sqrt"}),
-    },
-    "drop-normality": {
-        "targets": ("thm3.1", "thm3.2", "prop3.4"), "expectation": "exploratory",
-        "swap": ("normal", "general"),
-    },
-}
 
 # Scalar-function draws per class tag: one option is picked uniformly from
 # the case's rng, then draws its own parameters.
@@ -127,15 +91,6 @@ FN_DRAWS = {
 }
 
 
-def mutation_expectation(mutation: str | None) -> str:
-    if mutation is None:
-        return "none"
-    try:
-        return MUTATIONS[mutation]["expectation"]
-    except KeyError as exc:
-        raise BadSpec(f"unknown mutation {mutation!r}") from exc
-
-
 def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None):
     """Operand ``slot`` of ``kind`` for the trial seeded ``seed``.  With
     ``shared`` (that trial's operands, keyed by (kind, slot)) it is not
@@ -152,13 +107,25 @@ def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None):
 def _spec(check_id: str, mutation: str | None = None) -> checks.CheckSpec:
     """The spec of ``check_id``; raises if the check or the mutation is
     unknown, or if the mutation does not apply to the check."""
-    if check_id not in checks.SPECS:
+    spec = checks.SPECS.get(check_id)
+    if spec is None:
         raise UnknownCheck(f"unknown check {check_id!r}; "
                            f"choose from {', '.join(checks.CHECK_IDS)}")
-    if mutation_expectation(mutation) != "none":
-        if check_id not in MUTATIONS[mutation]["targets"]:
-            raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
-    return checks.SPECS[check_id]
+    if mutation is not None and mutation not in spec.mutations:
+        if all(mutation not in other.mutations for other in checks.SPECS.values()):
+            raise BadSpec(f"unknown mutation {mutation!r}")
+        raise BadSpec(f"mutation {mutation!r} does not apply to {check_id}")
+    return spec
+
+
+_UNMUTATED = checks.Mutation()
+
+
+def _kinds(operands, mutation: checks.Mutation) -> dict:
+    """{name: kind} of an operand list of (name, kind), as ``mutation``
+    generates it."""
+    old, new = mutation.swap
+    return {name: new if kind == old else kind for name, kind in operands}
 
 
 def case_rng(seed: int, words: np.ndarray | None = None) -> np.random.Generator:
@@ -184,20 +151,18 @@ def sample_case(
     writable.  ``words`` are the seed's words for ``case_rng``, if taken.
     """
     spec = _spec(check_id, mutation)
-    change = MUTATIONS.get(mutation, {})
+    change = spec.mutations.get(mutation, _UNMUTATED)
     rng = case_rng(seed, words)
     fn_desc = None
-    if "fn" in change:
-        fn_desc = change["fn"](rng)
+    if change.fn is not None:
+        fn_desc = change.fn(rng)
     elif spec.fn_class is not None:
         draws = FN_DRAWS[spec.fn_class]
         fn_desc = draws[int(rng.integers(len(draws)))](rng)
     operands = spec.operands(rng, fn_desc) if callable(spec.operands) else spec.operands
-    old, new = change.get("swap", (None, None))
-    mats, kinds = {}, {}
-    for slot, (name, kind) in enumerate(operands):
-        kinds[name] = new if kind == old else kind
-        mats[name] = _gen(kinds[name], n, seed, slot, shared)
+    kinds = _kinds(operands, change)
+    mats = {name: _gen(kind, n, seed, slot, shared)
+            for slot, (name, kind) in enumerate(kinds.items())}
     return Case(
         check_id=check_id,
         n=n,
@@ -210,18 +175,19 @@ def sample_case(
     )
 
 
-def analytic_witness(check_id: str, mutation: str) -> Case:
-    """Known closed-form violation for each must-violate mutation."""
-    witness = MUTATIONS.get(mutation, {}).get("witness")
-    if witness is None or check_id not in MUTATIONS[mutation]["targets"]:
-        raise BadSpec(f"no analytic witness for {check_id} + {mutation}")
-    operands, fn = witness
+def witness_case(witness: checks.Witness, mutation: str | None = None) -> Case:
+    """A witness as a case of no seed: verify's witness rows, and trial 0
+    of a must-violate campaign.  Its operands are copies, of the kinds its
+    check's operand list of their names holds, as ``mutation`` generates
+    them."""
+    spec = checks.SPECS[witness.check_id]
+    names = list(witness.operands)
+    operands = next(ops for ops in spec._lists() if [name for name, _ in ops] == names)
     return Case(
-        check_id, 2, None,
-        {name: m.copy() for name, _, m in operands},
-        {name: kind for name, kind, _ in operands},
-        fn_descriptor=dict(fn),
-        mutation=mutation,
+        witness.check_id, len(next(iter(witness.operands.values()))), None,
+        {name: m.copy() for name, m in witness.operands.items()},
+        _kinds(operands, spec.mutations.get(mutation, _UNMUTATED)),
+        dict(witness.scalars), witness.fn and dict(witness.fn), mutation,
     )
 
 
@@ -420,7 +386,7 @@ def _named(exc: NormetryError, label: str, index: int, stage: int,
            check_id: str) -> NormetryError:
     """The same error, its message prefixed with the case that raised it,
     and that case as the error's ``case``: (index, stage, check id), where
-    a fixed case's index is negative, as it waits in the queue."""
+    a witness's index is negative, as it waits in the queue."""
     named = type(exc)(f"{label}: {exc}")
     named.case = index, stage, check_id
     return named
@@ -436,16 +402,6 @@ WORDS_BLOCK = 1024
 # Root seeds are the integers in [0, ROOT_SEEDS): ``derive_stream`` packs
 # one as a signed 64-bit integer and keeps its low 63 bits.
 ROOT_SEEDS = 2**63
-
-
-class FixedCase(NamedTuple):
-    """A case of fixed operands, such as a witness, that runs in a
-    campaign's first flush: ``label`` names it in an error, and its verdict
-    takes ``tol``."""
-
-    label: str
-    case: Case
-    tol: float
 
 
 def run_campaigns(
@@ -476,12 +432,12 @@ def run_campaigns(
     ``root_seed`` must be in [0, 2**63): trial seeds keep only its low 63
     bits.
     """
-    return run_with_fixed((), check_ids, mutation, trials, dims, root_seed, tol,
-                          keep_verdicts)[0]
+    return run_with_witnesses((), check_ids, mutation, trials, dims, root_seed, tol,
+                              keep_verdicts)[0]
 
 
-def run_with_fixed(
-    fixed,
+def run_with_witnesses(
+    witnesses,
     check_ids=(),
     mutation: str | None = None,
     trials: int = DEFAULT_TRIALS,
@@ -491,23 +447,23 @@ def run_with_fixed(
     keep_verdicts: bool = False,
 ) -> tuple[list[CampaignReport], list[Verdict]]:
     """``run_campaigns`` of ``check_ids`` (none: no campaign), with the
-    ``fixed`` cases (FixedCase) run in its first flush; returns the reports
-    and each fixed case's verdict.  Every report's ``wall_time`` is the
-    elapsed time of the whole run.
+    ``witnesses`` (``checks.Witness``) run in its first flush; returns the
+    reports and each witness's verdict.  Every report's ``wall_time`` is
+    the elapsed time of the whole run.
 
-    A fixed case waits in the first flush's queue like a trial's case,
-    ahead of every trial, and joins the stack of its group (``_group``),
-    with or without campaign cases.  A checker's ``tol`` only labels its
-    verdicts, so a fixed case's verdict, given its own tol, has the bits of
-    its own call.  It is booked to no campaign and makes no ``run_case``
-    call.  A failing fixed case comes before any failing trial: the first
-    one in ``fixed`` that fails raises, with its label at the start of its
-    message.
+    A witness waits in the first flush's queue as its case
+    (``witness_case``), like a trial's case but ahead of every trial, and
+    joins the stack of its group (``_group``), with or without campaign
+    cases.  A checker's ``tol`` only labels its verdicts, so a witness's
+    verdict, given the witness's own tol, has the bits of its own call.  It
+    is booked to no campaign and makes no ``run_case`` call.  A failing
+    witness comes before any failing trial: the first one in ``witnesses``
+    that fails raises, labelled ``witness <check> (<description>)`` at the
+    start of its message.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
         _spec(cid, mutation)
-    expectation = mutation_expectation(mutation)
     if check_ids and (not isinstance(trials, numbers.Integral) or trials < 1):
         raise BadSpec(f"trials must be an integer >= 1, got {trials!r}")
     dims = list(dims)
@@ -519,11 +475,15 @@ def run_with_fixed(
     if not isinstance(root_seed, numbers.Integral) or not 0 <= root_seed < ROOT_SEEDS:
         raise BadSpec(f"root seed must be an integer in [0, 2**63), got {root_seed!r}")
     dims = [int(d) for d in dims]
-    reports = {cid: CampaignReport(cid, mutation, expectation, trials, [], float("inf"), 0.0)
-               for cid in sorted(set(check_ids), key=checks.CHECK_IDS.index)}
+    reports = {}
+    for cid in sorted(set(check_ids), key=checks.CHECK_IDS.index):
+        change = checks.SPECS[cid].mutations.get(mutation)
+        expectation = "none" if change is None else change.expectation
+        reports[cid] = CampaignReport(cid, mutation, expectation, trials, [],
+                                      float("inf"), 0.0)
     start = time.perf_counter()
     verdicts = _campaigns(reports, mutation, trials if reports else 0, dims, root_seed,
-                          tol, keep_verdicts, list(fixed))
+                          tol, keep_verdicts, list(witnesses))
     wall_time = time.perf_counter() - start
     for report in reports.values():
         report.wall_time = wall_time
@@ -536,23 +496,26 @@ def _group(case: Case) -> tuple:
 
 
 def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
-               fixed) -> list:
+               witnesses) -> list:
     """Run the trials of each checker of ``reports`` (check id -> its
     report, in check order) and book them there; return the verdicts of
-    the ``fixed`` cases.  The pending cases run before a trial joins them
+    the ``witnesses``.  The pending cases run before a trial joins them
     whose recorded operands would take theirs past ``STACK_BYTES``, so a
-    flush of more than one trial holds at most that.  Fixed case j
-    waits as index j - len(fixed), so it sorts before every trial and runs
-    in the first flush.  A case that fails to sample raises once the cases
-    before it have run."""
-    fixed_verdicts = [None] * len(fixed)
-    witness = mutation_expectation(mutation) == "must-violate"
+    flush of more than one trial holds at most that.  Witness j waits as
+    index j - len(witnesses), so it sorts before every trial and runs in
+    the first flush.  Trial 0 of a check that the mutation must violate is
+    the witness the check declares for it.  A case that fails to sample
+    raises once the cases before it have run."""
+    witness_verdicts = [None] * len(witnesses)
     pending: dict = {}  # (check id, n, operand names, mutation) -> [(index, case)]
-    for j, row in enumerate(fixed):
-        pending.setdefault(_group(row.case), []).append((j - len(fixed), row.case))
+    for j, witness in enumerate(witnesses):
+        case = witness_case(witness)
+        pending.setdefault(_group(case), []).append((j - len(witnesses), case))
+    violating = {cid: checks.SPECS[cid].mutations.get(mutation, _UNMUTATED).witness
+                 for cid in reports}
     held = 0  # operand bytes the pending trials recorded
     flush = functools.partial(  # it empties pending
-        _run_pending, pending, tol, keep_verdicts, reports, fixed, fixed_verdicts)
+        _run_pending, pending, tol, keep_verdicts, reports, witnesses, witness_verdicts)
 
     for i in range(trials):
         if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
@@ -563,8 +526,8 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
         shared, trial = {}, []
         for cid in reports:
             try:
-                if i == 0 and witness:
-                    trial.append(analytic_witness(cid, mutation))
+                if i == 0 and violating[cid] is not None:
+                    trial.append(witness_case(violating[cid], mutation))
                 else:
                     trial.append(sample_case(cid, n, seed, mutation, shared,
                                              words[i % WORDS_BLOCK]))
@@ -581,7 +544,7 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
         del case, trial, shared  # only the pending cases hold the recorded operands now
     if pending:
         flush()
-    return fixed_verdicts
+    return witness_verdicts
 
 
 def _generate(specs: list) -> dict:
@@ -621,15 +584,16 @@ def _generate_recorded(sampled: list) -> None:
 
 
 def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
-                 fixed: list, fixed_verdicts: list) -> None:
+                 witnesses: list, witness_verdicts: list) -> None:
     """Generate the operands of the pending cases and run each stack of
-    them, in the order of their first cases, so the fixed cases' groups
+    them, in the order of their first cases, so the witnesses' groups
     run first.  Each operand stack is built once and marked by
     ``linalg.share``, so the checkers that take it decompose it once; it is
     dropped once no pending stack of cases takes it.  A stack of cases
-    leaves ``pending`` as soon as it has run.  Then its verdicts are booked: a fixed case's, with its own tol, at its
-    index of ``fixed_verdicts``; a trial's, in trial order, to its
-    checker's report.  A NormetryError names its case from the cases left
+    leaves ``pending`` as soon as it has run.  Then its verdicts are
+    booked: a witness's, with its own tol, at its index of
+    ``witness_verdicts``; a trial's, in trial order, to its checker's
+    report.  A NormetryError names its case from the cases left
     (``_raise_first_failure``)."""
     stacks: dict = {}  # operand stacks, by the ids of the matrices they hold
     done = []  # (trial, report, verdict, certificate or None)
@@ -645,7 +609,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
         while pending:
             group = next(iter(pending))  # in the order of their first cases
             stack = pending[group]
-            report = reports.get(group[0])  # None: fixed cases of no campaign
+            report = reports.get(group[0])  # None: witnesses of no campaign
             cases = [case for _, case in stack]
             names = keys.pop(group)
             for name, key in names.items():
@@ -660,15 +624,15 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
                     del stacks[key]
             for (i, case), verdict in zip(stack, verdicts):
                 if i < 0:
-                    verdict.tol = fixed[i].tol
-                    fixed_verdicts[i] = verdict
+                    verdict.tol = witnesses[i].tol
+                    witness_verdicts[i] = verdict
                     continue
                 # the benchmark's tracer counts trials by these calls
                 run_case(case, verdict=verdict, stamp=keep_verdicts)
                 done.append((i, report, verdict,
                              None if verdict.passed else make_certificate(case, verdict)))
     except NormetryError:
-        _raise_first_failure(pending, fixed, tol, group)
+        _raise_first_failure(pending, witnesses, tol, group)
         raise
     done.sort(key=lambda entry: entry[0])
     for _, report, verdict, certificate in done:
@@ -681,7 +645,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
             report.verdicts.append(verdict_row(verdict))
 
 
-def _raise_first_failure(pending: dict, fixed: list, tol: float,
+def _raise_first_failure(pending: dict, witnesses: list, tol: float,
                          failed: tuple | None) -> None:
     """Find the first failing case among the cases still ``pending`` in a
     flush that raised, and raise its error, with its label at the start of
@@ -690,7 +654,7 @@ def _raise_first_failure(pending: dict, fixed: list, tol: float,
     cases of the stacks that raised rerun one at a time; guards decide each
     matrix as alone, so a stack that passes has passed case by case.
     Otherwise (generation raised) every pending case reruns one at a time.
-    Cases rerun in (index, check) order: the fixed cases first, in their
+    Cases rerun in (index, check) order: the witnesses first, in their
     order, then each trial in order, which generates its recorded operands
     alone in record order and then runs its cases alone in check order.
     That is the campaign's first failing case.  Returns if none fails
@@ -708,8 +672,8 @@ def _raise_first_failure(pending: dict, fixed: list, tol: float,
                      key=lambda entry: (entry[0], checks.CHECK_IDS.index(entry[1].check_id)))
     try:
         for i, entry in itertools.groupby(entries, key=lambda entry: entry[0]):
-            named = [(fixed[i].label if i < 0 else
-                      _trial_label(case.check_id, i, case.n, case.seed), case)
+            named = [(_trial_label(case.check_id, i, case.n, case.seed) if i >= 0 else
+                      f"witness {case.check_id} ({witnesses[i].description})", case)
                      for _, case in entry]
             made = {}  # GenSpec -> its operand, generated alone
             for label, case in named:

@@ -12,7 +12,6 @@ import pytest
 
 from normetry import checks, cli, falsify, linalg, scalarfn
 from normetry.rand import GenSpec, derive_stream, generate
-from normetry.witnesses import WITNESSES
 
 from test_checks import brute_force_root_average
 
@@ -55,7 +54,8 @@ def test_criterion_1_theorem_suite(capsys):
 def test_criterion_2_equality_witnesses(capsys):
     """Every equality-tagged trivial witness reproduces |margin| <= 1e-9."""
     failures = []
-    for w in WITNESSES:
+    witnesses = [w for spec in checks.SPECS.values() for w in spec.witnesses]
+    for w in witnesses:
         verdict = w.run()
         if not verdict.passed:
             failures.append((w.check_id, w.description, "failed"))
@@ -70,7 +70,7 @@ def test_criterion_2_equality_witnesses(capsys):
         capsys,
         "criterion-2 equality witnesses",
         not failures,
-        f"{len(WITNESSES)} witnesses",
+        f"{len(witnesses)} witnesses",
     )
     assert not failures, failures
 

@@ -74,9 +74,16 @@ def test_falsify_mutation_produces_certificates(tmp_path):
     assert report["campaign"]["violations"]
 
 
-def test_falsify_mutation_mismatch():
-    code = run(["falsify", "--check", "ineq4", "--mutate", "drop-vanishing"])
-    assert code == cli.EXIT_USAGE
+def test_falsify_mutation_mismatch(capsys):
+    for check, mutation, message in (
+        ("ineq4", "drop-vanishing", "mutation 'drop-vanishing' does not apply to ineq4"),
+        ("thm2.4", "swap-function-class",
+         "mutation 'swap-function-class' does not apply to thm2.4"),
+        ("thm2.4", "nosuch", "unknown mutation 'nosuch'"),
+    ):
+        code = run(["falsify", "--check", check, "--mutate", mutation])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_replay_roundtrip(tmp_path, capsys):
@@ -448,11 +455,31 @@ def test_unwritable_output_fails_before_any_trial(tmp_path, monkeypatch, capsys,
     def no_trials(*args, **kwargs):
         raise AssertionError("a campaign ran")
 
-    monkeypatch.setattr(falsify, "run_campaigns", no_trials)
+    monkeypatch.setattr(falsify, "_campaigns", no_trials)  # verify's and falsify's
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     assert run([a.format(file=not_a_dir) for a in argv]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"usage error: cannot write {not_a_dir}/")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "2,3,4", "--trials", "300"],
+    ["falsify", "--check", "thm1.1", "--mutate", "swap-function-class", "--dims", "2,3",
+     "--trials", "300", "--cert-dir", "{dir}/certs"],
+])
+def test_an_output_that_is_a_directory_fails_before_any_trial(
+        tmp_path, monkeypatch, capsys, split_groups, argv):
+    """An --out naming a directory is the usage error its write would give,
+    raised before any campaign runs or any certificate is written."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    split_groups(False)
+    monkeypatch.setattr(falsify, "_campaigns", no_trials)
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--out", str(tmp_path)]
+    assert run(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: cannot write {tmp_path}: Is a directory\n"
+    assert not list(tmp_path.glob("certs/*.json"))
 
 
 def test_bad_seed_env_is_usage_error(monkeypatch, capsys):

@@ -3,15 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from normetry import checks, falsify, norms, rand, witnesses
+from normetry import checks, falsify, norms, rand
 from normetry.errors import BadSpec, MalformedCertificate, UnknownCheck
 
 
+def mutations() -> dict:
+    """{(check id, mutation): Mutation}, from every check's declaration."""
+    return {(cid, name): m for cid, spec in checks.SPECS.items()
+            for name, m in spec.mutations.items()}
+
+
+def test_the_mutations_are_derived_from_the_declarations():
+    """The checks a mutation applies to, and where it must violate: an fn
+    draw declared at thm1.1 and thm1.2, an operand swap from each check
+    that declares the hypothesis the mutation drops, must-violate exactly
+    where the check declares a witness for it."""
+    table = {key: (m.expectation, m.fn is not None, m.swap)
+             for key, m in mutations().items()}
+    assert table == {
+        ("thm1.1", "swap-function-class"): ("must-violate", True, (None, None)),
+        ("thm1.2", "drop-vanishing"): ("must-violate", True, (None, None)),
+        ("thm2.4", "drop-expansive"): ("must-violate", False, ("expansive", "contraction")),
+        ("thm3.1", "drop-normality"): ("exploratory", False, ("normal", "general")),
+        ("thm3.2", "drop-normality"): ("exploratory", False, ("normal", "general")),
+        ("prop3.4", "drop-normality"): ("exploratory", False, ("normal", "general")),
+    }
+    for (cid, name), m in mutations().items():
+        expectation = falsify.run_campaign(cid, mutation=name, trials=1, dims=[2]).expectation
+        assert expectation == m.expectation, (cid, name)
+
+
 def test_must_violate_mutations_within_100_trials():
-    for mutation, info in falsify.MUTATIONS.items():
-        if info["expectation"] != "must-violate":
-            continue
-        for cid in info["targets"]:
+    for (cid, mutation), m in mutations().items():
+        if m.expectation == "must-violate":
             report = falsify.run_campaign(cid, mutation=mutation, trials=100)
             assert report.violations, (cid, mutation)
 
@@ -22,8 +46,8 @@ def test_analytic_witnesses_violate():
         ("drop-vanishing", "thm1.2"),
         ("drop-expansive", "thm2.4"),
     ):
-        case = falsify.analytic_witness(cid, mutation)
-        verdict = falsify.run_case(case)
+        witness = checks.SPECS[cid].mutations[mutation].witness
+        verdict = falsify.run_case(falsify.witness_case(witness, mutation))
         assert not verdict.passed
 
 
@@ -76,8 +100,8 @@ def test_sample_case_rejects_unknown():
         falsify.sample_case("nosuch", 3, 0)
     with pytest.raises(BadSpec):
         falsify.sample_case("thm1.1", 3, 0, mutation="drop-vanishing")
-    with pytest.raises(BadSpec):
-        falsify.mutation_expectation("nosuch")
+    with pytest.raises(BadSpec, match="^unknown mutation 'nosuch'$"):
+        falsify.sample_case("thm1.1", 3, 0, mutation="nosuch")
 
 
 def test_campaign_requires_trials():
@@ -139,32 +163,31 @@ def test_identity6_honours_campaign_tol():
 
 
 def test_check_registry_is_consistent():
-    witnessed = {w.check_id for w in witnesses.WITNESSES}
     for cid, spec in checks.SPECS.items():
         assert spec.check_id == cid
-        assert cid in witnessed, cid
+        assert spec.witnesses, cid
+        assert all(w.check_id == cid for w in spec.witnesses), cid
         assert spec.fn_class is None or spec.fn_class in falsify.FN_DRAWS, cid
         for seed in (11, 13):  # both branches of every drawn operand list
             kinds = falsify.sample_case(cid, 3, seed).kinds
             assert set(kinds.values()) <= set(rand.KINDS), cid
-    for mutation, info in falsify.MUTATIONS.items():
-        for cid in info["targets"]:
-            assert cid in checks.SPECS, (mutation, cid)
-            plain = falsify.sample_case(cid, 3, 11)
-            mutated = falsify.sample_case(cid, 3, 11, mutation)
-            if "fn" in info:
-                # the drawn function falls outside the checker's class
-                fn_class = checks.SPECS[cid].fn_class
-                assert fn_class is not None, (mutation, cid)
-                assert fn_class not in mutated.fn().tags, (mutation, cid)
-            else:
-                old, new = info["swap"]
-                assert old in plain.kinds.values(), (mutation, cid)
-                assert old not in mutated.kinds.values(), (mutation, cid)
-                assert new in mutated.kinds.values(), (mutation, cid)
-            if info["expectation"] == "must-violate":
-                witness = falsify.analytic_witness(cid, mutation)
-                assert not falsify.run_case(witness).passed, (mutation, cid)
+    for (cid, mutation), m in mutations().items():
+        plain = falsify.sample_case(cid, 3, 11)
+        mutated = falsify.sample_case(cid, 3, 11, mutation)
+        if m.fn is not None:
+            # the drawn function falls outside the checker's class
+            fn_class = checks.SPECS[cid].fn_class
+            assert fn_class is not None, (mutation, cid)
+            assert fn_class not in mutated.fn().tags, (mutation, cid)
+        else:
+            old, new = m.swap
+            assert old in plain.kinds.values(), (mutation, cid)
+            assert old not in mutated.kinds.values(), (mutation, cid)
+            assert new in mutated.kinds.values(), (mutation, cid)
+        if m.witness is not None:
+            assert m.witness.check_id == cid, (mutation, cid)
+            case = falsify.witness_case(m.witness, mutation)
+            assert not falsify.run_case(case).passed, (mutation, cid)
 
 
 # What sample_case(check id, 5, seed, mutation) draws: the operand kinds in

@@ -66,6 +66,10 @@ def test_cases_of_both_kinds_share_a_stack(monkeypatch, cid, kinds):
     assert bits(grouped.min_margin) == bits(alone.min_margin)
 
 
+# every check's witnesses, in check order
+WITNESSES = [w for spec in checks.SPECS.values() for w in spec.witnesses]
+
+
 def single_call_rows(chosen, tol):
     return [witnesses.row(w, w.run(), tol) for w in chosen]
 
@@ -90,10 +94,10 @@ def test_witness_rows_from_the_flush_equal_single_call_rows(tol, dims):
     checker call, at its own tol, and the campaigns keep their reports."""
     rows, reports = witnesses.run(checks.CHECK_IDS, tol, trials=16, dims=dims,
                                   root_seed=7, keep_verdicts=True)
-    assert_same_rows(rows, single_call_rows(witnesses.WITNESSES, tol))
-    _, verdicts = falsify.run_with_fixed([w.fixed() for w in witnesses.WITNESSES],
-                                         checks.CHECK_IDS, trials=2, dims=dims, tol=tol)
-    for w, got in zip(witnesses.WITNESSES, verdicts):
+    assert_same_rows(rows, single_call_rows(WITNESSES, tol))
+    _, verdicts = falsify.run_with_witnesses(WITNESSES, checks.CHECK_IDS, trials=2,
+                                             dims=dims, tol=tol)
+    for w, got in zip(WITNESSES, verdicts):
         alone = w.run()
         assert (got.check_id, got.tol, got.fingerprint) == (alone.check_id, w.tol, "")
         assert record_bits(got) == record_bits(alone), w
@@ -125,7 +129,7 @@ def test_witnesses_join_the_campaign_stacks(monkeypatch, split_groups):
     assert all(any(case.seed is not None for case in cases) for cases in stacks)
     joined = [rows for rows in ([c for c in cases if c.seed is None] for cases in stacks)
               if rows]
-    assert len(joined) == 18 and sum(map(len, joined)) == len(witnesses.WITNESSES)
+    assert len(joined) == 18 and sum(map(len, joined)) == len(WITNESSES)
     stacks.clear()
     calls.clear()
     falsify.run_campaigns(checks.CHECK_IDS, **args)
@@ -135,7 +139,7 @@ def test_witnesses_join_the_campaign_stacks(monkeypatch, split_groups):
 def test_witness_scalars_match_their_checkers_draws():
     """A witness joins the stack of its checker's campaign cases, so its
     scalars have the names and types of that checker's draw."""
-    for w in witnesses.WITNESSES:
+    for w in WITNESSES:
         assert falsify._types(w.scalars) == falsify._scalar_types(w.check_id), w
 
 

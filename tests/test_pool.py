@@ -138,7 +138,8 @@ def test_campaign_cases_hold_read_only_operands(monkeypatch):
 
 def test_nothing_is_pooled_outside_a_campaign(monkeypatch):
     case = falsify.sample_case("thm3.1", 3, 17)
-    witness = falsify.analytic_witness("thm2.4", "drop-expansive")
+    witness = falsify.witness_case(
+        checks.SPECS["thm2.4"].mutations["drop-expansive"].witness, "drop-expansive")
     handed = []  # the stacks a lone run_stack call hands its checker
     spec = checks.SPECS["thm3.1"]
 

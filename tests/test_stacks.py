@@ -73,9 +73,7 @@ def stack_cases(cid, mutation=None, dims=(1, 2, 3, 5, 8), trials=10, seed=3):
 
 
 CHECK_MUTATIONS = [(cid, None) for cid in checks.CHECK_IDS] + [
-    (cid, mutation)
-    for mutation, spec in falsify.MUTATIONS.items()
-    for cid in spec["targets"]
+    (cid, mutation) for cid, spec in checks.SPECS.items() for mutation in spec.mutations
 ]
 
 
