@@ -6,8 +6,10 @@ Subcommands:
   replay   recompute a certificate's margin and compare
   gen      emit one sample matrix from a generator spec
 
-Exit codes: 0 success, 1 violation/mismatch, 2 usage or config error,
-3 numerical failure or a lost worker process.
+Exit codes: 0 success, 1 violation/mismatch, 2 usage or config error, or
+any other NormetryError that a case raised (an ``error:`` line, such as a
+DomainError or a NotNormal guard), 3 numerical failure or a lost worker
+process.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import checks, falsify, serialize
+from . import checks, falsify, serialize, workers
 from .errors import (
     BadSpec,
     ConvergenceFailure,
@@ -158,14 +160,19 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    from . import witnesses
-
     # only a JSON report holds verdict rows
     keep_verdicts = args.verdicts and args.format == "json"
-    witness_rows, reports = witnesses.run(
-        check_ids, args.tol, trials=args.trials, dims=dims, root_seed=args.seed,
-        keep_verdicts=keep_verdicts,
-    )
+    # the groups run in processes of their own where they may; the reports
+    # and a failure are those of one run of them all
+    run = functools.partial(
+        falsify.run_campaigns, trials=args.trials, dims=dims, root_seed=args.seed,
+        tol=args.tol, keep_verdicts=keep_verdicts, witnesses=True)
+    groups = checks.groups(check_ids) if workers.parallel() else [check_ids]
+    by_check = {report.check_id: report
+                for reports in workers.run_groups(run, groups) for report in reports}
+    reports = [by_check[cid] for cid in check_ids]
+    witness_rows = [row for cid in checks.CHECK_IDS if cid in by_check
+                    for row in by_check[cid].witnesses]
     all_pass = all(row["pass"] for row in witness_rows)
     campaigns = []
     for report in reports:
@@ -199,12 +206,12 @@ def cmd_falsify(args) -> int:
     mutation = args.mutate
     falsify._spec(args.check, mutation)  # a bad check or mutation creates no file
     _check_seed(args.seed, falsify.ROOT_SEEDS)
-    _check_writable(args.out)
-    if args.cert_dir:
+    if args.cert_dir:  # before --out is checked, which may name a file in it
         try:
             os.makedirs(args.cert_dir, exist_ok=True)
         except OSError as exc:
             raise BadSpec(f"cannot write {args.cert_dir}: {exc.strerror}") from None
+    _check_writable(args.out)
     config = {
         "command": "falsify",
         "check": args.check,
@@ -214,8 +221,8 @@ def cmd_falsify(args) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    report = falsify.run_campaign(
-        args.check, mutation=mutation, trials=args.trials, dims=dims,
+    [report] = falsify.run_campaigns(
+        [args.check], mutation=mutation, trials=args.trials, dims=dims,
         root_seed=args.seed, tol=args.tol,
     )
     certs = [_dumps(cert) for cert in report.violations]  # each encoded once

@@ -340,6 +340,20 @@ class CampaignReport:
     min_margin: float
     wall_time: float
     verdicts: list = field(default_factory=list)  # serialized verdict rows
+    witnesses: list = field(default_factory=list)  # rows of its witness table
+
+
+def witness_row(witness: checks.Witness, verdict: Verdict, tol: float) -> dict:
+    """A witness's row of the verify report: it passes when its verdict
+    does and, for an equality, its |min margin| is within ``tol``."""
+    return {
+        "check": witness.check_id,
+        "description": witness.description,
+        "equality": witness.equality,
+        "min_margin": verdict.min_margin,
+        "pass": verdict.passed and (
+            not witness.equality or abs(verdict.min_margin) <= tol),
+    }
 
 
 def verdict_row(verdict: Verdict) -> dict:
@@ -359,21 +373,6 @@ DEFAULT_TRIALS = 100
 DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
 
 
-def run_campaign(
-    check_id: str,
-    mutation: str | None = None,
-    trials: int = DEFAULT_TRIALS,
-    dims=DEFAULT_DIMS,
-    root_seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    keep_verdicts: bool = False,
-) -> CampaignReport:
-    """Run seeded trials for one checker; collect margins and violations."""
-    return run_campaigns(
-        [check_id], mutation, trials, dims, root_seed, tol, keep_verdicts
-    )[0]
-
-
 def _trial_label(cid: str, i: int, n: int, seed) -> str:
     return f"{cid} trial {i} (n={n}, seed={seed})"
 
@@ -385,10 +384,12 @@ SAMPLING, RUNNING = 0, 1
 def _named(exc: NormetryError, label: str, index: int, stage: int,
            check_id: str) -> NormetryError:
     """The same error, its message prefixed with the case that raised it,
-    and that case as the error's ``case``: (index, stage, check id), where
-    a witness's index is negative, as it waits in the queue."""
+    and that case's order as the error's ``case``: (index, stage, position
+    of the check in ``CHECK_IDS``), where a witness's index is negative, as
+    it waits in the queue.  The first failing case of several runs, as of
+    one run of them all, has the least ``case``."""
     named = type(exc)(f"{label}: {exc}")
-    named.case = index, stage, check_id
+    named.case = index, stage, checks.CHECK_IDS.index(check_id)
     return named
 
 
@@ -412,8 +413,10 @@ def run_campaigns(
     root_seed: int = 0,
     tol: float = DEFAULT_TOL,
     keep_verdicts: bool = False,
+    witnesses: bool = False,
 ) -> list[CampaignReport]:
     """Run seeded trials for several checkers; one report per check id.
+    Every report's ``wall_time`` is the elapsed time of the whole run.
 
     Trial i samples every checker's case from the same trial seed and one
     dict of shared operands, so the operands checkers share are recorded,
@@ -424,53 +427,34 @@ def run_campaigns(
     the operands were drawn from.  Reports and verdict rows are the same as
     one checker and one case at a time would give.  A case's fingerprint is
     taken only where it is written: in a violation's certificate, and in
-    its verdict row with ``keep_verdicts``.  A NormetryError raised by a
-    trial, in sampling, generating or running it, is re-raised with the
-    check id, trial index, n and trial seed of the campaign's first failing
-    case at the start of its message; a flush that raises finds that case
-    among the cases it has not yet passed (``_raise_first_failure``).
-    ``root_seed`` must be in [0, 2**63): trial seeds keep only its low 63
-    bits.
-    """
-    return run_with_witnesses((), check_ids, mutation, trials, dims, root_seed, tol,
-                              keep_verdicts)[0]
+    its verdict row with ``keep_verdicts``.
 
+    With ``witnesses``, each check's declared witnesses (``checks.Witness``)
+    wait in the first flush as their cases (``witness_case``), ahead of
+    every trial, and join the stacks of their groups (``_group``).  A
+    checker's ``tol`` only labels its verdicts, so a witness's verdict,
+    given the witness's own tol, has the bits of its own call; its row
+    (``witness_row``, at ``tol``) goes to its check's report, never to the
+    report's margin or violations, and it makes no ``run_case`` call.
 
-def run_with_witnesses(
-    witnesses,
-    check_ids=(),
-    mutation: str | None = None,
-    trials: int = DEFAULT_TRIALS,
-    dims=DEFAULT_DIMS,
-    root_seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    keep_verdicts: bool = False,
-) -> tuple[list[CampaignReport], list[Verdict]]:
-    """``run_campaigns`` of ``check_ids`` (none: no campaign), with the
-    ``witnesses`` (``checks.Witness``) run in its first flush; returns the
-    reports and each witness's verdict.  Every report's ``wall_time`` is
-    the elapsed time of the whole run.
-
-    A witness waits in the first flush's queue as its case
-    (``witness_case``), like a trial's case but ahead of every trial, and
-    joins the stack of its group (``_group``), with or without campaign
-    cases.  A checker's ``tol`` only labels its verdicts, so a witness's
-    verdict, given the witness's own tol, has the bits of its own call.  It
-    is booked to no campaign and makes no ``run_case`` call.  A failing
-    witness comes before any failing trial: the first one in ``witnesses``
-    that fails raises, labelled ``witness <check> (<description>)`` at the
-    start of its message.
+    A NormetryError raised by a case, in sampling, generating or running
+    it, is re-raised with the case at the start of its message: a failing
+    witness first, as ``witness <check> (<description>)``, in table order;
+    else the check id, trial index, n and trial seed of the first failing
+    trial.  A flush that raises finds that case among the cases it has not
+    yet passed (``_raise_first_failure``).  ``root_seed`` must be in
+    [0, 2**63): trial seeds keep only its low 63 bits.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
         _spec(cid, mutation)
-    if check_ids and (not isinstance(trials, numbers.Integral) or trials < 1):
+    if not isinstance(trials, numbers.Integral) or trials < 1:
         raise BadSpec(f"trials must be an integer >= 1, got {trials!r}")
     dims = list(dims)
-    if check_ids and (not dims or any(
+    if not dims or any(
         isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1
         for d in dims
-    )):
+    ):
         raise BadSpec(f"dims must be a non-empty list of integers >= 1, got {dims!r}")
     if not isinstance(root_seed, numbers.Integral) or not 0 <= root_seed < ROOT_SEEDS:
         raise BadSpec(f"root seed must be an integer in [0, 2**63), got {root_seed!r}")
@@ -482,12 +466,11 @@ def run_with_witnesses(
         reports[cid] = CampaignReport(cid, mutation, expectation, trials, [],
                                       float("inf"), 0.0)
     start = time.perf_counter()
-    verdicts = _campaigns(reports, mutation, trials if reports else 0, dims, root_seed,
-                          tol, keep_verdicts, list(witnesses))
+    _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts, witnesses)
     wall_time = time.perf_counter() - start
     for report in reports.values():
         report.wall_time = wall_time
-    return [reports[cid] for cid in check_ids], verdicts
+    return [reports[cid] for cid in check_ids]
 
 
 def _group(case: Case) -> tuple:
@@ -496,26 +479,28 @@ def _group(case: Case) -> tuple:
 
 
 def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
-               witnesses) -> list:
+               witnesses) -> None:
     """Run the trials of each checker of ``reports`` (check id -> its
-    report, in check order) and book them there; return the verdicts of
-    the ``witnesses``.  The pending cases run before a trial joins them
-    whose recorded operands would take theirs past ``STACK_BYTES``, so a
-    flush of more than one trial holds at most that.  Witness j waits as
-    index j - len(witnesses), so it sorts before every trial and runs in
-    the first flush.  Trial 0 of a check that the mutation must violate is
-    the witness the check declares for it.  A case that fails to sample
-    raises once the cases before it have run."""
-    witness_verdicts = [None] * len(witnesses)
+    report, in check order), with its witnesses if ``witnesses``, and book
+    them there.  The pending cases run before a trial joins them whose
+    recorded operands would take theirs past ``STACK_BYTES``, so a flush
+    of more than one trial holds at most that.  Witness j of the table of
+    every check's witnesses waits as index j less the table's length, so
+    it sorts before every trial, in any run of any checks, and runs in the
+    first flush.  Trial 0 of a check that the mutation must violate is the
+    witness the check declares for it.  A case that fails to sample raises
+    once the cases before it have run."""
+    table = [w for spec in checks.SPECS.values() for w in spec.witnesses]
     pending: dict = {}  # (check id, n, operand names, mutation) -> [(index, case)]
-    for j, witness in enumerate(witnesses):
-        case = witness_case(witness)
-        pending.setdefault(_group(case), []).append((j - len(witnesses), case))
+    for j, witness in enumerate(table):
+        if witnesses and witness.check_id in reports:
+            case = witness_case(witness)
+            pending.setdefault(_group(case), []).append((j - len(table), case))
     violating = {cid: checks.SPECS[cid].mutations.get(mutation, _UNMUTATED).witness
                  for cid in reports}
     held = 0  # operand bytes the pending trials recorded
     flush = functools.partial(  # it empties pending
-        _run_pending, pending, tol, keep_verdicts, reports, witnesses, witness_verdicts)
+        _run_pending, pending, tol, keep_verdicts, reports, table)
 
     for i in range(trials):
         if i % WORDS_BLOCK == 0:  # the next block's trial seeds and their words
@@ -544,7 +529,6 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
         del case, trial, shared  # only the pending cases hold the recorded operands now
     if pending:
         flush()
-    return witness_verdicts
 
 
 def _generate(specs: list) -> dict:
@@ -584,19 +568,19 @@ def _generate_recorded(sampled: list) -> None:
 
 
 def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
-                 witnesses: list, witness_verdicts: list) -> None:
+                 witnesses: list) -> None:
     """Generate the operands of the pending cases and run each stack of
     them, in the order of their first cases, so the witnesses' groups
     run first.  Each operand stack is built once and marked by
     ``linalg.share``, so the checkers that take it decompose it once; it is
     dropped once no pending stack of cases takes it.  A stack of cases
     leaves ``pending`` as soon as it has run.  Then its verdicts are
-    booked: a witness's, with its own tol, at its index of
-    ``witness_verdicts``; a trial's, in trial order, to its checker's
-    report.  A NormetryError names its case from the cases left
-    (``_raise_first_failure``)."""
+    booked to their checkers' reports in index order: a witness's, with
+    its own tol, as its row (``witnesses`` is the table of them all); a
+    trial's, in trial order.  A NormetryError names its case from the
+    cases left (``_raise_first_failure``)."""
     stacks: dict = {}  # operand stacks, by the ids of the matrices they hold
-    done = []  # (trial, report, verdict, certificate or None)
+    done = []  # (index, report, verdict, certificate or None)
     group = None  # the group whose stack runs, once the operands are generated
     try:
         _generate_recorded([case for stack in pending.values() for _, case in stack])
@@ -609,7 +593,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
         while pending:
             group = next(iter(pending))  # in the order of their first cases
             stack = pending[group]
-            report = reports.get(group[0])  # None: witnesses of no campaign
+            report = reports[group[0]]
             cases = [case for _, case in stack]
             names = keys.pop(group)
             for name, key in names.items():
@@ -625,7 +609,7 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
             for (i, case), verdict in zip(stack, verdicts):
                 if i < 0:
                     verdict.tol = witnesses[i].tol
-                    witness_verdicts[i] = verdict
+                    done.append((i, report, verdict, None))
                     continue
                 # the benchmark's tracer counts trials by these calls
                 run_case(case, verdict=verdict, stamp=keep_verdicts)
@@ -635,7 +619,10 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
         _raise_first_failure(pending, witnesses, tol, group)
         raise
     done.sort(key=lambda entry: entry[0])
-    for _, report, verdict, certificate in done:
+    for i, report, verdict, certificate in done:
+        if i < 0:
+            report.witnesses.append(witness_row(witnesses[i], verdict, tol))
+            continue
         margin = verdict.min_margin
         if margin != margin or margin < report.min_margin:  # a NaN sticks
             report.min_margin = margin

@@ -11,9 +11,8 @@ several generators: every kind's first draw is the same matrix, so it is
 drawn once per generator, and what kinds derive from it is computed once,
 in one stacked call; each matrix draws from its own generator, in the
 order a single matrix does, and gets the bits it gets alone.
-``generate_stack`` is its one kind per generator, and ``generate`` that
-of one generator.  ``default_rngs`` seeds many generators in one
-vectorized pass.
+``generate`` is its one matrix of one generator.  ``default_rngs`` seeds
+many generators in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -223,21 +222,10 @@ def _check(kind: str, n: int, scale: float, min_eig: float) -> None:
 
 
 def generate(spec: GenSpec) -> np.ndarray:
-    """Generate one matrix of the requested kind; deterministic per spec."""
+    """Generate one matrix of the requested kind; deterministic per spec.
+    A dimension too large to allocate raises BadSpec."""
     rng = np.random.default_rng(np.uint64(spec.seed & (2**64 - 1)))
-    return generate_stack(spec.kind, spec.n, [rng], spec.scale, spec.min_eig)[0]
-
-
-def generate_stack(kind: str, n: int, rngs, scale: float = 1.0,
-                   min_eig: float = 0.1) -> np.ndarray:
-    """One matrix of ``kind`` per generator of ``rngs``, as a (T, n, n)
-    stack: each matrix draws from its own generator, in the order
-    ``generate`` draws, and has the bits ``generate`` gives it.  A
-    dimension too large to allocate raises BadSpec."""
-    _check(kind, n, scale, min_eig)
-    spec = (GenSpec(kind, n, 0, scale, min_eig),)  # its seed is not read
-    made = generate_family(n, rngs, [spec] * len(rngs))
-    return made[kind][1] if made else np.empty((0, n, n), dtype=complex)
+    return generate_family(spec.n, [rng], [[spec]])[spec.kind][1][0]
 
 
 def generate_family(n: int, rngs, specs) -> dict:

@@ -6,20 +6,21 @@ no function of the package wrapped from outside it.  Only then does a
 caller split its work into groups.  ``run_groups`` runs a function on each
 group and returns the results in group order: the first group runs here
 and each other group in a forked child, which pickles its outcome back
-through a pipe.  A group's function returns its failure as data, so
-whichever process met it, the failure the caller would have met first is
-raised, and only once every group has ended.  Each child is reaped on
-every path.
+through a pipe.  A NormetryError is kept with its ``case``, the order key
+it carries, so whichever process met it, the failure the caller would have
+met first is raised, and only once every group has ended.  Each child is
+reaped on every path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 import types
 
-from .errors import WorkerLost
+from .errors import NormetryError, WorkerLost
 
 # The key of a failure that names no case: it is raised before any other.
 FIRST = (-math.inf,)
@@ -64,17 +65,27 @@ def parallel() -> bool:
     return usable_cpus() > 1 and can_fork() and not _wrapped_from_outside()
 
 
+def _outcome(run, group) -> tuple:
+    """``(None, run(group))``, or ``(key, exc)`` for a NormetryError, keyed
+    by its ``case``, or by FIRST when it names no case."""
+    try:
+        return None, run(group)
+    except NormetryError as exc:
+        return getattr(exc, "case", FIRST), exc
+
+
 def run_groups(run, groups: list) -> list:
-    """``run(group)`` of each group, in group order.  ``run`` returns
-    ``(None, result)``, or ``(key, exception)`` for a failure; once every
-    group has ended, the exception of the least key is raised.  The first
-    group runs in this process and each other one in a forked child, so
-    pass more than one group only where ``parallel()``."""
+    """``run(group)`` of each group, in group order.  ``run`` returns a
+    result or raises; once every group has ended, the NormetryError of
+    the least ``case`` is raised.  The first group runs in this process
+    and each other one in a forked child, so pass more than one group only
+    where ``parallel()``."""
+    outcome = functools.partial(_outcome, run)
     finishers = []
     try:
         for group in groups[1:]:
-            finishers.append(_start(run, group))
-        outcomes = [run(groups[0])]
+            finishers.append(_start(outcome, group))
+        outcomes = [outcome(groups[0])]
         while finishers:
             outcomes.append(finishers.pop(0)())
     finally:

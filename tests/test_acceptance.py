@@ -31,8 +31,8 @@ def test_criterion_1_theorem_suite(capsys):
     bad = []
     reports = {}
     for cid in checks.CHECK_IDS:
-        rep = falsify.run_campaign(
-            cid, trials=1000, dims=dims, root_seed=20260823, keep_verdicts=True
+        [rep] = falsify.run_campaigns(
+            [cid], trials=1000, dims=dims, root_seed=20260823, keep_verdicts=True
         )
         reports[cid] = rep
         if rep.violations:
@@ -104,10 +104,10 @@ def test_criterion_4_fan_dominance_consistency(capsys):
     if reports is None:
         # criterion 1 did not run first (e.g. -k selection): rebuild a sample
         reports = {
-            cid: falsify.run_campaign(
-                cid, trials=200, dims=(1, 2, 3, 4, 5, 6, 7, 8),
+            cid: falsify.run_campaigns(
+                [cid], trials=200, dims=(1, 2, 3, 4, 5, 6, 7, 8),
                 root_seed=20260823, keep_verdicts=True,
-            )
+            )[0]
             for cid in checks.CHECK_IDS
         }
     inconsistencies = 0
@@ -138,7 +138,7 @@ def test_criterion_5_mutation_sensitivity(tmp_path, capsys):
     ]
     ok = True
     for cid, mutation in pairs:
-        rep = falsify.run_campaign(cid, mutation=mutation, trials=100)
+        rep = falsify.run_campaigns([cid], mutation=mutation, trials=100)[0]
         if not rep.violations:
             ok = False
             continue

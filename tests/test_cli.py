@@ -482,6 +482,20 @@ def test_an_output_that_is_a_directory_fails_before_any_trial(
     assert not list(tmp_path.glob("certs/*.json"))
 
 
+def test_a_report_may_go_into_the_new_certificate_directory(tmp_path):
+    """--out may name a file in the --cert-dir that falsify creates: the
+    directory is made before --out is checked."""
+    certs = tmp_path / "newdir"
+    out = certs / "r.json"
+    assert run(["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing",
+                "--trials", "5", "--dims", "1,2", "--cert-dir", str(certs),
+                "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    written = sorted(certs.glob("cert-thm1.2-*.json"))
+    assert report["campaign"]["violations"] and len(written) == len(
+        report["campaign"]["violations"])
+
+
 def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("NORMETRY_SEED", "x")
     assert run(["verify", "--checks", "ineq4", "--trials", "1"]) == cli.EXIT_USAGE

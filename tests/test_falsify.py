@@ -29,14 +29,15 @@ def test_the_mutations_are_derived_from_the_declarations():
         ("prop3.4", "drop-normality"): ("exploratory", False, ("normal", "general")),
     }
     for (cid, name), m in mutations().items():
-        expectation = falsify.run_campaign(cid, mutation=name, trials=1, dims=[2]).expectation
+        [report] = falsify.run_campaigns([cid], mutation=name, trials=1, dims=[2])
+        expectation = report.expectation
         assert expectation == m.expectation, (cid, name)
 
 
 def test_must_violate_mutations_within_100_trials():
     for (cid, mutation), m in mutations().items():
         if m.expectation == "must-violate":
-            report = falsify.run_campaign(cid, mutation=mutation, trials=100)
+            report = falsify.run_campaigns([cid], mutation=mutation, trials=100)[0]
             assert report.violations, (cid, mutation)
 
 
@@ -53,7 +54,7 @@ def test_analytic_witnesses_violate():
 
 def test_unmutated_campaigns_stay_green():
     for cid in ("thm1.1", "thm1.2", "davis-hansen", "prop3.4", "identity6"):
-        report = falsify.run_campaign(cid, trials=40, root_seed=99)
+        report = falsify.run_campaigns([cid], trials=40, root_seed=99)[0]
         assert not report.violations, cid
         assert report.min_margin >= -1e-9
 
@@ -65,14 +66,14 @@ def test_every_report_of_a_run_carries_the_run_elapsed_time():
 
 
 def test_drop_normality_is_exploratory():
-    report = falsify.run_campaign("thm3.1", mutation="drop-normality", trials=30)
+    report = falsify.run_campaigns(["thm3.1"], mutation="drop-normality", trials=30)[0]
     assert report.expectation == "exploratory"
     # records whatever it sees; no violation is a legitimate outcome
     assert report.trials == 30
 
 
 def test_certificate_replay_bit_exact():
-    report = falsify.run_campaign("thm1.1", mutation="swap-function-class", trials=5)
+    [report] = falsify.run_campaigns(["thm1.1"], mutation="swap-function-class", trials=5)
     cert = report.violations[0]
     verdict = falsify.replay_certificate(cert)
     assert verdict.min_margin == cert["margin"]  # bit-exact, not approx
@@ -106,7 +107,7 @@ def test_sample_case_rejects_unknown():
 
 def test_campaign_requires_trials():
     with pytest.raises(BadSpec):
-        falsify.run_campaign("thm1.1", trials=0)
+        falsify.run_campaigns(["thm1.1"], trials=0)
 
 
 @pytest.mark.parametrize("bad", [{"dims": []}, {"trials": 2.5}, {"trials": "3"}])
@@ -129,10 +130,10 @@ def test_campaigns_accept_numpy_integer_dims():
 
 def test_campaign_rejects_mutation_for_other_check():
     with pytest.raises(BadSpec, match="does not apply to ineq4"):
-        falsify.run_campaign("ineq4", mutation="drop-vanishing", trials=1)
+        falsify.run_campaigns(["ineq4"], mutation="drop-vanishing", trials=1)
     # a must-violate campaign checks before reaching its analytic witness
     with pytest.raises(BadSpec, match="does not apply to thm1.2"):
-        falsify.run_campaign("thm1.2", mutation="swap-function-class", trials=1)
+        falsify.run_campaigns(["thm1.2"], mutation="swap-function-class", trials=1)
 
 
 def test_replay_rejects_malformed_certificates():
@@ -305,7 +306,7 @@ def test_campaign_min_margin_keeps_a_nan(monkeypatch):
         return v
 
     monkeypatch.setattr(checks, "check_prop_3_4", nan_at_n3)
-    report = falsify.run_campaign("prop3.4", trials=4, dims=(2, 3, 2, 2), root_seed=5)
+    [report] = falsify.run_campaigns(["prop3.4"], trials=4, dims=(2, 3, 2, 2), root_seed=5)
     assert math.isnan(report.min_margin)
     assert [math.isnan(c["margin"]) for c in report.violations] == [True]
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from normetry import checks, cli, falsify, linalg, scalarfn, witnesses
+from normetry import checks, cli, falsify, linalg, scalarfn
 from normetry.errors import ConvergenceFailure, DomainError
 from normetry.norms import DEFAULT_TOL
 
@@ -56,11 +56,11 @@ def test_cases_of_both_kinds_share_a_stack(monkeypatch, cid, kinds):
     one-case-at-a-time path."""
     args = dict(trials=12, dims=(3,), root_seed=4, keep_verdicts=True)
     stacks = spy_stacks(monkeypatch)
-    grouped = falsify.run_campaign(cid, **args)
+    [grouped] = falsify.run_campaigns([cid], **args)
     assert len(stacks) == 1
     assert {case.kinds["a"] for case in stacks[0]} == kinds
     monkeypatch.setattr(falsify, "STACK_BYTES", 0)  # one case per stack
-    alone = falsify.run_campaign(cid, **args)
+    [alone] = falsify.run_campaigns([cid], **args)
     assert len(stacks) == 1 + 12
     assert grouped.verdicts == alone.verdicts  # fingerprints, labels, margins
     assert bits(grouped.min_margin) == bits(alone.min_margin)
@@ -71,7 +71,7 @@ WITNESSES = [w for spec in checks.SPECS.values() for w in spec.witnesses]
 
 
 def single_call_rows(chosen, tol):
-    return [witnesses.row(w, w.run(), tol) for w in chosen]
+    return [falsify.witness_row(w, w.run(), tol) for w in chosen]
 
 
 def record_bits(verdict) -> list:
@@ -86,17 +86,26 @@ def assert_same_rows(got, expected):
         assert a == b
 
 
+def witness_rows(reports) -> list:
+    return [row for report in reports for row in report.witnesses]
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-14])
 @pytest.mark.parametrize("dims", [(1, 2), (3,)])
-def test_witness_rows_from_the_flush_equal_single_call_rows(tol, dims):
+def test_witness_rows_from_the_flush_equal_single_call_rows(monkeypatch, tol, dims):
     """With campaigns at the witnesses' n (they join them) and without (they
     form stacks of their own), each witness row has the bits of its own
     checker call, at its own tol, and the campaigns keep their reports."""
-    rows, reports = witnesses.run(checks.CHECK_IDS, tol, trials=16, dims=dims,
-                                  root_seed=7, keep_verdicts=True)
+    reports = falsify.run_campaigns(checks.CHECK_IDS, trials=16, dims=dims, root_seed=7,
+                                    tol=tol, keep_verdicts=True, witnesses=True)
+    rows = witness_rows(reports)
     assert_same_rows(rows, single_call_rows(WITNESSES, tol))
-    _, verdicts = falsify.run_with_witnesses(WITNESSES, checks.CHECK_IDS, trials=2,
-                                             dims=dims, tol=tol)
+    verdicts = []  # each witness row's verdict, as the flush books it
+    real_row = falsify.witness_row
+    monkeypatch.setattr(falsify, "witness_row",
+                        lambda w, v, t: verdicts.append(v) or real_row(w, v, t))
+    falsify.run_campaigns(checks.CHECK_IDS, trials=2, dims=dims, tol=tol, witnesses=True)
+    assert len(verdicts) == len(WITNESSES)
     for w, got in zip(WITNESSES, verdicts):
         alone = w.run()
         assert (got.check_id, got.tol, got.fingerprint) == (alone.check_id, w.tol, "")
@@ -106,15 +115,16 @@ def test_witness_rows_from_the_flush_equal_single_call_rows(tol, dims):
     for got, expected in zip(reports, alone):
         assert (got.verdicts, got.violations) == (expected.verdicts, expected.violations)
         assert bits(got.min_margin) == bits(expected.min_margin)
-    assert_same_rows(witnesses.run(checks.CHECK_IDS, tol)[0], rows)
+        assert not expected.witnesses
+    assert_same_rows(witness_rows(falsify.run_campaigns(
+        checks.CHECK_IDS, trials=1, dims=(3,), tol=tol, witnesses=True)), rows)
 
 
-def test_witnesses_join_the_campaign_stacks(monkeypatch, split_groups):
+def test_witnesses_join_the_campaign_stacks(monkeypatch):
     """At verify-small's settings every witness joins a campaign stack: the
     witness table adds no stack and no checker call, and its rows (the
     cases without a seed) make no ``run_case`` call.  The counts are of one
-    group of all the checks, whose calls these spies see in this process."""
-    split_groups(False)
+    run of all the checks, whose calls these spies see in this process."""
     stacks = spy_stacks(monkeypatch)
     calls = count_checker_calls(monkeypatch)
     run_cases = []
@@ -122,7 +132,7 @@ def test_witnesses_join_the_campaign_stacks(monkeypatch, split_groups):
     monkeypatch.setattr(falsify, "run_case",
                         lambda case, **kw: run_cases.append(case) or real_run_case(case, **kw))
     args = dict(trials=20, dims=(1, 2, 3, 4, 5, 6, 7, 8), root_seed=7)
-    witnesses.run(checks.CHECK_IDS, DEFAULT_TOL, **args)
+    falsify.run_campaigns(checks.CHECK_IDS, witnesses=True, **args)
     assert len(run_cases) == 16 * 20
     assert all(case.seed is not None for case in run_cases)
     assert len(stacks) == len(calls) == 131

@@ -50,14 +50,17 @@ def test_trial_major_campaigns_equal_check_major_reference():
         assert report.min_margin == min_margin
 
 
-def test_run_campaign_is_one_checker_of_run_campaigns():
-    one = falsify.run_campaign("thm1.2", mutation="drop-vanishing", trials=6,
-                               dims=(2, 3), root_seed=4, keep_verdicts=True)
-    [many] = falsify.run_campaigns(["thm1.2"], "drop-vanishing", 6, (2, 3), 4,
-                                   keep_verdicts=True)
-    assert one.verdicts == many.verdicts
-    assert one.violations == many.violations
-    assert one.min_margin == many.min_margin
+def test_one_check_alone_gives_its_report_among_others():
+    """A campaign of one check gives that check's report in a campaign of
+    every check its mutation applies to."""
+    [one] = falsify.run_campaigns(["prop3.4"], mutation="drop-normality", trials=6,
+                                  dims=(2, 3), root_seed=4, keep_verdicts=True)
+    many = falsify.run_campaigns(["thm3.1", "prop3.4", "thm3.2"], "drop-normality", 6,
+                                 (2, 3), 4, keep_verdicts=True)
+    assert [report.check_id for report in many] == ["thm3.1", "prop3.4", "thm3.2"]
+    assert one.verdicts == many[1].verdicts
+    assert one.violations == many[1].violations
+    assert one.min_margin == many[1].min_margin
 
 
 def spy_stacks(monkeypatch):

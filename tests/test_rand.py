@@ -6,7 +6,9 @@ import pytest
 
 from normetry import linalg, rand
 from normetry.errors import BadSpec
-from normetry.rand import KINDS, GenSpec, default_rngs, derive_stream, generate, generate_stack
+from normetry.rand import (
+    KINDS, GenSpec, default_rngs, derive_stream, generate, generate_family,
+)
 
 
 def test_determinism():
@@ -122,7 +124,7 @@ def test_seeding_pass_gives_numpys_generator_states():
 
 
 def reference_generate(kind, n, seed):
-    """The single-matrix generator that ``generate_stack`` replaced, kept as
+    """The single-matrix generator that ``generate_family`` replaced, kept as
     the reference its rows must equal bit for bit."""
     rng = np.random.default_rng(np.uint64(seed))
 
@@ -181,11 +183,13 @@ def reference_rows(kind, n):
 
 
 def stacked_rows(kind, n, t):
-    """The rows of STACK_SEEDS from ``generate_stack`` calls of t generators
-    each, seeded by the seeding pass as a campaign seeds them."""
+    """The rows of STACK_SEEDS from ``generate_family`` calls of t generators
+    each, one matrix of ``kind`` per generator, seeded by the seeding pass
+    as a campaign seeds them."""
     rows = []
     for start in range(0, len(STACK_SEEDS), t):
-        rows.extend(generate_stack(kind, n, list(default_rngs(STACK_SEEDS[start:start + t]))))
+        rngs = list(default_rngs(STACK_SEEDS[start:start + t]))
+        rows.extend(generate_family(n, rngs, [[GenSpec(kind, n, 0)]] * len(rngs))[kind][1])
     return [m.tobytes() for m in rows]
 
 
@@ -207,7 +211,7 @@ def test_stacked_rows_equal_the_single_matrix_reference(kind, n):
 
 # SHA-256 (first 16 hex digits) of the 7 matrices of STACK_SEEDS for each
 # kind and n of STACK_DIMS, from the one-matrix ``generate`` that
-# ``generate_stack`` replaced (x86-64, numpy 2.4 with its OpenBLAS 0.3.31,
+# ``generate_family`` replaced (x86-64, numpy 2.4 with its OpenBLAS 0.3.31,
 # one BLAS thread).  LAPACK builds and thread counts round differently.
 PARENT_DIGESTS = {
     "psd": ('d55ec3892d029a96', 'ba6f36e744462cee', '7e6c9d5e277d9fdb', 'd4837abc5bbb0a37', '068c14b3ed80c7fc', 'f5528dedc0028ecc', '1a1df8b5059c6c1c', 'def51e5fb5a6ccdb', 'ce0481f578b977f9', 'fdce81ca2e5125ea'),

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from normetry import checks, falsify, linalg, norms, witnesses
+from normetry import checks, cli, falsify, linalg, norms
 from normetry.errors import (
     ConvergenceFailure,
     DomainError,
@@ -24,7 +24,6 @@ from normetry.errors import (
     NotNormal,
     NotPositiveDefinite,
 )
-from normetry.norms import DEFAULT_TOL
 from normetry.rand import GenSpec, derive_stream, generate
 
 DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 32)
@@ -269,12 +268,23 @@ def assert_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
+def verify_error(capsys, ids, trials, dims, seed) -> str:
+    """The message of the one error line of a ``verify`` of ``ids`` that a
+    case's DomainError fails."""
+    argv = ["verify", "--checks", ",".join(ids), "--trials", str(trials),
+            "--dims", ",".join(map(str, dims)), "--seed", str(seed)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):-1]
+
+
 @pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("thm12_trial, prop34_trial, first", [
     (7, 5, "prop3.4"), (6, 9, "thm1.2"), (6, 6, "thm1.2"), (None, 8, "prop3.4"),
     (4, None, "thm1.2")])
 def test_a_failing_verify_names_its_first_failing_case_across_groups(
-        monkeypatch, split_groups, split, thm12_trial, prop34_trial, first):
+        monkeypatch, capsys, split_groups, split, thm12_trial, prop34_trial, first):
     """Split, thm1.2 and prop3.4 run in groups of their own (in two
     processes where this one may fork): with a failure planted in each, or
     in one, the error is the one run of both would raise, its first
@@ -287,11 +297,10 @@ def test_a_failing_verify_names_its_first_failing_case_across_groups(
         if i is not None:
             case = falsify.sample_case(cid, dims[i % 3], derive_stream(seed, i))
             plant_failure(monkeypatch, cid, [case.matrices["a"]])
-    with pytest.raises(DomainError) as err:
-        witnesses.run(ids, DEFAULT_TOL, trials=12, dims=dims, root_seed=seed)
+    message = verify_error(capsys, ids, 12, dims, seed)
     assert_reaped()
     i = trials[first]
-    assert str(err.value) == (
+    assert message == (
         f"{first} trial {i} (n={dims[i % 3]}, seed={derive_stream(seed, i)}): "
         "planted failure"
     )
@@ -344,7 +353,7 @@ def test_a_failing_witness_trial_is_named(monkeypatch):
 
     monkeypatch.setattr(checks, "check_thm_1_2", fails_on_zero)
     with pytest.raises(ConvergenceFailure, match=r"^thm1.2 trial 0 \(n=2, seed=None\)"):
-        falsify.run_campaign("thm1.2", "drop-vanishing", trials=6, dims=(2,))
+        falsify.run_campaigns(["thm1.2"], "drop-vanishing", trials=6, dims=(2,))
 
 
 def spy_flushes(monkeypatch) -> list:
@@ -540,7 +549,7 @@ def test_a_sampling_error_comes_after_the_trials_before_it(monkeypatch, run_fail
 
 @pytest.mark.parametrize("split", [False, True])
 def test_a_sampling_error_comes_before_a_run_failure_of_its_trial_across_groups(
-        monkeypatch, split_groups, split):
+        monkeypatch, capsys, split_groups, split):
     """thm1.2 fails to run at trial 8, where prop3.4, a later check in the
     other group, fails to sample.  One run of both samples thm1.2, then
     raises prop3.4's error before trial 8 runs; so do the two groups,
@@ -556,14 +565,13 @@ def test_a_sampling_error_comes_before_a_run_failure_of_its_trial_across_groups(
         return real(check_id, n, seed, *args, **kwargs)
 
     monkeypatch.setattr(falsify, "sample_case", fails_at_trial_8)
-    for run in (lambda: falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12,
-                                              dims=(2, 3, 4), root_seed=31),
-                lambda: witnesses.run(["thm1.2", "prop3.4"], DEFAULT_TOL, trials=12,
-                                      dims=(2, 3, 4), root_seed=31)):
-        with pytest.raises(DomainError) as err:
-            run()
-        assert_reaped()
-        assert str(err.value) == failure_message("prop3.4", 8)
+    with pytest.raises(DomainError) as err:
+        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
+                              root_seed=31)
+    assert str(err.value) == failure_message("prop3.4", 8)
+    assert verify_error(capsys, ["thm1.2", "prop3.4"], 12, (2, 3, 4), 31) == (
+        failure_message("prop3.4", 8))
+    assert_reaped()
 
 
 def test_stacks_stay_under_the_byte_budget(monkeypatch):

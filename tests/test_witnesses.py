@@ -1,14 +1,23 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from normetry import checks, witnesses
+from normetry import checks, cli, falsify
 from normetry.norms import DEFAULT_TOL
 
 
 def bits(x: float) -> bytes:
     return np.float64(x).tobytes()
+
+
+def witness_rows(check_ids, tol=DEFAULT_TOL) -> list:
+    """The witness rows of ``check_ids``' reports, from one trial at n = 3,
+    which no witness has, so the witnesses stack alone."""
+    reports = falsify.run_campaigns(check_ids, trials=1, dims=(3,), tol=tol,
+                                    witnesses=True)
+    return [row for report in reports for row in report.witnesses]
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-14])
@@ -17,10 +26,10 @@ def test_stacked_table_rows_equal_single_call_rows(tol):
     own checker call: check, description, equality, pass and the bits of
     its min margin."""
     declared = [w for spec in checks.SPECS.values() for w in spec.witnesses]
-    rows = witnesses.run(checks.CHECK_IDS, tol)[0]
+    rows = witness_rows(checks.CHECK_IDS, tol)
     assert len(rows) == len(declared) == 32
     for w, got in zip(declared, rows):
-        alone = witnesses.row(w, w.run(), tol)
+        alone = falsify.witness_row(w, w.run(), tol)
         assert bits(got.pop("min_margin")) == bits(alone.pop("min_margin")), w
         assert got == alone, w
 
@@ -33,10 +42,11 @@ def test_table_makes_one_checker_call_per_group(monkeypatch):
             calls.append(_cid)
             return _run(*args, **kwargs)
         monkeypatch.setitem(checks.SPECS, cid, replace(spec, run=counted))
-    rows = witnesses.run(["thm3.1", "ineq5", "identity6"], DEFAULT_TOL)[0]
+    rows = witness_rows(["thm3.1", "ineq5", "identity6"])
     assert len(rows) == 6 and all(row["pass"] for row in rows)
-    # thm3.1 has a 1 x 1 and a 2 x 2 witness; ineq5's and identity6's share n
-    assert sorted(calls) == ["identity6", "ineq5", "thm3.1", "thm3.1"]
+    # thm3.1 has a 1 x 1 and a 2 x 2 witness; ineq5's and identity6's share
+    # n; each check's one trial at n = 3 makes one call of its own
+    assert sorted(calls) == ["identity6"] * 2 + ["ineq5"] * 2 + ["thm3.1"] * 3
 
 
 
@@ -78,12 +88,15 @@ ROWS = [
 ]
 
 
-def test_witness_rows_come_two_per_check_in_check_order():
+def test_witness_rows_come_two_per_check_in_check_order(tmp_path):
     """The rows are the witnesses each checker declares, in check order,
     whatever order the checks are chosen in."""
-    rows = witnesses.run(checks.CHECK_IDS, DEFAULT_TOL)[0]
+    rows = witness_rows(checks.CHECK_IDS)
     assert [(row["check"], row["description"]) for row in rows] == ROWS
     assert all(row["pass"] for row in rows)
-    some = witnesses.run(["prop3.4", "ineq5", "thm1.2"], DEFAULT_TOL)[0]
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--checks", "prop3.4,ineq5,thm1.2", "--trials", "1",
+                     "--dims", "3", "--out", str(out)]) == cli.EXIT_OK
+    some = json.loads(out.read_text())["witnesses"]
     assert [(row["check"], row["description"]) for row in some] == [
         row for row in ROWS if row[0] in ("thm1.2", "prop3.4", "ineq5")]

@@ -120,9 +120,13 @@ def outcome_of(group):
         raise KeyboardInterrupt
     if what == "unexpected":
         raise ValueError("not a NormetryError")
+    if what == "nameless":
+        raise DomainError("failure of no case")
     if what == "fail":
-        return (int(group[1]),), DomainError(f"failure {group[1]}")
-    return None, [what, os.getpid()]
+        failure = DomainError(f"failure {group[1]}")
+        failure.case = (int(group[1]),)
+        raise failure
+    return [what, os.getpid()]
 
 
 PARENT = [0]
@@ -136,7 +140,9 @@ def child_failures_reach_the_parent():
     assert pids[0] == os.getpid() and len(set(pids)) == 3
     for groups, message in [([["ok"], ["fail", "5"], ["fail", "2"]], "failure 2"),
                             ([["fail", "1"], ["fail", "4"]], "failure 1"),
-                            ([["fail", "9"], ["unexpected"]], "not a NormetryError")]:
+                            ([["fail", "4"], ["fail", "1"]], "failure 1"),
+                            ([["fail", "9"], ["unexpected"]], "not a NormetryError"),
+                            ([["fail", "9"], ["nameless"]], "failure of no case")]:
         with pytest.raises((DomainError, ValueError), match=message):
             workers.run_groups(outcome_of, groups)
         assert_reaped()
@@ -147,9 +153,10 @@ def child_failures_reach_the_parent():
 
 
 def test_child_failures_reach_the_parent():
-    """A failure comes back as data and the least key raises, whichever
-    process met it; an unexpected exception comes back too; a worker that
-    dies without a result is an error, never a hang or a lost group."""
+    """Of the NormetryErrors the groups raise, the one of least ``case``
+    raises, whichever process met it, and one that names no case comes
+    first; an unexpected exception comes back too; a worker that dies
+    without a result is an error, never a hang or a lost group."""
     in_a_forking_process(child_failures_reach_the_parent)
 
 
