@@ -7,8 +7,9 @@ Subcommands:
   gen      emit one sample matrix from a generator spec
 
 Exit codes: 0 success, 1 violation/mismatch, 2 usage or config error, or
-any other NormetryError that a case raised (an ``error:`` line, such as a
-DomainError or a NotNormal guard), 3 numerical failure or a lost worker
+a NormetryError that no case raised alone (an ``error:`` line), 3 a case
+that raised (after the report, one ``error:`` line counts the report's
+error rows and names the first), a numerical failure or a lost worker
 process.
 """
 
@@ -146,6 +147,29 @@ def _csv_summary(campaigns: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _errors(report) -> dict:
+    """The report's error rows as its campaign's ``errors`` key; a report
+    of none has no such key."""
+    return {"errors": report.errors} if report.errors else {}
+
+
+def _raised(reports) -> bool:
+    """Whether a case of ``reports`` raised; if so, print one line that
+    counts them and names the first, in (trial, check) order, with a
+    witness of verify before every trial."""
+    rows = [row for report in reports for row in report.errors]
+    if not rows:
+        return False
+    first = min(rows, key=lambda row: (-1 if row["trial"] is None else row["trial"],
+                                       checks.CHECK_IDS.index(row["check"])))
+    label = (f"witness {first['check']} ({first['description']})" if first["trial"] is None
+             else f"{first['check']} trial {first['trial']} "
+                  f"(n={first['n']}, seed={first['seed']})")
+    print(f"error: {len(rows)} case{'s' * (len(rows) > 1)} raised; "
+          f"first: {label}: {first['message']}", file=sys.stderr)
+    return True
+
+
 def cmd_verify(args) -> int:
     check_ids = _parse_checks(args.checks)
     dims = _parse_dims(args.dims)
@@ -184,6 +208,7 @@ def cmd_verify(args) -> int:
                 "trials": report.trials,
                 "min_margin": report.min_margin,
                 "violations": report.violations,
+                **_errors(report),
             }
         )
     out = {
@@ -197,6 +222,8 @@ def cmd_verify(args) -> int:
         if keep_verdicts:
             out["verdicts"] = [row for report in reports for row in report.verdicts]
         _write_json(out, args.out)
+    if _raised(reports):
+        return EXIT_NUMERICAL
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
@@ -240,10 +267,13 @@ def cmd_falsify(args) -> int:
             "min_margin": report.min_margin,
             "violations": _VIOLATIONS,
             "wall_time": report.wall_time,
+            **_errors(report),
         },
     }
     text = _dumps(out).replace(_dumps(_VIOLATIONS), "[" + ", ".join(certs) + "]", 1)
     _write(text + "\n", args.out)
+    if _raised([report]):
+        return EXIT_NUMERICAL
     if report.expectation == "must-violate":
         return EXIT_OK if report.violations else EXIT_VIOLATION
     if report.expectation == "exploratory":
@@ -262,7 +292,8 @@ def cmd_replay(args) -> int:
             cert = json.load(fh)
         stored = float(cert["margin"])
         stored_fingerprint = cert["fingerprint"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:  # JSON nested too deep to decode
         return _cannot_parse(exc)
     try:
         verdict = falsify.replay_certificate(cert)

@@ -304,9 +304,10 @@ def _scalar_types(check_id: str) -> dict:
 def replay_certificate(cert: dict) -> Verdict:
     """Rerun a certificate's case.  A certificate that lacks a field, holds
     one of the wrong type or an unknown check, mutation or scalar function,
-    holds a matrix whose size is not its case's n >= 1, lacks a matrix its
-    checker needs, or holds scalars whose names and types differ from its
-    checker's own draw, raises MalformedCertificate."""
+    nests its scalar function too deep to rebuild, holds a matrix whose
+    size is not its case's n >= 1, lacks a matrix its checker needs, or
+    holds scalars whose names and types differ from its checker's own
+    draw, raises MalformedCertificate."""
     try:
         case = case_from_dict(cert["case"])
         tol = float(cert.get("tol", DEFAULT_TOL))
@@ -320,7 +321,8 @@ def replay_certificate(cert: dict) -> Verdict:
         expected = _scalar_types(case.check_id)
         if _types(case.scalars) != expected:
             raise TypeError(f"scalars {case.scalars} do not match {expected}")
-    except (KeyError, TypeError, ValueError, AttributeError, NormetryError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError,
+            NormetryError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
     if fn is None and spec.fn_class is not None:
         raise MalformedCertificate(f"{case.check_id} case lacks its scalar 'fn'")
@@ -341,6 +343,7 @@ class CampaignReport:
     wall_time: float
     verdicts: list = field(default_factory=list)  # serialized verdict rows
     witnesses: list = field(default_factory=list)  # rows of its witness table
+    errors: list = field(default_factory=list)  # rows of its cases that raised
 
 
 def witness_row(witness: checks.Witness, verdict: Verdict, tol: float) -> dict:
@@ -354,6 +357,19 @@ def witness_row(witness: checks.Witness, verdict: Verdict, tol: float) -> dict:
         "pass": verdict.passed and (
             not witness.equality or abs(verdict.min_margin) <= tol),
     }
+
+
+def error_row(case: Case, index: int, exc: NormetryError,
+              witness: checks.Witness | None = None) -> dict:
+    """The report row of a case that raised ``exc`` when it ran alone: its
+    check, trial index, n and trial seed, or for one of verify's witnesses
+    its description, with trial and seed null.  It holds no certificate:
+    ``sample_case(check, n, seed, mutation)`` draws the case again."""
+    row = {"check": case.check_id, "trial": index, "n": case.n, "seed": case.seed,
+           "error": type(exc).__name__, "message": str(exc)}
+    if witness is not None:
+        row.update(trial=None, description=witness.description)
+    return row
 
 
 def verdict_row(verdict: Verdict) -> dict:
@@ -371,26 +387,6 @@ def verdict_row(verdict: Verdict) -> dict:
 # A campaign's trials and dims when none are given; the CLI reads them too.
 DEFAULT_TRIALS = 100
 DEFAULT_DIMS = (1, 2, 3, 4, 5, 6)
-
-
-def _trial_label(cid: str, i: int, n: int, seed) -> str:
-    return f"{cid} trial {i} (n={n}, seed={seed})"
-
-
-# The stage of a case's failure: sampling comes before running.
-SAMPLING, RUNNING = 0, 1
-
-
-def _named(exc: NormetryError, label: str, index: int, stage: int,
-           check_id: str) -> NormetryError:
-    """The same error, its message prefixed with the case that raised it,
-    and that case's order as the error's ``case``: (index, stage, position
-    of the check in ``CHECK_IDS``), where a witness's index is negative, as
-    it waits in the queue.  The first failing case of several runs, as of
-    one run of them all, has the least ``case``."""
-    named = type(exc)(f"{label}: {exc}")
-    named.case = index, stage, checks.CHECK_IDS.index(check_id)
-    return named
 
 
 # Operand bytes sampled before the pending cases run: this bounds a
@@ -437,13 +433,12 @@ def run_campaigns(
     (``witness_row``, at ``tol``) goes to its check's report, never to the
     report's margin or violations, and it makes no ``run_case`` call.
 
-    A NormetryError raised by a case, in sampling, generating or running
-    it, is re-raised with the case at the start of its message: a failing
-    witness first, as ``witness <check> (<description>)``, in table order;
-    else the check id, trial index, n and trial seed of the first failing
-    trial.  A flush that raises finds that case among the cases it has not
-    yet passed (``_raise_first_failure``).  ``root_seed`` must be in
-    [0, 2**63): trial seeds keep only its low 63 bits.
+    A case that raises a NormetryError when it runs alone becomes a row of
+    its check's ``errors`` (``error_row``), in index order, and every other
+    case is booked as usual (``_run_pending``); a NormetryError that no
+    case raises, such as a generator's BadSpec for a dimension too large
+    to allocate, is raised unchanged.  ``root_seed`` must be in [0, 2**63):
+    trial seeds keep only its low 63 bits.
     """
     check_ids = list(check_ids)
     for cid in check_ids:
@@ -488,8 +483,7 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
     every check's witnesses waits as index j less the table's length, so
     it sorts before every trial, in any run of any checks, and runs in the
     first flush.  Trial 0 of a check that the mutation must violate is the
-    witness the check declares for it.  A case that fails to sample raises
-    once the cases before it have run."""
+    witness the check declares for it."""
     table = [w for spec in checks.SPECS.values() for w in spec.witnesses]
     pending: dict = {}  # (check id, n, operand names, mutation) -> [(index, case)]
     for j, witness in enumerate(table):
@@ -510,15 +504,11 @@ def _campaigns(reports, mutation, trials, dims, root_seed, tol, keep_verdicts,
         n, seed = dims[i % len(dims)], seeds[i % WORDS_BLOCK]
         shared, trial = {}, []
         for cid in reports:
-            try:
-                if i == 0 and violating[cid] is not None:
-                    trial.append(witness_case(violating[cid], mutation))
-                else:
-                    trial.append(sample_case(cid, n, seed, mutation, shared,
-                                             words[i % WORDS_BLOCK]))
-            except NormetryError as exc:
-                flush()  # a failing case of an earlier trial raises first
-                raise _named(exc, _trial_label(cid, i, n, seed), i, SAMPLING, cid) from exc
+            if i == 0 and violating[cid] is not None:
+                trial.append(witness_case(violating[cid], mutation))
+            else:
+                trial.append(sample_case(cid, n, seed, mutation, shared,
+                                         words[i % WORDS_BLOCK]))
         trial_bytes = len(shared) * n * n * _ITEMSIZE
         if held and held + trial_bytes > STACK_BYTES:
             flush()
@@ -574,50 +564,57 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
     run first.  Each operand stack is built once and marked by
     ``linalg.share``, so the checkers that take it decompose it once; it is
     dropped once no pending stack of cases takes it.  A stack of cases
-    leaves ``pending`` as soon as it has run.  Then its verdicts are
+    leaves ``pending`` as it runs.  A stack that raises a NormetryError
+    reruns one case at a time (``_alone``); should no case raise alone,
+    the stack's own error is raised unchanged.  Then the verdicts are
     booked to their checkers' reports in index order: a witness's, with
     its own tol, as its row (``witnesses`` is the table of them all); a
-    trial's, in trial order.  A NormetryError names its case from the
-    cases left (``_raise_first_failure``)."""
+    trial's, in trial order; and a case that raised alone, as its error
+    row."""
+    _generate_recorded([case for stack in pending.values() for _, case in stack])
+    keys = {  # each group's operand stacks, by operand name
+        group: {name: tuple(id(case.matrices[name]) for _, case in stack)
+                for name in stack[0][1].matrices}
+        for group, stack in pending.items()
+    }
+    users = Counter(key for names in keys.values() for key in names.values())
     stacks: dict = {}  # operand stacks, by the ids of the matrices they hold
     done = []  # (index, report, verdict, certificate or None)
-    group = None  # the group whose stack runs, once the operands are generated
-    try:
-        _generate_recorded([case for stack in pending.values() for _, case in stack])
-        keys = {  # each group's operand stacks, by operand name
-            group: {name: tuple(id(case.matrices[name]) for _, case in stack)
-                    for name in stack[0][1].matrices}
-            for group, stack in pending.items()
-        }
-        users = Counter(key for names in keys.values() for key in names.values())
-        while pending:
-            group = next(iter(pending))  # in the order of their first cases
-            stack = pending[group]
-            report = reports[group[0]]
-            cases = [case for _, case in stack]
-            names = keys.pop(group)
-            for name, key in names.items():
-                if key not in stacks:
-                    stacks[key] = linalg.share(_stacked(cases, name))
+    raised = []  # (index, report, error row)
+    while pending:
+        group = next(iter(pending))  # in the order of their first cases
+        stack = pending.pop(group)
+        report = reports[group[0]]
+        cases = [case for _, case in stack]
+        names = keys.pop(group)
+        for name, key in names.items():
+            if key not in stacks:
+                stacks[key] = linalg.share(_stacked(cases, name))
+        try:
             verdicts = run_stack(cases, tol=tol,
                                  stacks={name: stacks[key] for name, key in names.items()})
-            del pending[group]
-            for key in names.values():
-                users[key] -= 1
-                if not users[key]:
-                    del stacks[key]
-            for (i, case), verdict in zip(stack, verdicts):
-                if i < 0:
-                    verdict.tol = witnesses[i].tol
-                    done.append((i, report, verdict, None))
-                    continue
+        except NormetryError:
+            verdicts = [_alone(case, tol) for case in cases]
+            if not any(isinstance(verdict, NormetryError) for verdict in verdicts):
+                raise
+        for key in names.values():
+            users[key] -= 1
+            if not users[key]:
+                del stacks[key]
+        for (i, case), verdict in zip(stack, verdicts):
+            if isinstance(verdict, NormetryError):
+                raised.append((i, report, error_row(case, i, verdict,
+                                                    witnesses[i] if i < 0 else None)))
+            elif i < 0:
+                verdict.tol = witnesses[i].tol
+                done.append((i, report, verdict, None))
+            else:
                 # the benchmark's tracer counts trials by these calls
                 run_case(case, verdict=verdict, stamp=keep_verdicts)
                 done.append((i, report, verdict,
                              None if verdict.passed else make_certificate(case, verdict)))
-    except NormetryError:
-        _raise_first_failure(pending, witnesses, tol, group)
-        raise
+    for i, report, row in sorted(raised, key=lambda entry: entry[0]):
+        report.errors.append(row)
     done.sort(key=lambda entry: entry[0])
     for i, report, verdict, certificate in done:
         if i < 0:
@@ -632,44 +629,11 @@ def _run_pending(pending: dict, tol: float, keep_verdicts: bool, reports: dict,
             report.verdicts.append(verdict_row(verdict))
 
 
-def _raise_first_failure(pending: dict, witnesses: list, tol: float,
-                         failed: tuple | None) -> None:
-    """Find the first failing case among the cases still ``pending`` in a
-    flush that raised, and raise its error, with its label at the start of
-    its message.  Where the stack of group ``failed`` raised, the operands
-    are generated: every other pending stack runs as a stack, and only the
-    cases of the stacks that raised rerun one at a time; guards decide each
-    matrix as alone, so a stack that passes has passed case by case.
-    Otherwise (generation raised) every pending case reruns one at a time.
-    Cases rerun in (index, check) order: the witnesses first, in their
-    order, then each trial in order, which generates its recorded operands
-    alone in record order and then runs its cases alone in check order.
-    That is the campaign's first failing case.  Returns if none fails
-    alone."""
-    rerun = pending.values()
-    if failed in pending:
-        rerun = [pending[failed]]
-        for group, stack in pending.items():
-            if group != failed:
-                try:
-                    run_stack([case for _, case in stack], tol=tol)
-                except NormetryError:
-                    rerun.append(stack)
-    entries = sorted((entry for stack in rerun for entry in stack),
-                     key=lambda entry: (entry[0], checks.CHECK_IDS.index(entry[1].check_id)))
+def _alone(case: Case, tol: float):
+    """The verdict of ``case`` run alone, unstamped, or the NormetryError
+    it raises.  Guards decide each matrix of a stack as alone, so a stack
+    that raises holds a case that raises alone."""
     try:
-        for i, entry in itertools.groupby(entries, key=lambda entry: entry[0]):
-            named = [(_trial_label(case.check_id, i, case.n, case.seed) if i >= 0 else
-                      f"witness {case.check_id} ({witnesses[i].description})", case)
-                     for _, case in entry]
-            made = {}  # GenSpec -> its operand, generated alone
-            for label, case in named:
-                for name, m in case.matrices.items():
-                    if isinstance(m, GenSpec):
-                        if m not in made:
-                            made[m] = _generate([m])[m]
-                        case.matrices[name] = made[m]
-            for label, case in named:
-                run_stack([case], tol=tol)
+        return run_stack([case], tol=tol)[0]
     except NormetryError as exc:
-        raise _named(exc, label, i, RUNNING, case.check_id) from exc
+        return exc

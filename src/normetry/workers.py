@@ -5,25 +5,19 @@ Linux, from a process of one OS thread, with more than one usable CPU and
 no function of the package wrapped from outside it.  Only then does a
 caller split its work into groups.  ``run_groups`` runs a function on each
 group and returns the results in group order: the first group runs here
-and each other group in a forked child, which pickles its outcome back
-through a pipe.  A NormetryError is kept with its ``case``, the order key
-it carries, so whichever process met it, the failure the caller would have
-met first is raised, and only once every group has ended.  Each child is
-reaped on every path.
+and each other group in a forked child, which pickles its result, or the
+exception it raised, back through a pipe.  The exception of the first
+group in group order that raised is raised, whichever process met it, and
+each child is reaped on every path.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import os
 import sys
 import types
 
-from .errors import NormetryError, WorkerLost
-
-# The key of a failure that names no case: it is raised before any other.
-FIRST = (-math.inf,)
+from .errors import WorkerLost
 
 
 def usable_cpus() -> int:
@@ -65,45 +59,32 @@ def parallel() -> bool:
     return usable_cpus() > 1 and can_fork() and not _wrapped_from_outside()
 
 
-def _outcome(run, group) -> tuple:
-    """``(None, run(group))``, or ``(key, exc)`` for a NormetryError, keyed
-    by its ``case``, or by FIRST when it names no case."""
-    try:
-        return None, run(group)
-    except NormetryError as exc:
-        return getattr(exc, "case", FIRST), exc
-
-
 def run_groups(run, groups: list) -> list:
     """``run(group)`` of each group, in group order.  ``run`` returns a
-    result or raises; once every group has ended, the NormetryError of
-    the least ``case`` is raised.  The first group runs in this process
-    and each other one in a forked child, so pass more than one group only
-    where ``parallel()``."""
-    outcome = functools.partial(_outcome, run)
+    result or raises; the exception of the first group that raised is
+    raised, once the groups after it are killed and every child is reaped.
+    The first group runs in this process and each other one in a forked
+    child, so pass more than one group only where ``parallel()``."""
     finishers = []
     try:
         for group in groups[1:]:
-            finishers.append(_start(outcome, group))
-        outcomes = [outcome(groups[0])]
+            finishers.append(_start(run, group))
+        results = [run(groups[0])]
         while finishers:
-            outcomes.append(finishers.pop(0)())
+            results.append(finishers.pop(0)())
     finally:
         for finish in finishers:  # what an exception left running
             finish(kill=True)
-    failures = [(key, exc) for key, exc in outcomes if key is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [result for _, result in outcomes]
+    return results
 
 
 def _start(run, group):
-    """Fork a child that sends the pickled outcome of ``run(group)``
-    through a pipe, an unexpected exception as a failure of key FIRST, and
-    ends by ``os._exit`` whatever happens, writing nothing to stdout or
-    stderr.  Returns ``finish(kill=False)``, which waits for the child's
-    outcome; with ``kill``, or when the wait is interrupted, it kills the
-    child instead.  Either way it reaps the child."""
+    """Fork a child that sends ``run(group)``, or the exception it raised,
+    pickled through a pipe, and ends by ``os._exit`` whatever happens,
+    writing nothing to stdout or stderr.  Returns ``finish(kill=False)``,
+    which waits for the child's outcome and returns its result or raises
+    its exception; with ``kill``, or when the wait is interrupted, it kills
+    the child instead.  Either way it reaps the child."""
     import pickle
     import signal
 
@@ -121,7 +102,7 @@ def _start(run, group):
             try:
                 outcome = run(group)
             except Exception as exc:  # the parent raises it
-                outcome = FIRST, exc
+                outcome = exc
             with open(write, "wb") as out:
                 pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -145,7 +126,10 @@ def _start(run, group):
         if kill:
             return None
         if status == 0:
-            return pickle.loads(data)  # bytes this program's child wrote
+            outcome = pickle.loads(data)  # bytes this program's child wrote
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
         code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
         raise WorkerLost(f"the worker process for {', '.join(group)} {how} "

@@ -28,7 +28,18 @@ def test_verify_small_green(tmp_path):
     assert report["header"]["config"]["command"] == "verify"
     assert all(w["pass"] for w in report["witnesses"])
     assert all(not c["violations"] for c in report["campaigns"])
+    assert all("errors" not in c for c in report["campaigns"])
     assert len(report["verdicts"]) == 20
+
+
+def test_an_all_pass_falsify_report_has_no_errors_key(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["falsify", "--check", "thm1.2", "--trials", "6", "--dims", "2,3",
+            "--out", str(out)]
+    assert run(argv) == cli.EXIT_OK
+    campaign = json.loads(out.read_text())["campaign"]
+    assert campaign["expectation"] == "none" and not campaign["violations"]
+    assert "errors" not in campaign
 
 
 def test_verify_unknown_check_usage_error(capsys):
@@ -144,22 +155,21 @@ def test_gen_non_finite_scale_is_usage_error(scale, capsys):
     assert "scale" in captured.err
 
 
-@pytest.mark.parametrize("argv, label", [
-    (["gen", "--kind", "psd", "--dim", "100000000"], ""),
-    (["verify", "--checks", "ineq4", "--trials", "1", "--dims", "100000000"],
-     "ineq4 trial 0 (n=100000000, seed="),
-    (["falsify", "--check", "thm1.2", "--trials", "1", "--dims", "10000000000"],
-     "thm1.2 trial 0 (n=10000000000, seed="),
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "psd", "--dim", "100000000"],
+    ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "100000000"],
+    ["falsify", "--check", "thm1.2", "--trials", "1", "--dims", "10000000000"],
 ])
-def test_a_dimension_too_large_to_allocate_is_a_usage_error(argv, label, capsys):
+def test_a_dimension_too_large_to_allocate_is_a_usage_error(argv, capsys):
     """numpy refuses both sizes before allocating anything: 142 PiB at
-    n = 10**8, and past the largest array size at n = 10**10.  A campaign
-    names the trial that asked for it."""
+    n = 10**8, and past the largest array size at n = 10**10.  The size
+    depends on n, not on a trial, so a campaign's generator raises the
+    error unchanged, as ``gen`` does."""
     assert run(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error: " + label)
-    assert "is too large to allocate" in captured.err
+    assert captured.err.startswith(f"usage error: dimension {argv[-1]} is too large "
+                                   "to allocate")
 
 
 def write_drop_vanishing_cert(tmp_path):
@@ -217,6 +227,18 @@ def test_replay_malformed_certificates_are_usage_errors(tmp_path, capsys):
         assert run(["replay", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "cannot parse certificate" in err and message in err
+    # nested too deep for the recursion limit: a real thm1.1 certificate
+    # whose fn nests 300 cone descriptors, and a file of 200,000 nested lists
+    case = falsify.sample_case("thm1.1", 3, 7)
+    cone = falsify.make_certificate(case, falsify.run_case(case))
+    for _ in range(300):
+        cone["case"]["fn"] = {"kind": "cone", "weights": [1.0], "members": [cone["case"]["fn"]]}
+    for i, text in enumerate([json.dumps(cone), "[" * 200_000 + "]" * 200_000]):
+        path = tmp_path / f"deep{i}.json"
+        path.write_text(text)
+        assert run(["replay", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse certificate: ") and "recursion" in err
 
 
 def test_seed_env_override(tmp_path, monkeypatch):
@@ -527,22 +549,36 @@ def test_replay_bad_fn_is_usage_error(tmp_path, capsys, fn):
     "error, code",
     [(ConvergenceFailure, cli.EXIT_NUMERICAL), (DomainError, cli.EXIT_USAGE)],
 )
-def test_failing_trial_is_named(monkeypatch, capsys, error, code):
+def test_failing_trial_is_named(monkeypatch, capsys, tmp_path, error, code):
+    """A case that raises alone is an error row, whatever its error: the
+    report is written, one line counts the rows and names the first, and
+    the run exits 3.  Raised by a stack of no case that raises alone, the
+    same error keeps its own exit code."""
     real = checks.check_prop_3_4
+    alone = [True]  # whether a case raises when it runs alone
 
     def flaky(a, b, **kw):  # a is one matrix or a stack of them
-        if a.shape[-1] == 3:
+        if a.shape[-1] == 3 and (alone[0] or len(a) > 1):
             raise error("planted failure")
         return real(a, b, **kw)
 
     monkeypatch.setattr(checks, "check_prop_3_4", flaky)
+    out = tmp_path / "report.json"
     argv = ["verify", "--checks", "thm1.1,prop3.4", "--trials", "4",
-            "--dims", "2,3", "--seed", "11"]
-    assert run(argv) == code
+            "--dims", "2,3", "--seed", "11", "--out", str(out)]
+    assert run(argv) == cli.EXIT_NUMERICAL
     seed = derive_stream(11, 1)
-    assert f"prop3.4 trial 1 (n=3, seed={seed}): planted failure" in (
-        capsys.readouterr().err
-    )
+    assert capsys.readouterr().err == (
+        f"error: 2 cases raised; first: prop3.4 trial 1 (n=3, seed={seed}): "
+        "planted failure\n")
+    thm11, prop34 = json.loads(out.read_text())["campaigns"]
+    assert "errors" not in thm11
+    assert prop34["errors"] == [
+        {"check": "prop3.4", "trial": i, "n": 3, "seed": derive_stream(11, i),
+         "error": error.__name__, "message": "planted failure"} for i in (1, 3)]
+    alone[0] = False
+    assert run(argv) == code
+    assert capsys.readouterr().err.endswith(": planted failure\n")
 
 
 def test_falsify_report_embeds_each_certificate_file_verbatim(tmp_path):

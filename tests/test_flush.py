@@ -3,6 +3,7 @@ witness table run inside it, and the per-stack domain check of scalar
 functions.  Grouping decides only how many calls a flush makes, never a
 verdict's bits."""
 
+import json
 import os
 from dataclasses import replace
 
@@ -156,15 +157,19 @@ def test_witness_scalars_match_their_checkers_draws():
 @pytest.mark.parametrize("dims", ["2,3", "3"])
 @pytest.mark.parametrize("error, code", [(ConvergenceFailure, cli.EXIT_NUMERICAL),
                                          (DomainError, cli.EXIT_USAGE)])
-def test_a_failing_witness_names_itself(monkeypatch, capsys, dims, error, code):
-    """A witness that raises gives the exit code of its error, as when the
-    witness table ran before the campaigns, and its message names it; it
-    takes precedence over a failing trial."""
+def test_a_failing_witness_names_itself(monkeypatch, capsys, tmp_path, dims, error, code):
+    """A witness that raises alone is an error row of its check, with its
+    description and no trial or seed; the error line names it before every
+    failing trial, and the run exits 3 whatever its error.  Where the
+    witness's stack raises but the witness passes alone, that error is
+    raised unchanged, with its own exit code."""
     marked = np.diag([1.0, 0.0]).astype(complex).tobytes()
     real_thm_1_2, real_prop_3_4 = checks.check_thm_1_2, checks.check_prop_3_4
+    alone = [True]  # whether the witness raises when it runs alone
 
     def fails_on_the_witness(g, a, b, **kw):
-        if any(m.tobytes() == marked for m in np.reshape(a, (-1,) + a.shape[-2:])):
+        rows = np.reshape(a, (-1,) + a.shape[-2:])
+        if (alone[0] or len(rows) > 1) and any(m.tobytes() == marked for m in rows):
             raise error("planted failure")
         return real_thm_1_2(g, a, b, **kw)
 
@@ -175,13 +180,24 @@ def test_a_failing_witness_names_itself(monkeypatch, capsys, dims, error, code):
 
     monkeypatch.setattr(checks, "check_thm_1_2", fails_on_the_witness)
     monkeypatch.setattr(checks, "check_prop_3_4", fails_at_n3)
+    out = tmp_path / "report.json"
     argv = ["verify", "--checks", "thm1.2,prop3.4", "--trials", "4", "--dims", dims,
-            "--seed", "11"]
+            "--seed", "11", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    description = "t^2 on complementary projections (equality)"
+    sizes = [int(d) for d in dims.split(",")]
+    trials = [i for i in range(4) if sizes[i % len(sizes)] == 3]  # prop3.4 raises
+    assert capsys.readouterr().err == (
+        f"error: {1 + len(trials)} cases raised; first: witness thm1.2 ({description}): "
+        "planted failure\n")
+    thm12, prop34 = json.loads(out.read_text())["campaigns"]
+    assert thm12["errors"] == [{"check": "thm1.2", "trial": None, "n": 2, "seed": None,
+                                "error": error.__name__, "message": "planted failure",
+                                "description": description}]
+    assert [row["trial"] for row in prop34["errors"]] == trials
+    alone[0] = False
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
-    assert ("witness thm1.2 (t^2 on complementary projections (equality)): "
-            "planted failure") in err
-    assert "trial" not in err
+    assert capsys.readouterr().err.endswith(": planted failure\n")
 
 
 def planted_witness_failure(monkeypatch, name, marked):
@@ -208,8 +224,9 @@ def planted_witness_failure(monkeypatch, name, marked):
 def test_a_failing_witness_in_either_group_names_itself(
         monkeypatch, capsys, split_groups, split, planted, first):
     """Witnesses run in the group of their check; a failing witness in
-    either group comes before every failing trial, and of two failing
-    witnesses the one earlier in the table raises, as in one run."""
+    either group is an error row, named before every failing trial, and
+    of two failing witnesses the error line names the one earlier in the
+    table, as in one run."""
     names = {"prop3.4": "check_prop_3_4", "thm1.2": "check_thm_1_2",
              "ineq5": "check_ineq_5"}
     for cid, marked in planted.items():
@@ -225,12 +242,16 @@ def test_a_failing_witness_in_either_group_names_itself(
     argv = ["verify", "--checks", "thm1.2,prop3.4,ineq5", "--trials", "4",
             "--dims", "2,3", "--seed", "11"]
     split_groups(split)
-    assert cli.main(argv) == cli.EXIT_USAGE
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: witness {first}") and err.endswith(": planted failure\n")
-    assert err.count("\n") == 1
+    out, err = capsys.readouterr()
+    rows = [row for c in json.loads(out)["campaigns"] for row in c.get("errors", [])]
+    assert {row["check"] for row in rows if row["trial"] is None} == set(planted)
+    assert [(row["check"], row["trial"]) for row in rows if row["trial"] is not None] == [
+        ("thm1.2", 1), ("thm1.2", 3)]
+    assert err.startswith(f"error: {len(rows)} cases raised; first: witness {first}")
+    assert err.endswith(": planted failure\n") and err.count("\n") == 1
 
 
 def row_fns():

@@ -7,6 +7,7 @@ giving each matrix of a stack the bits of a single call; LAPACK builds can
 batch differently, so the kernels are checked here first.
 """
 
+import json
 import math
 import os
 from collections import Counter
@@ -218,7 +219,7 @@ def test_only_undecided_rows_reach_the_svd_stage(monkeypatch):
     assert calls == [(1, 3, 3), (1, 3, 3)]
 
 
-# --- a failing campaign names its case -------------------------------------
+# --- a failing case becomes an error row ------------------------------------
 
 
 def plant_failure(monkeypatch, cid, failing):
@@ -238,9 +239,22 @@ def plant_failure(monkeypatch, cid, failing):
     monkeypatch.setattr(checks, name, planted)
 
 
+def planted_row(cid, i, dims=(2, 3, 4), seed=31):
+    """The error row of trial ``i`` of ``cid`` that raised the planted
+    failure: the fields of its label, the error's type and its message."""
+    return {"check": cid, "trial": i, "n": dims[i % len(dims)],
+            "seed": derive_stream(seed, i), "error": "DomainError",
+            "message": "planted failure"}
+
+
 @pytest.mark.parametrize("failing_trials", [(5,), (9, 6)])
 def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_trials):
+    """Each case that raises, in a stack and then alone, is one error row
+    of its check, in trial order, and the campaign runs all its trials:
+    the other cases are booked as an unplanted run books them."""
     dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
+    clean = falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed,
+                                  keep_verdicts=True)
     cases = {i: falsify.sample_case("prop3.4", dims[i % 3], derive_stream(seed, i))
              for i in failing_trials}
     plant_failure(monkeypatch, "prop3.4", [c.matrices["a"] for c in cases.values()])
@@ -251,14 +265,14 @@ def test_a_failing_campaign_names_its_first_failing_case(monkeypatch, failing_tr
         return real_stack(cases, **kwargs)
 
     monkeypatch.setattr(falsify, "run_stack", spy)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
-    first = min(failing_trials)
-    n = dims[first % 3]
-    assert str(err.value) == (
-        f"prop3.4 trial {first} (n={n}, seed={derive_stream(seed, first)}): "
-        "planted failure"
-    )
+    thm12, prop34 = falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed,
+                                          keep_verdicts=True)
+    assert prop34.errors == [planted_row("prop3.4", i) for i in sorted(failing_trials)]
+    assert prop34.verdicts == [row for i, row in enumerate(clean[1].verdicts)
+                               if i not in failing_trials]
+    assert prop34.violations == clean[1].violations == []
+    assert (thm12.verdicts, thm12.min_margin, thm12.errors) == (
+        clean[0].verdicts, clean[0].min_margin, [])
     assert max(sizes) > 1  # the failure arose in a stack, then was rerun
 
 
@@ -268,15 +282,20 @@ def assert_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-def verify_error(capsys, ids, trials, dims, seed) -> str:
-    """The message of the one error line of a ``verify`` of ``ids`` that a
-    case's DomainError fails."""
+def verify_error(capsys, ids, trials, dims, seed) -> tuple:
+    """The report and the one error line of a ``verify`` of ``ids`` where a
+    case raised."""
     argv = ["verify", "--checks", ",".join(ids), "--trials", str(trials),
             "--dims", ",".join(map(str, dims)), "--seed", str(seed)]
-    assert cli.main(argv) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    return err[len("error: "):-1]
+    return json.loads(out), err
+
+
+def error_line(raised, cid, i, dims=(2, 3, 4), seed=31):
+    return (f"error: {raised} case{'s' * (raised > 1)} raised; first: {cid} trial {i} "
+            f"(n={dims[i % len(dims)]}, seed={derive_stream(seed, i)}): planted failure\n")
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -287,8 +306,8 @@ def test_a_failing_verify_names_its_first_failing_case_across_groups(
         monkeypatch, capsys, split_groups, split, thm12_trial, prop34_trial, first):
     """Split, thm1.2 and prop3.4 run in groups of their own (in two
     processes where this one may fork): with a failure planted in each, or
-    in one, the error is the one run of both would raise, its first
-    failing case in (trial, check) order."""
+    in one, each is an error row of its check's campaign, and the error
+    line counts them and names the first in (trial, check) order."""
     dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
     assert checks.groups(ids) == [["thm1.2"], ["prop3.4"]]
     split_groups(split)
@@ -297,53 +316,49 @@ def test_a_failing_verify_names_its_first_failing_case_across_groups(
         if i is not None:
             case = falsify.sample_case(cid, dims[i % 3], derive_stream(seed, i))
             plant_failure(monkeypatch, cid, [case.matrices["a"]])
-    message = verify_error(capsys, ids, 12, dims, seed)
+    report, err = verify_error(capsys, ids, 12, dims, seed)
     assert_reaped()
-    i = trials[first]
-    assert message == (
-        f"{first} trial {i} (n={dims[i % 3]}, seed={derive_stream(seed, i)}): "
-        "planted failure"
-    )
+    planted = [i for i in trials.values() if i is not None]
+    assert err == error_line(len(planted), first, trials[first])
+    for campaign in report["campaigns"]:
+        i = trials[campaign["check"]]
+        if i is None:
+            assert "errors" not in campaign
+        else:
+            assert campaign["errors"] == [planted_row(campaign["check"], i)]
 
 
-def plant_generator_failure(monkeypatch, kind, seeds):
-    """Make the campaign's generator raise DomainError on a call that
-    draws a ``kind`` operand from a generator seeded with one of
-    ``seeds``; record the number of generators of every call."""
-    marks = {str(np.random.default_rng(np.uint64(s)).bit_generator.state) for s in seeds}
-    real = falsify.generate_family
-    sizes = []
-
-    def planted(n, rngs, specs):
-        sizes.append(len(rngs))
-        if any(str(r.bit_generator.state) in marks and any(s.kind == kind for s in row)
-               for r, row in zip(rngs, specs)):
-            raise DomainError("planted failure")
-        return real(n, rngs, specs)
-
-    monkeypatch.setattr(falsify, "generate_family", planted)
-    return sizes
-
-
-@pytest.mark.parametrize("failing_trials", [(5,), (9, 6)])
-def test_a_failing_generation_names_its_first_failing_case(monkeypatch, failing_trials):
-    """A generator that fails on one operand's seed while a flush generates
-    names the check that recorded the operand first (thm3.1's b, which
-    prop3.4 shares), its trial, n and trial seed, as eager generation did."""
-    dims, seed, ids = (2, 3, 4), 31, ["prop3.4", "thm1.2", "thm3.1"]
-    sizes = plant_generator_failure(
-        monkeypatch, "normal", [derive_stream(derive_stream(seed, i), 1) for i in failing_trials])
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
-    first = min(failing_trials)
-    assert str(err.value) == (
-        f"thm3.1 trial {first} (n={dims[first % 3]}, seed={derive_stream(seed, first)}): "
-        "planted failure"
-    )
-    assert max(sizes) > 1  # the failure arose in a stack of operands
+def test_failures_in_both_groups_give_one_report_split_or_not(
+        monkeypatch, capsys, split_groups):
+    """thm1.2 fails at trial 4 and prop3.4 at trial 2, each in its own
+    group: split or not, verify writes the same report outside the
+    timestamp, with one error row each, prints the same error line, exits
+    3 and leaves no child unreaped.  Each row's (check, n, seed) samples
+    again the case that raised, which raises its row's error alone."""
+    dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
+    for cid, i in (("thm1.2", 4), ("prop3.4", 2)):
+        plant_failure(monkeypatch, cid, [trial_case(cid, i).matrices["a"]])
+    runs = []
+    for split in (False, True):
+        split_groups(split)
+        report, err = verify_error(capsys, ids, 12, dims, seed)
+        assert_reaped()
+        report["header"].pop("timestamp")
+        runs.append((json.dumps(report, sort_keys=True), err))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == error_line(2, "prop3.4", 2)
+    rows = [row for campaign in report["campaigns"] for row in campaign["errors"]]
+    assert rows == [planted_row("thm1.2", 4), planted_row("prop3.4", 2)]
+    for row in rows:
+        case = falsify.sample_case(row["check"], row["n"], row["seed"])
+        with pytest.raises(DomainError, match=f"^{row['message']}$"):
+            falsify.run_case(case)
 
 
 def test_a_failing_witness_trial_is_named(monkeypatch):
+    """Trial 0 of a must-violate campaign is its check's witness: when it
+    raises it is the row of trial 0, of seed None, and the other trials
+    run."""
     real = checks.check_thm_1_2
 
     def fails_on_zero(g, a, b, **kw):
@@ -352,8 +367,11 @@ def test_a_failing_witness_trial_is_named(monkeypatch):
         return real(g, a, b, **kw)
 
     monkeypatch.setattr(checks, "check_thm_1_2", fails_on_zero)
-    with pytest.raises(ConvergenceFailure, match=r"^thm1.2 trial 0 \(n=2, seed=None\)"):
-        falsify.run_campaigns(["thm1.2"], "drop-vanishing", trials=6, dims=(2,))
+    [report] = falsify.run_campaigns(["thm1.2"], "drop-vanishing", trials=6, dims=(2,))
+    assert report.errors == [{"check": "thm1.2", "trial": 0, "n": 2, "seed": None,
+                              "error": "ConvergenceFailure", "message": "planted failure"}]
+    assert report.violations and all(cert["case"]["seed"] is not None
+                                     for cert in report.violations)
 
 
 def spy_flushes(monkeypatch) -> list:
@@ -391,22 +409,16 @@ def trial_case(cid, i, dims=(2, 3, 4), seed=31):
     return falsify.sample_case(cid, dims[i % len(dims)], derive_stream(seed, i))
 
 
-def failure_message(cid, i, dims=(2, 3, 4), seed=31):
-    return (f"{cid} trial {i} (n={dims[i % len(dims)]}, seed={derive_stream(seed, i)}): "
-            "planted failure")
-
-
 def test_a_failure_in_the_last_flush_reruns_no_earlier_flush(monkeypatch):
-    """Naming a failing case reruns only cases of the flush that raised:
-    every case of an earlier flush has passed and runs once."""
+    """A failing case reruns only cases of the flush that raised: every
+    case of an earlier flush has passed and runs once."""
     dims, seed, ids = (2, 3, 4), 31, ["thm1.2", "prop3.4"]
     plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 11).matrices["a"]])
     monkeypatch.setattr(falsify, "STACK_BYTES", 2000)  # three trials or so a flush
     flushes = spy_flushes(monkeypatch)
     runs, raised = spy_runs(monkeypatch)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
-    assert str(err.value) == failure_message("prop3.4", 11)
+    _, prop34 = falsify.run_campaigns(ids, trials=12, dims=dims, root_seed=seed)
+    assert prop34.errors == [planted_row("prop3.4", 11)]
     last = next(k for k, trials in enumerate(flushes) if 11 in trials)
     earlier = set().union(*flushes[:last])
     assert last >= 2 and earlier
@@ -414,12 +426,12 @@ def test_a_failure_in_the_last_flush_reruns_no_earlier_flush(monkeypatch):
     assert len(flushes[last]) > 1 and raised[0][0] == "prop3.4"
 
 
-def test_a_failing_flush_books_none_of_the_cases_it_reruns(monkeypatch):
-    """Only the stacks that passed reach ``run_case``, once per case; the
-    cases rerun to name the failure make no such call.  prop3.4's n = 3
-    stack (trials 1, 4, 7, 10) raises after three stacks have passed; the
-    two stacks not yet run then run as stacks and pass, and only the
-    failing stack's cases rerun alone, up to trial 7's."""
+def test_a_failing_flush_books_each_case_that_passes_alone_once(monkeypatch):
+    """prop3.4's n = 3 stack (trials 1, 4, 7, 10) raises after three stacks
+    have passed; its four cases rerun alone, and only trial 7's raises.
+    Every other case reaches ``run_case`` once: trials 1, 4 and 10 of
+    prop3.4 after their rerun, then the two n = 4 stacks.  Trial 7's case
+    is its error row."""
     plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 7).matrices["a"]])
     runs, raised = spy_runs(monkeypatch)
     booked = []  # (check id, trial seed) of each run_case call, and the raises before it
@@ -430,46 +442,31 @@ def test_a_failing_flush_books_none_of_the_cases_it_reruns(monkeypatch):
         return real(case, **kwargs)
 
     monkeypatch.setattr(falsify, "run_case", spy)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
-                              root_seed=31)
-    assert str(err.value) == failure_message("prop3.4", 7)
+    _, prop34 = falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
+                                      root_seed=31)
+    assert prop34.errors == [planted_row("prop3.4", 7)]
     assert raised == [("prop3.4", 4), ("prop3.4", 1)]
-    assert [before for _, before in booked] == [0] * 12
-    assert len({case for case, _ in booked}) == 12
-    assert sum(runs.values()) == 4 * 4 + 2 * 4 + 3
+    assert len(booked) == len({case for case, _ in booked}) == 23
+    assert [before for _, before in booked] == [0] * 12 + [2] * 11
+    assert [case for case, _ in booked[12:15]] == [
+        ("prop3.4", derive_stream(31, i)) for i in (1, 4, 10)]
+    assert sum(runs.values()) == 6 * 4 + 4
 
 
-def test_an_earlier_trial_of_a_later_stack_is_named_first(monkeypatch):
-    """thm1.2's stack runs first and fails at trial 9; prop3.4's fails at
-    trial 7, which is the campaign's first failing case."""
+def test_an_earlier_trial_of_a_later_stack_is_named_first(
+        monkeypatch, capsys, split_groups):
+    """In one group, thm1.2's n = 2 stack (four trials and its two
+    witnesses) runs first and fails at trial 9; prop3.4's fails at trial 7,
+    which the error line names first."""
+    split_groups(False)
     plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 9).matrices["a"]])
     plant_failure(monkeypatch, "prop3.4", [trial_case("prop3.4", 7).matrices["a"]])
     flushes = spy_flushes(monkeypatch)
     _, raised = spy_runs(monkeypatch)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
-                              root_seed=31)
+    _, err = verify_error(capsys, ["thm1.2", "prop3.4"], 12, (2, 3, 4), 31)
     assert len(flushes) == 1
-    assert raised[0] == ("thm1.2", 4)
-    assert str(err.value) == failure_message("prop3.4", 7)
-
-
-def test_an_earlier_failing_run_comes_before_a_later_failing_generation(monkeypatch):
-    """The flush fails to generate trial 9's operands before any stack runs;
-    trial 6's thm1.2 case, which fails when run, is named."""
-    seed = 31
-    plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 6).matrices["a"]])
-    sizes = plant_generator_failure(
-        monkeypatch, "normal", [derive_stream(derive_stream(seed, 9), 1)])
-    runs, raised = spy_runs(monkeypatch)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(["prop3.4", "thm1.2", "thm3.1"], trials=12,
-                              dims=(2, 3, 4), root_seed=seed)
-    assert str(err.value) == failure_message("thm1.2", 6)
-    assert max(sizes) > 1  # the flush generated its operands as stacks
-    assert raised == [("thm1.2", 1)]  # no stack of the flush ran
-    assert set(runs.values()) == {1}
+    assert raised[0] == ("thm1.2", 6)
+    assert err == error_line(2, "prop3.4", 7)
 
 
 def test_a_failing_flush_reruns_alone_only_the_cases_of_the_stacks_that_raise(monkeypatch):
@@ -495,9 +492,9 @@ def test_a_failing_flush_reruns_alone_only_the_cases_of_the_stacks_that_raise(mo
 
     monkeypatch.setattr(falsify, "run_stack", spy_stack)
     monkeypatch.setattr(falsify, "_run_pending", spy_pending)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(checks.CHECK_IDS, trials=1000, dims=dims, root_seed=seed)
-    assert str(err.value) == failure_message("prop3.4", 999, dims, seed)
+    reports = falsify.run_campaigns(checks.CHECK_IDS, trials=1000, dims=dims, root_seed=seed)
+    assert [row for report in reports for row in report.errors] == [
+        planted_row("prop3.4", 999, dims, seed)]
     stacks, failing_cases, before = flushes[-1]
     assert failing_cases > 1
     assert len(calls) - before <= stacks + failing_cases
@@ -506,8 +503,7 @@ def test_a_failing_flush_reruns_alone_only_the_cases_of_the_stacks_that_raise(mo
 def test_a_stack_error_no_case_raises_alone_is_raised_unchanged(monkeypatch):
     """Guards decide each matrix as alone, so a stack that fails has a case
     that fails alone; where none does, the stack's own error is raised
-    as it was, not swallowed.  The n = 3 stack, run as a stack to find
-    the failing case, raises too."""
+    as it was, not swallowed, once its cases have rerun alone."""
     real = checks.check_prop_3_4
 
     def fails_in_stacks(a, b, **kw):
@@ -516,62 +512,11 @@ def test_a_stack_error_no_case_raises_alone_is_raised_unchanged(monkeypatch):
         return real(a, b, **kw)
 
     monkeypatch.setattr(checks, "check_prop_3_4", fails_in_stacks)
-    _, raised = spy_runs(monkeypatch)
+    runs, raised = spy_runs(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="^stacked failure$"):
         falsify.run_campaigns(["prop3.4"], trials=6, dims=(2, 3), root_seed=31)
-    assert raised == [("prop3.4", 3), ("prop3.4", 3)]
-
-
-@pytest.mark.parametrize("run_failure", [5, None])
-def test_a_sampling_error_comes_after_the_trials_before_it(monkeypatch, run_failure):
-    """A case that fails to sample raises with its label once the trials
-    before it have run, so a failing case of an earlier trial comes
-    first."""
-    if run_failure is not None:
-        plant_failure(monkeypatch, "prop3.4",
-                      [trial_case("prop3.4", run_failure).matrices["a"]])
-    bad_seed = derive_stream(31, 8)
-    real = falsify.sample_case
-
-    def fails_at_trial_8(check_id, n, seed, *args, **kwargs):
-        if check_id == "prop3.4" and seed == bad_seed:
-            raise DomainError("planted failure")
-        return real(check_id, n, seed, *args, **kwargs)
-
-    monkeypatch.setattr(falsify, "sample_case", fails_at_trial_8)
-    runs, _ = spy_runs(monkeypatch)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
-                              root_seed=31)
-    assert str(err.value) == failure_message("prop3.4", run_failure or 8)
-    assert ("thm1.2", bad_seed) not in runs  # trial 8 never ran
-
-
-@pytest.mark.parametrize("split", [False, True])
-def test_a_sampling_error_comes_before_a_run_failure_of_its_trial_across_groups(
-        monkeypatch, capsys, split_groups, split):
-    """thm1.2 fails to run at trial 8, where prop3.4, a later check in the
-    other group, fails to sample.  One run of both samples thm1.2, then
-    raises prop3.4's error before trial 8 runs; so do the two groups,
-    though thm1.2's group runs trial 8."""
-    split_groups(split)
-    plant_failure(monkeypatch, "thm1.2", [trial_case("thm1.2", 8).matrices["a"]])
-    bad_seed = derive_stream(31, 8)
-    real = falsify.sample_case
-
-    def fails_at_trial_8(check_id, n, seed, *args, **kwargs):
-        if check_id == "prop3.4" and seed == bad_seed:
-            raise DomainError("planted failure")
-        return real(check_id, n, seed, *args, **kwargs)
-
-    monkeypatch.setattr(falsify, "sample_case", fails_at_trial_8)
-    with pytest.raises(DomainError) as err:
-        falsify.run_campaigns(["thm1.2", "prop3.4"], trials=12, dims=(2, 3, 4),
-                              root_seed=31)
-    assert str(err.value) == failure_message("prop3.4", 8)
-    assert verify_error(capsys, ["thm1.2", "prop3.4"], 12, (2, 3, 4), 31) == (
-        failure_message("prop3.4", 8))
-    assert_reaped()
+    assert raised == [("prop3.4", 3)]
+    assert sum(runs.values()) == 3 + 3
 
 
 def test_stacks_stay_under_the_byte_budget(monkeypatch):

@@ -6,6 +6,7 @@ The tests of forked workers run in this process when it may fork, and
 otherwise in a fresh interpreter with one BLAS thread, which may.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -120,12 +121,8 @@ def outcome_of(group):
         raise KeyboardInterrupt
     if what == "unexpected":
         raise ValueError("not a NormetryError")
-    if what == "nameless":
-        raise DomainError("failure of no case")
     if what == "fail":
-        failure = DomainError(f"failure {group[1]}")
-        failure.case = (int(group[1]),)
-        raise failure
+        raise DomainError(f"failure {group[1]}")
     return [what, os.getpid()]
 
 
@@ -138,13 +135,16 @@ def child_failures_reach_the_parent():
     assert [what for what, _ in results] == ["ok"] * 3
     pids = [pid for _, pid in results]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
-    for groups, message in [([["ok"], ["fail", "5"], ["fail", "2"]], "failure 2"),
+    for groups, message in [([["ok"], ["fail", "5"], ["fail", "2"]], "failure 5"),
                             ([["fail", "1"], ["fail", "4"]], "failure 1"),
-                            ([["fail", "4"], ["fail", "1"]], "failure 1"),
-                            ([["fail", "9"], ["unexpected"]], "not a NormetryError"),
-                            ([["fail", "9"], ["nameless"]], "failure of no case")]:
-        with pytest.raises((DomainError, ValueError), match=message):
+                            ([["fail", "4"], ["fail", "1"]], "failure 4"),
+                            ([["ok"], ["unexpected"], ["fail", "9"]], "not a NormetryError"),
+                            ([["ok"], ["fail", "3"], ["sleep"]], "failure 3"),
+                            ([["fail", "2"], ["sleep"]], "failure 2")]:
+        start = time.monotonic()
+        with pytest.raises((DomainError, ValueError), match=f"^{message}$"):
             workers.run_groups(outcome_of, groups)
+        assert time.monotonic() - start < 30  # a group after the failure is killed
         assert_reaped()
     for what, how in [("exit", "exited with code 7"), ("kill", "was killed by signal 9")]:
         with pytest.raises(WorkerLost, match=f"for {what} {how} without sending a result"):
@@ -153,10 +153,10 @@ def child_failures_reach_the_parent():
 
 
 def test_child_failures_reach_the_parent():
-    """Of the NormetryErrors the groups raise, the one of least ``case``
-    raises, whichever process met it, and one that names no case comes
-    first; an unexpected exception comes back too; a worker that dies
-    without a result is an error, never a hang or a lost group."""
+    """Of the exceptions the groups raise, the first group's in group
+    order is raised, whichever process met it, an unexpected exception
+    too, and the groups after it are killed; a worker that dies without a
+    result is an error, never a hang or a lost group."""
     in_a_forking_process(child_failures_reach_the_parent)
 
 
@@ -191,12 +191,17 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_a_worker_writes_nothing_to_stdout_or_stderr():
-    """The failure of a check run by a worker reaches the user once, as
-    the parent's own message and exit code."""
+def test_a_worker_writes_nothing_to_stdout_or_stderr(tmp_path):
+    """The failures of a check run by a worker reach the user once, as
+    error rows of the parent's report and the parent's own error line and
+    exit code."""
+    out = tmp_path / "report.json"
     done = single_threaded(PLANTED_VERIFY, "verify", "--checks", "thm1.1,prop3.4",
-                           "--trials", "2", "--dims", "2")
-    assert done.returncode == cli.EXIT_USAGE
+                           "--trials", "2", "--dims", "2", "--out", str(out))
+    assert done.returncode == cli.EXIT_NUMERICAL
     assert done.stdout == ""
-    assert done.stderr == ("error: witness prop3.4 (A=I, B=-I gives zero LHS): "
-                           "planted failure in a worker\n")
+    raised = len(checks.SPECS["prop3.4"].witnesses) + 2
+    assert done.stderr == (f"error: {raised} cases raised; first: witness prop3.4 "
+                           "(A=I, B=-I gives zero LHS): planted failure in a worker\n")
+    thm11, prop34 = json.loads(out.read_text())["campaigns"]
+    assert "errors" not in thm11 and len(prop34["errors"]) == raised
