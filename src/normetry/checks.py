@@ -286,11 +286,18 @@ def _spectrum_rows(spec: linalg.Spectrum, rows: slice) -> linalg.Spectrum:
     return linalg.Spectrum(spec.eigenvalues[rows], spec.frame[rows])
 
 
-def _spectral_apply(f, *stacks) -> np.ndarray:
-    """``spectral_apply`` of f to each Hermitian stack, in one call; a
-    shared stack's eigh is taken once (``linalg.joined``)."""
-    spec = linalg.joined(linalg.eigh, *stacks)
-    return _split(linalg.apply_spectrum(_repeat_fns(f, len(stacks)), spec), len(stacks))
+def _values_and_apply(f, first, *rest) -> tuple:
+    """The singular values of f(first), read from its spectrum as the
+    sorted |f(lambda)| (``norms.spectrum_singular_values``), and
+    ``spectral_apply`` of f to each stack of ``rest``, all from one eigh
+    call; a shared stack's eigh is taken once (``linalg.joined``).  No
+    f(first) is built to be decomposed again."""
+    spec = linalg.joined(linalg.eigh, first, *rest)
+    fw = linalg._apply_rows(_repeat_fns(f, 1 + len(rest)),
+                            linalg._clamp_spectrum(spec.eigenvalues))
+    t = len(first)
+    return (norms.spectrum_singular_values(fw[:t]),
+            _split(linalg.synthesize(spec.frame[t:], fw[t:]), len(rest)))
 
 
 def _repeat_fns(f, k: int):
@@ -340,8 +347,8 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
     total = operands[0]
     for m in operands[1:]:
         total = linalg.derived(np.add, total, m)
-    parts = _spectral_apply(f, total, *operands)
-    return norms.dominance_verdict(parts[0], sum(parts[1:]), tol=tol, check_id="thm1.1")
+    lhs, parts = _values_and_apply(f, total, *operands)
+    return norms.fan_verdict(lhs, norms.singular_values(sum(parts)), tol, "thm1.1")
 
 
 @_check("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
@@ -356,8 +363,8 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
                             {"kind": "power-m-plus", "m": 2, "c": 1.0}))})
 def check_thm_1_2(g, a, b, tol=DEFAULT_TOL):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
-    ga, gb, gs = _spectral_apply(g, a, b, linalg.derived(np.add, a, b))
-    return norms.dominance_verdict(ga + gb, gs, tol=tol, check_id="thm1.2")
+    rhs, (ga, gb) = _values_and_apply(g, linalg.derived(np.add, a, b), a, b)
+    return norms.fan_verdict(norms.singular_values(ga + gb), rhs, tol, "thm1.2")
 
 
 @_check("davis-hansen", scalarfn.OPERATOR_CONCAVE, (("a", "psd"), ("z", "contraction")),
@@ -371,7 +378,8 @@ def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     embedding) is the classical inequality for compressions.
     """
     zh = z.conj().swapaxes(-1, -2)
-    fa, fz = _spectral_apply(f, a, linalg.hermitian_part(zh @ a @ z))
+    spec = linalg.joined(linalg.eigh, a, linalg.hermitian_part(zh @ a @ z))
+    fa, fz = _split(linalg.apply_spectrum(_repeat_fns(f, 2), spec), 2)
     return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
 
 
@@ -419,13 +427,13 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     if np.any(singular & np.any(w <= 0, axis=-1)):
         raise NotPositiveDefinite("A+B must be positive definite for singular g")
     gw = linalg._apply_rows(g, w)
-    v = spec.frame[:t]
-    g_sum, lhs = _split(
-        linalg.synthesize(np.concatenate((v, v)), np.concatenate((gw, w * gw))), 2)
+    g_sum = linalg.synthesize(spec.frame[:t], gw)
     roots = linalg.apply_spectrum(np.sqrt, _spectrum_rows(spec, slice(t, None)))
     ra, rb = _split(roots, 2)
     rhs = ra @ g_sum @ ra + rb @ g_sum @ rb
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="prop2.1")
+    # the singular values of (A+B) g(A+B) are its eigenvalues w g(w)
+    return norms.fan_verdict(norms.spectrum_singular_values(w * gw),
+                             norms.singular_values(rhs), tol, "prop2.1")
 
 
 @_check("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
@@ -438,14 +446,8 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
 def check_thm_2_4(f, a, z, tol=DEFAULT_TOL):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
     zh = z.conj().swapaxes(-1, -2)
-    lhs, fa = _spectral_apply(f, linalg.hermitian_part(zh @ a @ z), a)
-    return norms.dominance_verdict(lhs, zh @ fa @ z, tol=tol, check_id="thm2.4")
-
-
-def _f_eigs_desc(f, m) -> np.ndarray:
-    """Descending eigenvalues of f(M) for M PSD-ish and f on [0, inf)."""
-    w = np.maximum(linalg.eigvalsh_desc(m), 0.0)
-    return np.sort(linalg._apply_rows(f, w))[..., ::-1]
+    lhs, (fa,) = _values_and_apply(f, linalg.hermitian_part(zh @ a @ z), a)
+    return norms.fan_verdict(lhs, norms.singular_values(zh @ fa @ z), tol, "thm2.4")
 
 
 def _eigen_indices(j, k, t: int, n: int):
@@ -467,21 +469,17 @@ def _eigen_indices(j, k, t: int, n: int):
                    Witness("sqrt on disjoint diagonals, j=k=0", False,
                            {"a": 4 * _D10, "b": 4 * _D01}, _SQRT, _JK0)))
 def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
-    """lambda_{j+k+1}(f(S)) <= lambda_{j+1}(f(A')) + lambda_{k+1}(f(B')).
+    """lambda_{j+k+1}(f(|A+B|)) <= lambda_{j+1}(f(|A|)) + lambda_{k+1}(f(|B|)).
 
-    For PSD A, B this uses S = A+B, A' = A, B' = B; otherwise the absolute
-    values |A+B|, |A|, |B| are used (triangle-inequality form).
+    The eigenvalues of |X| are the singular values of X (Bhatia, Matrix
+    Analysis, GTM 169, ch. III), and |X| = X for PSD X, so PSD and general
+    operands take one formula: f of the singular values of A+B, A and B,
+    from one ``singular_values`` call, sorted descending.
     """
     t, n = a.shape[:2]
     j, k, labels = _eigen_indices(j, k, t, n)
-    psd_a, psd_b = _split(linalg.is_psd(np.concatenate((a, b)), tol=PREDICATE_TOL), 2)
-    psd = psd_a & psd_b
-    trio = np.concatenate((a + b, a, b)).reshape(3, t, n, n)
-    rest = ~psd
-    if rest.any():
-        parts = (trio[0], a, b) if rest.all() else (trio[0][rest], a[rest], b[rest])
-        trio[:, rest] = _split(linalg.joined(linalg.matrix_abs, *parts), 3)
-    vals = _split(_f_eigs_desc(_repeat_fns(f, 3), trio.reshape(-1, n, n)), 3)
+    s = norms.singular_values(linalg.derived(np.add, a, b), a, b)
+    vals = _split(np.sort(linalg._apply_rows(_repeat_fns(f, 3), s))[..., ::-1], 3)
     rows = np.arange(t)
     lhs = vals[0][rows, j + k]
     rhs = vals[1][rows, j] + vals[2][rows, k]
@@ -523,7 +521,7 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL):
     abs_a, abs_b = _split(p.abs, 2)
     star_a, star_b = _split(p.abs_star, 2)
     lhs, rhs = _grid_rhs(norms.singular_values(
-        np.concatenate((a + b, abs_a + abs_b, star_a + star_b))))
+        linalg.derived(np.add, a, b), abs_a + abs_b, star_a + star_b))
     return norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
 
 
@@ -580,8 +578,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
     # prop3.4 takes the same |A| + |B| of shared stacks
-    ab = linalg.derived(_abs_sum, a, b) if linalg.shared(a, b) else pa + pb
-    rhs = _max_opnorm(ab, pc + pd_, pa + pc, pb + pd_)
+    rhs = _max_opnorm(linalg.derived(_abs_sum, a, b), pc + pd_, pa + pc, pb + pd_)
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 

@@ -138,11 +138,11 @@ _VIOLATIONS = "\0violations\0"
 def _csv_summary(campaigns: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["check", "mutation", "trials", "violations", "min_margin"])
+    writer.writerow(["check", "mutation", "trials", "violations", "min_margin", "errors"])
     for c in campaigns:
         writer.writerow(
             [c["check"], c.get("mutation") or "", c["trials"],
-             len(c["violations"]), repr(c["min_margin"])]
+             len(c["violations"]), repr(c["min_margin"]), len(c.get("errors", ()))]
         )
     return buf.getvalue()
 

@@ -16,10 +16,9 @@ matrix is V|Lambda|V* from ``eigh``; the guards and ``opnorm`` always use
 the SVD.  ``joined`` applies one of these functions to several stacks in
 one call, and reuses its results on stacks marked by ``share`` (a campaign
 shares the operand stacks that several checkers take); those stacks and
-results are read-only.  ``polar`` and the SVD route of ``matrix_abs`` take
-their SVD through ``joined`` too, so a shared stack is decomposed once for
-both.  ``derived`` makes a stack derived from shared stacks, such as A + B,
-a shared stack too, made once.
+results are read-only, and their memos are this module's alone.  ``polar``
+keeps only the SVD it reads its parts from.  ``derived`` makes a stack
+derived from shared stacks, such as A + B, a shared stack too, made once.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ def share(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def shared(*stacks) -> bool:
-    """Whether every stack is marked by ``share``."""
-    return all(id(m) in _MEMOS for m in stacks)
-
-
 def derived(fn, *stacks) -> np.ndarray:
     """``fn(*stacks)``, a stack derived from stacks, such as A + B.  Where
     every input is marked by ``share``, so is the result, and it is
@@ -70,7 +64,7 @@ def derived(fn, *stacks) -> np.ndarray:
     dead input leaves to another stack never finds it.  The results
     ``joined`` computes on it are kept in its own memo, for every checker
     that derives it."""
-    if not shared(*stacks):
+    if not all(id(m) in _MEMOS for m in stacks):
         return fn(*stacks)
     memo = _MEMOS[id(stacks[0])]
     key = (fn, *map(id, stacks[1:]))
@@ -93,8 +87,7 @@ def joined(fn, *stacks, **kwargs):
     (T, n, n) stacks, taken in as few calls as ``JOIN_BYTES`` allows.
 
     A stack marked by ``share`` keeps its rows of the result, read-only,
-    and they are not computed again.  ``polar`` keeps only its SVD, which
-    ``matrix_abs`` reads as well.
+    and they are not computed again.  ``polar`` keeps only its SVD.
     """
     if fn is polar:
         return _polar_parts(joined(_svd, *map(as_square, stacks)))
@@ -113,7 +106,8 @@ def joined(fn, *stacks, **kwargs):
             runs[-1].append(i)
             size += stacks[i].nbytes
     for run in runs:
-        result = _call(fn, [stacks[i] for i in run], kwargs)
+        result = fn(np.concatenate([stacks[i] for i in run]) if len(run) > 1
+                    else stacks[run[0]], **kwargs)
         # a kept part is copied out of a result that also holds rows nothing
         # keeps, so those can go
         copy = any(memos[i] is None for i in run) and len(run) > 1
@@ -126,17 +120,6 @@ def joined(fn, *stacks, **kwargs):
             else:
                 parts[i] = memos[i][key] = _read_only(_take(result, rows, copy))
     return parts[0] if len(parts) == 1 else _concatenate(parts)
-
-
-def _call(fn, stacks: list, kwargs):
-    """fn of the stacks joined.  ``matrix_abs`` of stacks with no exactly
-    Hermitian matrix takes its SVD from ``joined``, where ``polar`` finds
-    it."""
-    if fn is matrix_abs:
-        stacks = [as_square(m) for m in stacks]
-        if not any(is_exactly_hermitian(m).any() for m in stacks):
-            return _abs_from(joined(_svd, *stacks))
-    return fn(np.concatenate(stacks) if len(stacks) > 1 else stacks[0], **kwargs)
 
 
 def _fields(result):
@@ -455,10 +438,6 @@ def _abs_hermitian(m: np.ndarray) -> np.ndarray:
     return synthesize(v, np.abs(w))
 
 
-def _abs_svd(m: np.ndarray) -> np.ndarray:
-    return _abs_from(_svd(m))
-
-
 def _by_route(m: np.ndarray, hermitian_route, svd_route) -> np.ndarray:
     """``hermitian_route`` on the exactly Hermitian matrices of ``m``,
     ``svd_route`` on the others, each on the matrices it takes.
@@ -485,7 +464,7 @@ def _by_route(m: np.ndarray, hermitian_route, svd_route) -> np.ndarray:
 
 def matrix_abs(x) -> np.ndarray:
     """|X| = (X*X)^(1/2): from eigh when X is exactly Hermitian, else the SVD."""
-    return _by_route(as_square(x), _abs_hermitian, _abs_svd)
+    return _by_route(as_square(x), _abs_hermitian, lambda m: _abs_from(_svd(m)))
 
 
 def polar(x) -> PolarParts:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpec, DimensionMismatch
-from .linalg import _MEMOS, _by_route, _lapack, as_square, joined
+from .linalg import _by_route, _lapack, _rows, as_square, joined
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -57,12 +57,22 @@ OPERATOR = NormSpec("operator")
 TRACE = NormSpec("trace")
 
 
+def _sorted_abs(w: np.ndarray) -> np.ndarray:
+    return np.sort(np.abs(w))[..., ::-1]
+
+
 def _hermitian_sv(m: np.ndarray) -> np.ndarray:
-    return np.sort(np.abs(_lapack(np.linalg.eigvalsh, m)))[..., ::-1]
+    return _sorted_abs(_lapack(np.linalg.eigvalsh, m))
 
 
 def _svd_sv(m: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.svd, m, compute_uv=False)
+
+
+def _clamped(s: np.ndarray) -> np.ndarray:
+    """Descending singular values, those below ``SV_CLAMP_REL`` of the
+    largest set to 0."""
+    return np.where(s < SV_CLAMP_REL * s[..., :1], 0.0, s)
 
 
 def singular_values(x, *more) -> np.ndarray:
@@ -71,17 +81,23 @@ def singular_values(x, *more) -> np.ndarray:
     each in turn.
 
     An exactly Hermitian input takes |eigvalsh|, sorted; any other the SVD.
-    A stack marked by ``linalg.share`` keeps them in its memo (``joined``).
+    They are taken through ``joined``, so a stack marked by ``linalg.share``
+    keeps them.
     """
-    m = as_square(x)
-    if more or id(m) in _MEMOS:
-        return joined(_singular_values, m, *map(as_square, more))
-    return _singular_values(m)
+    return joined(_singular_values, as_square(x), *map(as_square, more))
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
-    s = _by_route(m, _hermitian_sv, _svd_sv)
-    return np.where(s < SV_CLAMP_REL * s[..., :1], 0.0, s)
+    return _clamped(_by_route(m, _hermitian_sv, _svd_sv))
+
+
+def spectrum_singular_values(w) -> np.ndarray:
+    """The singular values of Hermitian matrices with eigenvalues ``w``, one
+    row each, as ``singular_values`` gives them: |w| sorted descending
+    (Bhatia, Matrix Analysis, GTM 169, ch. III), tiny values clamped to 0.
+    A side whose spectrum is in hand needs no matrix built of it and
+    decomposed again."""
+    return _clamped(_sorted_abs(w))
 
 
 def _schatten(s: np.ndarray, ps) -> list:
@@ -224,30 +240,35 @@ def dominance_verdict(
     pad: bool = False,
 ):
     """Fan-dominance verdict for ||lhs|| <= ||rhs|| over all symmetric norms;
-    one verdict per matrix of a stack.
-
-    Records per-k Ky Fan margins plus a redundant Schatten grid.  With
-    pad=False the operands must share a dimension; pad=True zero-pads
-    singular values (used for block-vs-sum comparisons).  Each side is
-    coerced once, by ``singular_values``; a square side has as many
-    singular values as rows, so their counts compare the shapes.  Sides
-    of one shape take one ``singular_values`` call unless one is a shared
-    stack, and both sides' grids come from one ``fan_grid`` call.
+    one verdict per matrix of a stack: ``fan_verdict`` of the two sides'
+    singular values.  Each side is coerced once, by ``singular_values``,
+    and sides of one shape take one call of it.
     """
     ml, mr = np.asarray(lhs), np.asarray(rhs)
-    if (ml.shape == mr.shape and ml.ndim in (2, 3) and ml.shape[-1] == ml.shape[-2]
-            and id(ml) not in _MEMOS and id(mr) not in _MEMOS):
-        both = np.concatenate((ml[None], mr[None]))
-        s = singular_values(both.reshape(-1, *ml.shape[-2:])).reshape(both.shape[:-1])
-    else:  # a shared side keeps its singular values in its memo
+    if ml.shape == mr.shape:
+        sl, sr = singular_values(_rows(ml), _rows(mr)).reshape(2, *ml.shape[:-1])
+    else:
         sl, sr = singular_values(ml), singular_values(mr)
-        nl, nr = sl.shape[-1], sr.shape[-1]
-        if not pad and nl != nr:
-            raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
-        n = max(nl, nr)
-        s = np.concatenate((_pad(sl, n)[None], _pad(sr, n)[None]))
-    gl, gr = fan_grid(s)
-    return compare(check_id, grid_labels(s.shape[-1]), gl, gr, tol)
+    return fan_verdict(sl, sr, tol, check_id, pad)
+
+
+def fan_verdict(sl, sr, tol: float = DEFAULT_TOL, check_id: str = "dominance",
+                pad: bool = False):
+    """Fan-dominance verdict on the two sides' descending singular values
+    (one row per matrix of a stack, as ``singular_values`` gives them).
+
+    Records per-k Ky Fan margins plus a redundant Schatten grid.  With
+    pad=False the sides must have as many singular values, as square
+    matrices of one dimension do; pad=True zero-pads them (used for
+    block-vs-sum comparisons).  Both sides' grids come from one
+    ``fan_grid`` call.
+    """
+    nl, nr = sl.shape[-1], sr.shape[-1]
+    if not pad and nl != nr:
+        raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
+    n = max(nl, nr)
+    gl, gr = fan_grid(np.stack((_pad(sl, n), _pad(sr, n))))
+    return compare(check_id, grid_labels(n), gl, gr, tol)
 
 
 def norm_grid(n: int) -> list[NormSpec]:

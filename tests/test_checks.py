@@ -255,6 +255,28 @@ def test_eigen_sum_psd_sweep():
             assert checks.check_eigen_sum(sf.power_fn(0.3), a, b, j, k).passed
 
 
+@pytest.mark.parametrize("kind", ["psd", "general"])
+def test_eigen_sum_reads_the_values_only_svd(kind):
+    """The eigenvalues of f(|X|) are f(sigma(X)) and |X| = X for PSD X, so
+    both sides are f of the values-only SVD of A + B, A and B, for PSD and
+    general operands alike: bit for bit where the SVD is eigen-sum's own
+    route (general operands), to rounding where exactly Hermitian operands
+    take eigvalsh."""
+    n, f = 5, sf.sqrt_fn()
+    a = generate(GenSpec(kind, n, derive_stream(41, 0)))
+    b = generate(GenSpec(kind, n, derive_stream(41, 1)))
+    s_sum, s_a, s_b = (np.linalg.svd(x, compute_uv=False) for x in (a + b, a, b))
+    for j in range(n):
+        for k in range(n - j):
+            [record] = checks.check_eigen_sum(f, a, b, j, k).records
+            lhs, rhs = np.sqrt(s_sum[j + k]), np.sqrt(s_a[j]) + np.sqrt(s_b[k])
+            if kind == "general":
+                assert (record.lhs, record.rhs) == (lhs, rhs)
+            else:
+                assert record.lhs == pytest.approx(lhs, rel=1e-13, abs=1e-15)
+                assert record.rhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
+
+
 def test_eigen_sum_index_bounds():
     with pytest.raises(IndexOutOfRange):
         checks.check_eigen_sum(sf.sqrt_fn(), np.eye(2), np.eye(2), 1, 1)

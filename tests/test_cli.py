@@ -66,8 +66,29 @@ def test_verify_csv_summary(tmp_path):
     )
     assert code == cli.EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "check,mutation,trials,violations,min_margin"
-    assert lines[1].startswith("ineq4,,5,0,")
+    assert lines[0] == "check,mutation,trials,violations,min_margin,errors"
+    assert lines[1].startswith("ineq4,,5,0,") and lines[1].endswith(",0")
+
+
+def test_csv_summary_counts_error_rows(monkeypatch, tmp_path):
+    """A case that raises is counted in its check's ``errors`` column, and
+    the run exits 3."""
+    real = checks.check_prop_3_4
+
+    def flaky(a, b, **kw):  # a is one matrix or a stack of them
+        if a.shape[-1] == 3:
+            raise ConvergenceFailure("planted failure")
+        return real(a, b, **kw)
+
+    monkeypatch.setattr(checks, "check_prop_3_4", flaky)
+    out = tmp_path / "summary.csv"
+    argv = ["verify", "--checks", "thm1.1,prop3.4", "--trials", "2", "--dims", "2,3",
+            "--seed", "11", "--format", "csv-summary", "--out", str(out)]
+    assert run(argv) == cli.EXIT_NUMERICAL
+    header, thm11, prop34 = out.read_text().strip().splitlines()
+    assert header.endswith(",errors")
+    assert thm11.startswith("thm1.1,,2,0,") and thm11.endswith(",0")
+    assert prop34.startswith("prop3.4,,2,0,") and prop34.endswith(",1")
 
 
 def test_falsify_mutation_produces_certificates(tmp_path):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from normetry import checks, falsify, linalg
+from normetry import checks, falsify, linalg, norms
 from normetry.checks import CHECK_IDS
 from normetry.errors import ConvergenceFailure
 from normetry.rand import KINDS, GenSpec, derive_stream, generate
@@ -257,8 +257,9 @@ def test_is_normal_memo_keeps_each_tolerance_apart():
 def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     """Each operand is generated once per trial; the checkers that take the
     same operands take one shared stack of them, each decomposition of a
-    shared stack is computed once, and each operand goes through one SVD,
-    though eigen-sum takes |A| of it and ineq4 its polar parts."""
+    shared stack is computed once, and each operand goes through one SVD
+    with vectors, for ineq4's polar parts.  The singular values of A + B
+    of a general pair are taken once, for eigen-sum and ineq4 alike."""
     generated = Counter()  # (kind, n, generator state) -> operands made of it
     operands = set()  # bytes of every generated operand
     real_generate = falsify.generate_family
@@ -311,6 +312,7 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     monkeypatch.setattr(falsify, "generate_family", count_generate)
     monkeypatch.setattr(falsify, "run_stack", count_operands)
     monkeypatch.setattr(linalg, "joined", count_joined)
+    monkeypatch.setattr(norms, "joined", count_joined)
     monkeypatch.setattr(np.linalg, "svd", count_svd)
     falsify.run_campaigns(CHECK_IDS, trials=1, dims=(4,), root_seed=0)
     assert set(generated.values()) == {1}
@@ -318,32 +320,30 @@ def test_one_trial_generates_and_decomposes_each_operand_once(monkeypatch):
     assert set(computed.values()) == {1}
     assert max(asked.values()) > 1  # memo hits happen
     assert {key[0] for _, key in computed} == {
-        linalg.eigh, linalg.matrix_abs, linalg._svd, linalg.is_normal,
-        linalg.is_contraction, linalg.is_expansive, linalg.is_pd,
+        linalg.eigh, linalg.matrix_abs, linalg._svd, norms._singular_values,
+        linalg.is_normal, linalg.is_contraction, linalg.is_expansive, linalg.is_pd,
     }
-    # the SVD that matrix_abs took of eigen-sum's operands serves ineq4's polar
-    assert max(n for (_, key), n in asked.items() if key == (linalg._svd,)) > 1
+    # eigen-sum's singular values of the general A + B serve ineq4's
+    assert max(n for (_, key), n in asked.items() if key == (norms._singular_values,)) > 1
     assert svd_inputs and max(svd_inputs.values()) == 1
 
 
-def test_matrix_abs_and_polar_share_one_svd(monkeypatch):
-    """On a shared stack, polar, matrix_abs and polar again cost one SVD
-    in total; |X| from ``polar`` is ``matrix_abs`` of X, bit for bit, and
-    the polar parts of each matrix are those it gets alone."""
+def test_polar_of_a_shared_stack_takes_one_svd(monkeypatch):
+    """On a shared stack, polar taken twice costs one SVD, and the polar
+    parts of each matrix are those it gets alone; an unshared stack keeps
+    nothing."""
     x = linalg.share(np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)]))
-    fresh = np.stack([generate(GenSpec("general", 4, seed)) for seed in (3, 4, 5)])
     calls = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k)
     )
     parts = linalg.joined(linalg.polar, x)
-    assert linalg.joined(linalg.matrix_abs, x).tobytes() == parts.abs.tobytes()
     assert linalg.joined(linalg.polar, x).u.tobytes() == parts.u.tobytes()
     assert len(calls) == 1
+    fresh = np.array(x)
     assert linalg.joined(linalg.polar, fresh).abs.tobytes() == parts.abs.tobytes()
-    assert len(calls) == 2  # an unshared stack keeps nothing
-    assert linalg.matrix_abs(fresh).tobytes() == parts.abs.tobytes()
+    assert len(calls) == 2
     for t in range(3):
         alone = linalg.polar(x[t])
         assert alone.u.tobytes() == parts.u[t].tobytes()
@@ -405,9 +405,10 @@ def test_a_campaign_decomposes_each_matrix_once(monkeypatch):
 
     def spy(name, real):
         def call(a, *args, **kwargs):
-            # an SVD with vectors and one without are two computations: eigen-sum
-            # takes |A + B| from the first and ineq4 the norms of A + B from the
-            # second, and neither has the bits of the other
+            # an SVD with vectors and one without are two computations: ineq4
+            # takes the polar parts of A from the first and eigen-sum the
+            # singular values of A from the second, and neither has the bits
+            # of the other
             routine = name, kwargs.get("compute_uv", True)
             for m in np.reshape(a, (-1, *np.shape(a)[-2:])):
                 # a matrix of zeros has the same bytes however it arose:
@@ -425,6 +426,33 @@ def test_a_campaign_decomposes_each_matrix_once(monkeypatch):
     assert len(seen) > 100
     assert set(repeats) <= set()
     assert linalg._MEMOS == {}
+
+
+@pytest.mark.parametrize("root_seed, kind, before", [(0, "general", 70), (2, "psd", 73)])
+def test_a_trial_hands_lapack_fewer_matrices(monkeypatch, root_seed, kind, before):
+    """A side whose spectrum a checker holds is not built and decomposed
+    again, and eigen-sum reads its operands' singular values from one
+    call: a one-trial campaign of every check at n = 32 hands eigh,
+    eigvalsh and svd fewer 32 x 32 matrices than ``before``, the count when
+    thm1.1, thm1.2, thm2.4 and prop2.1 decomposed a matrix synthesized from
+    a spectrum and eigen-sum took eigvalsh of |A + B|, |A| and |B|.  Only
+    n = 32 counts: how many small matrices validate a scalar function
+    depends on what a cache already holds."""
+    counted = Counter()
+
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-1] == 32:
+                counted[name] += int(np.prod(np.shape(a)[:-2], dtype=int))
+            return real(a, *args, **kwargs)
+        return call
+
+    sample = falsify.sample_case("eigen-sum", 32, derive_stream(root_seed, 0))
+    assert set(sample.kinds.values()) == {kind}
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    falsify.run_campaigns(CHECK_IDS, trials=1, dims=(32,), root_seed=root_seed)
+    assert 0 < sum(counted.values()) < before
 
 
 def test_a_derived_stack_serves_only_its_own_inputs():

@@ -1,13 +1,13 @@
 """Reports and certificates stay byte-identical across refactors.
 
-The digests below were taken from the code before campaign flushes
-grouped cases by operand names and ran the witness table, on numpy 2.4.6
-with its bundled OpenBLAS 0.3.31.188.0 (SkylakeX kernels), with one and
-with two OpenBLAS threads alike.  LAPACK bits depend on the BLAS build and
-on the kernels it picks for the CPU, so on any other build the test skips.
-The falsify digest was taken when certificates stored each matrix as
-per-entry decimal floats; the test maps each stored matrix back to that
-form before hashing (``as_decimal``).
+The digests below were taken when thm1.1, thm1.2, thm2.4 and prop2.1
+began to read the singular values of a side from the spectrum they hold,
+and eigen-sum from the values-only SVD, on numpy 2.4.6 with its bundled
+OpenBLAS 0.3.31.188.0 (SkylakeX kernels), with one and with two OpenBLAS
+threads alike.  LAPACK bits depend on the BLAS build and on the kernels it
+picks for the CPU, so on any other build the test skips.  The falsify
+digest hashes each stored matrix in the per-entry decimal form that
+certificates once used (``as_decimal``).
 """
 
 import ctypes
@@ -24,8 +24,8 @@ from normetry import cli
 
 PINNED_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                 "SkylakeX MAX_THREADS=64")
-VERIFY_DIGEST = "859a15d51b32534619ae80fbf210686c3dc3f17c76456d3e1c7c0ac913b410c9"
-FALSIFY_DIGEST = "8e50b056b81f8b5db39797f5b75eddf8a9a55c146c5465981253861ed547b53c"
+VERIFY_DIGEST = "6ae797263d2f81767c4a71e2e9c9fcf4036b2f702244e92754cb53d6ffb446f7"
+FALSIFY_DIGEST = "c1021586eeff100507d91cf794c8bcd1a0e12fc041d7892db24fcefa31072ba0"
 SMALL_DIMS = "1,2,3,4,5,6,7,8"
 
 
