@@ -5,10 +5,12 @@ Fan-dominance verdict, a Loewner-order comparison, or a direct scalar
 comparison on the norm grid.  Its ``@_check`` decorator declares the check
 once, as a ``CheckSpec`` in ``SPECS``: id, scalar-function class, operand
 kinds, scalar draw, witnesses and the mutations that break its
-hypotheses.  The checker enforces the hypotheses that declaration states
-(the function's class tag; pd, contraction, expansive and normal
-operands) unless the falsifier, probing a broken hypothesis, switches
-them off.
+hypotheses.  The decorator also brings every call to the checker bodies'
+one form: (T, n, n) operand stacks of one shape (else DimensionMismatch),
+one scalar function and one value of each scalar per matrix.  The checker
+enforces the hypotheses that declaration states (the function's class
+tag; pd, contraction, expansive and normal operands) unless the
+falsifier, probing a broken hypothesis, switches them off.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ def _split(x: np.ndarray, k: int) -> list:
     """A joined result of k stacks, back as k stacks (views)."""
     t = len(x) // k
     return [x[i * t:(i + 1) * t] for i in range(k)]
-
-
-def _fns(f, t: int) -> list:
-    """The scalar function of each of t matrices: ``f`` is one for all of
-    them, or a sequence of one per matrix."""
-    return [f] * t if callable(f) else list(f)
 
 
 def _ops(kind: str, names="ab") -> tuple:
@@ -168,7 +164,7 @@ def _enforce(fn_class: str | None, guards: list, args: list) -> None:
     scalar function's class tag, then each (hypothesis, operand positions,
     operand names) of ``guards``, tested on all its operands in one call."""
     if fn_class is not None:
-        for fn in _fns(args[0], 1):
+        for fn in args[0]:
             if fn_class not in fn.tags:
                 raise ShapeValidationFailed(f"{fn.kind} lacks required class {fn_class}")
     for (test, tol, error, what, _), at, names in guards:
@@ -184,13 +180,16 @@ def _check(check_id: str, fn_class: str | None, operands,
     its ``witnesses`` and the ``mutations`` particular to it; each mutation
     that drops a hypothesis the check declares adds its operand swap.
 
-    The checker's body takes (T, n, n) stacks and returns one result per
-    matrix.  Its parameters named as operands (or ``operands``, a list of
-    them) are its matrices, each coerced to a stack here; a call on single
-    matrices gets a single result back.  Unless called with
-    ``enforce=False``, it enforces the check's hypotheses first.  ``run``
-    passes the checker f, if it takes one, then its operands and scalars
-    by parameter name, or else ``args_of(f, matrices, scalars)``."""
+    Every call reaches the checker's body in one form: its parameters named
+    as operands (or ``operands``, a list of them) are (T, n, n) stacks of
+    one shape, or it raises DimensionMismatch; its scalar function is a
+    list of one per matrix, and each other parameter (a scalar: j, k, z,
+    m) an array of one value per matrix.  The body returns one result per
+    matrix, and a call on single matrices gets its single result back.
+    Unless called with ``enforce=False``, it enforces the check's
+    hypotheses first.  ``run`` passes the checker f, if it takes one, then
+    its operands and scalars by parameter name, or else ``args_of(f,
+    matrices, scalars)``."""
     def wrap(body):
         params = [p for p in inspect.signature(body).parameters if p != "tol"]
         takes_fn = fn_class is not None
@@ -210,6 +209,7 @@ def _check(check_id: str, fn_class: str | None, operands,
         operand_names = {name for ops in spec._lists() for name, _ in ops}
         positions = [i for i, p in enumerate(params)
                      if p in operand_names or p == "operands"]
+        per_row = [i for i in range(takes_fn, len(params)) if i not in positions]
         by_kind: dict = {}
         for operand, kind in spec.hypotheses.items():
             by_kind.setdefault(kind, []).append(operand)
@@ -225,7 +225,7 @@ def _check(check_id: str, fn_class: str | None, operands,
 
         @functools.wraps(body)
         def checker(*args, enforce=True, **kwargs):
-            args = list(args)
+            args = list(args) + [kwargs.pop(p) for p in params[len(args):] if p in kwargs]
             first = args[positions[0]]
             if isinstance(first, (list, tuple)) and first:
                 first = first[0]
@@ -234,6 +234,19 @@ def _check(check_id: str, fn_class: str | None, operands,
                 x = args[i]
                 args[i] = ([_stack(m) for m in x] if isinstance(x, (list, tuple))
                            else _stack(x))
+            shapes = {m.shape for i in positions
+                      for m in (args[i] if isinstance(args[i], list) else [args[i]])}
+            if len(shapes) > 1:
+                raise DimensionMismatch(f"operands differ in shape: {sorted(shapes)}")
+            t = shapes.pop()[0] if shapes else 0
+            if takes_fn and callable(args[0]):
+                args[0] = [args[0]] * t
+            for i in per_row:
+                x = np.ravel(args[i])
+                args[i] = np.repeat(x, t) if len(x) == 1 else x
+            for i in [0] * takes_fn + per_row:
+                if len(args[i]) != t:
+                    raise DimensionMismatch(f"{len(args[i])} of {params[i]} for {t} matrices")
             if enforce:
                 _enforce(fn_class, guards, args)
             out = body(*args, **kwargs)
@@ -293,22 +306,10 @@ def _values_and_apply(f, first, *rest) -> tuple:
     call; a shared stack's eigh is taken once (``linalg.joined``).  No
     f(first) is built to be decomposed again."""
     spec = linalg.joined(linalg.eigh, first, *rest)
-    fw = linalg._apply_rows(_repeat_fns(f, 1 + len(rest)),
-                            linalg._clamp_spectrum(spec.eigenvalues))
+    fw = linalg._apply_rows(f * (1 + len(rest)), linalg._clamp_spectrum(spec.eigenvalues))
     t = len(first)
     return (norms.spectrum_singular_values(fw[:t]),
             _split(linalg.synthesize(spec.frame[t:], fw[t:]), len(rest)))
-
-
-def _repeat_fns(f, k: int):
-    """``f`` for k joined stacks."""
-    return f if callable(f) else list(f) * k
-
-
-def _per_row(x, t: int) -> np.ndarray:
-    """A scalar argument (j, k, z, m) as one value per matrix."""
-    x = np.reshape(x, -1)
-    return x if len(x) == t else np.repeat(x, t)
 
 
 def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
@@ -317,8 +318,6 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
     Margin is lambda_min(rhs - lhs) scaled by max(1, ||rhs - lhs||_op),
     recorded as a single comparison row.
     """
-    if lhs.shape != rhs.shape:
-        raise DimensionMismatch(f"{lhs.shape[1:]} vs {rhs.shape[1:]}")
     w = linalg.eigvalsh_desc(linalg.hermitian_part(rhs - lhs))
     if not w.shape[-1]:
         w = np.zeros(w.shape[:-1] + (1,))
@@ -379,7 +378,7 @@ def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     """
     zh = z.conj().swapaxes(-1, -2)
     spec = linalg.joined(linalg.eigh, a, linalg.hermitian_part(zh @ a @ z))
-    fa, fz = _split(linalg.apply_spectrum(_repeat_fns(f, 2), spec), 2)
+    fa, fz = _split(linalg.apply_spectrum(f * 2, spec), 2)
     return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
 
 
@@ -399,10 +398,10 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
         raise NotPositiveDefinite("A+B is not positive definite")
     # f takes each matrix's own eigenvalue row, laid out as eigh returns it:
     # numpy can round a transcendental function differently by layout
-    phi = linalg.synthesize(spec.frame[:t], linalg._apply_rows(_fns(f, t), w) / w)
+    phi = linalg.synthesize(spec.frame[:t], linalg._apply_rows(f, w) / w)
     parts = _spectrum_rows(spec, slice(t, None))
     ra, rb = _split(linalg.apply_spectrum(np.sqrt, parts), 2)
-    fa, fb = _split(linalg.apply_spectrum(_repeat_fns(f, 2), parts), 2)
+    fa, fb = _split(linalg.apply_spectrum(f * 2, parts), 2)
     lhs = ra @ phi @ ra + rb @ phi @ rb
     return _loewner_verdict("pinching-eq2", lhs, fa + fb, tol)
 
@@ -423,7 +422,7 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     t = len(a)
     spec = linalg.joined(linalg.eigh, linalg.derived(np.add, a, b), a, b)
     w = np.maximum(spec.eigenvalues[:t], 0.0)
-    singular = np.array([fn.singular_at_zero for fn in _fns(g, t)])
+    singular = np.array([fn.singular_at_zero for fn in g])
     if np.any(singular & np.any(w <= 0, axis=-1)):
         raise NotPositiveDefinite("A+B must be positive definite for singular g")
     gw = linalg._apply_rows(g, w)
@@ -450,16 +449,14 @@ def check_thm_2_4(f, a, z, tol=DEFAULT_TOL):
     return norms.fan_verdict(lhs, norms.singular_values(zh @ fa @ z), tol, "thm2.4")
 
 
-def _eigen_indices(j, k, t: int, n: int):
-    """Per-matrix indices j, k with their labels; raises unless j, k >= 0
-    and j + k + 1 <= n."""
-    j, k = _per_row(j, t), _per_row(k, t)
+def _eigen_indices(j, k, n: int) -> list:
+    """The labels of per-matrix indices j, k; raises unless j, k >= 0 and
+    j + k + 1 <= n."""
     bad = (j < 0) | (k < 0) | (j + k + 1 > n)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise IndexOutOfRange(f"need j,k >= 0 and j+k+1 <= n, got {j[i]},{k[i]},{n}")
-    labels = [[f"lambda-j{a}-k{b}"] for a, b in zip(j.tolist(), k.tolist())]
-    return j, k, labels
+    return [[f"lambda-j{a}-k{b}"] for a, b in zip(j.tolist(), k.tolist())]
 
 
 @_check("eigen-sum", scalarfn.CONCAVE_NONNEG,
@@ -476,11 +473,10 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
     operands take one formula: f of the singular values of A+B, A and B,
     from one ``singular_values`` call, sorted descending.
     """
-    t, n = a.shape[:2]
-    j, k, labels = _eigen_indices(j, k, t, n)
+    labels = _eigen_indices(j, k, a.shape[-1])
     s = norms.singular_values(linalg.derived(np.add, a, b), a, b)
-    vals = _split(np.sort(linalg._apply_rows(_repeat_fns(f, 3), s))[..., ::-1], 3)
-    rows = np.arange(t)
+    vals = _split(np.sort(linalg._apply_rows(f * 3, s))[..., ::-1], 3)
+    rows = np.arange(len(a))
     lhs = vals[0][rows, j + k]
     rhs = vals[1][rows, j] + vals[2][rows, k]
     return norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
@@ -515,8 +511,6 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
                    Witness("B=-A gives zero LHS", False, {"a": _GEN, "b": -_GEN})))
 def check_ineq_4(a, b, tol=DEFAULT_TOL):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape[1:]} vs {b.shape[1:]}")
     p = linalg.joined(linalg.polar, a, b)
     abs_a, abs_b = _split(p.abs, 2)
     star_a, star_b = _split(p.abs_star, 2)
@@ -526,9 +520,6 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL):
 
 
 def _block2(a, b, c, d) -> np.ndarray:
-    shapes = {m.shape[1:] for m in (a, b, c, d)}
-    if len(shapes) != 1:
-        raise DimensionMismatch(f"blocks differ in size: {shapes}")
     return np.block([[a, b], [c, d]])
 
 
@@ -598,8 +589,6 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     as a reference.
     """
     a, b = linalg.hermitize(a), linalg.hermitize(b)
-    if a.shape != b.shape or a.shape != x.shape:
-        raise DimensionMismatch("A, B, X must share a dimension")
     block = np.block([[a, x.conj().swapaxes(-1, -2)], [x, b]])
     px = linalg.joined(linalg.polar, x)  # |X| and |X*| from one SVD
     abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
@@ -631,23 +620,19 @@ def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     unitary-mixture triangle inequality).
     """
     s, t = linalg.hermitize(s), linalg.hermitize(t)
-    rows, n = s.shape[:2]
-    j, k, labels = _eigen_indices(j, k, rows, n)
+    labels = _eigen_indices(j, k, s.shape[-1])
     abs_sum, abs_s, abs_t = _split(linalg.joined(linalg.matrix_abs, s + t, s, t), 3)
     w_sum, w_m = _split(
         linalg.eigvalsh_desc(np.concatenate((abs_sum, abs_s + abs_t))), 2)
-    r = np.arange(rows)
+    r = np.arange(len(s))
     lhs = w_sum[r, j + k]
     rhs = 0.5 * (w_m[r, j] + w_m[r, k])
     return norms.compare("prop3.5", labels, lhs[:, None], rhs[:, None], tol)
 
 
-def _powers(m, t: int) -> list:
-    """The power m of each of t matrices, as ints >= 1."""
-    if isinstance(m, (int, np.integer)):
-        powers = [int(m)] * t
-    else:
-        powers = [int(p) for p in _per_row(m, t)]
+def _powers(m) -> list:
+    """The power m of each matrix, as ints >= 1."""
+    powers = [int(p) for p in m]
     if min(powers) < 1:
         raise BadSpec(f"power m must be >= 1, got {min(powers)}")
     return powers
@@ -662,14 +647,10 @@ def _powers(m, t: int) -> list:
                            scalars={"z_re": -1.0, "z_im": 0.0, "m": 1})))
 def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
-    m = _powers(m, len(a))
+    m = _powers(m)
     # |z| as Python's abs (a libm hypot); numpy's complex abs can round apart
-    z = np.asarray(z, dtype=complex)
-    if z.ndim:  # one z per matrix
-        z = z.reshape(-1, 1, 1)
-        size = np.reshape([abs(v) for v in z.ravel().tolist()], z.shape)
-    else:
-        size = abs(complex(z))
+    z = np.asarray(z, dtype=complex).reshape(-1, 1, 1)
+    size = np.reshape([abs(v) for v in z.ravel().tolist()], z.shape)
     lhs, rhs = _split(
         linalg.matrix_power(np.concatenate((a + z * b, a + size * b)), m + m), 2)
     return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
@@ -686,7 +667,7 @@ def identity_6_verdict(a, b, m, tol: float = 1e-10):
     and -residual as margin, so it passes iff residual <= tol.  (The
     root-of-unity average kills every mixed word in the expansion; only
     the pure A^m and B^m words survive.)"""
-    m = _powers(m, len(a))
+    m = _powers(m)
     residual = [0.0] * len(a)
     for p in sorted(set(m)):
         rows = [t for t, q in enumerate(m) if q == p]

@@ -108,12 +108,16 @@ def _write(text: str, path: str | None) -> None:
 
 def _check_writable(path: str | None) -> None:
     """Fail before any trial runs when the file ``path`` could not be
-    created: it must not be a directory, and its parent must be a writable
-    directory."""
+    written: it must not be a directory, and it must be a writable file or,
+    where it does not exist, its parent a writable directory."""
     if not path:
         return
     if os.path.isdir(path):  # the message the write would give
         raise BadSpec(f"cannot write {path}: Is a directory")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise BadSpec(f"cannot write {path}: Permission denied")
+        return
     parent = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise BadSpec(f"cannot write {path}: {parent} is not a writable directory")

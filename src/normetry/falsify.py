@@ -191,22 +191,15 @@ def witness_case(witness: checks.Witness, mutation: str | None = None) -> Case:
     )
 
 
-def run_case(case: Case, tol: float = DEFAULT_TOL, fn=None,
+def run_case(case: Case, tol: float = DEFAULT_TOL,
              verdict: Verdict | None = None, stamp: bool = True) -> Verdict:
-    """Run a checker on a materialized case and, with ``stamp``, stamp its
-    fingerprint.
-
-    ``fn`` is the case's scalar function when the caller has already built
-    it from ``case.fn_descriptor``.  ``verdict`` is the case's verdict when
-    a stacked checker call (``run_stack``) has already run it; it is then
-    only stamped.
+    """The verdict of a materialized case, stamped with its fingerprint
+    if ``stamp``: ``run_stack([case])[0]``, the case run as a stack of one
+    on the path its campaign runs it, or ``verdict`` when a campaign's
+    stacked call has already given it.
     """
     if verdict is None:
-        if fn is None:
-            fn = case.fn()
-        verdict = _spec(case.check_id).run(
-            fn, case.matrices, case.scalars, tol=tol, enforce=case.mutation is None
-        )
+        verdict = run_stack([case], tol)[0]
     if stamp:
         verdict.fingerprint = fingerprint(case)
     return verdict
@@ -327,7 +320,7 @@ def replay_certificate(cert: dict) -> Verdict:
     if fn is None and spec.fn_class is not None:
         raise MalformedCertificate(f"{case.check_id} case lacks its scalar 'fn'")
     try:
-        return run_case(case, tol=tol, fn=fn)
+        return run_case(case, tol=tol)
     except KeyError as exc:
         raise MalformedCertificate(f"{case.check_id} case lacks {exc}") from exc
 

@@ -378,7 +378,7 @@ def _clamp_spectrum(w: np.ndarray) -> np.ndarray:
 
 def _apply_rows(f, w: np.ndarray) -> np.ndarray:
     """f(w) as a float array.  ``f`` is one scalar function for every row of
-    ``w``, or a sequence of one function per row.
+    ``w``, or a sequence of one function per row (else DimensionMismatch).
 
     A ScalarFn checks its domain, [0, inf) or (0, inf) when it is singular
     at 0, on every call.  A sequence's domains are checked for the whole
@@ -390,6 +390,8 @@ def _apply_rows(f, w: np.ndarray) -> np.ndarray:
     if callable(f):
         return np.asarray(f(w), dtype=float)
     calls = list(f)
+    if len(calls) != len(w):
+        raise DimensionMismatch(f"{len(calls)} functions for {len(w)} rows")
     low = float(w.min()) if w.size else math.nan
     if low > 0 or low == 0 and not any(
             getattr(ft, "singular_at_zero", False) for ft in calls):
@@ -535,8 +537,6 @@ def matrix_power(x, m) -> np.ndarray:
     """X^m; ``m`` may give one power per matrix of a stack, and the
     matrices sharing a power are raised together."""
     a = as_square(x)
-    if isinstance(m, (int, np.integer)):
-        return np.linalg.matrix_power(a, int(m))
     powers = [int(p) for p in np.ravel(m)]
     if len(set(powers)) == 1:
         return np.linalg.matrix_power(a, powers[0])

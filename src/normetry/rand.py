@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpec
-from .linalg import _adjoint
+from .linalg import _adjoint, opnorm
 
 KINDS = (
     "psd",
@@ -160,15 +160,10 @@ def _scaled(m: np.ndarray, top: np.ndarray, target) -> np.ndarray:
     return m * (target / np.where(top == 0, 1.0, top))[:, None, None]
 
 
-def _top(m: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix."""
-    return np.linalg.svd(m, compute_uv=False)[:, 0]
-
-
 def _gram(g: np.ndarray) -> tuple:
     """G*G of each matrix, with its operator norm."""
     gram = _adjoint(g) @ g
-    return gram, _top(gram)
+    return gram, opnorm(gram)
 
 
 def _itself(g: np.ndarray) -> tuple:
@@ -176,7 +171,7 @@ def _itself(g: np.ndarray) -> tuple:
 
 
 def _with_top(g: np.ndarray) -> tuple:
-    return g, _top(g)
+    return g, opnorm(g)
 
 
 def _unitary(g: np.ndarray) -> tuple:
@@ -311,7 +306,7 @@ def _complete(kind: str, n: int, part: tuple, specs: tuple, later) -> np.ndarray
         return _scaled(m, top[0], scale - min_eig) + min_eig[:, None, None] * np.eye(n)
     if kind == "hermitian":
         h = (m + _adjoint(m)) / 2
-        return _scaled(h, _top(h), scale)
+        return _scaled(h, opnorm(h), scale)
     if kind == "normal":
         x = np.empty((len(later), 2, n))
         for rng, out in zip(later, x):

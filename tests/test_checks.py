@@ -11,6 +11,7 @@ from normetry import checks, cli, falsify, linalg, norms
 from normetry import scalarfn as sf
 from normetry.errors import (
     BadSpec,
+    DimensionMismatch,
     IndexOutOfRange,
     NotAContraction,
     NotExpansive,
@@ -593,6 +594,31 @@ def test_each_check_enforces_the_operand_hypotheses_it_declares():
             case.matrices[name] = matrix.astype(complex)
             with pytest.raises(error, match=f"^{name.upper()} is not {what}$"):
                 falsify.run_case(case)
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+@pytest.mark.parametrize("cid", checks.CHECK_IDS)
+def test_operands_of_two_shapes_are_a_dimension_mismatch(cid, enforce):
+    """Every checker, with its hypotheses enforced or not, raises
+    DimensionMismatch when one operand is of another size, or a stack of
+    another length than the rest."""
+    case = falsify.sample_case(cid, 3, derive_stream(4, 0))
+    last = list(case.matrices)[-1]
+    m = case.matrices[last]
+    for other in (m[:2, :2], np.stack([m, m])):
+        with pytest.raises(DimensionMismatch, match="^operands differ in shape"):
+            checks.SPECS[cid].run(case.fn(), {**case.matrices, last: other},
+                                  case.scalars, enforce=enforce)
+
+
+def test_a_function_or_scalar_per_matrix_must_match_the_stack():
+    a, b = (np.stack([psd(3, seed), psd(3, seed + 1)]) for seed in (1, 3))
+    sqrt = sf.from_descriptor({"kind": "sqrt"})
+    assert len(checks.check_eigen_sum(sqrt, a, b, 0, k=[0, 1])) == 2
+    with pytest.raises(DimensionMismatch, match="^3 of j for 2 matrices$"):
+        checks.check_eigen_sum(sqrt, a, b, [0, 0, 0], 0)
+    with pytest.raises(DimensionMismatch, match="^1 of f for 2 matrices$"):
+        checks.check_eigen_sum([sqrt], a, b, 0, 0)
 
 
 @pytest.mark.parametrize("cid", checks.CHECK_IDS)

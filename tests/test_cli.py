@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -523,6 +524,28 @@ def test_an_output_that_is_a_directory_fails_before_any_trial(
     assert run(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: cannot write {tmp_path}: Is a directory\n"
     assert not list(tmp_path.glob("certs/*.json"))
+
+
+def test_an_existing_writable_file_needs_no_writable_directory(tmp_path, monkeypatch, capsys):
+    """--out may name an existing file that may be written, such as
+    /dev/stdout for a user who may not write /dev; only a file that does
+    not exist needs a writable parent, and a file that may not be written
+    is refused.  os.access refuses tmp_path (any call grants as root)."""
+    out, locked = tmp_path / "r.csv", tmp_path / "locked.csv"
+    out.write_text("")
+    locked.write_text("")
+    real = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        os.fspath(path) not in (str(tmp_path), str(locked)) and real(path, mode)))
+    argv = ["verify", "--checks", "ineq4", "--trials", "1", "--dims", "2",
+            "--format", "csv-summary", "--out"]
+    assert run(argv + [str(out)]) == cli.EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
+    assert run(argv + [str(locked)]) == cli.EXIT_USAGE
+    assert run(argv + [str(tmp_path / "new.csv")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: cannot write {locked}: Permission denied",
+        f"usage error: cannot write {tmp_path}/new.csv: {tmp_path} is not a writable directory"]
 
 
 def test_a_report_may_go_into_the_new_certificate_directory(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from normetry import checks, cli, falsify, linalg, scalarfn
-from normetry.errors import ConvergenceFailure, DomainError
+from normetry.errors import ConvergenceFailure, DimensionMismatch, DomainError
 from normetry.norms import DEFAULT_TOL
 
 
@@ -273,6 +273,14 @@ def test_rows_in_the_domain_keep_their_bits():
     out = linalg._apply_rows(row_fns(), w[[2, 2, 2]])
     for t, fn in enumerate(row_fns()):
         assert out[t].tobytes() == fn(w[2]).tobytes()
+
+
+def test_a_function_per_row_must_match_the_rows():
+    """A sequence of functions shorter than the stack leaves no row
+    uncomputed: it raises."""
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    with pytest.raises(DimensionMismatch, match="^1 functions for 3 rows$"):
+        linalg.spectral_apply([scalarfn.sqrt_fn()], stack)
 
 
 def test_the_first_failing_row_raises_its_own_domain_error():

@@ -4,8 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from normetry import linalg, rand
-from normetry.errors import BadSpec
+from normetry import cli, linalg, rand
+from normetry.errors import BadSpec, ConvergenceFailure
 from normetry.rand import (
     KINDS, GenSpec, default_rngs, derive_stream, generate, generate_family,
 )
@@ -79,6 +79,21 @@ def test_derive_stream_contract():
     assert derive_stream(5, 0) != derive_stream(5, 1)
     assert derive_stream(5, 3) == derive_stream(5, 3)
     assert derive_stream(5, 0) != derive_stream(6, 0)
+
+
+@pytest.mark.parametrize("kind", ["psd", "general", "hermitian"])
+def test_an_svd_that_fails_in_generation_is_a_convergence_failure(monkeypatch, capsys, kind):
+    """A kind scaled by its operator norm takes it from ``linalg.opnorm``,
+    so LAPACK's non-convergence is a ConvergenceFailure (exit 3), not a
+    LinAlgError traceback."""
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(ConvergenceFailure, match="^SVD did not converge$"):
+        generate(GenSpec(kind, 3, 1))
+    assert cli.main(["gen", "--kind", kind, "--dim", "3"]) == cli.EXIT_NUMERICAL
+    assert "SVD did not converge" in capsys.readouterr().err
 
 
 def test_derive_stream_no_collisions():

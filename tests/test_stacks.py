@@ -85,9 +85,10 @@ def test_each_row_of_a_stack_is_its_single_case(cid, mutation):
         stacked = falsify.run_stack(cases)
         assert len(stacked) == len(cases)
         for case, verdict in zip(cases, stacked):
-            alone = falsify.run_case(case)
+            # the single-matrix call: run_case is itself a stack of one
+            alone = checks.SPECS[cid].run(case.fn(), case.matrices, case.scalars,
+                                          enforce=case.mutation is None)
             assert verdict.fingerprint == ""  # run_stack leaves stamping to its caller
-            assert falsify.fingerprint(case) == alone.fingerprint
             assert [tuple(map(repr, r)) for r in verdict.records] == [
                 tuple(map(repr, r)) for r in alone.records
             ]
