@@ -568,8 +568,9 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     row/column absolute-value sums, for normal blocks."""
     lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
-    # prop3.4 takes the same |A| + |B| of shared stacks
-    rhs = _max_opnorm(linalg.derived(_abs_sum, a, b), pc + pd_, pa + pc, pb + pd_)
+    # prop3.4 reuses |A| + |B| of shared stacks; on others it is summed here
+    ab = linalg.derived(_abs_sum, a, b) if linalg.shared(a, b) else pa + pb
+    rhs = _max_opnorm(ab, pc + pd_, pa + pc, pb + pd_)
     return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
 
 

@@ -25,6 +25,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import checks, falsify, serialize, workers
 from .errors import (
     BadSpec,
@@ -123,20 +125,10 @@ def _check_writable(path: str | None) -> None:
         raise BadSpec(f"cannot write {path}: {parent} is not a writable directory")
 
 
-def _dumps(obj) -> str:
-    """``obj`` as one line of JSON with sorted keys.  Without an ``indent``,
-    ``json.dumps`` takes the stdlib's C encoder."""
-    return json.dumps(obj, sort_keys=True)
-
-
 def _write_json(obj: dict, path: str | None) -> None:
-    _write(_dumps(obj) + "\n", path)
-
-
-# Stands in for the campaign's violations while the falsify report is
-# encoded; json.dumps writes the NUL characters as escapes that no other
-# value of the report contains.
-_VIOLATIONS = "\0violations\0"
+    """Write ``obj`` as one line of JSON with sorted keys.  Without an
+    ``indent``, ``json.dumps`` takes the stdlib's C encoder."""
+    _write(json.dumps(obj, sort_keys=True) + "\n", path)
 
 
 def _csv_summary(campaigns: list[dict]) -> str:
@@ -256,11 +248,14 @@ def cmd_falsify(args) -> int:
         [args.check], mutation=mutation, trials=args.trials, dims=dims,
         root_seed=args.seed, tol=args.tol,
     )
-    certs = [_dumps(cert) for cert in report.violations]  # each encoded once
-    if args.cert_dir:
-        for i, text in enumerate(certs):
-            path = os.path.join(args.cert_dir, f"cert-{args.check}-{i}.json")
-            _write(text + "\n", path)
+    violations = report.violations  # without --cert-dir, the only copy
+    if args.cert_dir:  # each certificate is encoded, written and dropped
+        violations = []
+        for i, cert in enumerate(report.violations):
+            name = f"cert-{args.check}-{i}.json"
+            _write_json(cert, os.path.join(args.cert_dir, name))
+            violations.append({"certificate": name, "fingerprint": cert["fingerprint"],
+                               "margin": cert["margin"]})
     out = {
         "header": _header(config),
         "campaign": {
@@ -269,13 +264,12 @@ def cmd_falsify(args) -> int:
             "expectation": report.expectation,
             "trials": report.trials,
             "min_margin": report.min_margin,
-            "violations": _VIOLATIONS,
+            "violations": violations,
             "wall_time": report.wall_time,
             **_errors(report),
         },
     }
-    text = _dumps(out).replace(_dumps(_VIOLATIONS), "[" + ", ".join(certs) + "]", 1)
-    _write(text + "\n", args.out)
+    _write_json(out, args.out)
     if _raised([report]):
         return EXIT_NUMERICAL
     if report.expectation == "must-violate":
@@ -389,7 +383,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # overflow to inf or NaN is handled where it matters (as_square's
+        # finiteness guard, NaN margins), so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -56,6 +56,11 @@ def share(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def shared(*stacks) -> bool:
+    """Whether every one of ``stacks`` is marked by ``share``."""
+    return all(id(m) in _MEMOS for m in stacks)
+
+
 def derived(fn, *stacks) -> np.ndarray:
     """``fn(*stacks)``, a stack derived from stacks, such as A + B.  Where
     every input is marked by ``share``, so is the result, and it is
@@ -64,7 +69,7 @@ def derived(fn, *stacks) -> np.ndarray:
     dead input leaves to another stack never finds it.  The results
     ``joined`` computes on it are kept in its own memo, for every checker
     that derives it."""
-    if not all(id(m) in _MEMOS for m in stacks):
+    if not shared(*stacks):
         return fn(*stacks)
     memo = _MEMOS[id(stacks[0])]
     key = (fn, *map(id, stacks[1:]))

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -365,6 +367,34 @@ def test_nan_margin_certificate_replays_match(tmp_path, capsys):
     assert capsys.readouterr().out.split()[-1] == "match"
 
 
+def test_overflow_the_program_handles_prints_no_warning(tmp_path):
+    """Overflow that NaN margins or the finiteness guard handle warns of
+    nothing, so under ``-W error`` replay still gives its own result: the
+    NaN-margin certificate above is a match (exit 0), and a thm1.2
+    certificate whose function adds c = 1e308 is a usage error (exit 2)
+    with one ``error:`` line."""
+    a = np.diag([0.7e308] * 3).astype(complex)
+    case = falsify.Case("prop3.4", 3, None, {"a": a, "b": 0 * a},
+                        {"a": "general", "b": "general"}, mutation="drop-normality")
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_cert = falsify.make_certificate(case, falsify.run_case(case))
+    [report] = falsify.run_campaigns(["thm1.2"], "drop-vanishing", 4, (2,), 1)
+    big_cert = report.violations[0]
+    big_cert["case"]["fn"]["c"] = 1e308
+    src = os.path.dirname(os.path.dirname(falsify.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    expected = [(nan_cert, 0, "replay prop3.4: stored=nan recomputed=nan match\n", ""),
+                (big_cert, 2, "", "error: matrix has non-finite entries\n")]
+    for i, (cert, code, out, err) in enumerate(expected):
+        path = tmp_path / f"cert-{i}.json"
+        path.write_text(json.dumps(cert))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys; from normetry import cli; sys.exit(cli.main())", "replay", str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
 
@@ -398,18 +428,18 @@ def test_verdict_rows_are_opt_in(tmp_path):
 
 def test_falsify_certificates_carry_run_case_fingerprints(tmp_path):
     """Campaigns fingerprint only the cases they write; a must-violate
-    campaign's certificates, in its report and in its files, carry the
-    fingerprint that ``run_case`` stamps on the same case."""
+    campaign's certificate files, and the report rows that name them, carry
+    the fingerprint that ``run_case`` stamps on the same case."""
     out, certs = tmp_path / "report.json", tmp_path / "certs"
     code = run(["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
                 "--trials", "12", "--dims", "1,2,3", "--seed", "5",
                 "--out", str(out), "--cert-dir", str(certs)])
     assert code == cli.EXIT_OK
-    violations = json.loads(out.read_text())["campaign"]["violations"]
-    files = [json.loads(p.read_text()) for p in sorted(certs.glob("*.json"),
-             key=lambda p: int(p.stem.rsplit("-", 1)[1]))]
-    assert len(violations) > 1 and files == violations
-    for cert in violations:
+    rows = json.loads(out.read_text())["campaign"]["violations"]
+    files = [json.loads((certs / row["certificate"]).read_text()) for row in rows]
+    assert len(files) > 1 and len(list(certs.iterdir())) == len(files)
+    for row, cert in zip(rows, files):
+        assert (row["fingerprint"], row["margin"]) == (cert["fingerprint"], cert["margin"])
         case = falsify.case_from_dict(cert["case"])
         assert cert["fingerprint"] == falsify.run_case(case).fingerprint
 
@@ -625,24 +655,58 @@ def test_failing_trial_is_named(monkeypatch, capsys, tmp_path, error, code):
     assert capsys.readouterr().err.endswith(": planted failure\n")
 
 
-def test_falsify_report_embeds_each_certificate_file_verbatim(tmp_path):
-    """Each certificate is encoded once: its file's text is the text inside
-    the report, and both are the bytes json.dumps gives the whole objects."""
+def test_a_falsify_report_names_each_certificate_file(tmp_path, monkeypatch):
+    """With --cert-dir, the report holds one row per certificate, in order:
+    row i names file i, relative to the directory, with the file's
+    fingerprint and margin, and every file has a row.  Each file holds the
+    bytes json.dumps gives the campaign's certificate, as before the report
+    named them."""
     out, certs = tmp_path / "report.json", tmp_path / "certs"
     argv = ["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing",
-            "--trials", "12", "--dims", "1,2,3", "--seed", "5",
-            "--out", str(out), "--cert-dir", str(certs)]
-    assert run(argv) == cli.EXIT_OK
+            "--trials", "12", "--dims", "1,2,3", "--seed", "5"]
+    assert run(argv + ["--out", str(out), "--cert-dir", str(certs)]) == cli.EXIT_OK
     text = out.read_text()
-    report = json.loads(text)
-    assert text == json.dumps(report, sort_keys=True) + "\n"
-    files = [certs / f"cert-thm1.2-{i}.json"
-             for i in range(len(report["campaign"]["violations"]))]
-    assert len(files) > 1 and sorted(certs.iterdir()) == sorted(files)
-    for path, cert in zip(files, report["campaign"]["violations"]):
-        cert_text = path.read_text()
+    rows = json.loads(text)["campaign"]["violations"]
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    [report] = falsify.run_campaigns(["thm1.2"], "drop-vanishing", 12, (1, 2, 3), 5)
+    assert len(rows) == len(report.violations) > 1
+    assert sorted(certs.iterdir()) == sorted(certs / row["certificate"] for row in rows)
+    for i, (row, cert) in enumerate(zip(rows, report.violations)):
+        assert row["certificate"] == f"cert-thm1.2-{i}.json"
+        cert_text = (certs / row["certificate"]).read_text()
         assert cert_text == json.dumps(cert, sort_keys=True) + "\n"
-        assert cert_text[:-1] in text
+        assert row == {"certificate": row["certificate"],
+                       "fingerprint": cert["fingerprint"], "margin": cert["margin"]}
+    # the rows do not depend on how the directory was typed
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "again.json", "--cert-dir", "./x/../certs"]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "again.json").read_text())["campaign"]["violations"] == rows
+
+
+def test_a_falsify_report_without_a_certificate_directory_holds_each_certificate(
+        tmp_path, capsys):
+    """Without --cert-dir the report carries every certificate whole, as
+    the files would hold it, and one written out replays as a match."""
+    argv = ["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
+            "--trials", "12", "--dims", "1,2,3", "--seed", "5"]
+    inline, named = tmp_path / "inline.json", tmp_path / "named.json"
+    assert run(argv + ["--out", str(inline)]) == cli.EXIT_OK
+    assert run(argv + ["--out", str(named), "--cert-dir", str(tmp_path)]) == cli.EXIT_OK
+    text = inline.read_text()
+    report, other = json.loads(text), json.loads(named.read_text())
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    certs = report["campaign"]["violations"]
+    assert len(certs) > 1 and [json.dumps(c, sort_keys=True) + "\n" for c in certs] == [
+        (tmp_path / row["certificate"]).read_text() for row in other["campaign"]["violations"]]
+    for r in (report, other):
+        r["header"].pop("timestamp")
+        r["campaign"].pop("wall_time")
+        r["campaign"].pop("violations")
+    assert report == other
+    path = tmp_path / "first.json"
+    path.write_text(json.dumps(certs[0]))
+    assert run(["replay", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.split()[-1] == "match"
 
 
 def test_csv_summary_keeps_no_verdict_rows(monkeypatch, tmp_path):

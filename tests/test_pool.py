@@ -455,6 +455,32 @@ def test_a_trial_hands_lapack_fewer_matrices(monkeypatch, root_seed, kind, befor
     assert 0 < sum(counted.values()) < before
 
 
+def test_thm3_2_takes_each_absolute_value_once(monkeypatch):
+    """A lone thm3.2 call (unshared operands, as in replay) takes |A|, |B|,
+    |C| and |D| from one SVD with vectors and sums |A| + |B| from them, so
+    LAPACK sees only those four and the block.  On shared stacks it gives
+    the same bits, and prop3.4 then reuses its |A| + |B| and the singular
+    values of that sum: its one SVD is of A + B."""
+    calls = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True), a.tobytes()))
+        return real(a, *args, **kwargs)
+
+    case = falsify.sample_case("thm3.2", 4, 11)
+    ops = [case.matrices[k] for k in "abcd"]
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    lone = checks.check_thm_3_2(*ops)
+    assert sorted(call[:2] for call in calls) == [((1, 8, 8), False), ((4, 4, 4), True)]
+    stacks = [linalg.share(m[None].copy()) for m in ops]
+    assert repr(checks.check_thm_3_2(*stacks)) == repr([lone])
+    calls.clear()
+    checks.check_prop_3_4(*stacks[:2])
+    assert [call[:2] for call in calls] == [((1, 4, 4), False)]
+    assert calls[0][2] == (stacks[0] + stacks[1]).tobytes()
+
+
 def test_a_derived_stack_serves_only_its_own_inputs():
     """A + B of shared stacks is a shared stack, taken once and kept in
     A's memo; once B dies, a stack that takes B's id gets its own sum."""

@@ -7,7 +7,9 @@ OpenBLAS 0.3.31.188.0 (SkylakeX kernels), with one and with two OpenBLAS
 threads alike.  LAPACK bits depend on the BLAS build and on the kernels it
 picks for the CPU, so on any other build the test skips.  The falsify
 digest hashes each stored matrix in the per-entry decimal form that
-certificates once used (``as_decimal``).
+certificates once used (``as_decimal``).  It was taken again when the
+falsify report began to name its certificate files instead of carrying a
+copy of each; the files kept their bytes.
 """
 
 import ctypes
@@ -25,7 +27,9 @@ from normetry import cli
 PINNED_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                 "SkylakeX MAX_THREADS=64")
 VERIFY_DIGEST = "6ae797263d2f81767c4a71e2e9c9fcf4036b2f702244e92754cb53d6ffb446f7"
-FALSIFY_DIGEST = "c1021586eeff100507d91cf794c8bcd1a0e12fc041d7892db24fcefa31072ba0"
+FALSIFY_DIGEST = "56bc0977993aa0a1ad7c1ab262d03fc571721d219f928ae34a8821dec05eae59"
+# the digest FALSIFY_DIGEST had while the report carried a copy of each file
+INLINE_DIGEST = "c1021586eeff100507d91cf794c8bcd1a0e12fc041d7892db24fcefa31072ba0"
 SMALL_DIMS = "1,2,3,4,5,6,7,8"
 
 
@@ -73,16 +77,34 @@ def decimal_file_bytes(path) -> bytes:
             + "\n").encode()
 
 
+FALSIFY_ARGV = ["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
+                "--seed", "5", "--trials", "50", "--dims", SMALL_DIMS]
+
+
 def test_falsify_report_and_certificates_keep_their_bytes(tmp_path):
     out, certs = tmp_path / "report.json", tmp_path / "certs"
-    code = cli.main(["falsify", "--check", "thm2.4", "--mutate", "drop-expansive",
-                     "--seed", "5", "--trials", "50", "--dims", SMALL_DIMS,
-                     "--out", str(out), "--cert-dir", str(certs)])
+    code = cli.main(FALSIFY_ARGV + ["--out", str(out), "--cert-dir", str(certs)])
     assert code == cli.EXIT_OK
     report = json.loads(out.read_text())
     report["header"].pop("timestamp")
     report["campaign"].pop("wall_time")
-    report["campaign"]["violations"] = [as_decimal(c) for c in report["campaign"]["violations"]]
     files = sorted(certs.iterdir(), key=lambda p: int(p.stem.rsplit("-", 1)[1]))
     assert len(files) == 50
+    assert [row["certificate"] for row in report["campaign"]["violations"]] == [
+        p.name for p in files]
     assert digest(report, *(decimal_file_bytes(p) for p in files)) == FALSIFY_DIGEST
+
+
+def test_a_falsify_report_without_certificate_files_keeps_its_bytes(tmp_path):
+    """Without --cert-dir the report carries each certificate whole: it
+    has the bytes of the report that, before reports named their files,
+    carried a copy of each, and the digest that pinned it and its files."""
+    out = tmp_path / "report.json"
+    assert cli.main(FALSIFY_ARGV + ["--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    report["header"].pop("timestamp")
+    report["campaign"].pop("wall_time")
+    certs = [as_decimal(cert) for cert in report["campaign"]["violations"]]
+    assert len(certs) == 50
+    blobs = ((json.dumps(cert, sort_keys=True) + "\n").encode() for cert in certs)
+    assert digest(report, *blobs) == INLINE_DIGEST
