@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import glob
 import io
 import json
 import math
@@ -234,6 +235,11 @@ def cmd_falsify(args) -> int:
             os.makedirs(args.cert_dir, exist_ok=True)
         except OSError as exc:
             raise BadSpec(f"cannot write {args.cert_dir}: {exc.strerror}") from None
+        # a second campaign of the check would mix its files with the first one's
+        held = glob.glob(f"cert-{args.check}-*.json", root_dir=args.cert_dir)
+        if held:
+            raise BadSpec(f"--cert-dir {args.cert_dir} already holds certificates of "
+                          f"{args.check} ({min(held)})")
     _check_writable(args.out)
     config = {
         "command": "falsify",
@@ -399,7 +405,3 @@ def main(argv=None) -> int:
     except NormetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

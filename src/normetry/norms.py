@@ -10,51 +10,18 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import _by_route, _lapack, _rows, as_square, joined
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
 SCHATTEN_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
 _TINY = float(np.finfo(float).tiny)  # the least normal float
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A symmetric norm selector: Ky Fan k, Schatten p, operator, or trace."""
-
-    kind: str  # "kyfan" | "schatten" | "operator" | "trace"
-    param: float = 0.0
-
-    def label(self) -> str:
-        if self.kind == "kyfan":
-            return f"kyfan-{int(self.param)}"
-        if self.kind == "schatten":
-            p = self.param
-            return "schatten-inf" if math.isinf(p) else f"schatten-{p:g}"
-        return self.kind
-
-
-def ky_fan(k: int) -> NormSpec:
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise BadSpec(f"Ky Fan k must be an integer >= 1, got {k!r}")
-    return NormSpec("kyfan", float(k))
-
-
-def schatten(p: float) -> NormSpec:
-    if not p >= 1:  # a NaN p fails this too
-        raise BadSpec(f"Schatten p must be >= 1, got {p}")
-    return NormSpec("schatten", float(p))
-
-
-OPERATOR = NormSpec("operator")
-TRACE = NormSpec("trace")
 
 
 def _sorted_abs(w: np.ndarray) -> np.ndarray:
@@ -271,12 +238,9 @@ def fan_verdict(sl, sr, tol: float = DEFAULT_TOL, check_id: str = "dominance",
     return compare(check_id, grid_labels(n), gl, gr, tol)
 
 
-def norm_grid(n: int) -> list[NormSpec]:
-    """All Ky Fan k plus the standard Schatten grid for dimension n."""
-    return [ky_fan(k) for k in range(1, n + 1)] + [schatten(p) for p in SCHATTEN_GRID]
-
-
 @functools.lru_cache(maxsize=64)
 def grid_labels(n: int) -> tuple[str, ...]:
-    """The labels of ``norm_grid(n)``, which label ``fan_grid``'s entries."""
-    return tuple(spec.label() for spec in norm_grid(n))
+    """The labels of ``fan_grid``'s entries at dimension n: kyfan-k for
+    k = 1..n, then schatten-p for each p of SCHATTEN_GRID."""
+    return (*(f"kyfan-{k}" for k in range(1, n + 1)),
+            *(f"schatten-{p:g}" for p in SCHATTEN_GRID))

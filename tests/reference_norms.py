@@ -7,22 +7,25 @@ from normetry import norms
 from normetry.errors import BadSpec
 
 
-def norm_from_sv(s: np.ndarray, spec: norms.NormSpec) -> float:
+def norm_from_sv(s: np.ndarray, label: str) -> float:
+    """The norm named ``label`` (one of ``norms.grid_labels``, or
+    ``operator`` or ``trace``) of descending singular values ``s``."""
     n = s.size
-    if spec.kind == "operator":
+    if label == "operator":
         return float(s[0]) if n else 0.0
-    if spec.kind == "trace":
+    if label == "trace":
         return float(np.sum(s))
-    if spec.kind == "kyfan":
-        k = int(spec.param)
+    kind, _, param = label.partition("-")
+    if kind == "kyfan":
+        k = int(param)
         if k > n:
             raise BadSpec(f"Ky Fan k={k} exceeds dimension {n}")
         return float(np.sum(s[:k]))
-    if spec.kind == "schatten":
-        return norms._schatten(s, (spec.param,))[0][0]
-    raise BadSpec(f"unknown norm kind {spec.kind!r}")
+    if kind == "schatten":
+        return norms._schatten(s, (float(param),))[0][0]
+    raise BadSpec(f"unknown norm {label!r}")
 
 
-def norm(x, spec: norms.NormSpec) -> float:
+def norm(x, label: str) -> float:
     """A symmetric norm of a square matrix."""
-    return norm_from_sv(norms.singular_values(x), spec)
+    return norm_from_sv(norms.singular_values(x), label)

@@ -105,8 +105,8 @@ def test_thm_1_2_power_m_matches_direct_powers():
         v = checks.check_thm_1_2(sf.power_m_fn(m), a, b)
         direct_lhs = np.linalg.matrix_power(a, m) + np.linalg.matrix_power(b, m)
         direct_rhs = np.linalg.matrix_power(a + b, m)
-        for spec in norms.norm_grid(4):
-            nl, nr = norm(direct_lhs, spec), norm(direct_rhs, spec)
+        for label in norms.grid_labels(4):
+            nl, nr = norm(direct_lhs, label), norm(direct_rhs, label)
             assert nl <= nr + 1e-10 * max(1.0, nr)
         assert v.passed
 
@@ -295,7 +295,7 @@ def test_cs_lemma_seed8_direct_oracle():
     assert v.passed
     # direct evaluation for the operator and trace norms
     lhs = a1 @ c1 @ b1 + a2 @ c2 @ b2
-    for ord_, spec in ((2, norms.OPERATOR), ("nuc", norms.TRACE)):
+    for ord_ in (2, "nuc"):
         nl = np.linalg.norm(lhs, ord_)
         nr = np.sqrt(
             np.linalg.norm(a1 @ a1 + a2 @ a2, ord_)

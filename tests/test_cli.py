@@ -679,8 +679,31 @@ def test_a_falsify_report_names_each_certificate_file(tmp_path, monkeypatch):
                        "fingerprint": cert["fingerprint"], "margin": cert["margin"]}
     # the rows do not depend on how the directory was typed
     monkeypatch.chdir(tmp_path)
-    assert run(argv + ["--out", "again.json", "--cert-dir", "./x/../certs"]) == cli.EXIT_OK
+    assert run(argv + ["--out", "again.json", "--cert-dir", "./x/../again"]) == cli.EXIT_OK
     assert json.loads((tmp_path / "again.json").read_text())["campaign"]["violations"] == rows
+
+
+def test_a_certificate_directory_that_holds_the_check_is_refused(tmp_path, capsys):
+    """A second campaign of one check into one --cert-dir would leave the
+    first one's files beside its own, which no report names: it is a
+    usage error before any trial and before --out is checked, and every
+    file keeps its bytes.  Another check's campaign may share the
+    directory."""
+    certs = tmp_path / "d"
+    argv = ["falsify", "--check", "thm1.1", "--mutate", "swap-function-class",
+            "--dims", "1,2", "--cert-dir", str(certs)]
+    assert run(argv + ["--trials", "6", "--out", str(certs / "r.json")]) == cli.EXIT_OK
+    before = {p.name: p.read_bytes() for p in certs.iterdir()}
+    assert "cert-thm1.1-5.json" in before
+    capsys.readouterr()
+    # an --out that names a directory would be a usage error of its own
+    assert run(argv + ["--trials", "3", "--seed", "5", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (f"usage error: --cert-dir {certs} already holds "
+                                       "certificates of thm1.1 (cert-thm1.1-0.json)\n")
+    assert {p.name: p.read_bytes() for p in certs.iterdir()} == before
+    assert run(["falsify", "--check", "thm1.2", "--mutate", "drop-vanishing", "--trials", "5",
+                "--dims", "1,2", "--cert-dir", str(certs),
+                "--out", str(tmp_path / "r2.json")]) == cli.EXIT_OK
 
 
 def test_a_falsify_report_without_a_certificate_directory_holds_each_certificate(

@@ -104,7 +104,7 @@ def test_exactly_hermitian_skips_the_svd(monkeypatch):
     calls = count_svd_calls(monkeypatch)
     norms.singular_values(h)
     linalg.matrix_abs(h)
-    norm(h, norms.OPERATOR)
+    norm(h, "operator")
     assert calls == []
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from normetry import linalg, norms
 from normetry.errors import BadSpec, DimensionMismatch, DomainError
-from normetry.norms import OPERATOR, TRACE, ky_fan, schatten
 from normetry.rand import GenSpec, derive_stream, generate
 from reference_norms import norm, norm_from_sv
 
@@ -31,77 +30,63 @@ def test_singular_values_match_matrix_abs_seed5():
 
 def test_ky_fan_values():
     d = np.diag([3.0, 1.0]).astype(complex)
-    assert norm(d, ky_fan(1)) == pytest.approx(3.0)
-    assert norm(d, ky_fan(2)) == pytest.approx(4.0)
+    assert norm(d, "kyfan-1") == pytest.approx(3.0)
+    assert norm(d, "kyfan-2") == pytest.approx(4.0)
 
 
 def test_schatten_two():
     d = np.diag([3.0, 4.0]).astype(complex)
-    assert norm(d, schatten(2)) == pytest.approx(5.0)
+    assert norm(d, "schatten-2") == pytest.approx(5.0)
 
 
 def test_operator_schatten_inf_alias():
     x = generate(GenSpec("general", 5, 11))
-    assert abs(norm(x, OPERATOR) - norm(x, schatten(math.inf))) <= 1e-12
+    assert abs(norm(x, "operator") - norm(x, "schatten-inf")) <= 1e-12
 
 
 def test_alias_grid():
     x = generate(GenSpec("general", 4, 13))
-    n = 4
-    assert abs(norm(x, OPERATOR) - norm(x, ky_fan(1))) <= 1e-10
-    assert abs(norm(x, TRACE) - norm(x, ky_fan(n))) <= 1e-10
-    assert abs(norm(x, TRACE) - norm(x, schatten(1))) <= 1e-10
+    assert abs(norm(x, "operator") - norm(x, "kyfan-1")) <= 1e-10
+    assert abs(norm(x, "trace") - norm(x, "kyfan-4")) <= 1e-10
+    assert abs(norm(x, "trace") - norm(x, "schatten-1")) <= 1e-10
 
 
 def test_bad_spec():
     with pytest.raises(BadSpec):
-        norm(np.eye(2), ky_fan(3))
-    with pytest.raises(BadSpec):
-        schatten(0.5)
-    with pytest.raises(BadSpec):
-        ky_fan(0)
+        norm(np.eye(2), "kyfan-3")
 
 
-def test_schatten_rejects_nan_p():
-    with pytest.raises(BadSpec):
-        schatten(math.nan)
-
-
-@pytest.mark.parametrize("k", [2.5, 2.0, math.nan, "2"])
-def test_ky_fan_rejects_non_integer_k(k):
-    with pytest.raises(BadSpec):
-        ky_fan(k)
-
-
-def test_ky_fan_accepts_numpy_integers():
-    assert ky_fan(np.int64(3)).label() == "kyfan-3"
+def test_grid_labels_name_the_ky_fan_sums_then_the_schatten_grid():
+    assert norms.grid_labels(3) == (
+        "kyfan-1", "kyfan-2", "kyfan-3",
+        "schatten-1", "schatten-1.5", "schatten-2", "schatten-3", "schatten-inf")
 
 
 def test_unitary_invariance():
     x = generate(GenSpec("general", 5, 31))
     u = generate(GenSpec("unitary", 5, 32))
     v = generate(GenSpec("unitary", 5, 33))
-    for spec in norms.norm_grid(5):
-        assert abs(norm(u @ x @ v, spec) - norm(x, spec)) <= 1e-10 * max(
-            1, norm(x, spec)
+    for label in norms.grid_labels(5):
+        assert abs(norm(u @ x @ v, label) - norm(x, label)) <= 1e-10 * max(
+            1, norm(x, label)
         )
 
 
 def test_triangle_and_homogeneity():
     a = generate(GenSpec("general", 4, 41))
     b = generate(GenSpec("general", 4, 42))
-    for spec in norms.norm_grid(4):
-        na, nb, nab = norm(a, spec), norm(b, spec), norm(a + b, spec)
+    for label in norms.grid_labels(4):
+        na, nb, nab = norm(a, label), norm(b, label), norm(a + b, label)
         assert nab <= na + nb + 1e-10 * max(1, na + nb)
-        assert abs(norm(-2.5 * a, spec) - 2.5 * na) <= 1e-10 * max(1, na)
+        assert abs(norm(-2.5 * a, label) - 2.5 * na) <= 1e-10 * max(1, na)
 
 
 def test_ky_fan_monotone_schatten_antitone():
     x = generate(GenSpec("general", 6, 51))
-    kf = [norm(x, ky_fan(k)) for k in range(1, 7)]
+    kf = [norm(x, f"kyfan-{k}") for k in range(1, 7)]
     assert all(kf[i + 1] >= kf[i] - 1e-12 for i in range(5))
-    ps = [1.0, 1.5, 2.0, 3.0, math.inf]
-    sp = [norm(x, schatten(p)) for p in ps]
+    ps = ["1", "1.5", "2", "3", "inf"]
+    sp = [norm(x, f"schatten-{p}") for p in ps]
     assert all(sp[i + 1] <= sp[i] + 1e-12 for i in range(4))
 
 
@@ -169,18 +154,17 @@ def test_fan_grid_matches_norm_from_sv(s):
     bit for bit; Ky Fan k by a running sum against numpy's pairwise sum,
     which agree bit for bit below 8 terms."""
     n = s.size
-    specs = norms.norm_grid(n)
+    labels = norms.grid_labels(n)
     with np.errstate(over="ignore"):  # s**3 overflows in both alike
         grid = norms.fan_grid(s)
-        refs = [norm_from_sv(s, spec) for spec in specs]
-    assert len(grid) == len(specs) == n + len(norms.SCHATTEN_GRID)
-    assert list(norms.grid_labels(n)) == [spec.label() for spec in specs]
-    for value, spec, ref in zip(grid.tolist(), specs, refs):
-        if spec.kind == "kyfan" and n >= 8:
-            k = int(spec.param)
-            assert abs(value - ref) <= k * np.finfo(float).eps * float(np.sum(s))
+        refs = [norm_from_sv(s, label) for label in labels]
+    assert len(grid) == len(labels) == n + len(norms.SCHATTEN_GRID)
+    for value, label, ref in zip(grid.tolist(), labels, refs):
+        kind, _, k = label.partition("-")
+        if kind == "kyfan" and n >= 8:
+            assert abs(value - ref) <= int(k) * np.finfo(float).eps * float(np.sum(s))
         else:
-            assert value.hex() == ref.hex(), spec.label()
+            assert value.hex() == ref.hex(), label
 
 
 def direct_schatten(s, p):
@@ -212,7 +196,7 @@ def test_schatten_is_scale_safe(scale, p):
     x = generate(GenSpec("general", 5, 61))
     s = norms.singular_values(x)
     ref = scale * direct_schatten(s, p)
-    got = norm(x * scale, schatten(p))
+    got = norm(x * scale, f"schatten-{p:g}")
     assert math.isfinite(got) and got > 0
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
     grid = norms.fan_grid(norms.singular_values(x * scale))
@@ -220,7 +204,7 @@ def test_schatten_is_scale_safe(scale, p):
 
 
 def test_schatten_of_zero_is_zero():
-    assert norm(np.zeros((3, 3)), schatten(3.0)) == 0.0
+    assert norm(np.zeros((3, 3)), "schatten-3") == 0.0
     assert norms.fan_grid(np.zeros(2)).tolist() == [0.0] * 7
 
 

@@ -20,3 +20,9 @@ def test_version_is_defined_once():
     assert attr == "normetry.__version__"
     assert falsify.TOOL_VERSION == normetry.__version__
     assert re.fullmatch(r"\d+\.\d+\.\d+", normetry.__version__)
+
+
+def test_the_console_script_is_the_module_entry():
+    """``normetry`` and ``python -m normetry`` run one entry."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"normetry": "normetry.__main__:main"}
