@@ -15,8 +15,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def pin_blas_threads(environ) -> None:
-    """Set each of BLAS_THREAD_VARS in ``environ`` to "1" when none is set."""
-    if not any(var in environ for var in BLAS_THREAD_VARS):
+    """Set each of BLAS_THREAD_VARS in ``environ`` to "1" when none is set;
+    a blank value is no count to OpenBLAS, so it counts as unset."""
+    if not any(environ.get(var, "").strip() for var in BLAS_THREAD_VARS):
         environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 

@@ -2,12 +2,12 @@
 
 Each checker builds the two sides of its statement and delegates to the
 Fan-dominance verdict, a Loewner-order comparison, or a direct scalar
-comparison on the norm grid.  Its ``@_check`` decorator declares the check
-once, as a ``CheckSpec`` in ``SPECS``: id, scalar-function class, operand
-kinds, scalar draw, witnesses and the mutations that break its
-hypotheses.  The decorator also brings every call to the checker bodies'
-one form: (T, n, n) operand stacks of one shape (else DimensionMismatch),
-one scalar function and one value of each scalar per matrix.  The checker
+comparison.  Its ``@_check`` decorator declares the check once, as a
+``CheckSpec`` in ``SPECS``: id, scalar-function class, operand kinds,
+scalar draw, witnesses and the mutations that break its hypotheses.  The
+decorator also brings every call to the checker bodies' one form:
+(T, n, n) operand stacks of one shape (else DimensionMismatch), one
+scalar function and one value of each scalar per matrix.  The checker
 enforces the hypotheses that declaration states (the function's class
 tag; pd, contraction, expansive and normal operands) unless the
 falsifier, probing a broken hypothesis, switches them off.
@@ -482,13 +482,6 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
     return norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
 
 
-def _grid_rhs(s: np.ndarray):
-    """Fan grids of a joined (lhs, x, y) stack of singular values, with the
-    right-hand side sqrt(grid(x) * grid(y)) of cs-lemma and ineq4."""
-    lhs, gx, gy = _split(norms.fan_grid(s), 3)
-    return lhs, norms.sqrt_product(gx, gy)
-
-
 @_check("cs-lemma", None,
         _ops("psd", ("a1", "a2", "b1", "b2")) + _ops("contraction", ("c1", "c2")),
         witnesses=(Witness("single identity term (equality)", True,
@@ -499,24 +492,31 @@ def _grid_rhs(s: np.ndarray):
 def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
-    per symmetric norm, for PSD A_i, B_i and contractions C_i.
+    per symmetric norm, for PSD A_i, B_i and contractions C_i.  The verdict
+    decides the majorization that proves it: s(X) of the left-hand matrix
+    X = [A1 A2] diag(C1, C2) [B1; B2] against sqrt(s(Y) s(Z)) of Y and Z
+    under the roots (``norms.sqrt_product``).  With a hypothesis broken, a
+    failing verdict says that majorization fails, which the norm statement
+    alone need not.
     """
-    lhs, rhs = _grid_rhs(norms.singular_values(np.concatenate(
-        (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))))
-    return norms.compare("cs-lemma", norms.grid_labels(a1.shape[-1]), lhs, rhs, tol)
+    sx, sy, sz = _split(norms.singular_values(np.concatenate(
+        (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))), 3)
+    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz), tol, "cs-lemma")
 
 
 @_check("ineq4", None, _ops("general"),
         witnesses=(Witness("A=B=I (equality)", True, {"a": _I2, "b": _I2}),
                    Witness("B=-A gives zero LHS", False, {"a": _GEN, "b": -_GEN})))
 def check_ineq_4(a, b, tol=DEFAULT_TOL):
-    """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm."""
+    """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm,
+    decided as cs-lemma is, since A+B = [|A*|^(1/2) |B*|^(1/2)] diag(U_A, U_B)
+    [|A|^(1/2); |B|^(1/2)] for the unitary polar factors U_A, U_B."""
     p = linalg.joined(linalg.polar, a, b)
     abs_a, abs_b = _split(p.abs, 2)
     star_a, star_b = _split(p.abs_star, 2)
-    lhs, rhs = _grid_rhs(norms.singular_values(
-        linalg.derived(np.add, a, b), abs_a + abs_b, star_a + star_b))
-    return norms.compare("ineq4", norms.grid_labels(a.shape[-1]), lhs, rhs, tol)
+    sx, sy, sz = _split(norms.singular_values(
+        linalg.derived(np.add, a, b), abs_a + abs_b, star_a + star_b), 3)
+    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz), tol, "ineq4")
 
 
 def _block2(a, b, c, d) -> np.ndarray:

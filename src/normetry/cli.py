@@ -405,3 +405,10 @@ def main(argv=None) -> int:
     except NormetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    # numpy has loaded, so the BLAS thread count can no longer be pinned
+    print("usage error: run the command as 'normetry' or 'python -m normetry'",
+          file=sys.stderr)
+    sys.exit(EXIT_USAGE)

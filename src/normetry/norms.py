@@ -1,9 +1,10 @@
 """Symmetric-norm evaluation and weak-majorization machinery.
 
 A "for all symmetric norms" inequality is decided through Fan dominance:
-singular values of the LHS must be weakly majorized by those of the RHS.
-Ky Fan partial sums give the per-k margins; a grid of Schatten norms is
-evaluated as a redundant cross-check.
+the singular values of the LHS must be weakly majorized by those of the
+RHS.  The Ky Fan norms k = 1..n decide every symmetric norm (Bhatia,
+Matrix Analysis, GTM 169, ch. IV), so a verdict holds one record per k:
+the partial sums of the two sides' descending singular values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .linalg import _by_route, _lapack, _rows, as_square, joined
 
 SV_CLAMP_REL = 1e-12
 DEFAULT_TOL = 1e-9
-SCHATTEN_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
 _TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
@@ -65,44 +65,6 @@ def spectrum_singular_values(w) -> np.ndarray:
     A side whose spectrum is in hand needs no matrix built of it and
     decomposed again."""
     return _clamped(_sorted_abs(w))
-
-
-def _schatten(s: np.ndarray, ps) -> list:
-    """Schatten p-norms (sum s**p)**(1/p) of descending singular values ``s``
-    (one vector, or one per row of a stack): for each p of ``ps``, the list
-    of the norms of the rows.
-
-    Where sum s**p leaves the normal float range (it overflows, or
-    underflows while s[0] > 0), the norm is s[0] times that of s/s[0]
-    instead; every other value is the direct one, bit for bit.  s**p is
-    taken on s as laid out and each root as a float power, since numpy's
-    array power can round either differently.
-    """
-    rows = s.reshape(-1, s.shape[-1])
-    if not rows.shape[1]:
-        return [[0.0] * len(rows) for _ in ps]
-    tops = rows[:, 0].tolist()
-    out = []
-    for p in ps:
-        if p == math.inf:
-            out.append(tops)
-            continue
-        root = 1.0 / p
-        values = np.add.reduce(s**p, axis=-1).ravel().tolist()
-        for t, (total, top) in enumerate(zip(values, tops)):
-            if _TINY <= total < math.inf or not 0.0 < top < math.inf:
-                values[t] = total**root
-            else:
-                values[t] = top * float(np.add.reduce((rows[t] / top) ** p)) ** root
-        out.append(values)
-    return out
-
-
-def _pad(s: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad each row of ``s`` to length n."""
-    if s.shape[-1] >= n:
-        return s
-    return np.concatenate([s, np.zeros(s.shape[:-1] + (n - s.shape[-1],))], axis=-1)
 
 
 class ComparisonRecord(NamedTuple):
@@ -172,20 +134,14 @@ def _verdict(check_id: str, labels, lhs: list, rhs: list, tol: float) -> Verdict
     return Verdict(check_id=check_id, records=records, tol=tol)
 
 
-def fan_grid(s: np.ndarray) -> np.ndarray:
-    """The norm grid of descending singular values ``s``: the Ky Fan partial
-    sums for k = 1..n, then the Schatten norms of SCHATTEN_GRID, in the
-    order of ``grid_labels(n)``; one grid per row of a stack."""
-    n = s.shape[-1]
-    grid = np.empty(s.shape[:-1] + (n + len(SCHATTEN_GRID),))
-    np.add.accumulate(s, axis=-1, out=grid[..., :n])
-    schatten = np.transpose(_schatten(s, SCHATTEN_GRID))
-    grid[..., n:] = schatten.reshape(grid[..., n:].shape)
-    return grid
-
-
 def sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sqrt(x * y) entrywise for x, y >= 0.
+
+    Of descending s(Y), s(Z) it is Horn's bound on s(X) for X = R C S with
+    R R* = Y, S* S = Z and ||C|| <= 1: it weakly log-majorizes s(X) (Bhatia,
+    ch. III), so ``fan_verdict`` of s(X) against it decides ||X|| <=
+    ||Y||^(1/2) ||Z||^(1/2) in every symmetric norm, by Hoelder's
+    inequality for symmetric gauge functions (ch. IV).
 
     Where x * y leaves the normal float range (it overflows or underflows;
     an exact 0 too, which gives 0 either way), the entry is sqrt(x) *
@@ -199,17 +155,12 @@ def sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominance_verdict(
-    lhs,
-    rhs,
-    tol: float = DEFAULT_TOL,
-    check_id: str = "dominance",
-    pad: bool = False,
-):
-    """Fan-dominance verdict for ||lhs|| <= ||rhs|| over all symmetric norms;
-    one verdict per matrix of a stack: ``fan_verdict`` of the two sides'
-    singular values.  Each side is coerced once, by ``singular_values``,
-    and sides of one shape take one call of it.
+def dominance_verdict(lhs, rhs, tol: float = DEFAULT_TOL, check_id: str = "dominance",
+                      pad: bool = False):
+    """Verdict on ||lhs|| <= ||rhs|| in every symmetric norm, one per matrix
+    of a stack: ``fan_verdict`` of the two sides' singular values.  Each
+    side is coerced once, by ``singular_values``, and sides of one shape
+    take one call of it.
     """
     ml, mr = np.asarray(lhs), np.asarray(rhs)
     if ml.shape == mr.shape:
@@ -224,23 +175,23 @@ def fan_verdict(sl, sr, tol: float = DEFAULT_TOL, check_id: str = "dominance",
     """Fan-dominance verdict on the two sides' descending singular values
     (one row per matrix of a stack, as ``singular_values`` gives them).
 
-    Records per-k Ky Fan margins plus a redundant Schatten grid.  With
-    pad=False the sides must have as many singular values, as square
-    matrices of one dimension do; pad=True zero-pads them (used for
-    block-vs-sum comparisons).  Both sides' grids come from one
-    ``fan_grid`` call.
+    It holds one record per Ky Fan norm k = 1..n (``grid_labels(n)``): the
+    two sides' partial sums.  Passing all is weak majorization, so the
+    comparison holds in every symmetric norm.  With pad=False the sides
+    must have as many singular values, as square matrices of one dimension
+    do; pad=True zero-pads them (used for block-vs-sum comparisons).
     """
     nl, nr = sl.shape[-1], sr.shape[-1]
     if not pad and nl != nr:
         raise DimensionMismatch(f"{(nl, nl)} vs {(nr, nr)}")
     n = max(nl, nr)
-    gl, gr = fan_grid(np.stack((_pad(sl, n), _pad(sr, n))))
+    sides = np.zeros((2, *sl.shape[:-1], n))  # both zero-padded to n
+    sides[0, ..., :nl], sides[1, ..., :nr] = sl, sr
+    gl, gr = np.add.accumulate(sides, axis=-1)
     return compare(check_id, grid_labels(n), gl, gr, tol)
 
 
 @functools.lru_cache(maxsize=64)
 def grid_labels(n: int) -> tuple[str, ...]:
-    """The labels of ``fan_grid``'s entries at dimension n: kyfan-k for
-    k = 1..n, then schatten-p for each p of SCHATTEN_GRID."""
-    return (*(f"kyfan-{k}" for k in range(1, n + 1)),
-            *(f"schatten-{p:g}" for p in SCHATTEN_GRID))
+    """The labels of ``fan_verdict``'s records at dimension n: kyfan-1..kyfan-n."""
+    return tuple(f"kyfan-{k}" for k in range(1, n + 1))

@@ -13,6 +13,7 @@ import pytest
 from normetry import checks, cli, falsify, linalg, scalarfn
 from normetry.rand import GenSpec, derive_stream, generate
 
+from reference_norms import norm_from_sv
 from test_checks import brute_force_root_average
 
 
@@ -29,12 +30,8 @@ def test_criterion_1_theorem_suite(capsys):
     dims = (1, 2, 3, 4, 5, 6, 7, 8)
     start = time.perf_counter()
     bad = []
-    reports = {}
     for cid in checks.CHECK_IDS:
-        [rep] = falsify.run_campaigns(
-            [cid], trials=1000, dims=dims, root_seed=20260823, keep_verdicts=True
-        )
-        reports[cid] = rep
+        [rep] = falsify.run_campaigns([cid], trials=1000, dims=dims, root_seed=20260823)
         if rep.violations:
             bad.append((cid, len(rep.violations)))
     elapsed = time.perf_counter() - start
@@ -45,8 +42,6 @@ def test_criterion_1_theorem_suite(capsys):
         ok,
         f"{len(checks.CHECK_IDS)} checkers x 1000 trials in {elapsed:.1f}s",
     )
-    # stash verdict rows for criterion 4's consistency audit
-    test_criterion_1_theorem_suite.reports = reports
     assert not bad, bad
     assert elapsed < 120.0, elapsed
 
@@ -98,27 +93,76 @@ def test_criterion_3_corrected_identity(capsys):
     assert ok, worst
 
 
+SCHATTEN = ("1", "1.5", "2", "3", "inf")
+
+
+def _sv(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _f_of(f, h):
+    """f(H) of a PSD matrix from numpy's eigh, eigenvalues clamped at 0."""
+    w, u = np.linalg.eigh((h + h.conj().T) / 2)
+    return (u * f(np.maximum(w, 0.0))) @ u.conj().T
+
+
+def _abs(m):
+    """|M| and |M*| from numpy's SVD."""
+    u, s, vh = np.linalg.svd(m)
+    return (vh.conj().T * s) @ vh, (u * s) @ u.conj().T
+
+
+def _sides(case):
+    """The singular values of a case's two sides, computed apart from the
+    package: (s(LHS), s(RHS)), or (s(X), s(Y), s(Z)) for a bound
+    ||X|| <= ||Y||^(1/2) ||Z||^(1/2)."""
+    m, f = case.matrices, case.fn()
+    if case.check_id == "thm1.1":
+        ops = list(m.values())
+        return _sv(_f_of(f, sum(ops))), _sv(sum(_f_of(f, a) for a in ops))
+    if case.check_id == "thm1.2":
+        return _sv(_f_of(f, m["a"]) + _f_of(f, m["b"])), _sv(_f_of(f, m["a"] + m["b"]))
+    if case.check_id == "prop2.1":
+        total = m["a"] + m["b"]
+        g, ra, rb = _f_of(f, total), _f_of(np.sqrt, m["a"]), _f_of(np.sqrt, m["b"])
+        return _sv(total @ g), _sv(ra @ g @ ra + rb @ g @ rb)
+    if case.check_id == "thm2.4":
+        zh = m["z"].conj().T
+        return _sv(_f_of(f, zh @ m["a"] @ m["z"])), _sv(zh @ _f_of(f, m["a"]) @ m["z"])
+    if case.check_id == "prop3.4":
+        return _sv(m["a"] + m["b"]), _sv(_abs(m["a"])[0] + _abs(m["b"])[0])
+    if case.check_id == "thm3.1":
+        block = np.block([[m["a"], m["b"]], [m["c"], m["d"]]])
+        return _sv(block), _sv(sum(_abs(x)[0] for x in m.values()))
+    if case.check_id == "ineq5":
+        z, k = complex(case.scalars["z_re"], case.scalars["z_im"]), case.scalars["m"]
+        power = np.linalg.matrix_power
+        return _sv(power(m["a"] + z * m["b"], k)), _sv(power(m["a"] + abs(z) * m["b"], k))
+    if case.check_id == "cs-lemma":
+        a1, a2, b1, b2, c1, c2 = m.values()
+        return _sv(a1 @ c1 @ b1 + a2 @ c2 @ b2), _sv(a1 @ a1 + a2 @ a2), _sv(b1 @ b1 + b2 @ b2)
+    (abs_a, star_a), (abs_b, star_b) = _abs(m["a"]), _abs(m["b"])  # ineq4
+    return _sv(m["a"] + m["b"]), _sv(abs_a + abs_b), _sv(star_a + star_b)
+
+
 def test_criterion_4_fan_dominance_consistency(capsys):
-    """On passing dominance verdicts, every Schatten comparison also passes."""
-    reports = getattr(test_criterion_1_theorem_suite, "reports", None)
-    if reports is None:
-        # criterion 1 did not run first (e.g. -k selection): rebuild a sample
-        reports = {
-            cid: falsify.run_campaigns(
-                [cid], trials=200, dims=(1, 2, 3, 4, 5, 6, 7, 8),
-                root_seed=20260823, keep_verdicts=True,
-            )[0]
-            for cid in checks.CHECK_IDS
-        }
-    inconsistencies = 0
-    audited = 0
-    for rep in reports.values():
-        for row in rep.verdicts:
-            if not row["pass"]:
+    """Where a verdict passes, each Schatten norm p in {1, 1.5, 2, 3, inf}
+    of its sides, computed apart from the package, passes too: the Ky Fan
+    sums decide every symmetric norm, and for cs-lemma and ineq4 Horn's
+    bound with Hoelder's inequality gives ||X||_p <= ||Y||_p^(1/2) ||Z||_p^(1/2)."""
+    inconsistencies = audited = 0
+    for cid in ("thm1.1", "thm1.2", "prop2.1", "thm2.4", "thm3.1", "prop3.4", "ineq5",
+                "cs-lemma", "ineq4"):
+        for t in range(200):
+            case = falsify.sample_case(cid, 1 + t % 8, derive_stream(20260823, t))
+            if not falsify.run_case(case, stamp=False).passed:
                 continue
-            schatten = [r for r in row["records"] if r["spec"].startswith("schatten")]
-            audited += len(schatten)
-            inconsistencies += sum(1 for r in schatten if r["margin"] < -1e-9)
+            sides = _sides(case)
+            for p in SCHATTEN:
+                lhs, *rhs = (norm_from_sv(s, f"schatten-{p}") for s in sides)
+                bound = float(np.sqrt(rhs[0] * rhs[1])) if len(rhs) == 2 else rhs[0]
+                audited += 1
+                inconsistencies += (bound - lhs) / max(1.0, bound) < -1e-9
     ok = inconsistencies == 0 and audited > 0
     report(
         capsys,

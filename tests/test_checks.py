@@ -304,6 +304,26 @@ def test_cs_lemma_seed8_direct_oracle():
         assert nl <= nr + 1e-9 * max(1, nr)
 
 
+def test_cs_lemma_expansive_case_that_no_schatten_norm_catches_fails():
+    """With expansive C_i the statement is unproved, and this case meets it
+    in the operator norm, the trace norm and Schatten p = 1.5, 2 and 3,
+    with a least margin of +0.014 among them.  Horn's bound does not hold:
+    s(X) sums to 1.970 against sqrt(s(Y) s(Z))'s 1.929, so the verdict
+    fails rather than passing a majorization that is false."""
+    s = lambda i: derive_stream(321, i)
+    psds = [psd(2, s(i)) for i in range(4)]
+    c1, c2 = (generate(GenSpec("expansive", 2, s(i))) for i in (4, 5))
+    v = checks.check_cs_lemma(*psds, c1, c2, enforce=False)
+    assert not v.passed
+    assert [r.label for r in v.records] == ["kyfan-1", "kyfan-2"]
+    assert v.min_margin == pytest.approx(-0.02086, abs=1e-5)
+    x = psds[0] @ c1 @ psds[2] + psds[1] @ c2 @ psds[3]
+    y, z = psds[0] @ psds[0] + psds[1] @ psds[1], psds[2] @ psds[2] + psds[3] @ psds[3]
+    for p in ("1", "1.5", "2", "3", "inf"):
+        nx, ny, nz = (norm(m, f"schatten-{p}") for m in (x, y, z))
+        assert nx < np.sqrt(ny * nz) - 0.01
+
+
 def test_ineq_4_seed14():
     a = generate(GenSpec("general", 4, derive_stream(14, 0)))
     b = generate(GenSpec("general", 4, derive_stream(14, 1)))
@@ -441,16 +461,17 @@ def test_prop_3_4_seed35():
 @pytest.mark.parametrize("check", ["prop3.4", "cs-lemma"])
 def test_nan_margin_fails_the_verdict(check):
     """Singular values near the top of the float range: a Ky Fan partial
-    sum overflows on both sides (or its square root product does), so its
-    margin is NaN while the first stays finite; a NaN in any record must
-    fail the verdict."""
+    sum overflows on both sides, so its margin is NaN while the first
+    stays finite; a NaN in any record must fail the verdict.  For cs-lemma,
+    s(X) = 0.7e308 and Horn's sqrt(s(Y) s(Z)) = sqrt(1e308 * 0.49e308)
+    both reach inf at k = 3."""
     eye = np.eye(3, dtype=complex)
     if check == "prop3.4":
         a = np.diag([0.7e308] * 3).astype(complex)
         v = checks.check_prop_3_4(a, 0 * eye, enforce=False)
     else:
-        a1 = np.diag([1e154, 0.9e154, 1.0]).astype(complex)
-        v = checks.check_cs_lemma(a1, 0 * eye, eye, eye, eye, eye)
+        a1, b1 = (np.diag([c * 1e154] * 3).astype(complex) for c in (1.0, 0.7))
+        v = checks.check_cs_lemma(a1, 0 * eye, b1, 0 * eye, eye, eye)
     margins = [r.margin for r in v.records]
     assert np.isnan(margins).any() and not np.isnan(margins[0])
     assert not v.passed
@@ -461,9 +482,9 @@ def test_nan_margin_fails_the_verdict(check):
 @pytest.mark.parametrize("check, scale", [("prop3.4", 1e110), ("prop3.4", 1e150),
                                           ("cs-lemma", 1e60), ("cs-lemma", 1e80)])
 def test_grid_margins_stay_finite_far_up_the_scale(check, scale):
-    """Scaled far up, sum(s**p) and the product of two grids overflow; the
-    scale-safe Schatten norms and square-root products keep every margin
-    finite, equal to the margins of the same operands scaled by 1e10."""
+    """Scaled far up, the product of two singular values overflows; the
+    scale-safe square-root products keep every margin finite, equal to the
+    margins of the same operands scaled by 1e10."""
 
     def verdict(c):
         if check == "prop3.4":

@@ -125,7 +125,7 @@ def test_campaigns_reject_dims_that_are_not_integers_from_1(dims):
 def test_campaigns_accept_numpy_integer_dims():
     report = falsify.run_campaigns(["thm1.1"], trials=2, dims=np.array([2, 3]),
                                    keep_verdicts=True)[0]
-    assert [len(row["records"]) for row in report.verdicts] == [2 + 5, 3 + 5]
+    assert [len(row["records"]) for row in report.verdicts] == [2, 3]
 
 
 def test_campaign_rejects_mutation_for_other_check():
