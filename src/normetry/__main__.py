@@ -15,9 +15,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def pin_blas_threads(environ) -> None:
-    """Set each of BLAS_THREAD_VARS in ``environ`` to "1" when none is set;
-    a blank value is no count to OpenBLAS, so it counts as unset."""
-    if not any(environ.get(var, "").strip() for var in BLAS_THREAD_VARS):
+    """Set each of BLAS_THREAD_VARS in ``environ`` to "1" when none holds a
+    count.  A count is a positive decimal integer: OpenBLAS reads a blank,
+    0 or non-numeric value as no count, and starts its default threads."""
+    counts = [environ.get(var, "").strip() for var in BLAS_THREAD_VARS]
+    if not any(c.isascii() and c.isdecimal() and int(c) > 0 for c in counts):
         environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 

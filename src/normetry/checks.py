@@ -301,8 +301,8 @@ def _spectrum_rows(spec: linalg.Spectrum, rows: slice) -> linalg.Spectrum:
 
 def _values_and_apply(f, first, *rest) -> tuple:
     """The singular values of f(first), read from its spectrum as the
-    sorted |f(lambda)| (``norms.spectrum_singular_values``), and
-    ``spectral_apply`` of f to each stack of ``rest``, all from one eigh
+    sorted |f(lambda)| (``norms.spectrum_singular_values``), and f of each
+    stack of ``rest`` (``linalg.apply_spectrum``), all from one eigh
     call; a shared stack's eigh is taken once (``linalg.joined``).  No
     f(first) is built to be decomposed again."""
     spec = linalg.joined(linalg.eigh, first, *rest)
@@ -662,7 +662,7 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
                            scalars={"m": 1}, tol=1e-12),
                    Witness("m=2 expands algebraically", True, {"a": _PSD_A, "b": _PSD_B},
                            scalars={"m": 2}, tol=1e-12)))
-def identity_6_verdict(a, b, m, tol: float = 1e-10):
+def identity_6_verdict(a, b, m, tol=DEFAULT_TOL):
     """The relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
     w = exp(2*pi*i/m), as a Verdict with one record: the residual as LHS
     and -residual as margin, so it passes iff residual <= tol.  (The

@@ -55,40 +55,39 @@ class Case:
         return scalarfn.from_descriptor(self.fn_descriptor)
 
 
-# Scalar-function draws per class tag: one option is picked uniformly from
-# the case's rng, then draws its own parameters.
-FN_DRAWS = {
-    scalarfn.CONCAVE_NONNEG: (
-        lambda rng: {"kind": "sqrt"},
-        lambda rng: {"kind": "power", "s": float(rng.uniform(0.2, 1.0))},
-        lambda rng: {"kind": "log1p"},
-        lambda rng: {
-            "kind": "affine-plus",
-            "lam": float(rng.uniform(0.0, 2.0)),
-            "c": float(rng.uniform(0.0, 1.0)),
-        },
-    ),
-    scalarfn.CONVEX_VANISHING: (
-        lambda rng: {"kind": "power-m", "m": int(rng.integers(2, 5))},
-        lambda rng: {"kind": "angle", "a": float(rng.uniform(0.2, 2.0))},
-        lambda rng: {
-            "kind": "smoothed",
-            "a": float(rng.uniform(0.2, 2.0)),
-            "r": float(10.0 ** rng.uniform(-6.0, 0.0)),
-        },
-    ),
-    scalarfn.OPERATOR_CONCAVE: (
-        lambda rng: {"kind": "sqrt"},
-        lambda rng: {"kind": "power", "s": float(rng.uniform(0.2, 1.0))},
-        lambda rng: {"kind": "log1p"},
-        lambda rng: {"kind": "ratio-shift", "c": float(rng.uniform(0.1, 3.0))},
-    ),
-    scalarfn.DECREASING_TG_INCREASING: (
-        lambda rng: {"kind": "inv-sqrt"},
-        lambda rng: {"kind": "constant", "c": float(rng.uniform(0.1, 2.0))},
-        lambda rng: {"kind": "log1p-over-t"},
-    ),
+# Each scalar-function kind that campaigns draw, with the draw of its
+# parameters.
+_FN_DRAW = {
+    "sqrt": lambda rng: {},
+    "power": lambda rng: {"s": float(rng.uniform(0.2, 1.0))},
+    "log1p": lambda rng: {},
+    "affine-plus": lambda rng: {"lam": float(rng.uniform(0.0, 2.0)),
+                                "c": float(rng.uniform(0.0, 1.0))},
+    "ratio-shift": lambda rng: {"c": float(rng.uniform(0.1, 3.0))},
+    "power-m": lambda rng: {"m": int(rng.integers(2, 5))},
+    "angle": lambda rng: {"a": float(rng.uniform(0.2, 2.0))},
+    "smoothed": lambda rng: {"a": float(rng.uniform(0.2, 2.0)),
+                             "r": float(10.0 ** rng.uniform(-6.0, 0.0))},
+    "inv-sqrt": lambda rng: {},
+    "constant": lambda rng: {"c": float(rng.uniform(0.1, 2.0))},
+    "log1p-over-t": lambda rng: {},
 }
+# The kinds drawn for each class tag: one is picked uniformly from the
+# case's rng, then draws its own parameters (``draw_fn``).
+FN_DRAWS = {
+    scalarfn.CONCAVE_NONNEG: ("sqrt", "power", "log1p", "affine-plus"),
+    scalarfn.CONVEX_VANISHING: ("power-m", "angle", "smoothed"),
+    scalarfn.OPERATOR_CONCAVE: ("sqrt", "power", "log1p", "ratio-shift"),
+    scalarfn.DECREASING_TG_INCREASING: ("inv-sqrt", "constant", "log1p-over-t"),
+}
+
+
+def draw_fn(fn_class: str, rng: np.random.Generator) -> dict:
+    """The descriptor of a scalar function of class ``fn_class`` drawn
+    from ``rng``."""
+    kinds = FN_DRAWS[fn_class]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    return {"kind": kind, **_FN_DRAW[kind](rng)}
 
 
 def _gen(kind: str, n: int, seed: int, slot: int, shared: dict | None):
@@ -157,8 +156,7 @@ def sample_case(
     if change.fn is not None:
         fn_desc = change.fn(rng)
     elif spec.fn_class is not None:
-        draws = FN_DRAWS[spec.fn_class]
-        fn_desc = draws[int(rng.integers(len(draws)))](rng)
+        fn_desc = draw_fn(spec.fn_class, rng)
     operands = spec.operands(rng, fn_desc) if callable(spec.operands) else spec.operands
     kinds = _kinds(operands, change)
     mats = {name: _gen(kind, n, seed, slot, shared)

@@ -2,7 +2,7 @@
 
 Hermitian eigendecomposition, spectral function calculus, polar
 decomposition, matrix absolute value, and the structural predicates
-(psd, pd, normality, contraction/expansive) used by the checkers.
+(pd, normality, contraction/expansive) used by the checkers.
 
 All functions are pure; matrices are plain complex ndarrays.  Every function
 takes one n x n matrix or a (T, n, n) stack of them, and a 2-D input is the
@@ -183,11 +183,6 @@ def _per_matrix(ok: np.ndarray):
     return ok if ok.ndim else bool(ok)
 
 
-def _all(ok) -> bool:
-    """A per-matrix bool, or a bool array, holds for every matrix."""
-    return ok if isinstance(ok, bool) else bool(ok.all())
-
-
 def _first_failure(ok) -> int:
     return int(np.flatnonzero(~np.asarray(ok))[0])
 
@@ -236,26 +231,24 @@ def _frobenius(m: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(flat, flat).real))
 
 
-def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1):
-    """Decide ``||x||_op <= tol * max(1, ||s||_op ** power)`` per matrix,
-    without an SVD wherever the Frobenius norm settles it.
+def _opnorm_within(x: np.ndarray, s: np.ndarray, tol: float, power: int = 1) -> np.ndarray:
+    """Decide ``||x||_op <= tol * max(1, ||s||_op ** power)`` per matrix of
+    ``x``, a matrix (stack) shaped like ``s``, without an SVD wherever the
+    Frobenius norm settles it: a bool array of one value per matrix.
 
-    ``x`` is a matrix (stack) shaped like ``s``, or one float per matrix
-    standing for its norm.  Since ||X||_F / sqrt(n) <= ||X||_op <= ||X||_F
-    (Bhatia, Matrix Analysis, IV.2), the Frobenius tests accept only inputs
-    the SVD test accepts and reject only inputs it rejects (a Frobenius sum
-    that overflows settles nothing); the matrices they leave undecided go
-    to that SVD test, unchanged, in one call.
+    Since ||X||_F / sqrt(n) <= ||X||_op <= ||X||_F (Bhatia, Matrix
+    Analysis, IV.2), the Frobenius tests accept only inputs the SVD test
+    accepts and reject only inputs it rejects (a Frobenius sum that
+    overflows settles nothing); the matrices they leave undecided go to
+    that SVD test, unchanged, in one call.
     """
-    s3 = _rows(s)
-    matrix = isinstance(x, np.ndarray) and x.ndim == s.ndim
-    xs = _rows(x) if matrix else np.reshape(x, -1).tolist()
+    xs, s3 = _rows(x), _rows(s)
     root_n = math.sqrt(max(s.shape[-1], 1))
     ok, undecided = [], []
     for t, st in enumerate(s3):
         fro_s = _frobenius(st)
-        lhs = _frobenius(xs[t]) if matrix else xs[t]  # >= ||x||_op
-        lhs_low = lhs / root_n if matrix else lhs  # <= ||x||_op
+        lhs = _frobenius(xs[t])  # >= ||x||_op
+        lhs_low = lhs / root_n  # <= ||x||_op
         rms_sv = fro_s / root_n  # <= ||s||_op
         if lhs <= _FROBENIUS_SLACK * tol * max(1.0, rms_sv**power) < math.inf:
             ok.append(True)
@@ -265,12 +258,12 @@ def _opnorm_within(x, s: np.ndarray, tol: float, power: int = 1):
                     and lhs < math.inf):
                 undecided.append(t)
     if undecided:
-        top = opnorm(xs[undecided]).tolist() if matrix else [xs[t] for t in undecided]
+        top = opnorm(xs[undecided]).tolist()
         for t, lhs, norm in zip(undecided, top, opnorm(s3[undecided]).tolist()):
             # the single-matrix test: ** rounds as a float's (C pow), not as
             # a stack's (x * x for a square), and past the float range is inf
             ok[t] = lhs <= tol * max(1.0, float(np.float64(norm) ** power))
-    return ok[0] if s.ndim == 2 else np.array(ok)
+    return np.array(ok, dtype=bool).reshape(s.shape[:-2])
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -307,7 +300,7 @@ def hermitize(x) -> np.ndarray:
         return m
     drifted = skew.any(axis=(-2, -1))
     ok = _opnorm_within(skew, m, HERMITIAN_DRIFT_TOL)
-    if not _all(ok):
+    if not ok.all():
         drift = opnorm(_rows(skew)[_first_failure(ok)])
         raise DomainError(f"matrix is not Hermitian (drift {drift:.3e})")
     if drifted.all():
@@ -332,10 +325,6 @@ class Spectrum(NamedTuple):
     eigenvalues: np.ndarray  # real, descending
     frame: np.ndarray  # unitary, columns are eigenvectors
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.frame
-        return (v * self.eigenvalues[..., None, :]) @ _adjoint(v)
-
 
 class PolarParts(NamedTuple):
     """X = u @ abs with abs = |X| and abs_star = |X*| = u abs u* (X invertible)."""
@@ -353,7 +342,7 @@ def eigh(h) -> Spectrum:
     v = v[..., ::-1]
     residual = m - (v * w[..., None, :]) @ _adjoint(v)
     ok = _opnorm_within(residual, m, EIG_RESIDUAL_TOL)
-    if not _all(ok):
+    if not ok.all():
         size = opnorm(_rows(residual)[_first_failure(ok)])
         raise ConvergenceFailure(f"eigendecomposition residual {size:.3e}")
     return Spectrum(eigenvalues=np.ascontiguousarray(w), frame=np.ascontiguousarray(v))
@@ -407,18 +396,14 @@ def _apply_rows(f, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_apply(f, a) -> np.ndarray:
-    """Apply a scalar function on [0, inf) to a PSD-ish Hermitian matrix
-    (``f`` may give one function per matrix of a stack, see ``_apply_rows``).
-
-    Eigenvalues in [-1e-8*scale, 0) are treated as roundoff and clamped to 0;
-    more negative eigenvalues raise DomainError.
-    """
-    return apply_spectrum(f, eigh(a))
-
-
 def apply_spectrum(f, spec: Spectrum) -> np.ndarray:
-    """``spectral_apply`` of f to the matrix (stack) whose ``eigh`` is spec."""
+    """f, a scalar function on [0, inf), applied to the PSD-ish Hermitian
+    matrix (stack) whose ``eigh`` is spec (``f`` may give one function per
+    matrix of a stack, see ``_apply_rows``).
+
+    Eigenvalues in [-1e-8*scale, 0) are treated as roundoff and clamped to 0
+    (``_clamp_spectrum``); more negative eigenvalues raise DomainError.
+    """
     return synthesize(spec.frame, _apply_rows(f, _clamp_spectrum(spec.eigenvalues)))
 
 
@@ -492,24 +477,13 @@ def _least(w: np.ndarray) -> np.ndarray:
     return w[..., -1] if w.shape[-1] else np.zeros(w.shape[:-1])
 
 
-def is_psd(x, tol: float = 1e-9):
-    """Hermitian with eigenvalues >= -tol * max(1, ||X||_op)."""
-    m = as_square(x)
-    m3 = _rows(m)
-    ok = _opnorm_within(m3 - _adjoint(m3), m3, tol)
-    if ok.any():
-        near = m3 if ok.all() else m3[ok]
-        ok[ok] = _opnorm_within(-_least(eigvalsh_desc(hermitian_part(near))), near, tol)
-    return _per_matrix(ok if m.ndim == 3 else ok[0])
-
-
 def is_pd(x, tol: float):
     """The Hermitian part's least eigenvalue is > tol * max(1, its largest)."""
     w = eigvalsh_desc(hermitian_part(x))
     return _per_matrix(_least(w) > tol * np.maximum(1.0, w[..., 0]))
 
 
-def is_normal(x, tol: float = 1e-9):
+def is_normal(x, tol: float):
     """||XX* - X*X||_op <= tol * max(1, ||X||_op^2).
 
     A commutator that leaves the float range raises DomainError.
@@ -519,7 +493,7 @@ def is_normal(x, tol: float = 1e-9):
     comm = m @ mh - mh @ m
     if not np.isfinite(comm).all():
         raise DomainError("commutator XX* - X*X has non-finite entries")
-    return _opnorm_within(comm, m, tol, power=2)
+    return _per_matrix(_opnorm_within(comm, m, tol, power=2))
 
 
 def _gram_eigs(x) -> np.ndarray:
@@ -527,13 +501,13 @@ def _gram_eigs(x) -> np.ndarray:
     return eigvalsh_desc(_adjoint(m) @ m)
 
 
-def is_contraction(x, tol: float = 1e-9):
+def is_contraction(x, tol: float):
     w = _gram_eigs(x)
     top = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
     return _per_matrix(top <= 1.0 + tol)
 
 
-def is_expansive(x, tol: float = 1e-9):
+def is_expansive(x, tol: float):
     w = _gram_eigs(x)
     return _per_matrix(_least(w) >= 1.0 - tol)
 

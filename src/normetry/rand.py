@@ -28,16 +28,9 @@ import numpy as np
 from .errors import BadSpec
 from .linalg import _adjoint, opnorm
 
-KINDS = (
-    "psd",
-    "pd",
-    "hermitian",
-    "normal",
-    "unitary",
-    "contraction",
-    "expansive",
-    "general",
-)
+# A pd matrix has its least eigenvalue at least this, and its operator norm
+# its scale.
+PD_MIN_EIG = 0.1
 
 
 class GenSpec(NamedTuple):
@@ -45,7 +38,6 @@ class GenSpec(NamedTuple):
     n: int
     seed: int
     scale: float = 1.0
-    min_eig: float = 0.1  # only used by kind="pd"
 
 
 def derive_stream(root_seed: int, trial_index: int) -> int:
@@ -183,14 +175,14 @@ def _unitary(g: np.ndarray) -> tuple:
     return (q * phases[:, None, :],)
 
 
-# What each kind takes of its first draw G, computed once for the
-# generators whose kinds take it.
+# Each generator kind (``KINDS``, in this order), with what it takes of its
+# first draw G, computed once for the generators whose kinds take it.
 _FIRST_DRAW = {
-    "hermitian": _itself,
-    "psd": _gram, "pd": _gram,
-    "general": _with_top, "contraction": _with_top,
-    "unitary": _unitary, "normal": _unitary, "expansive": _unitary,
+    "psd": _gram, "pd": _gram, "hermitian": _itself, "normal": _unitary,
+    "unitary": _unitary, "contraction": _with_top, "expansive": _unitary,
+    "general": _with_top,
 }
+KINDS = tuple(_FIRST_DRAW)
 # Kinds that draw again after G.
 _DRAW_AGAIN = ("normal", "contraction", "expansive")
 _ANY_WORDS = np.zeros(4, dtype=np.uint64)
@@ -203,17 +195,15 @@ def _copy(rng: np.random.Generator) -> np.random.Generator:
     return twin
 
 
-def _check(kind: str, n: int, scale: float, min_eig: float) -> None:
+def _check(kind: str, n: int, scale: float) -> None:
     if kind not in KINDS:
         raise BadSpec(f"unknown generator kind {kind!r}")
     if n < 1:
         raise BadSpec(f"dimension must be >= 1, got {n}")
     if not (math.isfinite(scale) and scale > 0):
         raise BadSpec(f"scale must be finite and > 0, got {scale}")
-    if not math.isfinite(min_eig):
-        raise BadSpec(f"min_eig must be finite, got {min_eig}")
-    if kind == "pd" and not 0 < min_eig < scale:
-        raise BadSpec("pd needs 0 < min_eig < scale")
+    if kind == "pd" and scale <= PD_MIN_EIG:
+        raise BadSpec(f"pd needs scale > PD_MIN_EIG = {PD_MIN_EIG}, got {scale}")
 
 
 def generate(spec: GenSpec) -> np.ndarray:
@@ -236,7 +226,7 @@ def generate_family(n: int, rngs, specs) -> dict:
     (``_ggauss``), so G is drawn once per generator.  What several kinds
     take of G (``_FIRST_DRAW``) is computed once per generator, in one
     call for the generators whose kinds take it; each kind then completes
-    its matrices, with their own scale and min_eig, in one stacked pass.
+    its matrices, each at its own scale, in one stacked pass.
     A kind that draws again after G continues from its own copy of the
     generator's state after G.  A dimension too large to allocate raises
     BadSpec.
@@ -248,8 +238,8 @@ def generate_family(n: int, rngs, specs) -> dict:
     columns = {kind: tuple(zip(*entries)) for kind, entries in drawn.items()}
     wanted: dict = {}  # what is taken of G -> kind -> the generators of its matrices
     for kind, (rows, kind_specs) in columns.items():
-        for scale, min_eig in {spec[3:] for spec in kind_specs}:
-            _check(kind, n, scale, min_eig)
+        for scale in {spec.scale for spec in kind_specs}:
+            _check(kind, n, scale)
         wanted.setdefault(_FIRST_DRAW[kind], {})[kind] = rows
     g = _ggauss(rngs, n)
     later = _later_draws(rngs, columns)
@@ -290,8 +280,7 @@ def _derived(derive, g: np.ndarray, wanted: dict) -> dict:
 def _complete(kind: str, n: int, part: tuple, specs: tuple, later) -> np.ndarray:
     """The matrices of ``kind`` from what they take of their first draws:
     ``part`` is what ``_FIRST_DRAW`` gives the kind, ``specs`` give each
-    matrix's scale and min_eig, and ``later`` the generators of its later
-    draws."""
+    matrix's scale, and ``later`` the generators of its later draws."""
     m, *top = part
     if kind == "unitary":
         return m
@@ -302,8 +291,7 @@ def _complete(kind: str, n: int, part: tuple, specs: tuple, later) -> np.ndarray
     if kind in ("psd", "general"):
         return _scaled(m, top[0], scale)
     if kind == "pd":
-        min_eig = np.array([spec.min_eig for spec in specs])
-        return _scaled(m, top[0], scale - min_eig) + min_eig[:, None, None] * np.eye(n)
+        return _scaled(m, top[0], scale - PD_MIN_EIG) + PD_MIN_EIG * np.eye(n)
     if kind == "hermitian":
         h = (m + _adjoint(m)) / 2
         return _scaled(h, opnorm(h), scale)

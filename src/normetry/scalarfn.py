@@ -2,10 +2,11 @@
 
 Houses the hypothesis classes of the inequality checkers: non-negative
 concave functions, convex functions vanishing at 0, functions g with g
-decreasing and t*g(t) increasing, and a whitelist of operator concave
-functions.  Also provides the angle ("hinge") functions and their smooth
-approximants with an explicit operator-concave inverse, plus cone
-combinations and piecewise-linear concave approximations.
+decreasing and t*g(t) increasing, and operator concave functions, which
+their constructors tag as such.  Also provides the angle ("hinge")
+functions and their smooth approximants with an explicit operator-concave
+inverse, plus cone combinations and piecewise-linear concave
+approximations.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ CONCAVE_NONNEG = "concave-nonneg"
 CONVEX_VANISHING = "convex-vanishing"
 DECREASING_TG_INCREASING = "decreasing-tg-increasing"
 OPERATOR_CONCAVE = "operator-concave-catalog"
-
-# operator concavity is a whitelist, not a numeric check
-_OPERATOR_CONCAVE_KINDS = {"sqrt", "power", "log1p", "smoothed-inverse", "ratio-shift"}
 
 GRID_MAX = 100.0
 GRID_POINTS = 2048
@@ -72,28 +70,22 @@ class ScalarFn:
         return {"kind": self.kind, **self.params}
 
 
-def _slopes(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.diff(v) / np.diff(t)
+def validate_shape(fn, tag: str) -> bool:
+    """Finite-difference shape check on the canonical grid, with explicit
+    slack.
 
-
-def validate_shape(fn, tag: str, grid=None, singular_at_zero: bool = False) -> bool:
-    """Finite-difference shape check on a dense grid, with explicit slack.
-
-    fn may be a ScalarFn or a plain vectorized callable.  Operator
-    concavity is whitelist-only and requires a ScalarFn.
+    fn may be a ScalarFn or a plain vectorized callable, taken as defined
+    at 0.  Operator concavity is no numeric check: it is the tag a
+    constructor gives, so only a ScalarFn can have it.
     """
     if tag == OPERATOR_CONCAVE:
-        return isinstance(fn, ScalarFn) and fn.kind in _OPERATOR_CONCAVE_KINDS
-    if isinstance(fn, ScalarFn):
-        singular_at_zero = fn.singular_at_zero
-        f = fn.fn
-    else:
-        f = fn
-    t = canonical_grid(singular_at_zero) if grid is None else np.asarray(grid, float)
+        return isinstance(fn, ScalarFn) and tag in fn.tags
+    f, singular = (fn.fn, fn.singular_at_zero) if isinstance(fn, ScalarFn) else (fn, False)
+    t = canonical_grid(singular)
     v = np.asarray(f(t), dtype=float)
     if not np.all(np.isfinite(v)):
         return False
-    s = _slopes(t, v)
+    s = np.diff(v) / np.diff(t)
     slack = SHAPE_SLACK * np.maximum(1.0, np.abs(s[:-1]))
     if tag == CONCAVE_NONNEG:
         nonneg = np.all(v >= -SHAPE_SLACK * np.maximum(1.0, np.abs(v)))
@@ -310,22 +302,6 @@ def cone_combine(weights, members) -> ScalarFn:
         {"weights": weights, "members": [m.descriptor() for m in members]},
         f, common, singular_at_zero=singular,
     )
-
-
-def smoothed_converges(a: float, r_sequence, grid=None) -> float:
-    """Sup-grid deviation |h_r - angle_a| for the smallest r in the sequence.
-
-    The analytic bound is (1/2)sqrt(r) since |sqrt(x^2+r) - |x|| <= sqrt(r).
-    """
-    rs = [float(r) for r in r_sequence]
-    if any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])):
-        raise DomainError("r_sequence must be strictly decreasing")
-    t = canonical_grid() if grid is None else np.asarray(grid, float)
-    gamma = angle_fn(a).fn(t)
-    dev = 0.0
-    for r in rs:
-        dev = float(np.max(np.abs(_smoothed_eval(t, float(a), r) - gamma)))
-    return dev
 
 
 _REGISTRY = {

@@ -163,6 +163,16 @@ def test_identity6_honours_campaign_tol():
     assert tight.tol == residual / 2
 
 
+def test_each_class_draws_functions_of_that_class():
+    """Every kind a class tag lists is built with that tag (operator
+    concavity included, which only the constructors declare)."""
+    rng = np.random.default_rng(3)
+    for tag, kinds in falsify.FN_DRAWS.items():
+        for kind in kinds:
+            assert tag in falsify.scalarfn.from_descriptor(
+                {"kind": kind, **falsify._FN_DRAW[kind](rng)}).tags, (tag, kind)
+
+
 def test_check_registry_is_consistent():
     for cid, spec in checks.SPECS.items():
         assert spec.check_id == cid

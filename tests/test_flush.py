@@ -280,7 +280,7 @@ def test_a_function_per_row_must_match_the_rows():
     uncomputed: it raises."""
     stack = np.stack([np.eye(2, dtype=complex)] * 3)
     with pytest.raises(DimensionMismatch, match="^1 functions for 3 rows$"):
-        linalg.spectral_apply([scalarfn.sqrt_fn()], stack)
+        linalg.apply_spectrum([scalarfn.sqrt_fn()], linalg.eigh(stack))
 
 
 def test_the_first_failing_row_raises_its_own_domain_error():
@@ -301,4 +301,4 @@ def test_the_first_failing_row_raises_its_own_domain_error():
         linalg._apply_rows([sqrt, inv_sqrt, log1p], w)
     stack = np.array([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)], dtype=complex)
     with pytest.raises(DomainError, match="below the roundoff clamp window"):
-        linalg.spectral_apply([sqrt, log1p, sqrt], stack)
+        linalg.apply_spectrum([sqrt, log1p, sqrt], linalg.eigh(stack))

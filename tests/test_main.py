@@ -30,8 +30,8 @@ def test_importing_the_package_loads_no_numpy():
 
 
 def test_the_pin_sets_every_count_only_where_none_is_set():
-    """A blank value is no count: it is pinned over."""
-    for unset in ({}, *({var: blank} for var in BLAS_THREAD_VARS for blank in ("", " "))):
+    """A blank or zero value is no count: it is pinned over."""
+    for unset in ({}, *({var: blank} for var in BLAS_THREAD_VARS for blank in ("", " ", "0"))):
         env = {"PATH": "/bin", **unset}
         pin_blas_threads(env)
         assert env == {"PATH": "/bin", **dict.fromkeys(BLAS_THREAD_VARS, "1")}
@@ -64,10 +64,11 @@ def test_numpy_loaded_through_the_entry_leaves_the_process_free_to_fork():
 
 def test_the_command_writes_the_bytes_of_a_one_thread_run(tmp_path):
     """At n = 128 the BLAS thread count moves report bits; the command
-    without a count set, or with an empty one, writes what it writes with
-    OPENBLAS_NUM_THREADS=1, outside the timestamp."""
+    without a count set, or with an empty or zero one, writes what it
+    writes with OPENBLAS_NUM_THREADS=1, outside the timestamp."""
     texts = []
-    for env_vars in ({}, {"OPENBLAS_NUM_THREADS": ""}, {"OPENBLAS_NUM_THREADS": "1"}):
+    for env_vars in ({}, {"OPENBLAS_NUM_THREADS": ""}, {"OPENBLAS_NUM_THREADS": "0"},
+                     {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"report-{len(texts)}.json"
         done = python(["-m", "normetry", "verify", "--checks", "all", "--seed", "4",
                        "--dims", "128", "--trials", "2", "--verdicts", "--out", str(out)],
@@ -76,4 +77,4 @@ def test_the_command_writes_the_bytes_of_a_one_thread_run(tmp_path):
         report = json.loads(out.read_text())
         report["header"].pop("timestamp")
         texts.append(json.dumps(report, sort_keys=True))
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1] == texts[2] == texts[3]

@@ -33,13 +33,14 @@ def test_normal_seed77():
 
 
 PREDICATES = {
-    "psd": lambda m: linalg.is_psd(m),
+    "psd": lambda m: (linalg.opnorm(m - m.conj().T) <= 1e-9 * max(1.0, linalg.opnorm(m))
+                      and np.linalg.eigvalsh(m).min() >= -1e-9 * max(1.0, linalg.opnorm(m))),
     "pd": lambda m: np.linalg.eigvalsh(m).min() > 0.05,
     "hermitian": lambda m: linalg.opnorm(m - m.conj().T) <= 1e-12,
-    "normal": lambda m: linalg.is_normal(m),
+    "normal": lambda m: linalg.is_normal(m, 1e-9),
     "unitary": lambda m: linalg.opnorm(m @ m.conj().T - np.eye(m.shape[0])) <= 1e-9,
-    "contraction": lambda m: linalg.is_contraction(m),
-    "expansive": lambda m: linalg.is_expansive(m),
+    "contraction": lambda m: linalg.is_contraction(m, 1e-9),
+    "expansive": lambda m: linalg.is_expansive(m, 1e-9),
     "general": lambda m: np.all(np.isfinite(m)),
 }
 
@@ -67,12 +68,18 @@ def test_bad_specs():
         generate(GenSpec("psd", 3, 0, scale=-1.0))
 
 
-@pytest.mark.parametrize("field", ["scale", "min_eig"])
+@pytest.mark.parametrize("field", ["scale"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_specs(field, value):
     for kind in ("psd", "pd"):
         with pytest.raises(BadSpec, match=field):
             generate(GenSpec(kind, 2, 0, **{field: value}))
+
+
+def test_a_pd_scale_at_most_its_least_eigenvalue_is_a_bad_spec():
+    with pytest.raises(BadSpec, match="PD_MIN_EIG"):
+        generate(GenSpec("pd", 3, 0, scale=rand.PD_MIN_EIG))
+    assert np.linalg.eigvalsh(generate(GenSpec("pd", 3, 0, scale=0.2))).min() > 0.09
 
 
 def test_derive_stream_contract():
