@@ -7,10 +7,11 @@ comparison.  Its ``@_check`` decorator declares the check once, as a
 scalar draw, witnesses and the mutations that break its hypotheses.  The
 decorator also brings every call to the checker bodies' one form:
 (T, n, n) operand stacks of one shape (else DimensionMismatch), one
-scalar function and one value of each scalar per matrix.  The checker
-enforces the hypotheses that declaration states (the function's class
-tag; pd, contraction, expansive and normal operands) unless the
-falsifier, probing a broken hypothesis, switches them off.
+scalar function and one value of each scalar per matrix, and labels each
+verdict with the check's id and the call's tol.  The checker enforces the
+hypotheses that declaration states (the function's class tag; pd,
+contraction, expansive and normal operands) unless the falsifier,
+probing a broken hypothesis, switches them off.
 """
 
 from __future__ import annotations
@@ -187,11 +188,13 @@ def _check(check_id: str, fn_class: str | None, operands,
     m) an array of one value per matrix.  The body returns one result per
     matrix, and a call on single matrices gets its single result back.
     Unless called with ``enforce=False``, it enforces the check's
-    hypotheses first.  ``run`` passes the checker f, if it takes one, then
-    its operands and scalars by parameter name, or else ``args_of(f,
-    matrices, scalars)``."""
+    hypotheses first.  The wrapper labels each verdict the body returns
+    with ``check_id`` and the call's ``tol`` (``DEFAULT_TOL`` unless
+    given), which only ``Verdict.passed`` reads, so a body names neither.
+    ``run`` passes the checker f, if it takes one, then its operands and
+    scalars by parameter name, or else ``args_of(f, matrices, scalars)``."""
     def wrap(body):
-        params = [p for p in inspect.signature(body).parameters if p != "tol"]
+        params = list(inspect.signature(body).parameters)
         takes_fn = fn_class is not None
         by_name = params[takes_fn:]
 
@@ -224,7 +227,7 @@ def _check(check_id: str, fn_class: str | None, operands,
                                            witness=m.witness and own(m.witness))
 
         @functools.wraps(body)
-        def checker(*args, enforce=True, **kwargs):
+        def checker(*args, enforce=True, tol=DEFAULT_TOL, **kwargs):
             args = list(args) + [kwargs.pop(p) for p in params[len(args):] if p in kwargs]
             first = args[positions[0]]
             if isinstance(first, (list, tuple)) and first:
@@ -250,6 +253,8 @@ def _check(check_id: str, fn_class: str | None, operands,
             if enforce:
                 _enforce(fn_class, guards, args)
             out = body(*args, **kwargs)
+            for verdict in out:
+                verdict.check_id, verdict.tol = check_id, tol
             return out[0] if single else out
         return checker
     return wrap
@@ -312,19 +317,16 @@ def _values_and_apply(f, first, *rest) -> tuple:
             _split(linalg.synthesize(spec.frame[t:], fw[t:]), len(rest)))
 
 
-def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
+def _loewner_verdict(lhs, rhs) -> list:
     """Verdict for lhs <= rhs in the Loewner order, one per matrix.
 
     Margin is lambda_min(rhs - lhs) scaled by max(1, ||rhs - lhs||_op),
     recorded as a single comparison row.
     """
     w = linalg.eigvalsh_desc(linalg.hermitian_part(rhs - lhs))
-    if not w.shape[-1]:
-        w = np.zeros(w.shape[:-1] + (1,))
     return [
-        Verdict(check_id=check_id, tol=tol, records=[ComparisonRecord(
-            label="loewner", lhs=-low, rhs=0.0,
-            margin=low / max(1.0, max(abs(low), abs(top))))])
+        Verdict([ComparisonRecord(label="loewner", lhs=-low, rhs=0.0,
+                                  margin=low / max(1.0, max(abs(low), abs(top))))])
         for low, top in zip(w[:, -1].tolist(), w[:, 0].tolist())
     ]
 
@@ -339,7 +341,7 @@ def _loewner_verdict(check_id: str, lhs, rhs, tol: float) -> list:
             fn=lambda rng: dict(_SQUARE),
             witness=Witness("||(2I)^2|| = 4 > ||I^2 + I^2|| = 2", False,
                             {"a0": _I2, "a1": _I2}, _SQUARE))})
-def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
+def check_thm_1_1(f, operands):
     """||f(sum A_i)|| <= ||sum f(A_i)|| for concave f >= 0 and PSD A_i."""
     if len(operands) < 2:
         raise BadSpec("need at least two operands")
@@ -347,7 +349,7 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
     for m in operands[1:]:
         total = linalg.derived(np.add, total, m)
     lhs, parts = _values_and_apply(f, total, *operands)
-    return norms.fan_verdict(lhs, norms.singular_values(sum(parts)), tol, "thm1.1")
+    return norms.fan_verdict(lhs, norms.singular_values(sum(parts)))
 
 
 @_check("thm1.2", scalarfn.CONVEX_VANISHING, _ops("psd"),
@@ -360,17 +362,17 @@ def check_thm_1_1(f, operands, tol=DEFAULT_TOL):
             witness=Witness("g = t^2 + 1 at A = B = 0: ||g(0) + g(0)|| = 2 > ||g(0)|| = 1",
                             False, {"a": _Z2, "b": _Z2},
                             {"kind": "power-m-plus", "m": 2, "c": 1.0}))})
-def check_thm_1_2(g, a, b, tol=DEFAULT_TOL):
+def check_thm_1_2(g, a, b):
     """||g(A) + g(B)|| <= ||g(A+B)|| for convex g with g(0)=0, A,B PSD."""
     rhs, (ga, gb) = _values_and_apply(g, linalg.derived(np.add, a, b), a, b)
-    return norms.fan_verdict(norms.singular_values(ga + gb), rhs, tol, "thm1.2")
+    return norms.fan_verdict(norms.singular_values(ga + gb), rhs)
 
 
 @_check("davis-hansen", scalarfn.OPERATOR_CONCAVE, (("a", "psd"), ("z", "contraction")),
         witnesses=(Witness("Z=I (equality)", True, {"a": _PSD_A, "z": _I2}, _SQRT),
                    Witness("f=t with a strict contraction (equality)", True,
                            {"a": _PSD_A, "z": _CONTRACTION}, _IDENTITY)))
-def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
+def check_davis_hansen(f, a, z):
     """Z* f(A) Z <= f(Z* A Z) for operator concave f, f(0) >= 0, ||Z|| <= 1.
 
     The compression case (Z an orthogonal projection followed by a subspace
@@ -379,14 +381,14 @@ def check_davis_hansen(f, a, z, tol=DEFAULT_TOL):
     zh = z.conj().swapaxes(-1, -2)
     spec = linalg.joined(linalg.eigh, a, linalg.hermitian_part(zh @ a @ z))
     fa, fz = _split(linalg.apply_spectrum(f * 2, spec), 2)
-    return _loewner_verdict("davis-hansen", zh @ fa @ z, fz, tol)
+    return _loewner_verdict(zh @ fa @ z, fz)
 
 
 @_check("pinching-eq2", scalarfn.OPERATOR_CONCAVE, _ops("pd"),
         witnesses=(Witness("sqrt on A=B=I", False, {"a": _I2, "b": _I2}, _SQRT),
                    Witness("f=t makes both sides A+B (equality)", True,
                            {"a": _PSD_A, "b": _PSD_B + 2 * _I2}, _IDENTITY)))
-def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
+def check_pinching_eq2(f, a, b):
     """A^(1/2) phi(A+B) A^(1/2) + B^(1/2) phi(A+B) B^(1/2) <= f(A) + f(B)
 
     with phi(t) = f(t)/t, for operator concave f and A, B > 0.
@@ -403,7 +405,7 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
     ra, rb = _split(linalg.apply_spectrum(np.sqrt, parts), 2)
     fa, fb = _split(linalg.apply_spectrum(f * 2, parts), 2)
     lhs = ra @ phi @ ra + rb @ phi @ rb
-    return _loewner_verdict("pinching-eq2", lhs, fa + fb, tol)
+    return _loewner_verdict(lhs, fa + fb)
 
 
 @_check("prop2.1", scalarfn.DECREASING_TG_INCREASING,
@@ -413,7 +415,7 @@ def check_pinching_eq2(f, a, b, tol=DEFAULT_TOL):
                             "b": np.diag([1.0, 3.0]).astype(complex)}, {"kind": "inv-sqrt"}),
                    Witness("constant g makes both sides A+B (equality)", True,
                            {"a": _PSD_A, "b": _PSD_B}, {"kind": "constant", "c": 1.0})))
-def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
+def check_prop_2_1(g, a, b):
     """||(A+B) g(A+B)|| <= ||A^(1/2) g(A+B) A^(1/2) + B^(1/2) g(A+B) B^(1/2)||
 
     for g decreasing with t*g(t) increasing, A, B >= 0 (A+B > 0 when g is
@@ -432,7 +434,7 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
     rhs = ra @ g_sum @ ra + rb @ g_sum @ rb
     # the singular values of (A+B) g(A+B) are its eigenvalues w g(w)
     return norms.fan_verdict(norms.spectrum_singular_values(w * gw),
-                             norms.singular_values(rhs), tol, "prop2.1")
+                             norms.singular_values(rhs))
 
 
 @_check("thm2.4", scalarfn.CONCAVE_NONNEG, (("a", "psd"), ("z", "expansive")),
@@ -442,11 +444,11 @@ def check_prop_2_1(g, a, b, tol=DEFAULT_TOL):
         mutations={"drop-expansive": Mutation(witness=Witness(
             "sqrt with A = I, Z = I/2: ||(Z*Z)^(1/2)|| = 1/2 > ||Z*Z|| = 1/4", False,
             {"a": _I2, "z": 0.5 * _I2}, _SQRT))})
-def check_thm_2_4(f, a, z, tol=DEFAULT_TOL):
+def check_thm_2_4(f, a, z):
     """||f(Z* A Z)|| <= ||Z* f(A) Z|| for concave f >= 0, A >= 0, Z expansive."""
     zh = z.conj().swapaxes(-1, -2)
     lhs, (fa,) = _values_and_apply(f, linalg.hermitian_part(zh @ a @ z), a)
-    return norms.fan_verdict(lhs, norms.singular_values(zh @ fa @ z), tol, "thm2.4")
+    return norms.fan_verdict(lhs, norms.singular_values(zh @ fa @ z))
 
 
 def _eigen_indices(j, k, n: int) -> list:
@@ -465,7 +467,7 @@ def _eigen_indices(j, k, n: int) -> list:
                            {"a": _PSD_A, "b": _PSD_B}, _IDENTITY, _JK0),
                    Witness("sqrt on disjoint diagonals, j=k=0", False,
                            {"a": 4 * _D10, "b": 4 * _D01}, _SQRT, _JK0)))
-def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
+def check_eigen_sum(f, a, b, j, k):
     """lambda_{j+k+1}(f(|A+B|)) <= lambda_{j+1}(f(|A|)) + lambda_{k+1}(f(|B|)).
 
     The eigenvalues of |X| are the singular values of X (Bhatia, Matrix
@@ -479,7 +481,7 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
     rows = np.arange(len(a))
     lhs = vals[0][rows, j + k]
     rhs = vals[1][rows, j] + vals[2][rows, k]
-    return norms.compare("eigen-sum", labels, lhs[:, None], rhs[:, None], tol)
+    return norms.compare(labels, lhs[:, None], rhs[:, None])
 
 
 @_check("cs-lemma", None,
@@ -489,7 +491,7 @@ def check_eigen_sum(f, a, b, j, k, tol=DEFAULT_TOL):
                    Witness("A_i=B_i with identity contractions (equality)", True,
                            {"a1": _PSD_A, "a2": _PSD_B, "b1": _PSD_A, "b2": _PSD_B,
                             "c1": _I2, "c2": _I2})))
-def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
+def check_cs_lemma(a1, a2, b1, b2, c1, c2):
     """||A1 C1 B1 + A2 C2 B2|| <= ||A1^2+A2^2||^(1/2) ||B1^2+B2^2||^(1/2)
 
     per symmetric norm, for PSD A_i, B_i and contractions C_i.  The verdict
@@ -501,13 +503,13 @@ def check_cs_lemma(a1, a2, b1, b2, c1, c2, tol=DEFAULT_TOL):
     """
     sx, sy, sz = _split(norms.singular_values(np.concatenate(
         (a1 @ c1 @ b1 + a2 @ c2 @ b2, a1 @ a1 + a2 @ a2, b1 @ b1 + b2 @ b2))), 3)
-    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz), tol, "cs-lemma")
+    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz))
 
 
 @_check("ineq4", None, _ops("general"),
         witnesses=(Witness("A=B=I (equality)", True, {"a": _I2, "b": _I2}),
                    Witness("B=-A gives zero LHS", False, {"a": _GEN, "b": -_GEN})))
-def check_ineq_4(a, b, tol=DEFAULT_TOL):
+def check_ineq_4(a, b):
     """||A+B|| <= || |A|+|B| ||^(1/2) || |A*|+|B*| ||^(1/2) per symmetric norm,
     decided as cs-lemma is, since A+B = [|A*|^(1/2) |B*|^(1/2)] diag(U_A, U_B)
     [|A|^(1/2); |B|^(1/2)] for the unitary polar factors U_A, U_B."""
@@ -516,7 +518,7 @@ def check_ineq_4(a, b, tol=DEFAULT_TOL):
     star_a, star_b = _split(p.abs_star, 2)
     sx, sy, sz = _split(norms.singular_values(
         linalg.derived(np.add, a, b), abs_a + abs_b, star_a + star_b), 3)
-    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz), tol, "ineq4")
+    return norms.fan_verdict(sx, norms.sqrt_product(sy, sz))
 
 
 def _block2(a, b, c, d) -> np.ndarray:
@@ -532,12 +534,11 @@ def _abs4(a, b, c, d):
         witnesses=(Witness("scalar all-ones blocks", False, _ONES),
                    Witness("B=C=0 reduces to the block-diagonal fact", False,
                            {"a": _PSD_A, "b": _Z2, "c": _Z2, "d": _PSD_B})))
-def check_thm_3_1(a, b, c, d, tol=DEFAULT_TOL):
+def check_thm_3_1(a, b, c, d):
     """|| [[A,B],[C,D]] || <= || |A|+|B|+|C|+|D| || for normal blocks."""
     block = linalg.derived(_block2, a, b, c, d)
     pa, pb, pc, pd_ = _abs4(a, b, c, d)
-    return norms.dominance_verdict(
-        block, pa + pb + pc + pd_, tol=tol, check_id="thm3.1", pad=True)
+    return norms.dominance_verdict(block, pa + pb + pc + pd_, pad=True)
 
 
 def _opnorm(m) -> np.ndarray:
@@ -563,7 +564,7 @@ def _abs_sum(a, b) -> np.ndarray:
         witnesses=(Witness("scalar all-ones blocks (equality)", True, _ONES),
                    Witness("B=C=D=0 (equality)", True,
                            {"a": _HERM, "b": _Z2, "c": _Z2, "d": _Z2})))
-def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
+def check_thm_3_2(a, b, c, d):
     """Operator norm of [[A,B],[C,D]] bounded by the max of the four
     row/column absolute-value sums, for normal blocks."""
     lhs = _opnorm(linalg.derived(_block2, a, b, c, d))
@@ -571,7 +572,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
     # prop3.4 reuses |A| + |B| of shared stacks; on others it is summed here
     ab = linalg.derived(_abs_sum, a, b) if linalg.shared(a, b) else pa + pb
     rhs = _max_opnorm(ab, pc + pd_, pa + pc, pb + pd_)
-    return norms.compare("thm3.2", ["operator"], lhs[:, None], rhs[:, None], tol)
+    return norms.compare(["operator"], lhs[:, None], rhs[:, None])
 
 
 @_check("cor3.3", None, _ops("hermitian") + (("x", "general"),),
@@ -579,7 +580,7 @@ def check_thm_3_2(a, b, c, d, tol=DEFAULT_TOL):
                            {"a": _Z2, "b": _Z2, "x": _GEN}),
                    Witness("X=0 (equality)", True,
                            {"a": _HERM, "b": _PSD_A - 2 * _I2, "x": _Z2})))
-def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
+def check_cor_3_3(a, b, x):
     """|| [[A,X*],[X,B]] ||_op <= max(|| |A|+|X| ||_op, || |B|+|X*| ||_op)
 
     for Hermitian A, B.  The paper derives it from Thm 3.2 on a 4n
@@ -595,17 +596,16 @@ def check_cor_3_3(a, b, x, tol=DEFAULT_TOL):
     abs_a, abs_b = _split(linalg.joined(linalg.matrix_abs, a, b), 2)
     lhs = _opnorm(block)
     rhs = _max_opnorm(abs_a + px.abs, abs_b + px.abs_star)
-    return norms.compare("cor3.3", ["operator"], lhs[:, None], rhs[:, None], tol)
+    return norms.compare(["operator"], lhs[:, None], rhs[:, None])
 
 
 @_check("prop3.4", None, _ops("normal"),
         witnesses=(Witness("A=I, B=-I gives zero LHS", False, {"a": _I2, "b": -_I2}),
                    Witness("A=B unitary (equality at every Ky Fan k)", True,
                            {"a": _UNITARY, "b": _UNITARY})))
-def check_prop_3_4(a, b, tol=DEFAULT_TOL):
+def check_prop_3_4(a, b):
     """||A+B|| <= || |A|+|B| || for normal A, B (triangle inequality)."""
-    return norms.dominance_verdict(
-        a + b, linalg.derived(_abs_sum, a, b), tol=tol, check_id="prop3.4")
+    return norms.dominance_verdict(a + b, linalg.derived(_abs_sum, a, b))
 
 
 @_check("prop3.5", None, _ops("hermitian", "st"), _draw_jk,
@@ -614,7 +614,7 @@ def check_prop_3_4(a, b, tol=DEFAULT_TOL):
                             "t": np.diag([1.0, -1.0]).astype(complex)}, scalars=_JK0),
                    Witness("T=0, j=k=0 (equality)", True,
                            {"s": _HERM, "t": _Z2}, scalars=_JK0)))
-def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
+def check_prop_3_5_eigen(s, t, j, k):
     """lambda_{j+k+1}(|S+T|) <= (lambda_{j+1}(M) + lambda_{k+1}(M))/2
 
     with M = |S|+|T|, for Hermitian S, T (eigenvalue consequence of the
@@ -628,7 +628,7 @@ def check_prop_3_5_eigen(s, t, j, k, tol=DEFAULT_TOL):
     r = np.arange(len(s))
     lhs = w_sum[r, j + k]
     rhs = 0.5 * (w_m[r, j] + w_m[r, k])
-    return norms.compare("prop3.5", labels, lhs[:, None], rhs[:, None], tol)
+    return norms.compare(labels, lhs[:, None], rhs[:, None])
 
 
 def _powers(m) -> list:
@@ -646,7 +646,7 @@ def _powers(m) -> list:
                    Witness("z=-1, m=1 on complementary projections (equality)", True,
                            {"a": _D10, "b": _D01},
                            scalars={"z_re": -1.0, "z_im": 0.0, "m": 1})))
-def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
+def check_ineq_5(a, b, z, m):
     """||(A + zB)^m|| <= ||(A + |z|B)^m|| for PSD A, B and complex z."""
     m = _powers(m)
     # |z| as Python's abs (a libm hypot); numpy's complex abs can round apart
@@ -654,7 +654,7 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
     size = np.reshape([abs(v) for v in z.ravel().tolist()], z.shape)
     lhs, rhs = _split(
         linalg.matrix_power(np.concatenate((a + z * b, a + size * b)), m + m), 2)
-    return norms.dominance_verdict(lhs, rhs, tol=tol, check_id="ineq5")
+    return norms.dominance_verdict(lhs, rhs)
 
 
 @_check("identity6", None, _ops("psd"), lambda rng, n: {"m": int(rng.integers(1, 9))},
@@ -662,7 +662,7 @@ def check_ineq_5(a, b, z, m, tol=DEFAULT_TOL):
                            scalars={"m": 1}, tol=1e-12),
                    Witness("m=2 expands algebraically", True, {"a": _PSD_A, "b": _PSD_B},
                            scalars={"m": 2}, tol=1e-12)))
-def identity_6_verdict(a, b, m, tol=DEFAULT_TOL):
+def identity_6_verdict(a, b, m):
     """The relative residual of A^m + B^m = (1/m) sum_j (A + w^j B)^m,
     w = exp(2*pi*i/m), as a Verdict with one record: the residual as LHS
     and -residual as margin, so it passes iff residual <= tol.  (The
@@ -672,16 +672,14 @@ def identity_6_verdict(a, b, m, tol=DEFAULT_TOL):
     residual = [0.0] * len(a)
     for p in sorted(set(m)):
         rows = [t for t, q in enumerate(m) if q == p]
-        ar, br = (a, b) if len(rows) == len(a) else (a[rows], b[rows])
+        ar, br = a[rows], b[rows]
         w = np.exp(2j * np.pi / p)
         avg = sum(linalg.matrix_power(ar + (w**j) * br, p) for j in range(p)) / p
         target = linalg.matrix_power(ar, p) + linalg.matrix_power(br, p)
         errors = linalg.opnorm(target - avg).tolist()
         for t, error, top in zip(rows, errors, linalg.opnorm(target).tolist()):
             residual[t] = error / max(1.0, top)
-    return [Verdict(check_id="identity6", tol=tol,
-                    records=[ComparisonRecord("residual", r, 0.0, -r)])
-            for r in residual]
+    return [Verdict([ComparisonRecord("residual", r, 0.0, -r)]) for r in residual]
 
 
 CHECK_IDS = tuple(SPECS)

@@ -144,10 +144,14 @@ def _csv_summary(campaigns: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _errors(report) -> dict:
-    """The report's error rows as its campaign's ``errors`` key; a report
-    of none has no such key."""
-    return {"errors": report.errors} if report.errors else {}
+def _campaign(report, **more) -> dict:
+    """A report's row of its command's JSON report, with the keys ``more``
+    adds or replaces; it has an ``errors`` key only when a case raised."""
+    row = {"check": report.check_id, "mutation": report.mutation, "trials": report.trials,
+           "min_margin": report.min_margin, "violations": report.violations, **more}
+    if report.errors:
+        row["errors"] = report.errors
+    return row
 
 
 def _raised(reports) -> bool:
@@ -194,20 +198,9 @@ def cmd_verify(args) -> int:
     reports = [by_check[cid] for cid in check_ids]
     witness_rows = [row for cid in checks.CHECK_IDS if cid in by_check
                     for row in by_check[cid].witnesses]
-    all_pass = all(row["pass"] for row in witness_rows)
-    campaigns = []
-    for report in reports:
-        all_pass &= not report.violations
-        campaigns.append(
-            {
-                "check": report.check_id,
-                "mutation": None,
-                "trials": report.trials,
-                "min_margin": report.min_margin,
-                "violations": report.violations,
-                **_errors(report),
-            }
-        )
+    all_pass = (all(row["pass"] for row in witness_rows)
+                and not any(report.violations for report in reports))
+    campaigns = [_campaign(report) for report in reports]
     out = {
         "header": _header(config),
         "witnesses": witness_rows,
@@ -264,16 +257,8 @@ def cmd_falsify(args) -> int:
                                "margin": cert["margin"]})
     out = {
         "header": _header(config),
-        "campaign": {
-            "check": report.check_id,
-            "mutation": report.mutation,
-            "expectation": report.expectation,
-            "trials": report.trials,
-            "min_margin": report.min_margin,
-            "violations": violations,
-            "wall_time": report.wall_time,
-            **_errors(report),
-        },
+        "campaign": _campaign(report, expectation=report.expectation,
+                              violations=violations, wall_time=report.wall_time),
     }
     _write_json(out, args.out)
     if _raised([report]):

@@ -155,10 +155,10 @@ def _read_only(result):
 
 def as_square(x) -> np.ndarray:
     """Coerce to a square complex matrix, or a stack of them, with finite
-    entries."""
+    entries.  An n = 0 matrix or a stack of none is refused."""
     m = np.asarray(x, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or not m.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     _require_finite(m)
     return m
 
@@ -472,15 +472,10 @@ def _polar_parts(d: SVD) -> PolarParts:
     return PolarParts(u=d.u @ d.vh, abs=_abs_from(d), abs_star=synthesize(d.u, d.s))
 
 
-def _least(w: np.ndarray) -> np.ndarray:
-    """The last (least) entry of each descending row; 0 for empty rows."""
-    return w[..., -1] if w.shape[-1] else np.zeros(w.shape[:-1])
-
-
 def is_pd(x, tol: float):
     """The Hermitian part's least eigenvalue is > tol * max(1, its largest)."""
     w = eigvalsh_desc(hermitian_part(x))
-    return _per_matrix(_least(w) > tol * np.maximum(1.0, w[..., 0]))
+    return _per_matrix(w[..., -1] > tol * np.maximum(1.0, w[..., 0]))
 
 
 def is_normal(x, tol: float):
@@ -502,25 +497,21 @@ def _gram_eigs(x) -> np.ndarray:
 
 
 def is_contraction(x, tol: float):
-    w = _gram_eigs(x)
-    top = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
-    return _per_matrix(top <= 1.0 + tol)
+    return _per_matrix(_gram_eigs(x)[..., 0] <= 1.0 + tol)
 
 
 def is_expansive(x, tol: float):
-    w = _gram_eigs(x)
-    return _per_matrix(_least(w) >= 1.0 - tol)
+    return _per_matrix(_gram_eigs(x)[..., -1] >= 1.0 - tol)
 
 
 def matrix_power(x, m) -> np.ndarray:
     """X^m; ``m`` may give one power per matrix of a stack, and the
     matrices sharing a power are raised together."""
     a = as_square(x)
-    powers = [int(p) for p in np.ravel(m)]
-    if len(set(powers)) == 1:
-        return np.linalg.matrix_power(a, powers[0])
-    out = np.empty_like(a)
-    for p in sorted(set(powers)):
-        rows = [t for t, q in enumerate(powers) if q == p]
-        out[rows] = np.linalg.matrix_power(a[rows], p)
-    return out
+    stack = _rows(a)
+    powers = np.full(len(stack), m, dtype=int)
+    out = np.empty_like(stack)
+    for p in sorted(set(powers.tolist())):
+        rows = powers == p
+        out[rows] = np.linalg.matrix_power(stack[rows], p)
+    return out.reshape(a.shape)

@@ -80,12 +80,14 @@ class ComparisonRecord(NamedTuple):
 class Verdict:
     """Outcome of one checker call.
 
-    The fingerprint identifies the inputs for replay.
+    The builders here give only its records; the checker that returns it
+    labels it with its check id and tol.  The fingerprint identifies the
+    inputs for replay.
     """
 
-    check_id: str
     records: list[ComparisonRecord]
-    tol: float
+    check_id: str = ""
+    tol: float = DEFAULT_TOL
     fingerprint: str = ""
 
     @property
@@ -107,31 +109,21 @@ def scaled_margin(lhs: float, rhs: float) -> float:
     return (rhs - lhs) / max(1.0, rhs)
 
 
-def compare(check_id: str, labels, lhs, rhs, tol: float):
-    """Verdict on lhs[i] <= rhs[i] for each labels[i], one record each with
-    its ``scaled_margin``.
-
-    For 2-D ``lhs`` and ``rhs`` (one row per matrix of a stack) it gives
-    one verdict per row; ``labels`` then labels every row, or is a list of
-    one label sequence per row.
+def compare(labels, lhs, rhs) -> list[Verdict]:
+    """Verdicts on lhs[t][i] <= rhs[t][i] for each labels[i], one per row t
+    of 2-D ``lhs`` and ``rhs`` (one row per matrix of a stack), with one
+    record per label and its ``scaled_margin``.  ``labels`` labels every
+    row, or is a list of one label sequence per row.
     """
     lhs = np.asarray(lhs, dtype=float).tolist()
     rhs = np.asarray(rhs, dtype=float).tolist()
-    if not lhs or not isinstance(lhs[0], list):
-        return _verdict(check_id, labels, lhs, rhs, tol)
     if isinstance(labels[0], str):
         labels = [labels] * len(lhs)
     return [
-        _verdict(check_id, *row, tol) for row in zip(labels, lhs, rhs, strict=True)
+        Verdict([ComparisonRecord(label, vl, vr, scaled_margin(vl, vr))
+                 for label, vl, vr in zip(*row, strict=True)])
+        for row in zip(labels, lhs, rhs, strict=True)
     ]
-
-
-def _verdict(check_id: str, labels, lhs: list, rhs: list, tol: float) -> Verdict:
-    records = [
-        ComparisonRecord(label, vl, vr, scaled_margin(vl, vr))
-        for label, vl, vr in zip(labels, lhs, rhs, strict=True)
-    ]
-    return Verdict(check_id=check_id, records=records, tol=tol)
 
 
 def sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,8 +147,7 @@ def sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominance_verdict(lhs, rhs, tol: float = DEFAULT_TOL, check_id: str = "dominance",
-                      pad: bool = False):
+def dominance_verdict(lhs, rhs, pad: bool = False):
     """Verdict on ||lhs|| <= ||rhs|| in every symmetric norm, one per matrix
     of a stack: ``fan_verdict`` of the two sides' singular values.  Each
     side is coerced once, by ``singular_values``, and sides of one shape
@@ -167,13 +158,13 @@ def dominance_verdict(lhs, rhs, tol: float = DEFAULT_TOL, check_id: str = "domin
         sl, sr = singular_values(_rows(ml), _rows(mr)).reshape(2, *ml.shape[:-1])
     else:
         sl, sr = singular_values(ml), singular_values(mr)
-    return fan_verdict(sl, sr, tol, check_id, pad)
+    return fan_verdict(sl, sr, pad)
 
 
-def fan_verdict(sl, sr, tol: float = DEFAULT_TOL, check_id: str = "dominance",
-                pad: bool = False):
-    """Fan-dominance verdict on the two sides' descending singular values
-    (one row per matrix of a stack, as ``singular_values`` gives them).
+def fan_verdict(sl, sr, pad: bool = False):
+    """Fan-dominance verdicts on the two sides' descending singular values,
+    one per row (one row per matrix of a stack, as ``singular_values`` gives
+    them), or one verdict for one row each.
 
     It holds one record per Ky Fan norm k = 1..n (``grid_labels(n)``): the
     two sides' partial sums.  Passing all is weak majorization, so the
@@ -187,8 +178,9 @@ def fan_verdict(sl, sr, tol: float = DEFAULT_TOL, check_id: str = "dominance",
     n = max(nl, nr)
     sides = np.zeros((2, *sl.shape[:-1], n))  # both zero-padded to n
     sides[0, ..., :nl], sides[1, ..., :nr] = sl, sr
-    gl, gr = np.add.accumulate(sides, axis=-1)
-    return compare(check_id, grid_labels(n), gl, gr, tol)
+    gl, gr = np.add.accumulate(sides, axis=-1).reshape(2, -1, n)
+    verdicts = compare(grid_labels(n), gl, gr)
+    return verdicts if sl.ndim > 1 else verdicts[0]
 
 
 @functools.lru_cache(maxsize=64)

@@ -641,6 +641,40 @@ def test_a_function_or_scalar_per_matrix_must_match_the_stack():
         checks.check_eigen_sum([sqrt], a, b, 0, 0)
 
 
+@pytest.mark.parametrize("empty", [np.zeros((0, 3, 3)), np.zeros((0, 0))],
+                         ids=["no-matrices", "n=0"])
+@pytest.mark.parametrize("call", [
+    lambda m: checks.check_davis_hansen(sf.from_descriptor({"kind": "sqrt"}), m, m),
+    lambda m: checks.check_prop_3_4(m, m),
+    lambda m: linalg.is_contraction(m, 1e-8),
+    lambda m: linalg.is_pd(m, 1e-12),
+    norms.singular_values,
+], ids=["davis-hansen", "prop3.4", "is_contraction", "is_pd", "singular_values"])
+def test_empty_operands_are_a_dimension_mismatch(call, empty):
+    """A stack of no matrices, or an n = 0 matrix, is refused where it is
+    coerced, not decided (a passing verdict, a True predicate) or failed
+    with an IndexError deeper in."""
+    with pytest.raises(DimensionMismatch, match="^expected a non-empty square matrix"):
+        call(empty)
+
+
+@pytest.mark.parametrize("cid", checks.CHECK_IDS)
+def test_the_declaration_labels_every_verdict(cid):
+    """A checker's verdicts, on a stack or on single matrices, carry the id
+    of its ``@_check`` and the call's tol; the ``norms`` builders' own
+    verdicts carry neither."""
+    case = falsify.sample_case(cid, 3, derive_stream(6, 0))
+    stacked = falsify.run_stack([case, case], tol=1e-7)
+    single = checks.SPECS[cid].run(case.fn(), case.matrices, case.scalars, tol=1e-7)
+    assert len(stacked) == 2 and isinstance(single, norms.Verdict)
+    for verdict in [*stacked, single]:
+        assert (verdict.check_id, verdict.tol) == (cid, 1e-7)
+    s = np.array([[2.0, 1.0]])
+    for verdict in (norms.fan_verdict(s, s)[0], norms.dominance_verdict(np.eye(2), np.eye(2)),
+                    norms.compare(["r"], [[1.0]], [[2.0]])[0]):
+        assert (verdict.check_id, verdict.tol) == ("", norms.DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("cid", checks.CHECK_IDS)
 def test_margins_are_invariant_under_unitary_conjugation(cid):
     """Every statement is unitarily invariant: conjugating all of a case's

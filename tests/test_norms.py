@@ -222,14 +222,14 @@ def test_sqrt_product_is_scale_safe_and_exact_in_range():
 def test_compare_rejects_mismatched_lengths(lengths):
     nl, nx, ny = lengths
     with pytest.raises(ValueError):
-        norms.compare("t", ["l"] * nl, np.ones(nx), np.ones(ny), 1e-9)
+        norms.compare(["l"] * nl, np.ones((1, nx)), np.ones((1, ny)))
 
 
 def test_compare_margins_are_scaled_margin_record_for_record():
     lhs = [0.5, 2.0, 3.0, math.nan, 1.0, -0.0, math.inf, 1.0]
     rhs = [1.0, 1.5, 4.0, 1.0, math.nan, 0.0, math.inf, math.inf]
     labels = [f"r{i}" for i in range(len(lhs))]
-    v = norms.compare("t", labels, lhs, rhs, 1e-9)
+    [v] = norms.compare(labels, [lhs], [rhs])
     assert [r.label for r in v.records] == labels
     for r, vl, vr in zip(v.records, lhs, rhs):
         assert (r.lhs.hex(), r.rhs.hex()) == (vl.hex(), vr.hex())
